@@ -240,23 +240,27 @@ def _witness_from_masks(datum: PhiModuleDatum, mask: int, img_masks) -> Submodul
 
 
 def find_misaligned_candidate(
-    datum: PhiModuleDatum, tau: int, backend: Optional[str] = None
+    datum: PhiModuleDatum, tau: int, tables: Optional[kernels.CandidateTables] = None
 ) -> Optional[SubmoduleCandidate]:
     """First passing candidate whose tau-assignment moves a weight value.
 
     A candidate with theta_tau permuting equal weights is aligned: the lemma
     constrains the induced weight multiset, not index bookkeeping.
+    ``tables``, built for ``datum.weights``, lets calls for several tau
+    share the kernel's reachable sets.
     """
     scaled, denom = _scaled_ints(datum)
     found, mask, img = kernels.find_candidate(
-        datum.weights, scaled, datum.e, denom, tau - 1, require_misaligned=True, backend=backend
+        datum.weights, scaled, datum.e, denom, tau - 1, require_misaligned=True, tables=tables
     )
     if not found:
         return None
     return _witness_from_masks(datum, mask, img)
 
 
-def alignment_check(datum: PhiModuleDatum, tau: int, backend: Optional[str] = None) -> AlignmentResult:
+def alignment_check(
+    datum: PhiModuleDatum, tau: int, tables: Optional[kernels.CandidateTables] = None
+) -> AlignmentResult:
     """Certify the alignment lemma for one datum and distinguished embedding.
 
     Order of business: the deviation hypothesis is tested first and a failure
@@ -269,7 +273,7 @@ def alignment_check(datum: PhiModuleDatum, tau: int, backend: Optional[str] = No
         return AlignmentResult(HYPOTHESIS_FAILED, margin=margin)
     if not datum.distinct_flag:
         raise NotDistinct("alignment check needs pairwise distinct slopes")
-    witness = find_misaligned_candidate(datum, tau, backend=backend)
+    witness = find_misaligned_candidate(datum, tau, tables=tables)
     if witness is not None:
         return AlignmentResult(COUNTEREXAMPLE, margin=margin, witness=witness)
     return AlignmentResult(CERTIFIED, margin=margin)

@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import tempfile
 from fractions import Fraction
+from functools import lru_cache
 
 import jsonschema
 
@@ -159,9 +159,15 @@ class InputError(Exception):
     pass
 
 
-def _validate(instance, schema, where):
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
+@lru_cache(maxsize=None)
+def _validator(command=None):
+    """The validator of a job document (command None) or of a command's params,
+    built on first use."""
+    return jsonschema.Draft202012Validator(JOB_DOC_SCHEMA if command is None else JOB_SCHEMAS[command])
+
+
+def _validate(instance, command, where):
+    errors = sorted(_validator(command).iter_errors(instance), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
@@ -185,7 +191,7 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-def _make_seeds(spec, n_places, rank, rng):
+def _make_seeds(spec, n_places, rank):
     if spec == "zero":
         return [RefinedSlopes([0] * rank) for _ in range(n_places)]
     seeds = [RefinedSlopes([parse_rat(v) for v in row]) for row in spec]
@@ -194,11 +200,11 @@ def _make_seeds(spec, n_places, rank, rng):
     return seeds
 
 
-def _run_replay(params, schema, paper_sign, rng):
+def _run_replay(params, schema, paper_sign):
     locals_ = [LocalDatum(**loc) for loc in params["locals"]]
     n = params["n"]
     rank = n if schema == "C" else 2 * n
-    seeds = _make_seeds(params["seeds"], len(locals_), rank, rng)
+    seeds = _make_seeds(params["seeds"], len(locals_), rank)
     kwargs = {"paper_sign": paper_sign}
     if "max_sum" in params:
         kwargs["max_sum"] = params["max_sum"]
@@ -325,18 +331,17 @@ def _run_verify(params):
     return {"ok": ok, "mismatches": mismatches}, (0 if ok else 2)
 
 
-def run_job(job: dict, workers: int = 1, seed: int = 0, paper_sign: bool = False):
+def run_job(job: dict, workers: int = 1, paper_sign: bool = False):
     """Execute one job; returns (report dict, exit code)."""
-    _validate(job, JOB_DOC_SCHEMA, "job")
+    _validate(job, None, "job")
     command = job["command"]
     params = job["params"]
-    _validate(params, JOB_SCHEMAS[command], "params")
-    rng = random.Random(seed)
+    _validate(params, command, "params")
     try:
         if command == "replay-sp":
-            result, code = _run_replay(params, "C", paper_sign, rng)
+            result, code = _run_replay(params, "C", paper_sign)
         elif command == "replay-so":
-            result, code = _run_replay(params, "D", paper_sign, rng)
+            result, code = _run_replay(params, "D", paper_sign)
         elif command == "keylemma-scan":
             result, code = _run_scan(params, workers)
         elif command == "admissible":
@@ -371,7 +376,6 @@ def main(argv=None) -> int:
     parser.add_argument("--job", help="path to a JSON job document")
     parser.add_argument("--out", help="report output path (overrides the job's 'out')")
     parser.add_argument("--workers", type=int, default=1, help="scan fan-out")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     parser.add_argument("--paper-sign", action="store_true",
                         help="use the alternative sign-flip exponent convention in refinement changes")
     parser.add_argument("--print-schemas", action="store_true",
@@ -396,7 +400,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        report, code = run_job(job, workers=args.workers, seed=args.seed, paper_sign=args.paper_sign)
+        report, code = run_job(job, workers=args.workers, paper_sign=args.paper_sign)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -1,22 +1,8 @@
-"""Integerized hot kernels for the sub-module candidate search.
+"""Exact candidate search for the alignment lemma on reachable Hodge-prefix sets.
 
 The admissibility candidate system is exact integer arithmetic once slopes
 are scaled by a common denominator D and the (1/e) factors are cleared by
 cross-multiplication, so the search runs on int64 without losing exactness.
-Values in scope are tiny (|kappa| <= a few hundred, N <= 9), far from
-overflow.
-
-Three interchangeable implementations are provided:
-
-* ``numba``  -- @njit loops (default when numba imports);
-* ``numpy``  -- vectorized over the theta-choice space;
-* ``python`` -- plain loops, the readable reference.
-
-Selection: environment variable ``SLOPECERT_KERNEL`` in {"numba", "numpy",
-"python"}; unset picks numba when available, else numpy.  All three walk
-candidates in the identical order (subsets by size then lexicographic;
-per-embedding image sets lexicographic, last embedding fastest), so the
-reported witness is implementation-independent.
 
 A candidate is a proper nonempty subset I of {1..N} together with one image
 set per embedding; it *passes* when both I and its complement satisfy every
@@ -25,324 +11,230 @@ ascending-prefix inequality
     e * sum_{y<=x} D*slope[i_y]  >=  D * sum_sigma prefix_x kappa[sigma][img_y]
 
 and both totals hold with equality.  It is *misaligned* at row tau when the
-induced tau-assignment changes some weight value.
+induced tau-assignment changes some weight value.  The reported candidate is
+the first in this order: subsets by size then lexicographic; per-embedding
+image sets lexicographic, last embedding fastest.
+
+The kernel rests on one fact.  For a subset size k, write the Hodge side of
+the system as one length-N vector: the inside prefixes followed by the
+outside prefixes.  It is a sum over embeddings of a vector that depends only
+on that embedding's image choice, so the set of vectors reachable by some
+choice depends on neither the subset nor the slopes.  ``CandidateTables``
+builds that set once per weight table and k, embedding by embedding, keeping
+every deduplicated suffix sum.  A subset passes when some reachable vector
+lies under its Newton vector with the same inside total; the first witness
+is rebuilt by a greedy forward pass over the suffix sums, which picks the
+smallest image choice per embedding that can still be completed.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    _HAVE_NUMBA = False
+# Packed keys stay below this, so a sum of two keys cannot overflow int64.
+_KEY_LIMIT = 1 << 62
 
 
 def active_backend() -> str:
-    """Resolve the kernel backend from SLOPECERT_KERNEL."""
-    choice = os.environ.get("SLOPECERT_KERNEL", "").strip().lower()
-    if choice in ("numba", "numpy", "python"):
-        if choice == "numba" and not _HAVE_NUMBA:
-            return "numpy"
-        return choice
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the candidate kernel."""
+    return "reachable-set"
 
 
 @lru_cache(maxsize=None)
-def subset_tables(n: int):
-    """Candidate enumeration tables for rank n.
+def _choices(n: int, k: int):
+    """The k-subsets of range(n), lexicographic.
 
-    Returns (sub_masks, comb_flat, comb_off):
-      sub_masks: proper nonempty subsets of {0..n-1} as bitmasks, ordered by
-                 (popcount, sorted-tuple lexicographic);
-      comb_flat/comb_off: for each k, the k-element image masks in
-                 lexicographic order, flattened with offsets comb_off[k].
+    Returns (positions, bitmasks): each row of ``positions`` lists a
+    subset's elements ascending and then its complement's.
     """
-    subs = []
-    for k in range(1, n):
-        for tup in combinations(range(n), k):
-            subs.append(sum(1 << b for b in tup))
-    flat = []
-    off = [0]
-    for k in range(n + 1):
-        for tup in combinations(range(n), k):
-            flat.append(sum(1 << b for b in tup))
-        off.append(len(flat))
-    return (
-        np.array(subs, dtype=np.int64),
-        np.array(flat, dtype=np.int64),
-        np.array(off, dtype=np.int64),
-    )
+    ins = list(combinations(range(n), k))
+    pos = np.array([list(t) + [b for b in range(n) if b not in t] for t in ins], dtype=np.int64)
+    masks = np.array([sum(1 << b for b in t) for t in ins], dtype=np.int64)
+    pos.setflags(write=False)
+    masks.setflags(write=False)
+    return pos, masks
 
 
-def _bits(mask: int, n: int):
-    return [b for b in range(n) if mask >> b & 1]
+def _prefixes(values: np.ndarray, pos: np.ndarray, k: int) -> np.ndarray:
+    """Inside prefix sums then outside prefix sums of ``values`` along ``pos``."""
+    out = np.cumsum(values[..., pos], axis=-1)
+    out[..., k:] -= out[..., k - 1 : k]
+    return out
 
 
-# ---------------------------------------------------------------------------
-# python reference
-# ---------------------------------------------------------------------------
+def _sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct rows a[i] + b[j].
 
-
-def _search_python(kappa, slopes_scaled, e, denom, tau, require_misaligned=True):
-    """First candidate in enumeration order that passes (and is misaligned).
-
-    Returns (found, subset_mask, image_masks tuple) with masks over 0-based
-    bits, or (False, 0, ()) when none exists.
+    Rows are told apart by an integer key that is linear in the row, so the
+    key of a[i] + b[j] is key(a[i]) + key(b[j]) and no sum row is built
+    before deduplication.  Coordinates are packed in mixed radix; where the
+    next one would overflow the key, the key so far is replaced by its rank
+    among the distinct keys, which is below the number of pairs.  A single
+    row b leaves a's rows as they are: repeats cost a little time later but
+    change no answer.
     """
-    kappa = [list(map(int, row)) for row in kappa]
-    S = list(map(int, slopes_scaled))
-    m, n = len(kappa), len(S)
-    sub_masks, comb_flat, comb_off = subset_tables(n)
-    for mask in map(int, sub_masks):
-        inside = _bits(mask, n)
-        outside = [b for b in range(n) if b not in inside]
-        k = len(inside)
-        choices = [int(v) for v in comb_flat[comb_off[k] : comb_off[k + 1]]]
-        idx = [0] * m
-        total = len(choices) ** m
-        for flat in range(total):
-            rem = flat
-            for s in range(m - 1, -1, -1):
-                idx[s] = rem % len(choices)
-                rem //= len(choices)
-            img = [choices[idx[s]] for s in range(m)]
-            if _passes_python(kappa, S, e, denom, inside, outside, img):
-                if not require_misaligned or _misaligned_python(kappa[tau], inside, outside, img[tau]):
-                    return True, mask, tuple(img)
-    return False, 0, ()
+    if b.shape[0] == 1:
+        return a + b
+    a_off = a - a.min(axis=0)
+    b_off = b - b.min(axis=0)
+    span = (a_off.max(axis=0) + b_off.max(axis=0) + 1).tolist()
+    pairs = a.shape[0] * b.shape[0]
+    groups, size = [], _KEY_LIMIT
+    for x, s in enumerate(span):
+        if size * s >= _KEY_LIMIT:
+            size = pairs if groups else 1
+            groups.append([])
+        groups[-1].append(x)
+        size *= s
+    key = None
+    for cols in groups:
+        radix = np.cumprod([1] + [span[x] for x in cols], dtype=np.int64)
+        part = ((a_off[:, cols] @ radix[:-1])[:, None] + (b_off[:, cols] @ radix[:-1])[None, :]).reshape(-1)
+        if key is None:
+            key = part
+        else:
+            key = np.unique(key, return_inverse=True)[1] * radix[-1] + part
+    _, first = np.unique(key, return_index=True)
+    i, j = np.divmod(first, b.shape[0])
+    return a[i] + b[j]
 
 
-def _passes_python(kappa, S, e, denom, inside, outside, img):
-    m, n = len(kappa), len(S)
-    for part, masks in ((inside, img), (outside, [(~v) & ((1 << n) - 1) for v in img])):
-        cols = [_bits(masks[s], n) for s in range(m)]
-        newt = 0
-        hodge = 0
-        for x, b in enumerate(part):
-            newt += S[b]
-            for s in range(m):
-                hodge += kappa[s][cols[s][x]]
-            if e * newt < denom * hodge:
-                return False
-        if e * newt != denom * hodge:
-            return False
-    return True
+class _Level:
+    """Reachable Hodge-prefix vectors of one weight table at one subset size k."""
 
-
-def _misaligned_python(kappa_tau, inside, outside, img_tau):
-    n = len(kappa_tau)
-    comp = (~img_tau) & ((1 << n) - 1)
-    for part, cols in ((inside, _bits(img_tau, n)), (outside, _bits(comp, n))):
-        for x, b in enumerate(part):
-            if kappa_tau[cols[x]] != kappa_tau[b]:
-                return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# numpy implementation
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _prefix_tables_np(n: int, k: int):
-    """Positions of the k-combinations of range(n) and of their complements."""
-    ins = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(-1, k)
-    outs = np.array(
-        [[b for b in range(n) if b not in set(tup)] for tup in combinations(range(n), k)],
-        dtype=np.int64,
-    ).reshape(-1, n - k)
-    return ins, outs
-
-
-def _search_numpy(kappa, slopes_scaled, e, denom, tau, require_misaligned=True):
-    kappa = np.asarray(kappa, dtype=np.int64)
-    S = np.asarray(slopes_scaled, dtype=np.int64)
-    m, n = kappa.shape
-    sub_masks, _, _ = subset_tables(n)
-    for mask in map(int, sub_masks):
-        inside = np.array(_bits(mask, n), dtype=np.int64)
-        outside = np.array([b for b in range(n) if not mask >> b & 1], dtype=np.int64)
-        k = len(inside)
-        ins, outs = _prefix_tables_np(n, k)
-        C = ins.shape[0]
-        # Hodge prefixes per (embedding, choice): kappa values at image
-        # positions, cumulated along the subset walk.
-        hp_in = np.cumsum(kappa[:, ins], axis=2)
-        hp_out = np.cumsum(kappa[:, outs], axis=2)
-        np_in = e * np.cumsum(S[inside])
-        np_out = e * np.cumsum(S[outside])
-        shape = (C,) * m
-        ok = np.ones(shape, dtype=bool)
-        for prefixes, newton in ((hp_in, np_in), (hp_out, np_out)):
-            for x in range(prefixes.shape[2]):
-                acc = np.zeros(shape, dtype=np.int64)
-                for s in range(m):
-                    view = [1] * m
-                    view[s] = C
-                    acc = acc + prefixes[s, :, x].reshape(view)
-                if x + 1 < prefixes.shape[2]:
-                    ok &= newton[x] >= denom * acc
-                else:
-                    ok &= newton[x] == denom * acc
-                if not ok.any():
-                    break
-            if not ok.any():
-                break
-        if not ok.any():
-            continue
-        if require_misaligned:
-            mis_tau = np.zeros(C, dtype=bool)
-            for ci in range(C):
-                mis_tau[ci] = bool(
-                    (kappa[tau, ins[ci]] != kappa[tau, inside]).any()
-                    or (kappa[tau, outs[ci]] != kappa[tau, outside]).any()
-                )
-            view = [1] * m
-            view[tau] = C
-            ok &= mis_tau.reshape(view)
-        if ok.any():
-            flat = int(np.argmax(ok.reshape(-1)))
-            digits = np.unravel_index(flat, shape)
-            img = tuple(int(np.sum(1 << ins[d])) for d in digits)
-            return True, mask, img
-    return False, 0, ()
-
-
-# ---------------------------------------------------------------------------
-# numba implementation
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=False)
-    def _search_numba_core(kappa, S, e, denom, tau, sub_masks, comb_flat, comb_off, require_mis, out):
+    def __init__(self, kappa: np.ndarray, k: int):
         m, n = kappa.shape
-        inside = np.empty(n, dtype=np.int64)
-        outside = np.empty(n, dtype=np.int64)
-        icols = np.empty((m, n), dtype=np.int64)
-        ocols = np.empty((m, n), dtype=np.int64)
-        idx = np.empty(m, dtype=np.int64)
-        for si in range(sub_masks.shape[0]):
-            mask = sub_masks[si]
-            k = 0
-            nk = 0
-            for b in range(n):
-                if mask >> b & 1:
-                    inside[k] = b
-                    k += 1
-                else:
-                    outside[nk] = b
-                    nk += 1
-            c0 = comb_off[k]
-            C = comb_off[k + 1] - c0
-            total = 1
-            for _ in range(m):
-                total *= C
-            for flat in range(total):
-                rem = flat
-                for s in range(m - 1, -1, -1):
-                    idx[s] = rem % C
-                    rem //= C
-                # decode image columns per embedding
-                for s in range(m):
-                    cm = comb_flat[c0 + idx[s]]
-                    a = 0
-                    b2 = 0
-                    for b in range(n):
-                        if cm >> b & 1:
-                            icols[s, a] = b
-                            a += 1
-                        else:
-                            ocols[s, b2] = b
-                            b2 += 1
-                good = True
-                newt = 0
-                hodge = 0
-                for x in range(k):
-                    newt += S[inside[x]]
-                    for s in range(m):
-                        hodge += kappa[s, icols[s, x]]
-                    if x + 1 < k:
-                        if e * newt < denom * hodge:
-                            good = False
-                            break
-                    else:
-                        if e * newt != denom * hodge:
-                            good = False
-                if good:
-                    newt = 0
-                    hodge = 0
-                    for x in range(nk):
-                        newt += S[outside[x]]
-                        for s in range(m):
-                            hodge += kappa[s, ocols[s, x]]
-                        if x + 1 < nk:
-                            if e * newt < denom * hodge:
-                                good = False
-                                break
-                        else:
-                            if e * newt != denom * hodge:
-                                good = False
-                if not good:
-                    continue
-                if require_mis:
-                    mis = False
-                    for x in range(k):
-                        if kappa[tau, icols[tau, x]] != kappa[tau, inside[x]]:
-                            mis = True
-                            break
-                    if not mis:
-                        for x in range(nk):
-                            if kappa[tau, ocols[tau, x]] != kappa[tau, outside[x]]:
-                                mis = True
-                                break
-                    if not mis:
+        self.k = k
+        self.pos, self.masks = _choices(n, k)
+        # per-embedding vectors, one row per image choice: (m, C, n)
+        self.hodge = _prefixes(kappa, self.pos, k)
+        self.suffix = self._suffix_sums(np.zeros((1, n), dtype=np.int64), 0, m)
+        reach, self.suffix[0] = self.suffix[0], None  # the greedy pass reads suffix[1:]
+        order = np.argsort(reach[:, k - 1])
+        self.reach = reach[order]
+        self.totals = self.reach[:, k - 1]
+
+    def _suffix_sums(self, tail: np.ndarray, start: int, stop: int, rows=None) -> list:
+        """[s_start, ..., s_stop] with s_stop = ``tail`` and s_j the distinct
+        sums of embedding j's vectors with s_{j+1}; ``rows`` restricts the
+        choices of embedding stop - 1."""
+        out = [tail]
+        for j in range(stop - 1, start - 1, -1):
+            h = self.hodge[j] if rows is None or j != stop - 1 else self.hodge[j][rows]
+            out.append(_sumset(h, out[-1]))
+        out.reverse()
+        return out
+
+    def passing(self, bound: np.ndarray) -> np.ndarray:
+        """Which subsets have a reachable vector under their bound row.
+
+        ``bound`` holds floor(Newton / D) per subset.  Only vectors whose
+        inside total equals the bound's are compared: any other lies above
+        the bound at one of the two totals.
+        """
+        k = self.k
+        lo = np.searchsorted(self.totals, bound[:, k - 1], side="left")
+        hi = np.searchsorted(self.totals, bound[:, k - 1], side="right")
+        counts = hi - lo
+        out = np.zeros(bound.shape[0], dtype=bool)
+        total = int(counts.sum())
+        if total == 0:
+            return out
+        owner = np.repeat(np.arange(bound.shape[0]), counts)
+        state = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        ok = (self.reach[state] <= bound[owner]).all(axis=1)
+        out[owner[ok]] = True
+        return out
+
+    def witness(self, bound: np.ndarray, tau: int, rows=None):
+        """Lexicographically first image choices whose vector passes ``bound``.
+
+        ``rows`` restricts the choices of embedding ``tau``.  Returns the
+        image bitmasks per embedding, or None when no choice passes.
+        ``rows`` must not be empty.
+        """
+        suffix = self.suffix
+        if rows is not None:
+            # the pass below reads suffix[1..m]; those up to tau change
+            suffix = [None] + self._suffix_sums(suffix[tau + 1], 1, tau + 1, rows) + suffix[tau + 2 :]
+        picked = []
+        acc = np.zeros_like(bound)
+        for j, hodge in enumerate(self.hodge):
+            choice = rows if (rows is not None and j == tau) else np.arange(hodge.shape[0])
+            full = (acc + hodge[choice])[:, None, :] + suffix[j + 1][None, :, :]
+            ok = (full <= bound).all(axis=2).any(axis=1)
+            if not ok.any():
+                return None  # only at j = 0: later steps extend a reachable prefix
+            c = int(choice[int(np.argmax(ok))])
+            picked.append(int(self.masks[c]))
+            acc = acc + hodge[c]
+        return tuple(picked)
+
+
+class CandidateTables:
+    """Reachable-set tables of one weight table, built lazily per subset size.
+
+    Hold one for as long as the weight table is in use (all tau of a datum,
+    all slope vectors of a scan cell) and pass it to ``find_candidate``.
+    """
+
+    def __init__(self, kappa):
+        self.weights = tuple(tuple(int(v) for v in row) for row in kappa)
+        self.kappa = np.array(self.weights, dtype=np.int64).reshape(len(self.weights), -1)
+        self.total = int(self.kappa.sum())
+        self._levels = {}
+
+    def _level(self, k: int) -> _Level:
+        lv = self._levels.get(k)
+        if lv is None:
+            lv = self._levels[k] = _Level(self.kappa, k)
+        return lv
+
+    def search(self, slopes_scaled, e: int, denom: int, tau: int, require_misaligned: bool):
+        """``find_candidate`` on this weight table."""
+        n = self.kappa.shape[1]
+        S = np.asarray(slopes_scaled, dtype=np.int64)
+        if S.shape != (n,):
+            raise ValueError(f"need {n} slopes, got {S.shape[0] if S.ndim else 0}")
+        # The inside and outside totals add up to the full ones, so both
+        # equalities need the full totals to agree.  Then a reachable vector,
+        # whose two totals add up to the Hodge total too, lies under the
+        # bound floor(Newton / D) at both totals only when it meets both:
+        # lying under the bound is passing.
+        if e * int(S.sum()) != denom * self.total:
+            return False, 0, ()
+        row = self.kappa[tau] if require_misaligned else None
+        for k in range(1, n):
+            lv = self._level(k)
+            bound = (e * _prefixes(S, lv.pos, k)) // denom
+            passing = lv.passing(bound)
+            for c in np.flatnonzero(passing).tolist():
+                rows = None
+                if require_misaligned:
+                    # image choices that move a weight value on row tau
+                    rows = np.flatnonzero((row[lv.pos] != row[lv.pos[c]]).any(axis=1))
+                    if rows.size == 0:
                         continue
-                out[0] = 1
-                out[1] = mask
-                for s in range(m):
-                    out[2 + s] = comb_flat[c0 + idx[s]]
-                return
-        out[0] = 0
+                img = lv.witness(bound[c], tau, rows)
+                if img is not None:
+                    return True, int(lv.masks[c]), img
+        return False, 0, ()
 
 
-def _search_numba(kappa, slopes_scaled, e, denom, tau, require_misaligned=True):
-    kappa = np.ascontiguousarray(np.asarray(kappa, dtype=np.int64))
-    S = np.ascontiguousarray(np.asarray(slopes_scaled, dtype=np.int64))
-    m, n = kappa.shape
-    sub_masks, comb_flat, comb_off = subset_tables(n)
-    out = np.zeros(2 + m, dtype=np.int64)
-    _search_numba_core(
-        kappa, S, np.int64(e), np.int64(denom), np.int64(tau),
-        sub_masks, comb_flat, comb_off, require_misaligned, out,
-    )
-    if out[0]:
-        return True, int(out[1]), tuple(int(v) for v in out[2 : 2 + m])
-    return False, 0, ()
-
-
-_BACKENDS = {"python": _search_python, "numpy": _search_numpy}
-if _HAVE_NUMBA:
-    _BACKENDS["numba"] = _search_numba
-
-
-def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True, backend=None):
-    """First passing (optionally misaligned) candidate, backend-dispatched.
+def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True, tables=None):
+    """First passing (optionally misaligned) candidate in enumeration order.
 
     ``kappa``: per-embedding ascending weight rows; ``slopes_scaled``: slopes
-    times ``denom``; ``tau``: 0-based distinguished embedding.
+    times ``denom``; ``tau``: 0-based distinguished embedding; ``tables``: a
+    ``CandidateTables`` built for ``kappa``, made here when None.  Returns
+    (found, subset_mask, image_masks) with masks over 0-based bits, or
+    (False, 0, ()) when no candidate qualifies.
     """
-    name = backend or active_backend()
-    fn = _BACKENDS.get(name)
-    if fn is None:
-        fn = _BACKENDS["numpy"]
-    return fn(kappa, slopes_scaled, int(e), int(denom), int(tau), require_misaligned)
+    if tables is None:
+        tables = CandidateTables(kappa)
+    elif tables.weights != kappa and tables.weights != tuple(map(tuple, kappa)):
+        raise ValueError("candidate tables were built for another weight table")
+    return tables.search(slopes_scaled, int(e), int(denom), int(tau), require_misaligned)

@@ -34,6 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 from .admissibility import PhiModuleDatum, alignment_check, CERTIFIED
 from .cone import DEFAULT_MAX_SUM, LinearForm, cone_find, gap_form, total_sum_form
 from .errors import EmptyCone, StepFailed, VerdictFailed
+from .kernels import CandidateTables
 from .lattice import LocalDatum, WeightTable, rat_str, parse_rat
 from .satake import RefinedSlopes, change_refinement, frobenius_slopes, hodge_tate_weights
 from .weyl import minus_identity, shift_cycle
@@ -297,8 +298,9 @@ def _run_place(
 
     # -- alignment hypothesis of the induced Frobenius-module datum
     datum = induced_datum(schema, rank, local, rec.k3, nu)
+    tables = CandidateTables(datum.weights)
     for tau in range(1, m + 1):
-        result = alignment_check(datum, tau)
+        result = alignment_check(datum, tau, tables)
         if result.status != CERTIFIED:
             rec.structural_ok = False
             rec.failure = f"alignment {result.status} at embedding {tau}"
@@ -421,7 +423,8 @@ def verify_certificate(doc: dict) -> Tuple[bool, list]:
     Returns (ok, mismatches).  The verifier re-runs the refinement changes
     from the recorded weight tables, re-checks each step inequality, the
     alignment margins, the survivor enumeration and the verdict, all in
-    exact arithmetic.
+    exact arithmetic.  A certificate without places certifies nothing and
+    is rejected.
     """
     mismatches = []
 
@@ -440,7 +443,9 @@ def verify_certificate(doc: dict) -> Tuple[bool, list]:
     expected = ARTIN_PLUS_IRREDUCIBLE if schema == "C" else IRREDUCIBLE
     expected_survivors = [[0]] if schema == "C" else []
 
-    for pi, pdoc in enumerate(doc.get("places", [])):
+    places = doc.get("places") or []
+    check(len(places) > 0, "places")
+    for pi, pdoc in enumerate(places):
         loc = LocalDatum(**pdoc["local"])
         e, f = loc.e, loc.f
         seed = RefinedSlopes(tuple(parse_rat(v) for v in pdoc["seed"]))
@@ -479,8 +484,9 @@ def verify_certificate(doc: dict) -> Tuple[bool, list]:
                 )
         datum = induced_datum(schema, rank, loc, k3, x2p)
         margins = []
+        tables = CandidateTables(datum.weights)
         for tau in range(1, loc.embeddings + 1):
-            result = alignment_check(datum, tau)
+            result = alignment_check(datum, tau, tables)
             check(result.status == CERTIFIED, f"place {pi}: alignment at tau={tau}")
             if result.margin is not None:
                 margins.append(rat_str(result.margin))

@@ -8,7 +8,7 @@ zero gap force zero deviations and therefore equal slopes, which the
 distinctness requirement discards, so only strictly increasing kappa rows
 contribute.
 
-For each datum the candidate search runs on the integer kernels; a datum
+For each datum the candidate search runs on the integer kernel; a datum
 counts as *misaligned* when some passing candidate moves a weight value on
 the distinguished row.  With band_scale = 1 the alignment lemma says the
 misaligned count is zero; with band_scale = 2 misaligned witnesses exist and
@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from . import kernels
 from .errors import SlopecertError
@@ -73,10 +73,11 @@ class ScanReport:
 
 def _scan_cell(args) -> Tuple[int, int, List[ScanWitness]]:
     """Scan one (e, f, N, kappa) cell; returns (checked, misaligned, witnesses)."""
-    e, f, kappa, band_num, band_den, max_witnesses, backend = args
+    e, f, kappa, band_num, band_den, max_witnesses = args
     n = len(kappa)
     m = e * f
     weights = tuple(tuple(kappa) for _ in range(m))
+    tables = kernels.CandidateTables(weights)
     centers = [m * kv for kv in kappa]  # e * weight-mean, an integer
     if n == 1:
         radius = 0  # rank 1 has a vacuous hypothesis; pin deviation 0
@@ -96,7 +97,7 @@ def _scan_cell(args) -> Tuple[int, int, List[ScanWitness]]:
             continue
         checked += 1
         found, mask, img = kernels.find_candidate(
-            weights, scaled, e, e, 0, require_misaligned=True, backend=backend
+            weights, scaled, e, e, 0, require_misaligned=True, tables=tables
         )
         if found:
             bad += 1
@@ -136,7 +137,6 @@ def run_scan(
     band_scale=1,
     max_witnesses: int = 5,
     workers: int = 1,
-    backend: Optional[str] = None,
     max_cells: int = 2_000_000,
 ) -> ScanReport:
     """Run the exhaustive scan; deterministic regardless of worker count."""
@@ -145,7 +145,7 @@ def run_scan(
     if len(cells) > max_cells:
         raise SlopecertError(f"grid has {len(cells)} cells, above the cap {max_cells}")
     args = [
-        (e, f, kappa, scale.numerator, scale.denominator, max_witnesses, backend)
+        (e, f, kappa, scale.numerator, scale.denominator, max_witnesses)
         for (e, f, kappa) in cells
     ]
     report = ScanReport(band_scale=scale, cells=len(cells))

@@ -208,8 +208,13 @@ class TestAlignment:
         res = alignment_check(d, 1)
         assert res.status == CERTIFIED
 
+    # The case ids keep the names of the searches this test once compared.
+    # "python" is the plain-loop oracle; "numpy" is the kernel with tables
+    # built per call; "numba" is the kernel with one table shared by calls.
     @pytest.mark.parametrize("backend", ["python", "numpy", "numba"])
     def test_backends_agree(self, backend):
+        from kernel_oracle import search_python
+
         from slopecert import kernels
 
         rng = random.Random(31)
@@ -217,16 +222,26 @@ class TestAlignment:
             n = rng.choice([2, 3, 4])
             kappa = [sorted(rng.randint(-3, 3) for _ in range(n))]
             slopes = rng.sample(range(-6, 7), n)
+            # close the total, or no candidate can pass and the checks are vacuous
+            slopes[-1] += sum(kappa[0]) - sum(slopes)
             datum = PhiModuleDatum(1, 1, slopes, kappa)
-            ref = find_misaligned_candidate(datum, 1, backend="python")
-            got = find_misaligned_candidate(datum, 1, backend=backend)
-            assert got == ref
+            tables = kernels.CandidateTables(kappa) if backend == "numba" else None
+
+            def search(require_misaligned):
+                args = (datum.weights, slopes, 1, 1, 0, require_misaligned)
+                if backend == "python":
+                    return search_python(*args)
+                return kernels.find_candidate(*args, tables=tables)
+
+            got = search(True)
+            assert got == search_python(datum.weights, slopes, 1, 1, 0, True)
+            ref = find_misaligned_candidate(datum, 1)
+            assert got[0] == (ref is not None)
+            if ref is not None:
+                assert ref.subset == tuple(b + 1 for b in range(n) if got[1] >> b & 1)
             # first passing candidate (aligned or not) agrees with the
-            # reference enumeration order as well
-            first = kernels.find_candidate(
-                datum.weights, [int(s) for s in datum.slopes], 1, 1, 0,
-                require_misaligned=False, backend=backend,
-            )
+            # Fraction-based enumeration order as well
+            first = search(False)
             cands = admissible_candidates(datum)
             if cands:
                 want = cands[0]

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from slopecert.cli import JOB_SCHEMAS, canonical_json, run_job
+from slopecert.cli import JOB_SCHEMAS, canonical_json, main, run_job
 
 
 def invoke(tmp_path, job, extra=()):
@@ -59,6 +60,13 @@ def test_verify_cert_roundtrip_and_tamper(tmp_path):
     bad = invoke(tmp_path, {"command": "verify-cert", "params": {"certificate": cert}})
     assert bad.returncode == 2
     assert not json.loads(bad.stdout)["result"]["ok"]
+
+
+def test_verify_cert_rejects_certificate_without_places():
+    cert = {"schema": "C", "rank": 2, "module_rank": 5, "verdict": "ArtinPlusIrreducible", "places": []}
+    report, code = run_job({"command": "verify-cert", "params": {"certificate": cert}})
+    assert code == 2
+    assert report["result"] == {"ok": False, "mismatches": ["places"]}
 
 
 def test_run_job_validates_before_dispatch():
@@ -127,6 +135,16 @@ def test_print_schemas():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert set(doc["params"]) == set(JOB_SCHEMAS)
+
+
+def test_docs_schema_copy_matches_print_schemas(capsys):
+    assert main(["--print-schemas"]) == 0
+    docs = Path(__file__).resolve().parent.parent / "docs" / "job-schemas.json"
+    assert capsys.readouterr().out == docs.read_text()
+
+
+def test_seed_flag_is_gone():
+    assert main(["--seed", "3", "--print-schemas"]) == 1
 
 
 def test_canonical_json_is_sorted():

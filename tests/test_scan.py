@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from kernel_oracle import search_python
 
+from slopecert import kernels
 from slopecert.admissibility import PhiModuleDatum, alignment_check, find_misaligned_candidate
 from slopecert.errors import SlopecertError
 from slopecert.scan import run_scan, scan_cells
@@ -61,8 +63,15 @@ def test_empty_grid_gives_empty_summary():
     assert rep.witnesses == []
 
 
-def test_backend_summaries_agree():
-    kwargs = dict(n_max=2, kappa_min=-2, kappa_max=2, ef_values=((1, 1),), band_scale=2)
-    a = run_scan(backend="python", **kwargs)
-    b = run_scan(backend="numpy", **kwargs)
-    assert a.summary() == b.summary()
+def test_backend_summaries_agree(monkeypatch):
+    """The scan reads the same with the plain-loop oracle in place of the kernel."""
+    kwargs = dict(n_max=3, kappa_min=-2, kappa_max=2, ef_values=((1, 1), (2, 1)), band_scale=2)
+    fast = run_scan(**kwargs)
+
+    def oracle(kappa, scaled, e, denom, tau, require_misaligned=True, tables=None):
+        return search_python(kappa, scaled, e, denom, tau, require_misaligned)
+
+    monkeypatch.setattr(kernels, "find_candidate", oracle)
+    slow = run_scan(**kwargs)
+    assert fast.misaligned > 0
+    assert slow.summary() == fast.summary()
