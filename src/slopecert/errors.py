@@ -6,7 +6,7 @@ class SlopecertError(Exception):
 
 
 class EmptyCone(SlopecertError):
-    """No dominant integral point exists inside the cone within the search radius."""
+    """No dominant integral point of the cone has coordinate sum within max_sum."""
 
 
 class NotDistinct(SlopecertError):

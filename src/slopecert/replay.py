@@ -15,6 +15,12 @@ walks the deformation used to break unwanted splittings:
    the ambient module, so the alignment lemma pins every admissible
    splitting to a slope-index subset.
 
+Steps 1 and 2 also require every gap k[sigma][i] - k[sigma][i+1] and every
+k[sigma][rank] to be positive.  Each step's weights are the first point of
+its gap cone in the order total coordinate sum ascending, then reading-order
+lexicographic; ``cone.cone_find`` gives that point in closed form, from
+structured bounds (gap, column gaps, total) rather than linear forms.
+
 The surviving subsets are then enumerated exactly: a proper subset of the
 extended index range survives when its ascending prefix sums of nu and those
 of its complement stay nonnegative with both totals zero.  The symplectic
@@ -32,10 +38,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .admissibility import PhiModuleDatum, alignment_check, CERTIFIED
-from .cone import DEFAULT_MAX_SUM, LinearForm, cone_find, gap_form, total_sum_form
+from .cone import DEFAULT_MAX_SUM, LinearForm, cone_find, gap_form
 from .errors import EmptyCone, StepFailed, VerdictFailed
 from .kernels import CandidateTables
-from .lattice import LocalDatum, WeightTable, rat_str, parse_rat
+from .lattice import LocalDatum, WeightTable, rat_str, parse_rat, very_regular
 from .satake import RefinedSlopes, change_refinement, frobenius_slopes, hodge_tate_weights
 from .weyl import minus_identity, shift_cycle
 
@@ -191,12 +197,6 @@ def _ceil_to_int_if_fractional(b: Fraction) -> Fraction:
     return Fraction(-((-b.numerator) // b.denominator))
 
 
-def _regularity_forms(m: int, rank: int):
-    forms = [gap_form(m, rank, s, i) for s in range(1, m + 1) for i in range(1, rank + 1)]
-    bounds = [Fraction(0)] * len(forms)
-    return forms, bounds
-
-
 def _column_gap_form(m: int, rank: int, i: int) -> LinearForm:
     """sum_sigma (k[sigma][i] - k[sigma][i+1])."""
     entries = {}
@@ -222,16 +222,13 @@ def _run_place(
     rec = PlaceRecord(local=local, seed=seed)
 
     # -- step 1: push the total weight past the product valuation, flip by -Id
-    reg_forms, reg_bounds = _regularity_forms(m, rank)
     bound1 = _ceil_to_int_if_fractional(e * (-seed.total() + rho_margin * f))
     if skip_step1:
         rec.k1 = WeightTable([[0] * rank for _ in range(m)])
         rec.x1p = seed
     else:
-        forms = [total_sum_form(m, rank, 2)] + reg_forms
-        bounds = [bound1] + reg_bounds
         try:
-            rec.k1 = cone_find(forms, bounds, rank, m, max_sum=max_sum)
+            rec.k1 = cone_find(rank, m, gap=0, total=bound1 / 2, max_sum=max_sum)
         except EmptyCone as exc:
             raise StepFailed(1, place_index, f"step-1 cone empty at place {place_index}: {exc}")
         flip = minus_identity(schema, rank)
@@ -248,25 +245,20 @@ def _run_place(
 
     # -- step 2: nearby point keeps the slopes; open the column gaps, rotate
     x2 = rec.x1p
-    forms = []
-    bounds = []
-    step2_meta = []
-    for j in range(-(rank - 1), 0):
-        b = _ceil_to_int_if_fractional(e * (-x2.slope(-j + 1) - f))
-        forms.append(_column_gap_form(m, rank, rank + j))
-        bounds.append(b)
-        step2_meta.append((j, b))
-    forms += reg_forms
-    bounds += reg_bounds
+    # column gap i = rank + j for j = -(rank-1)..-1, i.e. columns 1..rank-1
+    bounds = [
+        _ceil_to_int_if_fractional(e * (-x2.slope(rank - i + 1) - f)) for i in range(1, rank)
+    ]
     try:
-        rec.k2 = cone_find(forms, bounds, rank, m, max_sum=max_sum)
+        rec.k2 = cone_find(rank, m, gap=0, column_gaps=bounds, max_sum=max_sum)
     except EmptyCone as exc:
         raise StepFailed(2, place_index, f"step-2 cone empty at place {place_index}: {exc}")
-    for (j, b), form in zip(step2_meta, forms):
+    for i, b in enumerate(bounds, 1):
+        form = _column_gap_form(m, rank, i)
         rec.step_checks.append(
             {
                 "step": 2,
-                "form": f"sum_sigma(k2[{rank + j}] - k2[{rank + j + 1}])",
+                "form": f"sum_sigma(k2[{i}] - k2[{i + 1}])",
                 "value": rat_str(form.value(rec.k2.rows)),
                 "strict_bound": rat_str(b),
                 "ok": Fraction(form.value(rec.k2.rows)) > b,
@@ -279,13 +271,11 @@ def _run_place(
     nu = rec.x2p
     worst = max([Fraction(0)] + [abs(v) for v in nu.values])
     bound3 = _ceil_to_int_if_fractional(e * module_rank * worst)
-    forms = [gap_form(m, rank, s, i) for s in range(1, m + 1) for i in range(1, rank + 1)]
-    bounds = [bound3] * len(forms)
     try:
-        rec.k3 = cone_find(forms, bounds, rank, m, max_sum=max_sum)
+        rec.k3 = cone_find(rank, m, gap=bound3, max_sum=max_sum)
     except EmptyCone as exc:
         raise StepFailed(3, place_index, f"step-3 cone empty at place {place_index}: {exc}")
-    for form in forms:
+    for form in (gap_form(m, rank, s, i) for s in range(1, m + 1) for i in range(1, rank + 1)):
         rec.step_checks.append(
             {
                 "step": 3,
@@ -421,10 +411,11 @@ def verify_certificate(doc: dict) -> Tuple[bool, list]:
     """Re-derive a certificate from its seed data and compare every field.
 
     Returns (ok, mismatches).  The verifier re-runs the refinement changes
-    from the recorded weight tables, re-checks each step inequality, the
-    alignment margins, the survivor enumeration and the verdict, all in
-    exact arithmetic.  A certificate without places certifies nothing and
-    is rejected.
+    from the recorded weight tables, re-checks each step inequality and the
+    regularity of k1 and k2, the alignment margins, the survivor enumeration
+    and the verdict, all in exact arithmetic.  No step is waived: a
+    certificate without places, or one whose step 1 was skipped, is
+    rejected.
     """
     mismatches = []
 
@@ -452,14 +443,17 @@ def verify_certificate(doc: dict) -> Tuple[bool, list]:
         k1 = WeightTable(pdoc["k1"])
         k2 = WeightTable(pdoc["k2"])
         k3 = WeightTable(pdoc["k3"])
+        for name, k in (("k1", k1), ("k2", k2), ("k3", k3)):
+            if (k.embeddings, k.rank) != (loc.embeddings, rank):
+                raise ValueError(f"place {pi}: {name} is not {loc.embeddings} x {rank}")
 
-        skipped1 = k1.total() == 0
-        if skipped1:
-            x1p = seed
-        else:
-            bound1 = _ceil_to_int_if_fractional(e * (-seed.total() + rho_margin * f))
-            check(Fraction(2 * k1.total()) > bound1, f"place {pi}: step-1 inequality")
-            x1p = change_refinement(minus_identity(schema, rank), loc, k1, seed, paper_sign)
+        # steps 1 and 2 pick weights with every gap > 0; a zero k1 (a
+        # skipped step) is rejected like any other table outside the cone
+        check(very_regular(k1, 1), f"place {pi}: k1 regular")
+        check(very_regular(k2, 1), f"place {pi}: k2 regular")
+        bound1 = _ceil_to_int_if_fractional(e * (-seed.total() + rho_margin * f))
+        check(Fraction(2 * k1.total()) > bound1, f"place {pi}: step-1 inequality")
+        x1p = change_refinement(minus_identity(schema, rank), loc, k1, seed, paper_sign)
         check(
             [rat_str(v) for v in x1p.values] == pdoc["x1_prime"],
             f"place {pi}: x1' slopes",

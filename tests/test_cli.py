@@ -94,6 +94,50 @@ def test_schema_violation_reports_field_path(tmp_path):
     assert "params.n" in proc.stderr
 
 
+def rejected_in_one_line(tmp_path, capsys, job):
+    """Run a job through main; it must exit 1 with one stderr line and no report."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = main(["--job", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_certificate_place_without_seed_rejected(tmp_path, capsys):
+    cert, _ = run_job({"command": "replay-sp", "params": {"n": 1, "locals": [{"p": 3}], "seeds": "zero"}})
+    del cert["result"]["places"][0]["seed"]
+    job = {"command": "verify-cert", "params": {"certificate": cert["result"]}}
+    assert "'seed' is a required property" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def test_certificate_table_shape_rejected(tmp_path, capsys):
+    cert, _ = run_job({"command": "replay-sp", "params": {"n": 1, "locals": [{"p": 3}], "seeds": "zero"}})
+    cert["result"]["places"][0]["local"]["e"] = 2  # two embeddings, one-row tables
+    job = {"command": "verify-cert", "params": {"certificate": cert["result"]}}
+    assert "k1 is not 2 x 1" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def test_missing_certificate_path_rejected(tmp_path, capsys):
+    job = {"command": "verify-cert", "params": {"path": str(tmp_path / "absent.json")}}
+    assert "params.path" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def test_zero_denominator_rejected(tmp_path, capsys):
+    job = {"command": "replay-sp", "params": {"n": 1, "locals": [{"p": 3}], "seeds": [["1/0"]]}}
+    assert "params.seeds" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def test_tau_beyond_embeddings_rejected(tmp_path, capsys):
+    job = {
+        "command": "admissible",
+        "params": {"e": 1, "f": 1, "slopes": ["1", "-1"], "weights": [[0, 2]], "tau": 3},
+    }
+    assert "params.tau" in rejected_in_one_line(tmp_path, capsys, job)
+
+
 def test_unknown_command_rejected(tmp_path):
     proc = invoke(tmp_path, {"command": "frobnicate", "params": {}})
     assert proc.returncode == 1

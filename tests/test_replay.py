@@ -129,6 +129,13 @@ class TestSymplecticReplay:
             replay_symplectic(2, [Q11], [RefinedSlopes([0, 0])], max_sum=0)
         assert exc.value.step == 1
 
+    def test_step_two_cone_with_non_positive_bound(self):
+        # the step-2 column-gap bounds are (-34, 60); the generic cone search
+        # spent about 10 s here, the closed form returns the same table
+        cert = replay_symplectic(3, [LocalDatum(5, 2, 1)], [RefinedSlopes([5, -2, -53])])
+        assert cert.places[0].k2.rows == ((3, 2, 1), (62, 61, 1))
+        assert verify_certificate(cert.to_dict()) == (True, [])
+
     def test_hypothesis_margins_positive(self):
         cert = replay_symplectic(2, [LocalDatum(3, 2, 1)], [RefinedSlopes([0, 0])])
         assert all(m > 0 for m in cert.places[0].hypothesis_margins)
@@ -149,6 +156,12 @@ class TestOrthogonalReplay:
         with pytest.raises(VerdictFailed) as exc:
             replay_orthogonal(1, [Q11], [RefinedSlopes([50, 50])], skip_step1=True)
         assert exc.value.certificate.verdict == FAILED
+
+    def test_step_two_cone_with_non_positive_bound(self):
+        # step-2 bounds (-8, 40, 8): over a minute for the generic search
+        cert = replay_orthogonal(2, [LocalDatum(5, 2, 1)], [RefinedSlopes([21, -4, 8, -20])])
+        assert cert.places[0].k2.rows == ((4, 3, 2, 1), (50, 49, 9, 1))
+        assert verify_certificate(cert.to_dict()) == (True, [])
 
     def test_no_zero_hodge_tate_weight(self):
         from slopecert.replay import induced_datum
@@ -183,6 +196,15 @@ class TestCertificates:
             mutate(bad)
             ok, mismatches = verify_certificate(bad)
             assert not ok and mismatches
+
+    def test_skipped_step_one_rejected(self):
+        seed = RefinedSlopes([-7, -7])
+        cert = replay_symplectic(2, [LocalDatum(5, 1, 1)], [seed], skip_step1=True)
+        assert cert.verdict == ARTIN_PLUS_IRREDUCIBLE  # the replay itself passes
+        ok, mismatches = verify_certificate(cert.to_dict())
+        assert not ok
+        assert "place 0: k1 regular" in mismatches
+        assert "place 0: step-1 inequality" in mismatches
 
     def test_reports_byte_identical(self):
         a = json.dumps(
