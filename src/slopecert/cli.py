@@ -22,7 +22,7 @@ import jsonschema
 
 from . import scan as scan_mod
 from .admissibility import PhiModuleDatum, admissible_candidates, alignment_check, newton_above_hodge
-from .errors import SlopecertError, StepFailed, VerdictFailed
+from .errors import SlopecertError, VerdictFailed
 from .lattice import LocalDatum, WeightTable, parse_rat, rat_str
 from .principal import UnramChar, completely_refinable, refinement_orbit, so_irreducible_sufficient, sp_irreducible
 from .replay import replay_orthogonal, replay_symplectic, verify_certificate
@@ -39,16 +39,28 @@ LOCAL = {
     "additionalProperties": False,
 }
 INT_ROWS = {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}}
-# The fields the verifier reads; their values are checked by re-derivation.
-# A certificate is held to this schema only when its verification raises, to
-# name the malformed field: validating every certificate up front added about
-# 0.7 ms to each verify-cert job, 7 % of the benchmark's replay round.
+STEP_CHECK = {
+    "type": "object",
+    "properties": {"step": {"type": "integer"}, "form": {"type": "string"}, "value": RAT,
+                   "strict_bound": RAT, "ok": {"type": "boolean"}},
+    "required": ["step", "form", "value", "strict_bound", "ok"],
+    "additionalProperties": False,
+}
+NULL_OR_STRING = {"type": ["string", "null"]}
+# Every field of a certificate; the verifier compares each one with its
+# re-derivation.  A certificate is held to this schema only when its
+# verification raises, to name the malformed field: validating every
+# certificate up front added about 0.7 ms to each verify-cert job, 7 % of
+# the benchmark's replay round.
 CERTIFICATE = {
     "type": "object",
     "properties": {
-        "rank": {"type": "integer"},
+        "schema": {"enum": ["C", "D"]},
+        "rank": {"type": "integer", "minimum": 1},
         "module_rank": {"type": "integer"},
         "paper_sign": {"type": "boolean"},
+        "verdict": {"enum": ["ArtinPlusIrreducible", "Irreducible", "Failed"]},
+        "failure_reason": NULL_OR_STRING,
         "places": {
             "type": "array",
             "items": {
@@ -61,14 +73,18 @@ CERTIFICATE = {
                     "k2": INT_ROWS,
                     "x2_prime": RATS,
                     "k3": INT_ROWS,
+                    "step_checks": {"type": "array", "items": STEP_CHECK},
                     "hypothesis_margins": RATS,
                     "survivors": INT_ROWS,
+                    "structural_ok": {"type": "boolean"},
+                    "failure": NULL_OR_STRING,
                 },
-                "required": ["local", "seed", "k1", "x1_prime", "k2", "x2_prime", "k3",
-                             "hypothesis_margins", "survivors"],
+                "required": ["local", "seed", "k1", "x1_prime", "k2", "x2_prime", "k3", "step_checks",
+                             "hypothesis_margins", "survivors", "structural_ok", "failure"],
             },
         },
     },
+    "required": ["schema", "rank", "module_rank", "paper_sign", "verdict", "failure_reason", "places"],
 }
 
 JOB_SCHEMAS = {
@@ -369,9 +385,9 @@ def _run_verify(params):
         raise InputError("params: verify-cert needs 'certificate' or 'path'")
     try:
         ok, mismatches = verify_certificate(doc)
-    except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError):
+    except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
         _validate(doc, "certificate", "certificate")  # names the malformed field
-        raise
+        raise InputError(f"certificate: {exc}") from exc
     return {"ok": ok, "mismatches": mismatches}, (0 if ok else 2)
 
 
@@ -405,9 +421,6 @@ def run_job(job: dict, workers: int = 1, paper_sign: bool = False):
     except VerdictFailed as exc:
         result = exc.certificate.to_dict() if exc.certificate is not None else {"survivors": exc.survivors}
         result = {"error": "verdict-failed", "detail": str(exc), "certificate": result}
-        code = 2
-    except StepFailed as exc:
-        result = {"error": "step-failed", "step": exc.step, "place": exc.place, "detail": str(exc)}
         code = 2
     return {"command": command, "result": result}, code
 

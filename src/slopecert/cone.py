@@ -26,8 +26,9 @@ reproducible.  The first point has a closed form:
    right, each the smallest value from which the remaining entries can
    still reach the row sum (one ceiling division per coordinate).
 
-``LinearForm``, ``gap_form`` and ``total_sum_form`` evaluate the recorded
-step inequalities of a replay; the minimizer itself never reads a form.
+``LinearForm``, ``gap_form`` and ``total_sum_form`` state such bounds as
+linear forms, the input of the generic cone search that the tests keep as
+an oracle; the minimizer itself never reads a form.
 """
 
 from __future__ import annotations

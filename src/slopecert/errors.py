@@ -42,7 +42,7 @@ class Inconsistent(SlopecertError):
 
 
 class StepFailed(SlopecertError):
-    """A deformation step could not pick weights (its cone was empty)."""
+    """A deformation step could not pick weights: its cone's first point exceeds max_sum."""
 
     def __init__(self, step, place, message=""):
         self.step = step
@@ -58,10 +58,3 @@ class VerdictFailed(SlopecertError):
         self.certificate = certificate
         super().__init__(message or f"unexpected survivors: {survivors}")
 
-
-class SchemaError(SlopecertError):
-    """A job document failed schema validation."""
-
-    def __init__(self, path, message):
-        self.path = path
-        super().__init__(f"{path}: {message}")

@@ -38,6 +38,17 @@ import numpy as np
 _KEY_LIMIT = 1 << 62
 
 
+def _check_range(values, scale: int = 1) -> None:
+    """Refuse input on which the int64 search could lose exactness.
+
+    Every vector the search builds is ``scale`` times a sum of distinct
+    entries of ``values``, and it compares and packs differences of two such
+    sums; ``scale * sum(|v|)`` below _KEY_LIMIT keeps all of them in int64.
+    """
+    if scale * sum(abs(int(v)) for v in values) >= _KEY_LIMIT:
+        raise ValueError("weights or scaled slopes beyond the exact int64 range of the candidate kernel")
+
+
 def active_backend() -> str:
     """Name of the candidate kernel."""
     return "reachable-set"
@@ -183,6 +194,7 @@ class CandidateTables:
 
     def __init__(self, kappa):
         self.weights = tuple(tuple(int(v) for v in row) for row in kappa)
+        _check_range(v for row in self.weights for v in row)
         self.kappa = np.array(self.weights, dtype=np.int64).reshape(len(self.weights), -1)
         self.total = int(self.kappa.sum())
         self._levels = {}
@@ -196,6 +208,7 @@ class CandidateTables:
     def search(self, slopes_scaled, e: int, denom: int, tau: int, require_misaligned: bool):
         """``find_candidate`` on this weight table."""
         n = self.kappa.shape[1]
+        _check_range(slopes_scaled, e)
         S = np.asarray(slopes_scaled, dtype=np.int64)
         if S.shape != (n,):
             raise ValueError(f"need {n} slopes, got {S.shape[0] if S.ndim else 0}")

@@ -27,18 +27,22 @@ of its complement stay nonnegative with both totals zero.  The symplectic
 schema must end with the zero index as the only survivor (an Artin line plus
 an irreducible complement); the orthogonal schema with no survivor at all.
 
-Every inequality, margin and survivor is recorded in a certificate that a
-standalone verifier can replay from the seed and weight tables alone.
+Every inequality, margin and survivor is recorded in a certificate.  One
+routine, ``_derive_place``, derives a place for both the replay and the
+verifier: the replay picks each step's weights from its cone, the verifier
+takes them from the certificate, re-derives everything else and requires
+the rebuilt certificate to equal the document as canonical JSON.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .admissibility import PhiModuleDatum, alignment_check, CERTIFIED
-from .cone import DEFAULT_MAX_SUM, LinearForm, cone_find, gap_form
+from .cone import DEFAULT_MAX_SUM, cone_find
 from .errors import EmptyCone, StepFailed, VerdictFailed
 from .kernels import CandidateTables
 from .lattice import LocalDatum, WeightTable, rat_str, parse_rat, very_regular
@@ -197,94 +201,73 @@ def _ceil_to_int_if_fractional(b: Fraction) -> Fraction:
     return Fraction(-((-b.numerator) // b.denominator))
 
 
-def _column_gap_form(m: int, rank: int, i: int) -> LinearForm:
-    """sum_sigma (k[sigma][i] - k[sigma][i+1])."""
-    entries = {}
-    for s in range(1, m + 1):
-        entries[(s, i)] = 1
-        entries[(s, i + 1)] = -1
-    return LinearForm.from_entries(m, rank, entries)
+def _schema_numbers(schema: str, rank: int) -> Tuple[int, int]:
+    """(module rank N, rho-sum margin 3*S): N = 2r+1, S = r(r+1) for C; N = 2r, S = r(r-1) for D."""
+    if schema == "C":
+        return 2 * rank + 1, 3 * rank * (rank + 1)
+    return 2 * rank, 3 * rank * (rank - 1)
 
 
-def _run_place(
+# schema -> (expected verdict, expected survivors)
+_EXPECTED = {"C": (ARTIN_PLUS_IRREDUCIBLE, [(0,)]), "D": (IRREDUCIBLE, [])}
+
+
+def _step_check(step: int, form: str, value: int, bound: Fraction) -> dict:
+    return {
+        "step": step,
+        "form": form,
+        "value": rat_str(value),
+        "strict_bound": rat_str(bound),
+        "ok": value > bound,
+    }
+
+
+def _derive_place(
     schema: str,
     rank: int,
     local: LocalDatum,
     seed: RefinedSlopes,
     paper_sign: bool,
-    max_sum: int,
-    skip_step1: bool,
-    place_index: int,
+    pick: Callable[..., WeightTable],
 ) -> PlaceRecord:
+    """Run the three steps at one place and record everything they produce.
+
+    ``pick(step, gap=..., column_gaps=..., total=...)`` returns the step's
+    weight table given the strict bounds of its cone (see ``cone_find``): the
+    replay picks the cone's first point, the verifier the certificate's
+    table.  Each step inequality is recorded whether or not it holds.
+    """
     e, f, m = local.e, local.f, local.embeddings
-    module_rank = 2 * rank + 1 if schema == "C" else 2 * rank
-    rho_margin = 3 * rank * (rank + 1) if schema == "C" else 3 * rank * (rank - 1)
+    module_rank, rho_margin = _schema_numbers(schema, rank)
     rec = PlaceRecord(local=local, seed=seed)
 
     # -- step 1: push the total weight past the product valuation, flip by -Id
     bound1 = _ceil_to_int_if_fractional(e * (-seed.total() + rho_margin * f))
-    if skip_step1:
-        rec.k1 = WeightTable([[0] * rank for _ in range(m)])
-        rec.x1p = seed
-    else:
-        try:
-            rec.k1 = cone_find(rank, m, gap=0, total=bound1 / 2, max_sum=max_sum)
-        except EmptyCone as exc:
-            raise StepFailed(1, place_index, f"step-1 cone empty at place {place_index}: {exc}")
-        flip = minus_identity(schema, rank)
-        rec.x1p = change_refinement(flip, local, rec.k1, seed, paper_sign=paper_sign)
-    rec.step_checks.append(
-        {
-            "step": 1,
-            "form": "2*sum(k1)",
-            "value": rat_str(2 * rec.k1.total()),
-            "strict_bound": rat_str(bound1),
-            "ok": Fraction(2 * rec.k1.total()) > bound1,
-        }
-    )
+    rec.k1 = pick(1, gap=0, total=bound1 / 2)
+    rec.step_checks.append(_step_check(1, "2*sum(k1)", 2 * rec.k1.total(), bound1))
+    flip = minus_identity(schema, rank)
+    rec.x1p = change_refinement(flip, local, rec.k1, seed, paper_sign=paper_sign)
 
     # -- step 2: nearby point keeps the slopes; open the column gaps, rotate
-    x2 = rec.x1p
     # column gap i = rank + j for j = -(rank-1)..-1, i.e. columns 1..rank-1
     bounds = [
-        _ceil_to_int_if_fractional(e * (-x2.slope(rank - i + 1) - f)) for i in range(1, rank)
+        _ceil_to_int_if_fractional(e * (-rec.x1p.slope(rank - i + 1) - f)) for i in range(1, rank)
     ]
-    try:
-        rec.k2 = cone_find(rank, m, gap=0, column_gaps=bounds, max_sum=max_sum)
-    except EmptyCone as exc:
-        raise StepFailed(2, place_index, f"step-2 cone empty at place {place_index}: {exc}")
+    rec.k2 = pick(2, gap=0, column_gaps=bounds)
     for i, b in enumerate(bounds, 1):
-        form = _column_gap_form(m, rank, i)
-        rec.step_checks.append(
-            {
-                "step": 2,
-                "form": f"sum_sigma(k2[{i}] - k2[{i + 1}])",
-                "value": rat_str(form.value(rec.k2.rows)),
-                "strict_bound": rat_str(b),
-                "ok": Fraction(form.value(rec.k2.rows)) > b,
-            }
-        )
+        value = rec.k2.column_sum(i) - rec.k2.column_sum(i + 1)
+        rec.step_checks.append(_step_check(2, f"sum_sigma(k2[{i}] - k2[{i + 1}])", value, b))
     rotate = shift_cycle(rank, schema)
-    rec.x2p = change_refinement(rotate, local, rec.k2, x2, paper_sign=paper_sign)
+    rec.x2p = change_refinement(rotate, local, rec.k2, rec.x1p, paper_sign=paper_sign)
 
     # -- step 3: weights regular enough for the alignment lemma at x3 = x2'
     nu = rec.x2p
     worst = max([Fraction(0)] + [abs(v) for v in nu.values])
     bound3 = _ceil_to_int_if_fractional(e * module_rank * worst)
-    try:
-        rec.k3 = cone_find(rank, m, gap=bound3, max_sum=max_sum)
-    except EmptyCone as exc:
-        raise StepFailed(3, place_index, f"step-3 cone empty at place {place_index}: {exc}")
-    for form in (gap_form(m, rank, s, i) for s in range(1, m + 1) for i in range(1, rank + 1)):
-        rec.step_checks.append(
-            {
-                "step": 3,
-                "form": "k3 gap",
-                "value": rat_str(form.value(rec.k3.rows)),
-                "strict_bound": rat_str(bound3),
-                "ok": Fraction(form.value(rec.k3.rows)) > bound3,
-            }
-        )
+    rec.k3 = pick(3, gap=bound3)
+    for row in rec.k3.rows:
+        for gap in (a - b for a, b in zip(row, row[1:] + (0,))):  # k[i] - k[i+1], then k[rank]
+            rec.step_checks.append(_step_check(3, "k3 gap", gap, bound3))
 
     # -- alignment hypothesis of the induced Frobenius-module datum
     datum = induced_datum(schema, rank, local, rec.k3, nu)
@@ -320,6 +303,15 @@ def induced_datum(
     return PhiModuleDatum(local.e, local.f, slopes, weights)
 
 
+def _verdict(schema: str, places: Sequence[PlaceRecord]) -> Tuple[str, Optional[str]]:
+    """The verdict and failure reason of a certificate with these places."""
+    expected, expected_survivors = _EXPECTED[schema]
+    for i, pr in enumerate(places):
+        if pr.survivors != expected_survivors or not pr.structural_ok:
+            return FAILED, pr.failure or f"place {i}: survivors {pr.survivors}"
+    return expected, None
+
+
 def _replay(
     schema: str,
     rank: int,
@@ -327,36 +319,26 @@ def _replay(
     seeds: Sequence[RefinedSlopes],
     paper_sign: bool,
     max_sum: int,
-    skip_step1: bool,
 ) -> Certificate:
     if len(locals_) != len(seeds):
         raise ValueError("need one seed slope vector per place")
     for s in seeds:
         if s.rank != rank:
             raise ValueError("seed rank mismatch")
-    module_rank = 2 * rank + 1 if schema == "C" else 2 * rank
-    places = [
-        _run_place(schema, rank, loc, seed, paper_sign, max_sum, skip_step1, i)
-        for i, (loc, seed) in enumerate(zip(locals_, seeds))
-    ]
-    expected = ARTIN_PLUS_IRREDUCIBLE if schema == "C" else IRREDUCIBLE
-    expected_survivors = [(0,)] if schema == "C" else []
-    verdict = expected
-    reason = None
-    for i, pr in enumerate(places):
-        if pr.survivors != expected_survivors or not pr.structural_ok:
-            verdict = FAILED
-            reason = pr.failure or f"place {i}: survivors {pr.survivors}"
-            break
-    cert = Certificate(
-        schema=schema,
-        rank=rank,
-        module_rank=module_rank,
-        paper_sign=paper_sign,
-        places=places,
-        verdict=verdict,
-        failure_reason=reason,
-    )
+    places = []
+    for i, (loc, seed) in enumerate(zip(locals_, seeds)):
+
+        def pick(step, **bounds):
+            try:
+                return cone_find(rank, loc.embeddings, max_sum=max_sum, **bounds)
+            except EmptyCone as exc:
+                raise StepFailed(step, i, f"step-{step} cone empty at place {i}: {exc}")
+
+        places.append(_derive_place(schema, rank, loc, seed, paper_sign, pick))
+    verdict, reason = _verdict(schema, places)
+    module_rank = _schema_numbers(schema, rank)[0]
+    cert = Certificate(schema, rank, module_rank, paper_sign, places, verdict, reason)
+    expected = _EXPECTED[schema][0]
     if verdict != expected:
         raise VerdictFailed(
             [pr.survivors for pr in places], certificate=cert,
@@ -371,17 +353,15 @@ def replay_symplectic(
     seeds: Sequence[RefinedSlopes],
     paper_sign: bool = False,
     max_sum: int = DEFAULT_MAX_SUM,
-    skip_step1: bool = False,
 ) -> Certificate:
     """Deformation replay for the rank-n symplectic schema (module rank 2n+1).
 
     Expected verdict: ArtinPlusIrreducible with the zero index as the only
-    surviving splitting.  ``skip_step1`` is a fault-injection hook for
-    negative controls; it omits the first weight choice and refinement flip.
+    surviving splitting.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    return _replay("C", n, locals_, seeds, paper_sign, max_sum, skip_step1)
+    return _replay("C", n, locals_, seeds, paper_sign, max_sum)
 
 
 def replay_orthogonal(
@@ -390,7 +370,6 @@ def replay_orthogonal(
     seeds: Sequence[RefinedSlopes],
     paper_sign: bool = False,
     max_sum: int = DEFAULT_MAX_SUM,
-    skip_step1: bool = False,
 ) -> Certificate:
     """Deformation replay for the even orthogonal schema (torus rank 2n).
 
@@ -399,7 +378,7 @@ def replay_orthogonal(
     """
     if n < 1:
         raise ValueError("need n >= 1 (torus rank 2n)")
-    return _replay("D", 2 * n, locals_, seeds, paper_sign, max_sum, skip_step1)
+    return _replay("D", 2 * n, locals_, seeds, paper_sign, max_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -407,90 +386,66 @@ def replay_orthogonal(
 # ---------------------------------------------------------------------------
 
 
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _field_mismatches(derived: dict, doc: dict, prefix: str = "") -> list:
+    """The fields, places aside, where ``doc`` differs from ``derived`` as canonical JSON."""
+    return [
+        prefix + key
+        for key in sorted((set(derived) | set(doc)) - {"places"})
+        if key not in derived or key not in doc or _canonical(derived[key]) != _canonical(doc[key])
+    ]
+
+
 def verify_certificate(doc: dict) -> Tuple[bool, list]:
-    """Re-derive a certificate from its seed data and compare every field.
+    """Re-derive a certificate from its seeds and weight tables and compare.
 
-    Returns (ok, mismatches).  The verifier re-runs the refinement changes
-    from the recorded weight tables, re-checks each step inequality and the
-    regularity of k1 and k2, the alignment margins, the survivor enumeration
-    and the verdict, all in exact arithmetic.  No step is waived: a
-    certificate without places, or one whose step 1 was skipped, is
-    rejected.
+    Returns (ok, mismatches).  Each place is re-derived by the replay's own
+    routine, with the recorded k1, k2 and k3 in place of the cone choices.
+    The certificate is accepted when it has places; k1 and k2 are regular;
+    every step inequality and structural fact holds; every place has the
+    expected survivors; and the certificate rebuilt from the re-derivation
+    equals the document field by field as canonical JSON (so ``1`` is not
+    ``true`` and ``6.0`` is not ``6``).  No step is waived: a certificate
+    whose step 1 was skipped is rejected.
     """
-    mismatches = []
-
-    def check(cond, label):
-        if not cond:
-            mismatches.append(label)
-
-    schema = doc.get("schema")
-    rank = int(doc.get("rank", 0))
-    module_rank = int(doc.get("module_rank", 0))
-    paper_sign = bool(doc.get("paper_sign", False))
-    check(schema in ("C", "D"), "schema")
-    check(module_rank == (2 * rank + 1 if schema == "C" else 2 * rank), "module_rank")
-    rho_margin = 3 * rank * (rank + 1) if schema == "C" else 3 * rank * (rank - 1)
-
-    expected = ARTIN_PLUS_IRREDUCIBLE if schema == "C" else IRREDUCIBLE
-    expected_survivors = [[0]] if schema == "C" else []
-
-    places = doc.get("places") or []
-    check(len(places) > 0, "places")
+    schema, places = doc.get("schema"), doc.get("places")
+    early = [label for label, bad in (("schema", schema not in _EXPECTED), ("places", not places)) if bad]
+    if early:
+        return False, early
+    rank = int(doc["rank"])
+    paper_sign = doc.get("paper_sign") is True
+    mismatches, records = [], []
     for pi, pdoc in enumerate(places):
-        loc = LocalDatum(**pdoc["local"])
-        e, f = loc.e, loc.f
+        loc = LocalDatum(**{key: int(v) for key, v in pdoc["local"].items()})
         seed = RefinedSlopes(tuple(parse_rat(v) for v in pdoc["seed"]))
-        k1 = WeightTable(pdoc["k1"])
-        k2 = WeightTable(pdoc["k2"])
-        k3 = WeightTable(pdoc["k3"])
-        for name, k in (("k1", k1), ("k2", k2), ("k3", k3)):
+        tables = [WeightTable(pdoc[name]) for name in ("k1", "k2", "k3")]
+        for name, k in zip(("k1", "k2", "k3"), tables):
             if (k.embeddings, k.rank) != (loc.embeddings, rank):
                 raise ValueError(f"place {pi}: {name} is not {loc.embeddings} x {rank}")
-
+        rec = _derive_place(schema, rank, loc, seed, paper_sign, lambda step, **_: tables[step - 1])
         # steps 1 and 2 pick weights with every gap > 0; a zero k1 (a
         # skipped step) is rejected like any other table outside the cone
-        check(very_regular(k1, 1), f"place {pi}: k1 regular")
-        check(very_regular(k2, 1), f"place {pi}: k2 regular")
-        bound1 = _ceil_to_int_if_fractional(e * (-seed.total() + rho_margin * f))
-        check(Fraction(2 * k1.total()) > bound1, f"place {pi}: step-1 inequality")
-        x1p = change_refinement(minus_identity(schema, rank), loc, k1, seed, paper_sign)
-        check(
-            [rat_str(v) for v in x1p.values] == pdoc["x1_prime"],
-            f"place {pi}: x1' slopes",
-        )
-        for j in range(-(rank - 1), 0):
-            b = _ceil_to_int_if_fractional(e * (-x1p.slope(-j + 1) - f))
-            form = _column_gap_form(loc.embeddings, rank, rank + j)
-            check(Fraction(form.value(k2.rows)) > b, f"place {pi}: step-2 inequality j={j}")
-        x2p = change_refinement(shift_cycle(rank, schema), loc, k2, x1p, paper_sign)
-        check(
-            [rat_str(v) for v in x2p.values] == pdoc["x2_prime"],
-            f"place {pi}: x2' slopes",
-        )
-        worst = max([Fraction(0)] + [abs(v) for v in x2p.values])
-        bound3 = _ceil_to_int_if_fractional(e * module_rank * worst)
-        for s in range(1, loc.embeddings + 1):
-            for i in range(1, rank + 1):
-                form = gap_form(loc.embeddings, rank, s, i)
-                check(
-                    Fraction(form.value(k3.rows)) > bound3,
-                    f"place {pi}: step-3 inequality sigma={s} i={i}",
-                )
-        datum = induced_datum(schema, rank, loc, k3, x2p)
-        margins = []
-        tables = CandidateTables(datum.weights)
-        for tau in range(1, loc.embeddings + 1):
-            result = alignment_check(datum, tau, tables)
-            check(result.status == CERTIFIED, f"place {pi}: alignment at tau={tau}")
-            if result.margin is not None:
-                margins.append(rat_str(result.margin))
-        check(margins == pdoc["hypothesis_margins"], f"place {pi}: hypothesis margins")
-        survivors, _ = certify_splittings(NormalizedSlopes(schema, x2p.values))
-        check(
-            [list(s) for s in survivors] == pdoc["survivors"],
-            f"place {pi}: survivors",
-        )
-        check(survivors == [tuple(s) for s in expected_survivors], f"place {pi}: survivor pattern")
+        failed = [f"k{j} regular" for j in (1, 2) if not very_regular(tables[j - 1], 1)]
+        failed += [
+            f"step-{s} inequality"
+            for s in (1, 2, 3)
+            if not all(c["ok"] for c in rec.step_checks if c["step"] == s)
+        ]
+        if not rec.structural_ok:
+            failed.append("structural facts")
+        if rec.survivors != _EXPECTED[schema][1]:
+            failed.append("survivor pattern")
+        mismatches += [f"place {pi}: {label}" for label in failed]
+        records.append(rec)
 
-    check(doc.get("verdict") == expected, "verdict")
+    verdict, reason = _verdict(schema, records)
+    module_rank = _schema_numbers(schema, rank)[0]
+    derived = Certificate(schema, rank, module_rank, paper_sign, records, verdict, reason).to_dict()
+    if _canonical(derived) != _canonical(doc):  # name the fields that differ
+        mismatches += _field_mismatches(derived, doc)
+        for pi, (want, got) in enumerate(zip(derived["places"], places)):
+            mismatches += _field_mismatches(want, got, f"place {pi}: ")
     return (not mismatches, mismatches)

@@ -1,21 +1,37 @@
+import copy
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from slopecert.cli import JOB_SCHEMAS, canonical_json, main, run_job
+from slopecert.lattice import LocalDatum, parse_rat, rat_str
+from slopecert.replay import replay_orthogonal, replay_symplectic
+from slopecert.satake import RefinedSlopes
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def cli_process(*args):
+    """Run the CLI in a child process that imports this checkout's package."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "slopecert.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def invoke(tmp_path, job, extra=()):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
-    return subprocess.run(
-        [sys.executable, "-m", "slopecert.cli", "--job", str(path), *extra],
-        capture_output=True,
-        text=True,
-    )
+    return cli_process("--job", str(path), *extra)
 
 
 def test_replay_job_matches_worked_example(tmp_path):
@@ -120,6 +136,83 @@ def test_certificate_table_shape_rejected(tmp_path, capsys):
     assert "k1 is not 2 x 1" in rejected_in_one_line(tmp_path, capsys, job)
 
 
+def test_step_failed_is_a_one_line_error(tmp_path, capsys):
+    # the cone has a closed-form first point, so a step fails only when
+    # that point lies beyond max_sum: a resource limit, not a verdict
+    job = {"command": "replay-sp", "params": {"n": 2, "locals": [{"p": 3}], "seeds": "zero", "max_sum": 5}}
+    assert "step-1 cone empty" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def test_certificate_weight_beyond_int64_rejected(tmp_path, capsys):
+    cert, _ = run_job({"command": "replay-sp", "params": {"n": 1, "locals": [{"p": 3}], "seeds": "zero"}})
+    cert["result"]["places"][0]["k3"][0][0] = 10**30
+    job = {"command": "verify-cert", "params": {"certificate": cert["result"]}}
+    assert "int64" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def leaves(node, path=()):
+    """(path, value) of every scalar in a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+def mutations(value):
+    """Other values for one leaf: a different value of the same JSON type,
+    and the same number under another type (bool -> int, int -> float)."""
+    if isinstance(value, bool):
+        return [not value, int(value)]
+    if isinstance(value, int):
+        return [value + 1, float(value)]
+    if value is None:
+        return ["forged"]
+    try:
+        return [rat_str(parse_rat(value) + 1)]
+    except ValueError:
+        return [value + "x"]
+
+
+@pytest.mark.parametrize(
+    "cert, n_leaves",
+    [
+        (replay_symplectic(2, [LocalDatum(11, 1, 1)], [RefinedSlopes([0, 0])]), 45),
+        (replay_orthogonal(1, [LocalDatum(5, 2, 1)], [RefinedSlopes([0, Fraction(1, 2)])]), 61),
+        (replay_symplectic(3, [LocalDatum(3, 1, 2)], [RefinedSlopes([0, 0, 0])]), 86),
+    ],
+    ids=["sp-11", "so-5-e2", "sp-3-f2"],
+)
+def test_no_leaf_of_a_certificate_can_be_changed(tmp_path, capsys, cert, n_leaves):
+    """Every changed leaf is a mismatch (exit 2) or a one-line error (exit 1).
+
+    Ints move by one, so the prime of a place becomes a composite.  The
+    prime does not enter the replay: another prime gives the true
+    certificate of that place, which verifies.
+    """
+    doc = cert.to_dict()
+    assert len(list(leaves(doc))) == n_leaves
+    assert run_job({"command": "verify-cert", "params": {"certificate": doc}})[1] == 0
+    path = tmp_path / "job.json"
+    for where, value in leaves(doc):
+        for other in mutations(value):
+            bad = copy.deepcopy(doc)
+            target = bad
+            for key in where[:-1]:
+                target = target[key]
+            target[where[-1]] = other
+            path.write_text(json.dumps({"command": "verify-cert", "params": {"certificate": bad}}))
+            code = main(["--job", str(path)])
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert json.loads(out)["result"]["ok"] is False, where
+            else:
+                assert code == 1, (where, other, code)
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (where, err)
+
 def test_missing_certificate_path_rejected(tmp_path, capsys):
     job = {"command": "verify-cert", "params": {"path": str(tmp_path / "absent.json")}}
     assert "params.path" in rejected_in_one_line(tmp_path, capsys, job)
@@ -171,11 +264,7 @@ def test_wald_job(tmp_path):
 
 
 def test_print_schemas():
-    proc = subprocess.run(
-        [sys.executable, "-m", "slopecert.cli", "--print-schemas"],
-        capture_output=True,
-        text=True,
-    )
+    proc = cli_process("--print-schemas")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert set(doc["params"]) == set(JOB_SCHEMAS)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import cone_oracle
 from slopecert.cone import LinearForm, cone_find, gap_form, total_sum_form
 from slopecert.errors import EmptyCone
-from slopecert.replay import _column_gap_form
 
 
 def dominant_tables(rank, embeddings, max_val):
@@ -39,9 +38,10 @@ def gap_cone_forms(rank, m, gap=None, column_gaps=(), total=None):
         bounds += [gap] * (m * rank)
     for i, b in enumerate(column_gaps, 1):
         if i < rank:
-            forms.append(_column_gap_form(m, rank, i))
+            entries = {(s, j): c for s in range(1, m + 1) for j, c in ((i, 1), (i + 1, -1))}
         else:  # the last gap is k[sigma][rank] itself
-            forms.append(LinearForm.from_entries(m, rank, {(s, rank): 1 for s in range(1, m + 1)}))
+            entries = {(s, rank): 1 for s in range(1, m + 1)}
+        forms.append(LinearForm.from_entries(m, rank, entries))
         bounds.append(b)
     if total is not None:
         forms.append(total_sum_form(m, rank))

@@ -65,6 +65,21 @@ def test_tables_belong_to_one_weight_table():
         kernels.find_candidate([[0, 2]], [0, 2], 1, 1, 0, tables=tables)
 
 
+
+def test_input_beyond_int64_range_raises():
+    # the weight total is -2**63 and the slope total 2**63, which wraps to
+    # -2**63 in int64: without the guard the totals look equal and a
+    # candidate is reported that the exact search does not find
+    kappa, slopes = [[-(2**62), -(2**62), 0]], [0, 2**62, 2**62]
+    assert search_python(kappa, slopes, 1, 1, 0, require_misaligned=False) == (False, 0, ())
+    with pytest.raises(ValueError, match="int64"):
+        kernels.find_candidate(kappa, slopes, 1, 1, 0, require_misaligned=False)
+    # slopes alone: e times their absolute sum reaches 2**62
+    tables = kernels.CandidateTables([[0, 1, 2]])
+    with pytest.raises(ValueError, match="int64"):
+        tables.search([2**61, 0, -(2**61) + 3], 2, 1, 0, False)
+    assert tables.search([2**60, 0, -(2**60) + 3], 2, 1, 0, False)[0] is False
+
 @st.composite
 def row_pairs(draw):
     """Two row sets; wide values overflow one packed key, so ranked packing runs."""

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import random
@@ -6,8 +7,9 @@ from itertools import combinations
 
 import pytest
 
+import slopecert.replay as replay_mod
 from slopecert.errors import StepFailed, VerdictFailed
-from slopecert.lattice import LocalDatum
+from slopecert.lattice import LocalDatum, WeightTable
 from slopecert.replay import (
     ARTIN_PLUS_IRREDUCIBLE,
     FAILED,
@@ -19,8 +21,25 @@ from slopecert.replay import (
     verify_certificate,
 )
 from slopecert.satake import RefinedSlopes
+from slopecert.weyl import identity
 
 Q11 = LocalDatum(3, 1, 1)
+
+
+@contextlib.contextmanager
+def step_one_skipped():
+    """Make the replay skip step 1: a zero k1 and no -Id flip."""
+    real = replay_mod.cone_find
+
+    def cone_find(rank, embeddings, **bounds):
+        if "total" in bounds:  # only step 1 bounds the total
+            return WeightTable([[0] * rank] * embeddings)
+        return real(rank, embeddings, **bounds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay_mod, "cone_find", cone_find)
+        mp.setattr(replay_mod, "minus_identity", identity)
+        yield
 
 
 def brute_survivors(nu):
@@ -153,8 +172,8 @@ class TestOrthogonalReplay:
         assert cert.verdict == IRREDUCIBLE
 
     def test_skip_step_one_negative_control(self):
-        with pytest.raises(VerdictFailed) as exc:
-            replay_orthogonal(1, [Q11], [RefinedSlopes([50, 50])], skip_step1=True)
+        with step_one_skipped(), pytest.raises(VerdictFailed) as exc:
+            replay_orthogonal(1, [Q11], [RefinedSlopes([50, 50])])
         assert exc.value.certificate.verdict == FAILED
 
     def test_step_two_cone_with_non_positive_bound(self):
@@ -199,7 +218,8 @@ class TestCertificates:
 
     def test_skipped_step_one_rejected(self):
         seed = RefinedSlopes([-7, -7])
-        cert = replay_symplectic(2, [LocalDatum(5, 1, 1)], [seed], skip_step1=True)
+        with step_one_skipped():
+            cert = replay_symplectic(2, [LocalDatum(5, 1, 1)], [seed])
         assert cert.verdict == ARTIN_PLUS_IRREDUCIBLE  # the replay itself passes
         ok, mismatches = verify_certificate(cert.to_dict())
         assert not ok
