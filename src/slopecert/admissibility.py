@@ -13,15 +13,16 @@ totals holding exactly, where theta_sigma is increasing on I and on the
 complement.  The alignment lemma says: when every slope sits within
 min-gap(kappa[tau]) / (e N) of its weight mean, every candidate that passes
 the system induces the identity weight assignment on row tau.  This module
-certifies exactly that combinatorial statement.
+certifies exactly that combinatorial statement, every candidate list and
+search running on the integer kernel in ``kernels``; ``candidate_passes``
+states the system on Fractions, as its definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import kernels
 from .errors import NotDistinct
@@ -166,29 +167,6 @@ def candidate_passes(datum: PhiModuleDatum, subset, theta) -> bool:
     return True
 
 
-def admissible_candidates(datum: PhiModuleDatum) -> list:
-    """Every passing candidate, subsets by size then lexicographic.
-
-    Image sets are enumerated lexicographically per embedding, the last
-    embedding varying fastest, matching the kernel walk order.
-    """
-    if not datum.distinct_flag:
-        raise NotDistinct("candidate enumeration needs pairwise distinct slopes")
-    n = datum.rank
-    m = datum.embeddings
-    out = []
-    for k in range(1, n):
-        for subset in combinations(range(1, n + 1), k):
-            images_list = list(combinations(range(1, n + 1), k))
-            for pick in product(range(len(images_list)), repeat=m):
-                theta = tuple(
-                    _theta_from_images(n, subset, images_list[c]) for c in pick
-                )
-                if candidate_passes(datum, subset, theta):
-                    out.append(SubmoduleCandidate(subset, theta))
-    return out
-
-
 def hypothesis_margin(datum: PhiModuleDatum, tau: int) -> Optional[Fraction]:
     """Signed slack of the alignment hypothesis at row tau.
 
@@ -237,6 +215,23 @@ def _witness_from_masks(datum: PhiModuleDatum, mask: int, img_masks) -> Submodul
         for im in img_masks
     )
     return SubmoduleCandidate(subset, theta)
+
+
+def admissible_candidates(
+    datum: PhiModuleDatum, tables: Optional[kernels.CandidateTables] = None
+) -> list:
+    """Every passing candidate, subsets by size then lexicographic.
+
+    Image sets are enumerated lexicographically per embedding, the last
+    embedding varying fastest: the kernel's order.  ``tables``, built for
+    ``datum.weights``, lets this share the kernel's reachable sets with
+    ``alignment_check``.
+    """
+    if not datum.distinct_flag:
+        raise NotDistinct("candidate enumeration needs pairwise distinct slopes")
+    scaled, denom = _scaled_ints(datum)
+    found = kernels.tables_for(datum.weights, tables).candidates(scaled, datum.e, denom, 0, False)
+    return [_witness_from_masks(datum, mask, img) for mask, img in found]
 
 
 def find_misaligned_candidate(

@@ -23,6 +23,7 @@ import jsonschema
 from . import scan as scan_mod
 from .admissibility import PhiModuleDatum, admissible_candidates, alignment_check, newton_above_hodge
 from .errors import SlopecertError, VerdictFailed
+from .kernels import CandidateTables
 from .lattice import LocalDatum, WeightTable, parse_rat, rat_str
 from .principal import UnramChar, completely_refinable, refinement_orbit, so_irreducible_sufficient, sp_irreducible
 from .replay import replay_orthogonal, replay_symplectic, verify_certificate
@@ -290,6 +291,8 @@ def _run_admissible(params):
         [parse_rat(v) for v in params["slopes"]],
         params["weights"],
     )
+    if datum.embeddings != datum.e * datum.f:
+        raise InputError(f"params.weights: {datum.embeddings} rows, need e*f = {datum.e * datum.f}")
     tau = params.get("tau", 1)
     if tau > datum.embeddings:
         raise InputError(f"params.tau: {tau} exceeds the {datum.embeddings} embeddings")
@@ -298,9 +301,10 @@ def _run_admissible(params):
         "candidates": [],
     }
     if datum.distinct_flag:
-        for c in admissible_candidates(datum):
+        tables = CandidateTables(datum.weights)
+        for c in admissible_candidates(datum, tables):
             result["candidates"].append({"subset": list(c.subset), "theta": [list(t) for t in c.theta]})
-        align = alignment_check(datum, tau)
+        align = alignment_check(datum, tau, tables)
         result["alignment"] = {
             "status": align.status,
             "margin": rat_str(align.margin) if align.margin is not None else None,

@@ -11,9 +11,9 @@ ascending-prefix inequality
     e * sum_{y<=x} D*slope[i_y]  >=  D * sum_sigma prefix_x kappa[sigma][img_y]
 
 and both totals hold with equality.  It is *misaligned* at row tau when the
-induced tau-assignment changes some weight value.  The reported candidate is
-the first in this order: subsets by size then lexicographic; per-embedding
-image sets lexicographic, last embedding fastest.
+induced tau-assignment changes some weight value.  Candidates are listed in
+this order: subsets by size then lexicographic; per-embedding image sets
+lexicographic, last embedding fastest.
 
 The kernel rests on one fact.  For a subset size k, write the Hodge side of
 the system as one length-N vector: the inside prefixes followed by the
@@ -22,9 +22,9 @@ on that embedding's image choice, so the set of vectors reachable by some
 choice depends on neither the subset nor the slopes.  ``CandidateTables``
 builds that set once per weight table and k, embedding by embedding, keeping
 every deduplicated suffix sum.  A subset passes when some reachable vector
-lies under its Newton vector with the same inside total; the first witness
-is rebuilt by a greedy forward pass over the suffix sums, which picks the
-smallest image choice per embedding that can still be completed.
+lies under its Newton vector with the same inside total; its passing image
+choices are listed by a depth-first walk over the suffix sums that keeps only
+choices that can still be completed, so no branch is a dead end.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class _Level:
         # per-embedding vectors, one row per image choice: (m, C, n)
         self.hodge = _prefixes(kappa, self.pos, k)
         self.suffix = self._suffix_sums(np.zeros((1, n), dtype=np.int64), 0, m)
-        reach, self.suffix[0] = self.suffix[0], None  # the greedy pass reads suffix[1:]
+        reach, self.suffix[0] = self.suffix[0], None  # choices() reads suffix[1:]
         order = np.argsort(reach[:, k - 1])
         self.reach = reach[order]
         self.totals = self.reach[:, k - 1]
@@ -160,29 +160,33 @@ class _Level:
         out[owner[ok]] = True
         return out
 
-    def witness(self, bound: np.ndarray, tau: int, rows=None):
-        """Lexicographically first image choices whose vector passes ``bound``.
+    def choices(self, bound: np.ndarray, tau: int, rows=None):
+        """Image bitmasks per embedding of every choice passing ``bound``, in order.
 
-        ``rows`` restricts the choices of embedding ``tau``.  Returns the
-        image bitmasks per embedding, or None when no choice passes.
-        ``rows`` must not be empty.
+        ``rows`` restricts the choices of embedding ``tau`` and must not be
+        empty.  The walk is depth first and keeps only choices that the
+        suffix sums can still complete, so every branch ends in a passing
+        choice and the first one yielded is, per embedding, the smallest
+        choice that can still be completed.
         """
         suffix = self.suffix
         if rows is not None:
-            # the pass below reads suffix[1..m]; those up to tau change
+            # the walk reads suffix[1..m]; those up to tau change
             suffix = [None] + self._suffix_sums(suffix[tau + 1], 1, tau + 1, rows) + suffix[tau + 2 :]
-        picked = []
-        acc = np.zeros_like(bound)
-        for j, hodge in enumerate(self.hodge):
-            choice = rows if (rows is not None and j == tau) else np.arange(hodge.shape[0])
-            full = (acc + hodge[choice])[:, None, :] + suffix[j + 1][None, :, :]
-            ok = (full <= bound).all(axis=2).any(axis=1)
-            if not ok.any():
-                return None  # only at j = 0: later steps extend a reachable prefix
-            c = int(choice[int(np.argmax(ok))])
-            picked.append(int(self.masks[c]))
-            acc = acc + hodge[c]
-        return tuple(picked)
+        return self._walk(0, np.zeros_like(bound), (), bound, tau, rows, suffix)
+
+    def _walk(self, j, acc, picked, bound, tau, rows, suffix):
+        # a method, not a recursive closure: a closure that names itself is a
+        # reference cycle per call, left to the cyclic collector, which made
+        # the benchmark's scan workload about 7 % slower
+        if j == len(self.hodge):
+            yield picked
+            return
+        hodge = self.hodge[j]
+        choice = rows if (rows is not None and j == tau) else np.arange(hodge.shape[0])
+        full = (acc + hodge[choice])[:, None, :] + suffix[j + 1][None, :, :]
+        for c in choice[(full <= bound).all(axis=2).any(axis=1)].tolist():
+            yield from self._walk(j + 1, acc + hodge[c], picked + (int(self.masks[c]),), bound, tau, rows, suffix)
 
 
 class CandidateTables:
@@ -205,8 +209,10 @@ class CandidateTables:
             lv = self._levels[k] = _Level(self.kappa, k)
         return lv
 
-    def search(self, slopes_scaled, e: int, denom: int, tau: int, require_misaligned: bool):
-        """``find_candidate`` on this weight table."""
+    def candidates(self, slopes_scaled, e: int, denom: int, tau: int, require_misaligned: bool):
+        """Every passing (subset_mask, image_masks) in order; a generator, so
+        the input is checked at the first item.  ``require_misaligned`` keeps
+        those whose image choice on row ``tau`` moves a weight value."""
         n = self.kappa.shape[1]
         _check_range(slopes_scaled, e)
         S = np.asarray(slopes_scaled, dtype=np.int64)
@@ -218,23 +224,29 @@ class CandidateTables:
         # bound floor(Newton / D) at both totals only when it meets both:
         # lying under the bound is passing.
         if e * int(S.sum()) != denom * self.total:
-            return False, 0, ()
+            return
         row = self.kappa[tau] if require_misaligned else None
         for k in range(1, n):
             lv = self._level(k)
             bound = (e * _prefixes(S, lv.pos, k)) // denom
-            passing = lv.passing(bound)
-            for c in np.flatnonzero(passing).tolist():
+            for c in np.flatnonzero(lv.passing(bound)).tolist():
                 rows = None
                 if require_misaligned:
                     # image choices that move a weight value on row tau
                     rows = np.flatnonzero((row[lv.pos] != row[lv.pos[c]]).any(axis=1))
                     if rows.size == 0:
                         continue
-                img = lv.witness(bound[c], tau, rows)
-                if img is not None:
-                    return True, int(lv.masks[c]), img
-        return False, 0, ()
+                for img in lv.choices(bound[c], tau, rows):
+                    yield int(lv.masks[c]), img
+
+
+def tables_for(kappa, tables=None) -> CandidateTables:
+    """``tables`` when built for ``kappa``, new tables when None."""
+    if tables is None:
+        return CandidateTables(kappa)
+    if tables.weights != kappa and tables.weights != tuple(map(tuple, kappa)):
+        raise ValueError("candidate tables were built for another weight table")
+    return tables
 
 
 def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True, tables=None):
@@ -246,8 +258,6 @@ def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True,
     (found, subset_mask, image_masks) with masks over 0-based bits, or
     (False, 0, ()) when no candidate qualifies.
     """
-    if tables is None:
-        tables = CandidateTables(kappa)
-    elif tables.weights != kappa and tables.weights != tuple(map(tuple, kappa)):
-        raise ValueError("candidate tables were built for another weight table")
-    return tables.search(slopes_scaled, int(e), int(denom), int(tau), require_misaligned)
+    found = tables_for(kappa, tables).candidates(slopes_scaled, int(e), int(denom), int(tau), require_misaligned)
+    first = next(found, None)
+    return (False, 0, ()) if first is None else (True, *first)

@@ -39,10 +39,6 @@ class UnramChar:
         if self.q < 2:
             raise ValueError("residue cardinality must be >= 2")
 
-    @property
-    def nu_value(self) -> Fraction:
-        return Fraction(1, self.q)
-
 
 def _common_q(chars: Sequence[UnramChar]) -> int:
     qs = {c.q for c in chars}

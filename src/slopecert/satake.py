@@ -131,10 +131,6 @@ def hodge_tate_weights(
     return tuple(out)
 
 
-def _schema_of(w: SignedPerm) -> str:
-    return w.family
-
-
 def change_refinement(
     w: SignedPerm,
     local: LocalDatum,
@@ -153,7 +149,7 @@ def change_refinement(
     r = phi.rank
     if w.n != r or weights.rank != r:
         raise ValueError("rank mismatch")
-    schema = _schema_of(w)
+    schema = w.family
     q_shift = (r + 1) if schema == "C" else r  # rho-shift in the q-exponent
     phi_shift = r + 1  # the phi functions are indexed by r+1-i in both schemas
 

@@ -462,14 +462,14 @@ def _check_regular(inst: WaldInstance):
             raise Degenerate("some y equals 1")
 
 
-def waldspurger_sign_product(inst: WaldInstance) -> int:
-    """Product over field indices of the norm-character sign of C_i / C_{i,0}.
+def _wald_ratios(inst: WaldInstance):
+    """Per field index i, in order: (x_i, y_i, C_i / C_{i,0}).
 
     C_i = x^{-1} P'(y) P(-1) y^{1-m} (1+y) with P the full characteristic
     polynomial of the y-parameters; C_{i,0} uses the polynomial over the
     field indices only and the exponent 1 - m_0.  Both lie in Q_p by
-    tau-invariance; their ratio is (-1)^(m - m_0) times an explicit norm, so
-    the product collapses to a Hilbert symbol of the discriminant product.
+    tau-invariance.  Raises Degenerate or SplitExtension, index by index,
+    where the ratio is not defined.
     """
     _check_regular(inst)
     m = inst.m
@@ -482,8 +482,6 @@ def waldspurger_sign_product(inst: WaldInstance) -> int:
     p_zero_at_m1 = _poly_eval_rat(p_zero, Fraction(-1))
     if p_full_at_m1 == 0 or p_zero_at_m1 == 0:
         raise Degenerate("-1 is a root of the characteristic polynomial")
-
-    sign = 1
     for i, x in enumerate(inst.field_elements):
         if is_local_square(x.d, inst.p):
             raise SplitExtension(f"sqrt({x.d}) splits over Q_{inst.p}")
@@ -496,7 +494,18 @@ def waldspurger_sign_product(inst: WaldInstance) -> int:
         c_zero = xinv * _poly_eval_quad(dp_zero, y) * p_zero_at_m1 * y.pow(1 - m0) * one_plus_y
         if c_full.is_zero() or c_zero.is_zero():
             raise Degenerate("a transfer-factor quantity vanished")
-        ratio = (c_full / c_zero).rational()
+        yield x, y, (c_full / c_zero).rational()
+
+
+def waldspurger_sign_product(inst: WaldInstance) -> int:
+    """Product over field indices of the norm-character sign of C_i / C_{i,0}.
+
+    The ratio (see ``_wald_ratios``) is (-1)^(m - m_0) times an explicit
+    norm, so the product collapses to a Hilbert symbol of the discriminant
+    product.
+    """
+    sign = 1
+    for x, _, ratio in _wald_ratios(inst):
         sign *= sign_char(x.d, ratio, inst.p)
     return sign
 
@@ -506,27 +515,13 @@ def wald_structure_report(inst: WaldInstance) -> list:
 
     Each entry is (ratio, predicted) with predicted = (-1)^(m-m0) * N(w_i),
     w_i = prod over split j of (y_i + x_j)(x_j^{-1} - 1); the two must agree.
+    Raises where ``waldspurger_sign_product`` does.
     """
-    _check_regular(inst)
-    m = inst.m
-    m0 = len(inst.field_elements)
-    p_full = _char_poly_factors(inst, with_splits=True)
-    p_zero = _char_poly_factors(inst, with_splits=False)
-    dp_full = _poly_derivative(p_full)
-    dp_zero = _poly_derivative(p_zero)
-    p_full_at_m1 = _poly_eval_rat(p_full, Fraction(-1))
-    p_zero_at_m1 = _poly_eval_rat(p_zero, Fraction(-1))
+    sign = (-1) ** (inst.m - len(inst.field_elements))
     out = []
-    for i, x in enumerate(inst.field_elements):
-        y = inst.y_field(i)
-        xinv = x.inverse()
-        one_plus_y = y + 1
-        c_full = xinv * _poly_eval_quad(dp_full, y) * p_full_at_m1 * y.pow(1 - m) * one_plus_y
-        c_zero = xinv * _poly_eval_quad(dp_zero, y) * p_zero_at_m1 * y.pow(1 - m0) * one_plus_y
-        ratio = (c_full / c_zero).rational()
+    for x, y, ratio in _wald_ratios(inst):
         w = QuadExtElem(x.d, Fraction(1), Fraction(0))
         for xj in inst.split_values:
             w = w * (y + xj) * (1 / xj - 1)
-        predicted = Fraction((-1) ** (m - m0)) * w.norm()
-        out.append((ratio, predicted))
+        out.append((ratio, Fraction(sign) * w.norm()))
     return out

@@ -66,9 +66,6 @@ class SignedPerm:
     def is_identity(self) -> bool:
         return all(self.images[i] == i + 1 for i in range(self.n))
 
-    def sign_flips(self) -> int:
-        return sum(1 for v in self.images if v < 0)
-
 
 def identity(family: str, n: int) -> SignedPerm:
     return SignedPerm(family, tuple(range(1, n + 1)))

@@ -1,4 +1,4 @@
-"""Plain-loop oracle for ``slopecert.kernels.find_candidate``.
+"""Plain-loop oracle for ``slopecert.kernels.CandidateTables.candidates``.
 
 It walks every candidate in the kernel's order (subsets by size then
 lexicographic; image sets lexicographic per embedding, last embedding
@@ -10,6 +10,12 @@ from itertools import combinations, product
 
 def _mask(bits):
     return sum(1 << b for b in bits)
+
+
+def candidate_masks(candidate):
+    """(subset_mask, image_masks) of an ``admissibility.SubmoduleCandidate``."""
+    subset = candidate.subset
+    return _mask(i - 1 for i in subset), tuple(_mask(row[i - 1] - 1 for i in subset) for row in candidate.theta)
 
 
 def _passes(kappa, S, e, denom, inside, outside, images):
@@ -36,11 +42,10 @@ def _misaligned(row, inside, outside, img):
     )
 
 
-def search_python(kappa, slopes_scaled, e, denom, tau, require_misaligned=True):
-    """First passing (optionally misaligned at row tau) candidate.
+def candidates_python(kappa, slopes_scaled, e, denom, tau, require_misaligned=True):
+    """Every passing (optionally misaligned at row tau) candidate, in order.
 
-    Returns (found, subset_mask, image_masks) with masks over 0-based bits,
-    or (False, 0, ()) when none exists.
+    Yields (subset_mask, image_masks) with masks over 0-based bits.
     """
     kappa = [[int(v) for v in row] for row in kappa]
     S = [int(v) for v in slopes_scaled]
@@ -53,5 +58,11 @@ def search_python(kappa, slopes_scaled, e, denom, tau, require_misaligned=True):
                     continue
                 if require_misaligned and not _misaligned(kappa[tau], inside, outside, images[tau]):
                     continue
-                return True, _mask(inside), tuple(_mask(img) for img in images)
-    return False, 0, ()
+                yield _mask(inside), tuple(_mask(img) for img in images)
+
+
+def search_python(kappa, slopes_scaled, e, denom, tau, require_misaligned=True):
+    """First element of ``candidates_python`` as (found, subset_mask,
+    image_masks), or (False, 0, ()) when there is none."""
+    first = next(candidates_python(kappa, slopes_scaled, e, denom, tau, require_misaligned), None)
+    return (False, 0, ()) if first is None else (True, *first)

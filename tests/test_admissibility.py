@@ -213,7 +213,7 @@ class TestAlignment:
     # built per call; "numba" is the kernel with one table shared by calls.
     @pytest.mark.parametrize("backend", ["python", "numpy", "numba"])
     def test_backends_agree(self, backend):
-        from kernel_oracle import search_python
+        from kernel_oracle import candidate_masks, candidates_python, search_python
 
         from slopecert import kernels
 
@@ -235,21 +235,13 @@ class TestAlignment:
 
             got = search(True)
             assert got == search_python(datum.weights, slopes, 1, 1, 0, True)
-            ref = find_misaligned_candidate(datum, 1)
-            assert got[0] == (ref is not None)
-            if ref is not None:
-                assert ref.subset == tuple(b + 1 for b in range(n) if got[1] >> b & 1)
-            # first passing candidate (aligned or not) agrees with the
-            # Fraction-based enumeration order as well
-            first = search(False)
-            cands = admissible_candidates(datum)
-            if cands:
-                want = cands[0]
-                assert first[0]
-                subset = tuple(b + 1 for b in range(n) if first[1] >> b & 1)
-                assert subset == want.subset
-            else:
-                assert not first[0]
+            ref = find_misaligned_candidate(datum, 1, tables)
+            assert got == ((True, *candidate_masks(ref)) if ref is not None else (False, 0, ()))
+            # the full list, and its first element, against the oracle's
+            want = list(candidates_python(datum.weights, slopes, 1, 1, 0, False))
+            cands = [candidate_masks(c) for c in admissible_candidates(datum, tables)]
+            assert cands == want
+            assert search(False) == ((True, *want[0]) if want else (False, 0, ()))
 
     def test_counterexample_never_in_band(self):
         # widened deviations that pass candidates must fail the hypothesis

@@ -17,7 +17,7 @@ from slopecert.satake import RefinedSlopes
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def cli_process(*args):
+def cli_process(*args, timeout=None):
     """Run the CLI in a child process that imports this checkout's package."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
@@ -25,6 +25,7 @@ def cli_process(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
 
 
@@ -229,6 +230,26 @@ def test_tau_beyond_embeddings_rejected(tmp_path, capsys):
         "params": {"e": 1, "f": 1, "slopes": ["1", "-1"], "weights": [[0, 2]], "tau": 3},
     }
     assert "params.tau" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def test_weight_rows_must_match_embeddings(tmp_path, capsys):
+    # a place of shape (2, 2) has four embeddings, so four weight rows
+    job = {"command": "admissible", "params": {"e": 2, "f": 2, "slopes": ["-1", "1"], "weights": [[-1, 1]]}}
+    assert "params.weights" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def test_admissible_lists_every_candidate_of_a_wide_datum(tmp_path):
+    # N = 8, two embeddings: every proper subset passes with the identity
+    # assignment, 254 candidates; a walk over all 739,160 (subset, image
+    # choice) pairs took about 30 s
+    params = {"e": 1, "f": 2, "slopes": [str(2 * i) for i in range(8)], "weights": [list(range(8))] * 2}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "admissible", "params": params}))
+    proc = cli_process("--job", str(path), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert len(result["candidates"]) == 254
+    assert result["alignment"]["status"] == "certified"
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from kernel_oracle import search_python
+from kernel_oracle import candidate_masks, candidates_python, search_python
 
 from slopecert import kernels
-from slopecert.admissibility import PhiModuleDatum, admissible_candidates
+from slopecert.admissibility import PhiModuleDatum, admissible_candidates, candidate_passes
 
 
 @st.composite
 def kernel_inputs(draw):
-    """(kappa, scaled slopes, e, denom, require_misaligned) for the kernel.
+    """(kappa, scaled slopes, e, denom) for the kernel.
 
     Slopes sit near the weight means, in order or reordered, on a grid of
     step 1/denom; their total is usually closed so that candidates pass often.
@@ -31,38 +31,38 @@ def kernel_inputs(draw):
     target, rem = divmod(denom * sum(map(sum, kappa)), e)
     if rem == 0 and draw(st.integers(0, 4)):
         scaled[-1] += target - sum(scaled)
-    return kappa, scaled, e, denom, draw(st.booleans())
+    return kappa, scaled, e, denom
 
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_inputs())
 # a row without misaligned choices, between two other embeddings
-@example(([[-2, 0], [2, 2], [-2, 1]], [-2, 3], 1, 1, True))
+@example(([[-2, 0], [2, 2], [-2, 1]], [-2, 3], 1, 1))
 def test_kernel_matches_oracle(case):
-    kappa, scaled, e, denom, require_misaligned = case
+    kappa, scaled, e, denom = case
     tables = kernels.CandidateTables(kappa)  # shared by every tau, as callers do
-    for tau in range(len(kappa)):
+    # without require_misaligned, tau plays no part
+    for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
+        want = list(candidates_python(kappa, scaled, e, denom, tau, require_misaligned))
+        assert list(tables.candidates(scaled, e, denom, tau, require_misaligned)) == want
         got = kernels.find_candidate(kappa, scaled, e, denom, tau, require_misaligned, tables)
-        assert got == search_python(kappa, scaled, e, denom, tau, require_misaligned)
-    # the first passing candidate is also the first of the Fraction-based
-    # enumeration, which shares no integer arithmetic with either search
+        assert got == ((True, *want[0]) if want else (False, 0, ()))
+    # the full list through admissible_candidates, each candidate checked on
+    # the Fraction definition, which shares no integer arithmetic with either
     datum = PhiModuleDatum(e, 1, [Fraction(s, denom) for s in scaled], kappa)
-    if require_misaligned or not datum.distinct_flag:
+    if not datum.distinct_flag:
         return
-    cands = admissible_candidates(datum)
-    assert got[0] == bool(cands)
-    if cands:
-        first = cands[0]
-        assert got[1] == sum(1 << (i - 1) for i in first.subset)
-        assert got[2] == tuple(
-            sum(1 << (row[i - 1] - 1) for i in first.subset) for row in first.theta
-        )
+    cands = admissible_candidates(datum, tables)
+    assert [candidate_masks(c) for c in cands] == want
+    assert all(candidate_passes(datum, c.subset, c.theta) for c in cands)
 
 
 def test_tables_belong_to_one_weight_table():
     tables = kernels.CandidateTables([[0, 1]])
     with pytest.raises(ValueError):
         kernels.find_candidate([[0, 2]], [0, 2], 1, 1, 0, tables=tables)
+    with pytest.raises(ValueError):
+        admissible_candidates(PhiModuleDatum(1, 1, [0, 2], [[0, 2]]), tables)
 
 
 
@@ -77,8 +77,8 @@ def test_input_beyond_int64_range_raises():
     # slopes alone: e times their absolute sum reaches 2**62
     tables = kernels.CandidateTables([[0, 1, 2]])
     with pytest.raises(ValueError, match="int64"):
-        tables.search([2**61, 0, -(2**61) + 3], 2, 1, 0, False)
-    assert tables.search([2**60, 0, -(2**60) + 3], 2, 1, 0, False)[0] is False
+        list(tables.candidates([2**61, 0, -(2**61) + 3], 2, 1, 0, False))
+    assert list(tables.candidates([2**60, 0, -(2**60) + 3], 2, 1, 0, False)) == []
 
 @st.composite
 def row_pairs(draw):
