@@ -3,9 +3,9 @@
 A job is a JSON document {"command": ..., "params": {...}, "out": path}.
 Reports are canonical JSON (sorted keys, two-space indent, rationals as
 "num/den" strings, no timestamps), so reruns are byte-identical.  Exit
-codes: 0 for expected verdicts, 1 for input/usage errors, 2 for mathematical
-verdict failures (unexpected survivor, tampered certificate, misaligned
-candidate inside the hypothesis band).
+codes: 0 for expected verdicts, 1 for input/usage errors and out of memory,
+2 for mathematical verdict failures (unexpected survivor, tampered
+certificate, misaligned candidate inside the hypothesis band).
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ CERTIFICATE = {
             "items": {
                 "type": "object",
                 "properties": {
-                    "local": LOCAL,
+                    "local": {**LOCAL, "description": "A certificate covers the shape (e, f) for every prime: v_p(p) "
+                              "= 1 normalises every valuation, so no field depends on p, which need only be prime."},
                     "seed": RATS,
                     "k1": INT_ROWS,
                     "x1_prime": RATS,
@@ -462,11 +463,11 @@ def main(argv=None) -> int:
 
     try:
         report, code = run_job(job, workers=args.workers, paper_sign=args.paper_sign)
-    except InputError as exc:
+    except (InputError, SlopecertError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (SlopecertError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 1
 
     text = canonical_json(report)

@@ -21,11 +21,11 @@ its gap cone in the order total coordinate sum ascending, then reading-order
 lexicographic; ``cone.cone_find`` gives that point in closed form, from
 structured bounds (gap, column gaps, total) rather than linear forms.
 
-The surviving subsets are then enumerated exactly: a proper subset of the
-extended index range survives when its ascending prefix sums of nu and those
-of its complement stay nonnegative with both totals zero.  The symplectic
-schema must end with the zero index as the only survivor (an Artin line plus
-an irreducible complement); the orthogonal schema with no survivor at all.
+The surviving subsets are then found exactly by one pruned walk: a proper
+subset of the extended index range survives when its ascending prefix sums
+of nu and those of its complement stay nonnegative with both totals zero.
+The symplectic schema must end with the zero index as the only survivor (an
+Artin line plus an irreducible complement); the orthogonal schema with none.
 
 Every inequality, margin and survivor is recorded in a certificate.  One
 routine, ``_derive_place``, derives a place for both the replay and the
@@ -46,7 +46,7 @@ from .cone import DEFAULT_MAX_SUM, cone_find
 from .errors import EmptyCone, StepFailed, VerdictFailed
 from .kernels import CandidateTables
 from .lattice import LocalDatum, WeightTable, rat_str, parse_rat, very_regular
-from .satake import RefinedSlopes, change_refinement, frobenius_slopes, hodge_tate_weights
+from .satake import RefinedSlopes, change_refinement, frobenius_slopes, hodge_tate_weights, zero_index
 from .weyl import minus_identity, shift_cycle
 
 ARTIN_PLUS_IRREDUCIBLE = "ArtinPlusIrreducible"
@@ -67,23 +67,20 @@ class NormalizedSlopes:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        if self.schema not in ("C", "D"):
-            raise ValueError("schema must be 'C' or 'D'")
+        zero_index(self.schema)  # rejects any other schema
 
     @property
     def rank(self) -> int:
         return len(self.values)
 
     def indices(self) -> tuple:
-        r = self.rank
-        if self.schema == "C":
-            return tuple(range(-r, r + 1))
-        return tuple(i for i in range(-r, r + 1) if i != 0)
+        z = zero_index(self.schema)
+        return tuple(i for i in range(-self.rank, self.rank + 1) if i or z)
 
     def value(self, i: int) -> Fraction:
         if i == 0:
-            if self.schema == "D":
-                raise ValueError("schema D has no zero index")
+            if not zero_index(self.schema):
+                raise ValueError(f"schema {self.schema} has no zero index")
             return Fraction(0)
         return self.values[i - 1] if i > 0 else -self.values[-i - 1]
 
@@ -95,32 +92,27 @@ def certify_splittings(nu: NormalizedSlopes) -> Tuple[list, str]:
     order, every prefix sum of nu is >= 0 and both totals vanish.  Verdict:
     ArtinPlusIrreducible when the zero singleton is the only survivor
     (schema C), Irreducible when nothing survives, Failed otherwise.
+
+    One depth-first walk puts each index, in ascending order, inside or
+    outside while that side's prefix sum stays >= 0; the first goes inside,
+    so each pair {I, complement} is met once.  nu sums to 0, so both totals
+    at a leaf are 0 and only a non-empty outside is checked.
     """
     idx = nu.indices()
-    n = len(idx)
     vals = [nu.value(i) for i in idx]
-
-    def walk_ok(positions) -> bool:
-        total = Fraction(0)
-        for p in positions:
-            total += vals[p]
-            if total < 0:
-                return False
-        return total == 0
-
     survivors = []
-    seen = set()
-    for mask in range(1, (1 << n) - 1):
-        if mask in seen:
+    stack = [(0, 0, 0, (), ())]  # (next position, inside sum, outside sum, inside, outside)
+    while stack:
+        p, s_in, s_out, inside, outside = stack.pop()
+        if p == len(idx):
+            if outside:
+                survivors.append(min((inside, outside), key=lambda t: (len(t), t)))
             continue
-        comp = ((1 << n) - 1) ^ mask
-        seen.add(comp)
-        inside = [p for p in range(n) if mask >> p & 1]
-        outside = [p for p in range(n) if comp >> p & 1]
-        if walk_ok(inside) and walk_ok(outside):
-            a = tuple(idx[p] for p in inside)
-            b = tuple(idx[p] for p in outside)
-            survivors.append(min((a, b), key=lambda t: (len(t), t)))
+        v = vals[p]
+        if p and s_out + v >= 0:
+            stack.append((p + 1, s_in, s_out + v, inside, outside + (idx[p],)))
+        if s_in + v >= 0:
+            stack.append((p + 1, s_in + v, s_out, inside + (idx[p],), outside))
     survivors.sort(key=lambda t: (len(t), t))
     if nu.schema == "C" and survivors == [(0,)]:
         return survivors, ARTIN_PLUS_IRREDUCIBLE
@@ -203,9 +195,8 @@ def _ceil_to_int_if_fractional(b: Fraction) -> Fraction:
 
 def _schema_numbers(schema: str, rank: int) -> Tuple[int, int]:
     """(module rank N, rho-sum margin 3*S): N = 2r+1, S = r(r+1) for C; N = 2r, S = r(r-1) for D."""
-    if schema == "C":
-        return 2 * rank + 1, 3 * rank * (rank + 1)
-    return 2 * rank, 3 * rank * (rank - 1)
+    z = zero_index(schema)
+    return 2 * rank + z, 3 * rank * (rank - 1 + 2 * z)
 
 
 # schema -> (expected verdict, expected survivors)
@@ -410,6 +401,10 @@ def verify_certificate(doc: dict) -> Tuple[bool, list]:
     equals the document field by field as canonical JSON (so ``1`` is not
     ``true`` and ``6.0`` is not ``6``).  No step is waived: a certificate
     whose step 1 was skipped is rejected.
+
+    A certificate covers the shape (e, f) of each place for every prime:
+    valuations are normalised to v_p(p) = 1, so no field depends on p, which
+    is only checked to be prime.
     """
     schema, places = doc.get("schema"), doc.get("places")
     early = [label for label, bad in (("schema", schema not in _EXPECTED), ("places", not places)) if bad]

@@ -12,7 +12,8 @@ eigenvalues have valuations
         val(i) = (r-i) * f + phi[r+1-i] + (1/e) * sum_sigma k[sigma][i]
         for i = 1..r, together with the negatives (no zero entry).
 
-The exponents are the rho-shifts of the dual groups.  A Weyl element w moves
+The exponents are the rho-shifts of the dual groups; the schemas differ only
+in whether the index range holds 0 (``zero_index``).  A Weyl element w moves
 one refinement of the same unramified representation to another; since both
 refinements see the same Frobenius multiset, the slope vector at the new
 refinement is obtained by permuting the extended valuation list,
@@ -66,24 +67,26 @@ def _weight_column_mean(local: LocalDatum, weights: WeightTable, i: int) -> Frac
     return Fraction(weights.column_sum(i), local.e)
 
 
+def zero_index(schema: str) -> int:
+    """1 if the schema's extended index range holds 0 (C), 0 if not (D); the
+    module rank is then 2r + zero_index and the rho-shift of index i is r + zero_index - i."""
+    if schema not in ("C", "D"):
+        raise ValueError("schema must be 'C' or 'D'")
+    return int(schema == "C")
+
+
 def satake_valuation(
     local: LocalDatum, weights: WeightTable, phi: RefinedSlopes, schema: str, i: int
 ) -> Fraction:
     """v_p of the i-th Satake torus entry, for i in the full extended index range."""
-    r = phi.rank
+    z = zero_index(schema)
     if i == 0:
-        if schema == "D":
-            raise ValueError("schema D has no index 0")
+        if not z:
+            raise ValueError(f"schema {schema} has no index 0")
         return Fraction(0)
-    sign = 1 if i > 0 else -1
-    j = abs(i)
-    if schema == "C":
-        base = (r + 1 - j) * local.f + phi.slope(r + 1 - j) + _weight_column_mean(local, weights, j)
-    elif schema == "D":
-        base = (r - j) * local.f + phi.slope(r + 1 - j) + _weight_column_mean(local, weights, j)
-    else:
-        raise ValueError("schema must be 'C' or 'D'")
-    return sign * base
+    r, j = phi.rank, abs(i)
+    base = (r + z - j) * local.f + phi.slope(r + 1 - j) + _weight_column_mean(local, weights, j)
+    return base if i > 0 else -base
 
 
 def frobenius_slopes(
@@ -101,10 +104,7 @@ def frobenius_slopes(
     if phi.rank != rank or weights.rank != rank:
         raise ValueError("rank mismatch between weights and slopes")
     vals = [satake_valuation(local, weights, phi, schema, i) for i in range(1, rank + 1)]
-    out = vals + [-v for v in vals]
-    if schema == "C":
-        out.append(Fraction(0))
-    return tuple(sorted(out))
+    return tuple(sorted(vals + [-v for v in vals] + [Fraction(0)] * zero_index(schema)))
 
 
 def hodge_tate_weights(
@@ -117,17 +117,11 @@ def hodge_tate_weights(
     """
     if weights.rank != rank:
         raise ValueError("rank mismatch")
+    z = zero_index(schema)
     out = []
     for sigma in range(1, weights.embeddings + 1):
-        if schema == "C":
-            pos = [weights.entry(sigma, i) + (rank + 1 - i) for i in range(1, rank + 1)]
-            row = sorted([-w for w in pos] + [0] + pos)
-        elif schema == "D":
-            pos = [weights.entry(sigma, i) + (rank - i) for i in range(1, rank + 1)]
-            row = sorted([-w for w in pos] + pos)
-        else:
-            raise ValueError("schema must be 'C' or 'D'")
-        out.append(tuple(row))
+        pos = [weights.entry(sigma, i) + (rank + z - i) for i in range(1, rank + 1)]
+        out.append(tuple(sorted([-w for w in pos] + [0] * z + pos)))
     return tuple(out)
 
 
@@ -150,7 +144,7 @@ def change_refinement(
     if w.n != r or weights.rank != r:
         raise ValueError("rank mismatch")
     schema = w.family
-    q_shift = (r + 1) if schema == "C" else r  # rho-shift in the q-exponent
+    q_shift = r + zero_index(schema)  # rho-shift in the q-exponent
     phi_shift = r + 1  # the phi functions are indexed by r+1-i in both schemas
 
     new = [Fraction(0)] * r

@@ -24,10 +24,9 @@ exactly in these extensions and multiplies their norm-character signs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import Degenerate, SplitExtension, ZeroArgument
 from .lattice import is_prime, unit_part, vp

@@ -6,7 +6,6 @@ import pytest
 
 from slopecert.admissibility import (
     CERTIFIED,
-    COUNTEREXAMPLE,
     HYPOTHESIS_FAILED,
     PhiModuleDatum,
     admissible_candidates,

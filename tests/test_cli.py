@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from slopecert.cli import JOB_SCHEMAS, canonical_json, main, run_job
+from slopecert.kernels import CandidateTables
 from slopecert.lattice import LocalDatum, parse_rat, rat_str
 from slopecert.replay import replay_orthogonal, replay_symplectic
 from slopecert.satake import RefinedSlopes
@@ -149,6 +150,30 @@ def test_certificate_weight_beyond_int64_rejected(tmp_path, capsys):
     cert["result"]["places"][0]["k3"][0][0] = 10**30
     job = {"command": "verify-cert", "params": {"certificate": cert["result"]}}
     assert "int64" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    # numpy raises _ArrayMemoryError, a MemoryError, when _Level cannot
+    # allocate its reachable prefix vectors
+    def out_of_memory(self, k):
+        raise MemoryError("Unable to allocate 931. MiB for an array")
+
+    monkeypatch.setattr(CandidateTables, "_level", out_of_memory)
+    job = {"command": "admissible", "params": {"e": 1, "f": 1, "slopes": ["0", "1", "2"], "weights": [[0, 1, 2]]}}
+    assert rejected_in_one_line(tmp_path, capsys, job).startswith("error: out of memory: ")
+
+
+def test_certificate_covers_every_prime(tmp_path, capsys):
+    cert = replay_symplectic(2, [LocalDatum(11, 1, 1)], [RefinedSlopes([0, 0])]).to_dict()
+    for p in (2, 13, 101):
+        cert["places"][0]["local"]["p"] = p
+        assert run_job({"command": "verify-cert", "params": {"certificate": cert}})[0]["result"] == {
+            "ok": True,
+            "mismatches": [],
+        }
+    cert["places"][0]["local"]["p"] = 4
+    job = {"command": "verify-cert", "params": {"certificate": cert}}
+    assert "p = 4 is not prime" in rejected_in_one_line(tmp_path, capsys, job)
 
 
 def leaves(node, path=()):

@@ -1,0 +1,163 @@
+"""Random small jobs of every command through ``cli.main``.
+
+Every job must end in exit 0, 1 or 2, and exit 1 writes exactly one stderr
+line and no report; no exception may escape.  Sizes stay small because
+``admissible`` listing, ``ps-irreducible`` and the Hilbert oracle have no
+cost bound yet.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slopecert.cli import main
+from slopecert.lattice import LocalDatum
+from slopecert.replay import replay_symplectic
+from slopecert.satake import RefinedSlopes
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["", "x", "1/0", "2.5"]))
+RAT = st.one_of(
+    st.integers(-6, 6).map(str),
+    st.tuples(st.integers(-6, 6), st.integers(1, 3)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.sampled_from(["1/0", "x", ""]),
+)
+SMALL = st.integers(1, 2)
+LOCAL = st.fixed_dictionaries({"p": st.sampled_from([2, 3, 4, 5, 7])}, optional={"e": SMALL, "f": SMALL})
+
+
+def rats(min_size=0, max_size=3):
+    return st.lists(RAT, min_size=min_size, max_size=max_size)
+
+
+def int_rows(rows, cols):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def replay_params(draw, command):
+    # so n=2 at (2, 2) takes about a second, so the so rank stays at 2
+    n = draw(st.integers(1, 2)) if command == "replay-sp" else 1
+    rank = n if command == "replay-sp" else 2 * n
+    seeds = draw(st.one_of(st.just("zero"), st.lists(rats(rank, rank), min_size=1, max_size=2)))
+    params = {"n": n, "locals": draw(st.lists(LOCAL, min_size=1, max_size=2)), "seeds": seeds}
+    if draw(st.booleans()):
+        params["max_sum"] = draw(st.integers(0, 300))
+    return {"command": command, "params": params}
+
+
+@st.composite
+def admissible_params(draw):
+    e, f, n = draw(SMALL), draw(SMALL), draw(st.integers(1, 4))
+    params = {
+        "e": e,
+        "f": f,
+        "slopes": draw(rats(n, n)),
+        "weights": draw(int_rows(draw(st.sampled_from([e * f, 1])), draw(st.sampled_from([n, n + 1])))),
+    }
+    if draw(st.booleans()):
+        params["tau"] = draw(st.integers(1, 3))
+    return params
+
+
+SCAN = st.fixed_dictionaries(
+    {},
+    optional={
+        "n_max": SMALL,
+        "kappa_min": st.integers(-2, 0),
+        "kappa_max": st.integers(-1, 2),
+        "ef": st.lists(st.lists(SMALL, min_size=2, max_size=2), max_size=2),
+        "band_scale": st.one_of(SMALL, st.sampled_from(["1/2", "3/2", "2"])),
+        "max_witnesses": st.integers(0, 3),
+        "max_cells": st.integers(1, 40),
+    },
+)
+
+
+@st.composite
+def classicality_params(draw):
+    n = draw(st.integers(1, 3))
+    return {"local": draw(LOCAL), "n": n, "weights": draw(int_rows(draw(SMALL), n)), "mu": draw(rats(n, n))}
+
+
+PS = st.fixed_dictionaries({"q": st.integers(2, 9), "values": rats(1, 4), "group": st.sampled_from(["C", "D"])})
+HILBERT = st.fixed_dictionaries(
+    {"a": RAT, "b": RAT, "place": st.one_of(st.just("inf"), st.integers(2, 11))}, optional={"oracle": st.booleans()}
+)
+WALD = st.fixed_dictionaries(
+    {
+        "p": st.integers(3, 11),
+        "m": st.integers(1, 3),
+        "split_values": rats(),
+        "field_elements": st.lists(
+            st.fixed_dictionaries({"d": st.integers(-5, 5), "a": RAT, "b": RAT}), max_size=2
+        ),
+    }
+)
+
+CERTIFICATE = replay_symplectic(1, [LocalDatum(3, 1, 2)], [RefinedSlopes([0])]).to_dict()
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+LEAVES = list(_leaf_paths(CERTIFICATE))
+
+
+@st.composite
+def verify_params(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return {"path": "/nonexistent/certificate.json"}
+    cert = json.loads(json.dumps(CERTIFICATE))
+    for where in draw(st.lists(st.sampled_from(LEAVES), max_size=2)):
+        target = cert
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = draw(st.one_of(JUNK, RAT))
+    return {"certificate": cert}
+
+
+JOBS = st.one_of(
+    replay_params("replay-sp"),
+    replay_params("replay-so"),
+    SCAN.map(lambda p: {"command": "keylemma-scan", "params": p}),
+    admissible_params().map(lambda p: {"command": "admissible", "params": p}),
+    classicality_params().map(lambda p: {"command": "classicality", "params": p}),
+    PS.map(lambda p: {"command": "ps-irreducible", "params": p}),
+    HILBERT.map(lambda p: {"command": "hilbert", "params": p}),
+    WALD.map(lambda p: {"command": "wald-sign", "params": p}),
+    verify_params().map(lambda p: {"command": "verify-cert", "params": p}),
+    st.fixed_dictionaries(
+        {"command": st.sampled_from(["hilbert", "nope"]), "params": st.dictionaries(st.sampled_from("an"), JUNK)}
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JOBS)
+def test_main_ends_in_an_exit_code_or_one_line_error(job):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "job.json")
+        with open(path, "w") as fh:
+            json.dump(job, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--job", path])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert json.loads(out.getvalue())["command"] == job["command"]

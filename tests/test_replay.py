@@ -1,11 +1,18 @@
 import contextlib
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from splitting_oracle import certify_splittings_by_masks
 
 import slopecert.replay as replay_mod
 from slopecert.errors import StepFailed, VerdictFailed
@@ -87,6 +94,39 @@ class TestCertifySplittings:
             for rep in got:
                 comp = tuple(i for i in idx if i not in rep)
                 assert min((rep, comp), key=lambda t: (len(t), t)) in got
+
+
+@st.composite
+def normalized_slopes(draw):
+    """nu of rank 1-6 in either schema, on a grid of step 1/denom with zeros."""
+    denom = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(-3 * denom, 3 * denom), min_size=rank, max_size=rank))
+    return NormalizedSlopes(draw(st.sampled_from("CD")), [Fraction(v, denom) for v in values])
+
+
+@settings(max_examples=200, deadline=None)
+@given(normalized_slopes())
+def test_pruned_walk_matches_mask_oracle(nu):
+    assert certify_splittings(nu) == certify_splittings_by_masks(nu)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+RANK_12 = """
+from slopecert.replay import NormalizedSlopes, certify_splittings
+nu = list(range(1, 12)) + [-67]  # the replay regime: nu(i) > 0 for i < 12, nu(12) < 0
+assert certify_splittings(NormalizedSlopes("C", nu)) == ([(0,)], "ArtinPlusIrreducible")
+assert certify_splittings(NormalizedSlopes("D", nu)) == ([], "Irreducible")
+"""
+
+
+def test_rank_twelve_splittings_are_fast():
+    # 2^24 and 2^25 subset masks: a walk over every mask does not end in 10 s
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", RANK_12], env={**os.environ, "PYTHONPATH": path}, timeout=10
+    )
+    assert proc.returncode == 0
 
 
 class TestSymplecticReplay:

@@ -12,6 +12,7 @@ from slopecert.satake import (
     frobenius_slopes,
     hodge_tate_weights,
     sp_delta_groups,
+    zero_index,
 )
 from slopecert.weyl import identity, minus_identity, shift_cycle, weyl_elements
 
@@ -30,6 +31,17 @@ def random_slopes(rng, rank, span=6, den=6):
     return RefinedSlopes(
         [Fraction(rng.randint(-span * den, span * den), den) for _ in range(rank)]
     )
+
+
+def test_zero_index_tells_the_schemas_apart():
+    assert (zero_index("C"), zero_index("D")) == (1, 0)
+    w, phi = WeightTable([[2]]), RefinedSlopes([0])
+    with pytest.raises(ValueError):
+        zero_index("B")
+    with pytest.raises(ValueError):
+        frobenius_slopes(Q11, 1, w, phi, "B")
+    with pytest.raises(ValueError):
+        hodge_tate_weights(Q11, 1, w, "B")
 
 
 class TestFrobeniusSlopes:
