@@ -11,7 +11,7 @@ Hilbert-symbol / transfer-factor sign computations over Q_p.
 
 from .lattice import LocalDatum, Rat, WeightTable, very_regular
 from .weyl import SignedPerm, group_order, minus_identity, shift_cycle, weyl_elements
-from .cone import LinearForm, cone_find
+from .cone import cone_find
 from .satake import (
     RefinedSlopes,
     change_refinement,
@@ -80,7 +80,6 @@ __all__ = [
     "minus_identity",
     "shift_cycle",
     "weyl_elements",
-    "LinearForm",
     "cone_find",
     "RefinedSlopes",
     "change_refinement",

@@ -30,19 +30,12 @@ from .errors import NotDistinct
 
 @dataclass(frozen=True)
 class PhiModuleDatum:
-    """Slopes, per-embedding ascending weights, and the local shape (e, f).
-
-    ``distinct_flag`` records whether the slopes are treated as pairwise
-    distinct (sub-objects are then spanned by eigenlines).  It defaults to
-    the actual pairwise distinctness but may be forced by callers modelling
-    an infinitesimally perturbed datum.
-    """
+    """Slopes, per-embedding ascending weights, and the local shape (e, f)."""
 
     e: int
     f: int
     slopes: tuple
     weights: tuple
-    distinct_flag: Optional[bool] = None
 
     def __post_init__(self):
         object.__setattr__(self, "slopes", tuple(Fraction(s) for s in self.slopes))
@@ -57,12 +50,15 @@ class PhiModuleDatum:
                 raise ValueError("weight rows must have length N")
             if any(row[j] > row[j + 1] for j in range(n - 1)):
                 raise ValueError(f"weight row {row} is not ascending")
-        if self.distinct_flag is None:
-            object.__setattr__(self, "distinct_flag", len(set(self.slopes)) == n)
 
     @property
     def rank(self) -> int:
         return len(self.slopes)
+
+    @property
+    def distinct_flag(self) -> bool:
+        """Whether the slopes are pairwise distinct (sub-objects are then spanned by eigenlines)."""
+        return len(set(self.slopes)) == self.rank
 
     @property
     def embeddings(self) -> int:

@@ -101,7 +101,6 @@ JOB_SCHEMAS = {
                     {"type": "array", "items": RATS},
                 ]
             },
-            "max_sum": {"type": "integer", "minimum": 0},
         },
         "required": ["n", "locals", "seeds"],
         "additionalProperties": False,
@@ -257,11 +256,8 @@ def _run_replay(params, schema, paper_sign):
     n = params["n"]
     rank = n if schema == "C" else 2 * n
     seeds = _make_seeds(params["seeds"], len(locals_), rank)
-    kwargs = {"paper_sign": paper_sign}
-    if "max_sum" in params:
-        kwargs["max_sum"] = params["max_sum"]
     fn = replay_symplectic if schema == "C" else replay_orthogonal
-    cert = fn(n, locals_, seeds, **kwargs)
+    cert = fn(n, locals_, seeds, paper_sign=paper_sign)
     return cert.to_dict(), 0
 
 
@@ -424,8 +420,7 @@ def run_job(job: dict, workers: int = 1, paper_sign: bool = False):
         else:  # unreachable past validation
             raise InputError(f"unknown command {command}")
     except VerdictFailed as exc:
-        result = exc.certificate.to_dict() if exc.certificate is not None else {"survivors": exc.survivors}
-        result = {"error": "verdict-failed", "detail": str(exc), "certificate": result}
+        result = {"error": "verdict-failed", "detail": str(exc), "certificate": exc.certificate.to_dict()}
         code = 2
     return {"command": command, "result": result}, code
 
@@ -437,7 +432,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--job", help="path to a JSON job document")
     parser.add_argument("--out", help="report output path (overrides the job's 'out')")
-    parser.add_argument("--workers", type=int, default=1, help="scan fan-out")
+    parser.add_argument("--workers", type=int, default=1, help="scan fan-out (>= 1; capped at the CPU count and the number of cells)")
     parser.add_argument("--paper-sign", action="store_true",
                         help="use the alternative sign-flip exponent convention in refinement changes")
     parser.add_argument("--print-schemas", action="store_true",
@@ -452,6 +447,9 @@ def main(argv=None) -> int:
         return 0
     if not args.job:
         sys.stderr.write("error: --job is required (or --print-schemas)\n")
+        return 1
+    if args.workers < 1:
+        sys.stderr.write(f"error: --workers must be >= 1, got {args.workers}\n")
         return 1
 
     try:

@@ -26,62 +26,18 @@ reproducible.  The first point has a closed form:
    right, each the smallest value from which the remaining entries can
    still reach the row sum (one ceiling division per coordinate).
 
-``LinearForm``, ``gap_form`` and ``total_sum_form`` state such bounds as
-linear forms, the input of the generic cone search that the tests keep as
-an oracle; the minimizer itself never reads a form.
+The cone has no ceiling: however deep the bounds push the first point,
+finding it takes O(rank^2) integer operations.  The only bound on the size
+of the weights is the exact int64 range of the candidate kernel that later
+reads them (``kernels._check_range``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import EmptyCone
 from .lattice import WeightTable
-
-DEFAULT_MAX_SUM = 1_000_000
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """An integer linear form on weight coordinates, coeffs[sigma-1][i-1]."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(tuple(int(c) for c in row) for row in self.coeffs)
-        )
-
-    @staticmethod
-    def from_entries(embeddings: int, rank: int, entries: dict) -> "LinearForm":
-        """Build from a sparse {(sigma, i): coeff} mapping (1-based keys)."""
-        rows = [[0] * rank for _ in range(embeddings)]
-        for (sigma, i), c in entries.items():
-            rows[sigma - 1][i - 1] = int(c)
-        return LinearForm(tuple(tuple(row) for row in rows))
-
-    def value(self, rows: Sequence[Sequence[int]]) -> int:
-        return sum(
-            c * k for crow, krow in zip(self.coeffs, rows) for c, k in zip(crow, krow)
-        )
-
-
-def gap_form(embeddings: int, rank: int, sigma: int, i: int) -> LinearForm:
-    """k[sigma][i] - k[sigma][i+1] for i < rank, or k[sigma][rank] for i = rank."""
-    if i < rank:
-        return LinearForm.from_entries(embeddings, rank, {(sigma, i): 1, (sigma, i + 1): -1})
-    return LinearForm.from_entries(embeddings, rank, {(sigma, rank): 1})
-
-
-def total_sum_form(embeddings: int, rank: int, scale: int = 1) -> LinearForm:
-    """scale * sum over all coordinates."""
-    return LinearForm.from_entries(
-        embeddings,
-        rank,
-        {(s, i): scale for s in range(1, embeddings + 1) for i in range(1, rank + 1)},
-    )
 
 
 def _int_above(b) -> int:
@@ -97,15 +53,13 @@ def cone_find(
     gap: Optional[Fraction] = None,
     column_gaps: Sequence = (),
     total: Optional[Fraction] = None,
-    max_sum: int = DEFAULT_MAX_SUM,
 ) -> WeightTable:
     """First dominant integral weight table of a gap cone, in the module's order.
 
     ``gap`` bounds every d[sigma][i] strictly from below; ``column_gaps[i-1]``
     bounds sum_sigma d[sigma][i] for i = 1..len(column_gaps); ``total``
     bounds the total coordinate sum.  A bound left out is only dominance.
-    Such a cone is never empty; EmptyCone is raised when its first point has
-    total coordinate sum above ``max_sum``.
+    Such a cone is never empty, so there is always a first point.
     """
     if rank < 1 or embeddings < 1:
         raise ValueError("rank and embeddings must be >= 1")
@@ -118,8 +72,6 @@ def cone_find(
     s = sum(i * c for i, c in enumerate(cols, 1))
     if total is not None:
         s = max(s, _int_above(total))
-    if s > max_sum:
-        raise EmptyCone(f"the first point has coordinate sum {s} > {max_sum}")
 
     low_row = [g * (rank - i) for i in range(rank)]
     lo = [c - (m - 1) * g for c in cols]  # gap bounds of the last row

@@ -1,12 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A replay step never fails to pick weights: every gap cone has a closed-form
+first point.  Weights too large for the exact int64 candidate kernel are
+refused there with a ``ValueError``.
+"""
 
 
 class SlopecertError(Exception):
     """Base class for all package errors."""
-
-
-class EmptyCone(SlopecertError):
-    """No dominant integral point of the cone has coordinate sum within max_sum."""
 
 
 class NotDistinct(SlopecertError):
@@ -41,20 +42,10 @@ class Inconsistent(SlopecertError):
     """Trace constraints admit no solution."""
 
 
-class StepFailed(SlopecertError):
-    """A deformation step could not pick weights: its cone's first point exceeds max_sum."""
-
-    def __init__(self, step, place, message=""):
-        self.step = step
-        self.place = place
-        super().__init__(message or f"step {step} failed at place {place}")
-
-
 class VerdictFailed(SlopecertError):
-    """Certification produced a verdict other than the expected one."""
+    """Certification produced a verdict other than the expected one; carries the certificate."""
 
-    def __init__(self, survivors, certificate=None, message=""):
-        self.survivors = survivors
+    def __init__(self, certificate, message):
         self.certificate = certificate
-        super().__init__(message or f"unexpected survivors: {survivors}")
+        super().__init__(message)
 

@@ -17,6 +17,7 @@ the first few are pinned into the report.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -139,7 +140,13 @@ def run_scan(
     workers: int = 1,
     max_cells: int = 2_000_000,
 ) -> ScanReport:
-    """Run the exhaustive scan; deterministic regardless of worker count."""
+    """Run the exhaustive scan; deterministic regardless of worker count.
+
+    The pool has min(workers, CPU count, cells) processes; with one, the
+    cells run in this process.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     scale = Fraction(band_scale)
     cells = scan_cells(n_max, kappa_min, kappa_max, ef_values)
     if len(cells) > max_cells:
@@ -149,8 +156,9 @@ def run_scan(
         for (e, f, kappa) in cells
     ]
     report = ScanReport(band_scale=scale, cells=len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, os.cpu_count() or 1, len(args))
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_scan_cell, args, chunksize=64))
     else:
         results = [_scan_cell(a) for a in args]

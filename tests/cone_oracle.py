@@ -6,17 +6,64 @@ top of dominance and returns the first dominant integral point in the
 order: total coordinate sum ascending, then coordinates in reading order
 (row 1 left to right, then row 2, ...) lexicographically ascending.  It
 shares no code with the closed-form minimizer in the package; only the
-``LinearForm`` type and the ``WeightTable`` result are common.
+``WeightTable`` result is common.  ``LinearForm``, ``gap_form`` and
+``total_sum_form`` state the bounds; the search looks no further than
+total coordinate sum ``radius`` and raises ``NoPoint`` past it.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from slopecert.cone import DEFAULT_MAX_SUM, LinearForm
-from slopecert.errors import EmptyCone
 from slopecert.lattice import WeightTable
 
+DEFAULT_RADIUS = 1_000_000
 _MAX_NODES = 5_000_000
+
+
+class NoPoint(Exception):
+    """No dominant integral point of the cone within the search radius or node budget."""
+
+
+@dataclass(frozen=True)
+class LinearForm:
+    """An integer linear form on weight coordinates, coeffs[sigma-1][i-1]."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "coeffs", tuple(tuple(int(c) for c in row) for row in self.coeffs)
+        )
+
+    @staticmethod
+    def from_entries(embeddings: int, rank: int, entries: dict) -> "LinearForm":
+        """Build from a sparse {(sigma, i): coeff} mapping (1-based keys)."""
+        rows = [[0] * rank for _ in range(embeddings)]
+        for (sigma, i), c in entries.items():
+            rows[sigma - 1][i - 1] = int(c)
+        return LinearForm(tuple(tuple(row) for row in rows))
+
+    def value(self, rows: Sequence[Sequence[int]]) -> int:
+        return sum(
+            c * k for crow, krow in zip(self.coeffs, rows) for c, k in zip(crow, krow)
+        )
+
+
+def gap_form(embeddings: int, rank: int, sigma: int, i: int) -> LinearForm:
+    """k[sigma][i] - k[sigma][i+1] for i < rank, or k[sigma][rank] for i = rank."""
+    if i < rank:
+        return LinearForm.from_entries(embeddings, rank, {(sigma, i): 1, (sigma, i + 1): -1})
+    return LinearForm.from_entries(embeddings, rank, {(sigma, rank): 1})
+
+
+def total_sum_form(embeddings: int, rank: int, scale: int = 1) -> LinearForm:
+    """scale * sum over all coordinates."""
+    return LinearForm.from_entries(
+        embeddings,
+        rank,
+        {(s, i): scale for s in range(1, embeddings + 1) for i in range(1, rank + 1)},
+    )
 
 
 def _lower_bounds(forms, bounds, embeddings, rank):
@@ -137,11 +184,11 @@ def cone_find(
     strict_bounds: Sequence,
     rank: int,
     embeddings: int = 1,
-    max_sum: int = DEFAULT_MAX_SUM,
+    radius: int = DEFAULT_RADIUS,
 ) -> WeightTable:
     """Smallest dominant integral weight table strictly inside every constraint.
 
-    Raises EmptyCone when no point exists with total coordinate sum <= max_sum.
+    Raises NoPoint when no point exists with total coordinate sum <= radius.
     """
     if rank < 1 or embeddings < 1:
         raise ValueError("rank and embeddings must be >= 1")
@@ -151,8 +198,8 @@ def cone_find(
         raise ValueError("need one strict bound per form")
 
     L = _lower_bounds(forms, bounds, embeddings, rank)
-    if any(v > max_sum for row in L for v in row):
-        raise EmptyCone(f"implied lower bounds exceed search radius {max_sum}")
+    if any(v > radius for row in L for v in row):
+        raise NoPoint(f"implied lower bounds exceed search radius {radius}")
     s_min = _sum_lower_bound(forms, bounds, L, embeddings, rank)
     coords = [(s, i) for s in range(embeddings) for i in range(rank)]
     ncoord = len(coords)
@@ -230,7 +277,7 @@ def cone_find(
             nonlocal nodes
             nodes += 1
             if nodes > _MAX_NODES:
-                raise EmptyCone("search budget exceeded; raise max_sum or simplify the cone")
+                raise NoPoint("search budget exceeded; raise the radius or simplify the cone")
             if idx == ncoord:
                 if remaining != 0:
                     return None
@@ -255,8 +302,8 @@ def cone_find(
             return None
         return assign(0, target)
 
-    for s_total in range(s_min, max_sum + 1):
+    for s_total in range(s_min, radius + 1):
         found = search(s_total)
         if found is not None:
             return WeightTable(found)
-    raise EmptyCone(f"no dominant integral point with coordinate sum <= {max_sum}")
+    raise NoPoint(f"no dominant integral point with coordinate sum <= {radius}")

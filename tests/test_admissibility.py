@@ -174,7 +174,9 @@ class TestAlignment:
         assert res.margin == Fraction(2, 3) - 2
 
     def test_forced_relaxed_system_has_misaligned_candidate(self):
-        forced = PhiModuleDatum(1, 1, [0, 0, 0], [[-2, 0, 2]], distinct_flag=True)
+        # the candidate search itself does not require distinct slopes
+        forced = PhiModuleDatum(1, 1, [0, 0, 0], [[-2, 0, 2]])
+        assert not forced.distinct_flag
         witness = find_misaligned_candidate(forced, 1)
         assert witness is not None
         assert witness.subset == (1,)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -112,11 +113,11 @@ def test_schema_violation_reports_field_path(tmp_path):
     assert "params.n" in proc.stderr
 
 
-def rejected_in_one_line(tmp_path, capsys, job):
+def rejected_in_one_line(tmp_path, capsys, job, extra=()):
     """Run a job through main; it must exit 1 with one stderr line and no report."""
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
-    code = main(["--job", str(path)])
+    code = main(["--job", str(path), *extra])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -138,11 +139,41 @@ def test_certificate_table_shape_rejected(tmp_path, capsys):
     assert "k1 is not 2 x 1" in rejected_in_one_line(tmp_path, capsys, job)
 
 
-def test_step_failed_is_a_one_line_error(tmp_path, capsys):
-    # the cone has a closed-form first point, so a step fails only when
-    # that point lies beyond max_sum: a resource limit, not a verdict
-    job = {"command": "replay-sp", "params": {"n": 2, "locals": [{"p": 3}], "seeds": "zero", "max_sum": 5}}
-    assert "step-1 cone empty" in rejected_in_one_line(tmp_path, capsys, job)
+def deep_replay_job(scale):
+    """replay-sp n=3 at (e, f) = (2, 1), seed (5, -2, -53) times ``scale``."""
+    seed = [str(5 * scale), str(-2 * scale), str(-53 * scale)]
+    return {"command": "replay-sp", "params": {"n": 3, "locals": [{"p": 5, "e": 2}], "seeds": [seed]}}
+
+
+def test_seed_beyond_int64_is_a_one_line_error(tmp_path, capsys):
+    # every step cone has a closed-form first point, so no ceiling on the
+    # weights refuses a deep seed; the kernel's int64 range is the one bound
+    report, code = run_job(deep_replay_job(1000))
+    cert = report["result"]
+    assert code == 0 and cert["verdict"] == "ArtinPlusIrreducible"
+    verified, code = run_job({"command": "verify-cert", "params": {"certificate": cert}})
+    assert code == 0 and verified["result"] == {"ok": True, "mismatches": []}
+    scale = 10**15
+    assert "int64" in rejected_in_one_line(tmp_path, capsys, deep_replay_job(1000 * scale))
+    # the same seed in a certificate, its weight tables scaled alike
+    place = cert["places"][0]
+    place["seed"] = [rat_str(parse_rat(v) * scale) for v in place["seed"]]
+    for name in ("k1", "k2", "k3"):
+        place[name] = [[v * scale for v in row] for row in place[name]]
+    job = {"command": "verify-cert", "params": {"certificate": cert}}
+    assert "int64" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+@pytest.mark.parametrize("command", ["replay-sp", "replay-so"])
+def test_max_sum_field_rejected(tmp_path, capsys, command):
+    job = {"command": command, "params": {"n": 1, "locals": [{"p": 3}], "seeds": "zero", "max_sum": 10**6}}
+    assert "max_sum" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_rejected(tmp_path, capsys, workers):
+    job = {"command": "hilbert", "params": {"a": "2", "b": "3", "place": 5}}
+    assert "--workers" in rejected_in_one_line(tmp_path, capsys, job, extra=("--workers", workers))
 
 
 def test_certificate_weight_beyond_int64_rejected(tmp_path, capsys):
@@ -320,6 +351,56 @@ def test_docs_schema_copy_matches_print_schemas(capsys):
     assert main(["--print-schemas"]) == 0
     docs = Path(__file__).resolve().parent.parent / "docs" / "job-schemas.json"
     assert capsys.readouterr().out == docs.read_text()
+
+
+def _is_params(node):
+    return isinstance(node, ast.Name) and node.id == "params"
+
+
+def params_reads(source):
+    """Per command, the params keys its runner reads as params["x"], params.get("x") or "x" in params.
+
+    A command's runner is the function that ``run_job`` calls in that command's branch.
+    """
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(fn):
+        keys = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and _is_params(node.value):
+                key = node.slice
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+                key = node.args[0] if _is_params(node.func.value) else None
+            elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
+                key = node.left if _is_params(node.comparators[0]) else None
+            else:
+                continue
+            if isinstance(key, ast.Constant):
+                keys.add(key.value)
+        return keys
+
+    commands = {}
+    for node in ast.walk(functions["run_job"]):
+        if isinstance(node, ast.If) and isinstance(node.test.comparators[0], ast.Constant):
+            runner = node.body[0].value.func.id  # result, code = _run_x(params, ...)
+            commands[node.test.comparators[0].value] = reads(functions[runner])
+    return commands
+
+
+def test_the_field_check_sees_an_unread_field():
+    source = (
+        'def _run_x(params):\n    return params["a"], params.get("b"), "c" in params, other["d"]\n\n'
+        'def run_job(job):\n    if command == "x":\n        result, code = _run_x(params)\n'
+    )
+    assert params_reads(source) == {"x": {"a", "b", "c"}}
+
+
+def test_every_job_field_is_read():
+    # a field of a job schema that no runner reads would be accepted and do nothing
+    reads = params_reads((Path(SRC) / "slopecert" / "cli.py").read_text())
+    assert set(reads) == set(JOB_SCHEMAS)
+    assert {c: sorted(set(s["properties"]) - reads[c]) for c, s in JOB_SCHEMAS.items()} == {c: [] for c in JOB_SCHEMAS}
 
 
 def test_seed_flag_is_gone():

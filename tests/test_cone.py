@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cone_oracle
-from slopecert.cone import LinearForm, cone_find, gap_form, total_sum_form
-from slopecert.errors import EmptyCone
+from cone_oracle import LinearForm, gap_form, total_sum_form
+from slopecert.cone import cone_find
 
 
 def dominant_tables(rank, embeddings, max_val):
@@ -114,15 +114,18 @@ def test_deterministic():
 
 
 def test_empty_cone_within_radius():
-    with pytest.raises(EmptyCone):
-        cone_find(1, column_gaps=[100], max_sum=50)
-    assert cone_find(1, column_gaps=[49], max_sum=50).rows == ((50,),)
-    with pytest.raises(EmptyCone):
-        cone_find(2, 3, gap=Fraction(7, 2), max_sum=4 * 3 * 3 - 1)
     # the oracle takes any forms: -k1 > 0 has no nonnegative solution
     neg = LinearForm.from_entries(1, 1, {(1, 1): -1})
-    with pytest.raises(EmptyCone):
-        cone_oracle.cone_find([neg], [0], rank=1, max_sum=30)
+    with pytest.raises(cone_oracle.NoPoint):
+        cone_oracle.cone_find([neg], [0], rank=1, radius=30)
+
+
+def test_closed_form_has_no_ceiling():
+    # a gap cone always has a first point, however deep: no radius, no error
+    assert cone_find(1, column_gaps=[10**30]).rows == ((10**30 + 1,),)
+    deep = cone_find(2, 3, gap=Fraction(7, 2) * 10**20)
+    g = 35 * 10**19 + 1
+    assert deep.rows == ((2 * g, g),) * 3
 
 
 def test_two_embeddings_minimum():

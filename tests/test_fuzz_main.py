@@ -44,10 +44,19 @@ def replay_params(draw, command):
     n = draw(st.integers(1, 2)) if command == "replay-sp" else 1
     rank = n if command == "replay-sp" else 2 * n
     seeds = draw(st.one_of(st.just("zero"), st.lists(rats(rank, rank), min_size=1, max_size=2)))
+    if seeds != "zero" and draw(st.booleans()):
+        # beyond the kernel's int64 range: the refusal path stays covered
+        seeds = [[_scaled(v, 10**18) for v in row] for row in seeds]
     params = {"n": n, "locals": draw(st.lists(LOCAL, min_size=1, max_size=2)), "seeds": seeds}
-    if draw(st.booleans()):
-        params["max_sum"] = draw(st.integers(0, 300))
     return {"command": command, "params": params}
+
+
+def _scaled(rat, factor):
+    """A drawn rational string times ``factor``; junk strings stay as they are."""
+    num, slash, den = rat.partition("/")
+    if not num.lstrip("-").isdigit():
+        return rat
+    return f"{int(num) * factor}{slash}{den}"
 
 
 @st.composite

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from splitting_oracle import certify_splittings_by_masks
 
 import slopecert.replay as replay_mod
-from slopecert.errors import StepFailed, VerdictFailed
+from slopecert.errors import VerdictFailed
 from slopecert.lattice import LocalDatum, WeightTable
 from slopecert.replay import (
     ARTIN_PLUS_IRREDUCIBLE,
@@ -183,10 +183,15 @@ class TestSymplecticReplay:
         cert = replay_symplectic(2, [Q11], [RefinedSlopes([0, 0])], paper_sign=True)
         assert cert.verdict == ARTIN_PLUS_IRREDUCIBLE
 
-    def test_step_failed_on_zero_radius(self):
-        with pytest.raises(StepFailed) as exc:
-            replay_symplectic(2, [Q11], [RefinedSlopes([0, 0])], max_sum=0)
-        assert exc.value.step == 1
+    def test_deep_seed_certifies_without_a_ceiling(self):
+        # the cones have a closed-form first point at any depth: seeds from
+        # 1 to 10**12 times the same vector all certify and verify
+        for scale in (1, 10**3, 10**6, 10**12):
+            seed = RefinedSlopes([5 * scale, -2 * scale, -53 * scale])
+            cert = replay_symplectic(3, [LocalDatum(5, 2, 1)], [seed])
+            assert cert.verdict == ARTIN_PLUS_IRREDUCIBLE
+            assert verify_certificate(cert.to_dict()) == (True, [])
+        assert cert.places[0].k3.rows[0][0] == 1526000000001312
 
     def test_step_two_cone_with_non_positive_bound(self):
         # the step-2 column-gap bounds are (-34, 60); the generic cone search

@@ -4,6 +4,7 @@ import pytest
 from kernel_oracle import search_python
 
 from slopecert import kernels
+from slopecert import scan as scan_mod
 from slopecert.admissibility import PhiModuleDatum, alignment_check, find_misaligned_candidate
 from slopecert.errors import SlopecertError
 from slopecert.scan import run_scan, scan_cells
@@ -50,6 +51,44 @@ def test_worker_sharding_is_deterministic():
     one = run_scan(workers=1, **kwargs)
     two = run_scan(workers=2, **kwargs)
     assert one.summary() == two.summary()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers,cpus,expected",
+    [(1000, 2, [2]), (1000, 64, [3]), (2, 64, [2]), (1000, None, []), (1, 64, [])],
+)
+def test_pool_is_capped_by_cpus_and_cells(monkeypatch, workers, cpus, expected):
+    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
+    RecordingPool.sizes = []
+    kwargs = dict(n_max=1, kappa_min=0, kappa_max=2, ef_values=((1, 1),))  # kappa (0,), (1,), (2,)
+    assert len(scan_cells(**kwargs)) == 3
+    assert run_scan(workers=workers, **kwargs).summary() == run_scan(**kwargs).summary()
+    assert RecordingPool.sizes == expected
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers"):
+        run_scan(n_max=1, workers=workers)
 
 
 def test_grid_cap_guard():
