@@ -33,7 +33,7 @@ from .admissibility import (
 from .principal import (
     UnramChar,
     completely_refinable,
-    refinement_orbit,
+    orbit_size,
     so_irreducible_sufficient,
     sp_irreducible,
 )
@@ -97,7 +97,7 @@ __all__ = [
     "newton_number",
     "UnramChar",
     "completely_refinable",
-    "refinement_orbit",
+    "orbit_size",
     "so_irreducible_sufficient",
     "sp_irreducible",
     "Certificate",

@@ -25,7 +25,8 @@ from .admissibility import PhiModuleDatum, admissible_candidates, alignment_chec
 from .errors import SlopecertError, VerdictFailed
 from .kernels import CandidateTables
 from .lattice import LocalDatum, WeightTable, parse_rat, rat_str
-from .principal import UnramChar, completely_refinable, refinement_orbit, so_irreducible_sufficient, sp_irreducible
+from .principal import UnramChar, completely_refinable, so_irreducible_sufficient, sp_irreducible
+from .principal import orbit_size as refinement_orbit  # bench/layers.py traces this layer by its old name
 from .replay import replay_orthogonal, replay_symplectic, verify_certificate
 from .satake import RefinedSlopes, classicality_general, classicality_sp, sp_delta_groups
 from .symbols import INFINITE_PLACE, Place, QuadExtElem, WaldInstance, hilbert, hilbert_solvable, wald_structure_report, waldspurger_sign_product
@@ -331,7 +332,7 @@ def _run_ps(params):
         "sp_irreducible": sp_irreducible(chars) if group == "C" else None,
         "so_irreducible_sufficient": so_irreducible_sufficient(chars) if group == "D" else None,
         "completely_refinable": completely_refinable(chars, group),
-        "orbit_size": len(refinement_orbit(chars, group)),
+        "orbit_size": refinement_orbit(chars, group),
     }
     return result, 0
 

@@ -1,4 +1,4 @@
-"""Irreducibility predicates for unramified principal series and refinement orbits.
+"""Irreducibility predicates for unramified principal series and refinement-orbit sizes.
 
 Characters of the diagonal torus are pinned down by their values at a
 uniformizer, kept as nonzero rationals; nu denotes the normalized absolute
@@ -16,13 +16,14 @@ irreducible", never "reducible".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 from typing import Sequence
 
 from .errors import MixedResidue
-from .weyl import weyl_elements
 
 
 @dataclass(frozen=True)
@@ -81,25 +82,30 @@ def so_irreducible_sufficient(chars: Sequence[UnramChar]) -> bool:
     return True
 
 
-def refinement_orbit(chars: Sequence[UnramChar], group: str) -> set:
-    """Orbit of the value tuple under the signed-permutation action.
+def orbit_size(chars: Sequence[UnramChar], group: str) -> int:
+    """Size of the refinement orbit: the value tuple's orbit under the Weyl group.
 
-    w sends the tuple (v_1..v_n) to (v_{w^{-1}(1)}, ...) with negative
-    indices acting by inversion.  The orbit has the full group order exactly
-    when the 2n quantities {v_i, 1/v_i} are pairwise distinct.
+    A signed permutation places the classes {v, 1/v} of the values on the
+    n positions and picks one member of each placed class.  So the type C
+    orbit has n! / prod m_c! arrangements of classes, m_c counting the
+    values in class c, times 2 for each value other than +-1.  Type D
+    allows only an even number of inversions: with a value +-1 present its
+    inversion is free and the orbit is the type C one; without one, the
+    type C stabilizer flips an even number of signs (a position sent from v
+    to 1/v is matched by one sent back), so the orbit splits in two halves.
     """
-    vals = tuple(c.value for c in chars)
-    n = len(vals)
-
-    def act(w, tup):
-        out = []
-        winv = w.inverse()
-        for i in range(1, n + 1):
-            j = winv(i)
-            out.append(tup[j - 1] if j > 0 else 1 / tup[-j - 1])
-        return tuple(out)
-
-    return {act(w, vals) for w in weyl_elements(group, n)}
+    if group not in ("C", "D"):
+        raise ValueError("group must be 'C' or 'D'")
+    vals = [c.value for c in chars]
+    classes = Counter(min(v, 1 / v) for v in vals)
+    size = factorial(len(vals))
+    for m in classes.values():
+        size //= factorial(m)
+    signed = sum(1 for v in vals if v * v != 1)
+    size <<= signed
+    if group == "D" and signed == len(vals):
+        size //= 2
+    return size
 
 
 def completely_refinable(chars: Sequence[UnramChar], group: str) -> bool:

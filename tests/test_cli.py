@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from slopecert.kernels import CandidateTables
 from slopecert.lattice import LocalDatum, parse_rat, rat_str
 from slopecert.replay import replay_orthogonal, replay_symplectic
 from slopecert.satake import RefinedSlopes
+from slopecert.symbols import ORACLE_MAX_PRIME
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -174,6 +177,28 @@ def test_max_sum_field_rejected(tmp_path, capsys, command):
 def test_workers_below_one_rejected(tmp_path, capsys, workers):
     job = {"command": "hilbert", "params": {"a": "2", "b": "3", "place": 5}}
     assert "--workers" in rejected_in_one_line(tmp_path, capsys, job, extra=("--workers", workers))
+
+
+def test_hilbert_oracle_beyond_its_prime_limit_refused(tmp_path, capsys):
+    job = {"command": "hilbert", "params": {"a": "3", "b": "5", "place": 1000003, "oracle": True}}
+    err = rejected_in_one_line(tmp_path, capsys, job)
+    assert f"p <= {ORACLE_MAX_PRIME}" in err and "p = 1000003" in err
+    del job["params"]["oracle"]  # the closed form has no limit
+    assert run_job(job) == ({"command": "hilbert", "result": {"symbol": 1}}, 0)
+
+
+@pytest.mark.parametrize("group, n, size", [("C", 10, 3_715_891_200), ("D", 20, 2**19 * factorial(20))])
+def test_long_ps_job_answered_in_closed_form(tmp_path, capsys, group, n, size):
+    # 10 values did not finish in 60 s when the orbit was enumerated
+    path = tmp_path / "job.json"
+    values = [str(v) for v in range(2, 2 + n)]
+    path.write_text(json.dumps({"command": "ps-irreducible", "params": {"q": 3, "values": values, "group": group}}))
+    start = time.perf_counter()
+    code = main(["--job", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and elapsed < 1
+    orbit = json.loads(capsys.readouterr().out)["result"]["orbit_size"]
+    assert isinstance(orbit, int) and orbit == size
 
 
 def test_certificate_weight_beyond_int64_rejected(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Random small jobs of every command through ``cli.main``.
 
 Every job must end in exit 0, 1 or 2, and exit 1 writes exactly one stderr
-line and no report; no exception may escape.  Sizes stay small because
-``admissible`` listing, ``ps-irreducible`` and the Hilbert oracle have no
-cost bound yet.
+line and no report; no exception may escape.  ``ps-irreducible`` draws up
+to 12 values, since its orbit size is closed-form, and ``hilbert`` places
+run through the primes up to the oracle's limit and a few beyond it, where
+an oracle job must exit 1.  ``admissible`` listing has no cost bound yet,
+so its sizes stay small.
 """
 
 import contextlib
@@ -16,16 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopecert.cli import main
-from slopecert.lattice import LocalDatum
+from slopecert.lattice import LocalDatum, is_prime
 from slopecert.replay import replay_symplectic
 from slopecert.satake import RefinedSlopes
+from slopecert.symbols import ORACLE_MAX_PRIME
 
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["", "x", "1/0", "2.5"]))
-RAT = st.one_of(
+VALID_RAT = st.one_of(
     st.integers(-6, 6).map(str),
     st.tuples(st.integers(-6, 6), st.integers(1, 3)).map(lambda t: f"{t[0]}/{t[1]}"),
-    st.sampled_from(["1/0", "x", ""]),
 )
+RAT = st.one_of(VALID_RAT, st.sampled_from(["1/0", "x", ""]))
 SMALL = st.integers(1, 2)
 LOCAL = st.fixed_dictionaries({"p": st.sampled_from([2, 3, 4, 5, 7])}, optional={"e": SMALL, "f": SMALL})
 
@@ -93,10 +96,20 @@ def classicality_params(draw):
     return {"local": draw(LOCAL), "n": n, "weights": draw(int_rows(draw(SMALL), n)), "mu": draw(rats(n, n))}
 
 
-PS = st.fixed_dictionaries({"q": st.integers(2, 9), "values": rats(1, 4), "group": st.sampled_from(["C", "D"])})
-HILBERT = st.fixed_dictionaries(
-    {"a": RAT, "b": RAT, "place": st.one_of(st.just("inf"), st.integers(2, 11))}, optional={"oracle": st.booleans()}
+PS = st.fixed_dictionaries(
+    {
+        "q": st.integers(2, 9),
+        "values": st.one_of(rats(1, 4), st.lists(VALID_RAT, min_size=5, max_size=12)),
+        "group": st.sampled_from(["C", "D"]),
+    }
 )
+BEYOND_LIMIT = [q for q in range(ORACLE_MAX_PRIME + 1, ORACLE_MAX_PRIME + 40) if is_prime(q)][:3] + [1000003]
+PLACE = st.one_of(
+    st.just("inf"),
+    st.integers(2, 11),
+    st.sampled_from([q for q in range(2, ORACLE_MAX_PRIME + 1) if is_prime(q)] + BEYOND_LIMIT),
+)
+HILBERT = st.fixed_dictionaries({"a": RAT, "b": RAT, "place": PLACE}, optional={"oracle": st.booleans()})
 WALD = st.fixed_dictionaries(
     {
         "p": st.integers(3, 11),
@@ -165,6 +178,8 @@ def test_main_ends_in_an_exit_code_or_one_line_error(job):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--job", path])
     assert code in (0, 1, 2)
+    if job["command"] == "hilbert" and job["params"].get("oracle") is True:
+        assert code == 1 or job["params"]["place"] not in BEYOND_LIMIT
     if code == 1:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

@@ -1,13 +1,15 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import factorial
 
 import pytest
+from orbit_oracle import refinement_orbit
 
 from slopecert.errors import MixedResidue
 from slopecert.principal import (
     UnramChar,
     completely_refinable,
-    refinement_orbit,
+    orbit_size,
     so_irreducible_sufficient,
     sp_irreducible,
 )
@@ -59,30 +61,53 @@ class TestSoSufficient:
     def test_implies_distinct_orbit(self):
         cs = chars(3, 2, 5)
         assert so_irreducible_sufficient(cs)
-        orbit = refinement_orbit(cs, "D")
-        assert len(orbit) == group_order("D", 2)
+        assert orbit_size(cs, "D") == group_order("D", 2)
+
+
+# +-1, two inverse pairs (one negative) and, drawn with repetition, repeats
+POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3), Fraction(-1, 3)]
 
 
 class TestRefinementOrbit:
-    def test_rank_one(self):
+    def test_oracle_rank_one(self):
         assert refinement_orbit(chars(3, 2), "C") == {(Fraction(2),), (Fraction(1, 2),)}
         assert refinement_orbit(chars(3, 1), "C") == {(Fraction(1),)}
 
+    def test_rank_one(self):
+        assert orbit_size(chars(3, 2), "C") == 2
+        assert orbit_size(chars(3, 1), "C") == 1
+        assert orbit_size(chars(3, 2), "D") == 1
+
     def test_type_d_rank_two(self):
-        orbit = refinement_orbit(chars(3, 2, 3), "D")
-        assert len(orbit) == 4
+        assert orbit_size(chars(3, 2, 3), "D") == 4
+
+    @pytest.mark.parametrize("group", ["C", "D"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_weyl_walk(self, group, n):
+        # a reordered tuple has the same orbit, so multisets cover every tuple
+        for values in combinations_with_replacement(POOL, n):
+            cs = chars(5, *values)
+            assert orbit_size(cs, group) == len(refinement_orbit(cs, group)), values
 
     def test_orbit_size_divides_group_order(self):
         for values in [(2,), (1,), (2, 2), (2, Fraction(1, 2)), (2, 3)]:
             for group in ("C", "D"):
                 n = len(values)
-                order = group_order(group, n)
-                size = len(refinement_orbit(chars(5, *values), group))
-                assert order % size == 0
+                assert group_order(group, n) % orbit_size(chars(5, *values), group) == 0
 
     def test_full_orbit_iff_values_and_inverses_distinct(self):
-        assert len(refinement_orbit(chars(5, 2, 3), "C")) == group_order("C", 2)
-        assert len(refinement_orbit(chars(5, 2, Fraction(1, 2)), "C")) < group_order("C", 2)
+        assert orbit_size(chars(5, 2, 3), "C") == group_order("C", 2)
+        assert orbit_size(chars(5, 2, Fraction(1, 2)), "C") < group_order("C", 2)
+
+    def test_beyond_the_walk(self):
+        # 2^10 10! elements; the Weyl walk did not finish in 60 s
+        assert orbit_size(chars(3, *range(2, 12)), "C") == 2**10 * factorial(10) == 3_715_891_200
+        assert orbit_size(chars(3, *range(2, 22)), "D") == 2**19 * factorial(20)
+        assert orbit_size(chars(3, 1, *range(2, 21)), "D") == 2**19 * factorial(20)
+
+    def test_group_validation(self):
+        with pytest.raises(ValueError):
+            orbit_size(chars(3, 2), "B")
 
 
 class TestCompletelyRefinable:

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from slopecert.errors import Degenerate, SplitExtension, ZeroArgument
+from slopecert.errors import Degenerate, SlopecertError, SplitExtension, ZeroArgument
+from slopecert.lattice import is_prime
 from slopecert.symbols import (
     INFINITE_PLACE,
+    ORACLE_MAX_PRIME,
     Place,
     QuadExtElem,
     WaldInstance,
@@ -19,6 +22,26 @@ from slopecert.symbols import (
 )
 
 PLACES = [Place(2), Place(3), Place(5), Place(7), INFINITE_PLACE]
+
+
+def unit_reps(p):
+    """Integer p-units, +- one of each square class mod p (mod 8 at p = 2)."""
+    if p == 2:
+        return [1, 3, 5, 7, -1, -3, -5, -7]
+    nonresidue = min(set(range(2, p)) - {x * x % p for x in range(1, p)})
+    return [1, -1, nonresidue, -nonresidue]
+
+
+def oracle_classes(p, valuations):
+    """Check the oracle on every pair u p^va, w p^vb; return the classes met."""
+    met = set()
+    for va, vb in product(valuations, repeat=2):
+        for u, w in product(unit_reps(p), repeat=2):
+            a, b = u * p**va, w * p**vb
+            symbol = hilbert(a, b, p)
+            assert (symbol == 1) == hilbert_solvable(a, b, p), (a, b, p)
+            met.add((symbol, va, vb))
+    return met
 
 
 def nonzero(rng, span=20, den=4):
@@ -48,6 +71,35 @@ class TestHilbert:
             a, b = nonzero(rng), nonzero(rng)
             for place in PLACES:
                 assert (hilbert(a, b, place) == 1) == hilbert_solvable(a, b, place)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_oracle_on_every_class_odd(self, p):
+        # (symbol, v_p(a) mod 2, v_p(b) mod 2); two units have symbol +1
+        expected = {(s, va, vb) for s in (1, -1) for va in (0, 1) for vb in (0, 1)} - {(-1, 0, 0)}
+        assert oracle_classes(p, (0, 1)) == expected
+
+    def test_oracle_on_every_class_at_two(self):
+        expected = {(s, va, vb) for s in (1, -1) for va in range(4) for vb in range(4)}
+        assert oracle_classes(2, range(4)) == expected
+
+    @pytest.mark.parametrize("p", [41, 43])
+    def test_oracle_both_valuations_odd(self, p):
+        met = set()
+        for u, w in product(unit_reps(p), repeat=2):
+            a, b = u * p, w * p
+            symbol = hilbert(a, b, p)
+            assert (symbol == 1) == hilbert_solvable(a, b, p), (a, b, p)
+            met.add(symbol)
+        assert met == {1, -1}
+
+    def test_oracle_refuses_primes_beyond_its_limit(self):
+        top = max(q for q in range(2, ORACLE_MAX_PRIME + 1) if is_prime(q))
+        assert hilbert_solvable(3 * top, 5 * top, top) == (hilbert(3 * top, 5 * top, top) == 1)
+        beyond = min(q for q in range(ORACLE_MAX_PRIME + 1, 2 * ORACLE_MAX_PRIME) if is_prime(q))
+        for p in (beyond, 1000003):
+            with pytest.raises(SlopecertError, match=f"p <= {ORACLE_MAX_PRIME}, got p = {p}"):
+                hilbert_solvable(3, 5, p)
+        assert hilbert(3, 5, 1000003) == 1
 
     def test_bilinearity_symmetry_and_hyperbolic(self):
         rng = random.Random(42)
