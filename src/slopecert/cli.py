@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--job", help="path to a JSON job document")
     parser.add_argument("--out", help="report output path (overrides the job's 'out')")
-    parser.add_argument("--workers", type=int, default=1, help="scan fan-out (>= 1; capped at the CPU count and the number of cells)")
+    parser.add_argument("--workers", type=int, default=1, help="scan fan-out (>= 1; capped at the CPU count and the number of gap classes)")
     parser.add_argument("--paper-sign", action="store_true",
                         help="use the alternative sign-flip exponent convention in refinement changes")
     parser.add_argument("--print-schemas", action="store_true",

@@ -193,7 +193,7 @@ class CandidateTables:
     """Reachable-set tables of one weight table, built lazily per subset size.
 
     Hold one for as long as the weight table is in use (all tau of a datum,
-    all slope vectors of a scan cell) and pass it to ``find_candidate``.
+    all slope vectors of a scan gap class) and pass it to ``find_candidate``.
     """
 
     def __init__(self, kappa):

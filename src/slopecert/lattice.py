@@ -64,16 +64,40 @@ def unit_part(x, p: int) -> Fraction:
     return q / Fraction(p) ** v
 
 
+#: Miller-Rabin on these 13 bases is exact below PRIME_LIMIT.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin on the primes up to 41.
+
+    n at or above PRIME_LIMIT is refused with ValueError.  Below 43^2 the
+    trial division by the bases decides alone.
+    """
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is decided only below {PRIME_LIMIT}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -13,6 +13,18 @@ counts as *misaligned* when some passing candidate moves a weight value on
 the distinguished row.  With band_scale = 1 the alignment lemma says the
 misaligned count is zero; with band_scale = 2 misaligned witnesses exist and
 the first few are pinned into the report.
+
+A cell's result depends only on (e, f) and on kappa's gaps.  Shifting kappa
+by c leaves the gaps, and so the band radius, unchanged and shifts every
+centre, hence every scaled slope, by m*c (m = e*f).  In each prefix
+inequality the Newton side, e times a sum of x scaled slopes, and the Hodge
+side, e times x weights on each of the m rows, then both move by e*m*x*c,
+and so do the two totals.  The misaligned test compares weight values on one
+row, which a common shift keeps equal or distinct.  So the scan runs once
+per gap class (kappa[0] = 0; a class of span s has W - s cells in a box of
+width W), scales the counts by that multiplicity, counts the cells in closed
+form, and translates a class's witnesses back to each of its cells: kappa
+and every scaled slope move, the subset and the images stay.
 """
 
 from __future__ import annotations
@@ -21,7 +33,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, islice, product
+from math import comb
 from typing import List, Tuple
 
 from . import kernels
@@ -73,7 +86,7 @@ class ScanReport:
 
 
 def _scan_cell(args) -> Tuple[int, int, List[ScanWitness]]:
-    """Scan one (e, f, N, kappa) cell; returns (checked, misaligned, witnesses)."""
+    """Scan one (e, f, kappa) cell; returns (checked, misaligned, witnesses)."""
     e, f, kappa, band_num, band_den, max_witnesses = args
     n = len(kappa)
     m = e * f
@@ -115,19 +128,40 @@ def _scan_cell(args) -> Tuple[int, int, List[ScanWitness]]:
     return checked, bad, witnesses
 
 
-def scan_cells(
-    n_max: int = 4,
-    kappa_min: int = -3,
-    kappa_max: int = 3,
-    ef_values=DEFAULT_EF,
-) -> list:
-    """The (e, f, kappa) cells of the scan grid, deterministic order."""
-    cells = []
-    for (e, f) in ef_values:
+def grid_cells(n_max: int, kappa_min: int, kappa_max: int, n_shapes: int) -> int:
+    """The number of (e, f, kappa) cells: C(W + n_max, n_max) - 1 ascending
+    kappa of length 1..n_max per shape, W = kappa_max - kappa_min + 1."""
+    width = kappa_max - kappa_min + 1
+    return n_shapes * (comb(width + n_max, n_max) - 1) if width > 0 and n_max > 0 else 0
+
+
+def _gap_classes(n_max: int, width: int):
+    """Strictly increasing gap tuples with g[0] = 0 and span below ``width``,
+    by length, lexicographic within a length; none when ``width`` < 1."""
+    for n in range(1, n_max + 1 if width > 0 else 1):
+        for rest in combinations(range(1, width), n - 1):
+            yield (0,) + rest
+
+
+def _witnesses_in_cell_order(shapes, n_max, kappa_min, kappa_max, results):
+    """Every cell's witnesses, translated from its class, in cell order.
+
+    Cells run by shape, then length, then kappa lexicographic; within one
+    length that is kappa[0] = c ascending, then the class lexicographic.
+    """
+    for (e, f) in shapes:
+        m = e * f
         for n in range(1, n_max + 1):
-            for kappa in combinations_with_replacement(range(kappa_min, kappa_max + 1), n):
-                cells.append((e, f, kappa))
-    return cells
+            found = [(g, wits) for g, (_, _, wits) in results[e, f].items() if wits and len(g) == n]
+            for c in range(kappa_min, kappa_max + 1):
+                found = [(g, wits) for (g, wits) in found if g[-1] <= kappa_max - c]
+                if not found:
+                    break
+                for g, wits in found:
+                    kappa = tuple(k + c for k in g)
+                    for w in wits:
+                        slopes = tuple((s + m * c, d) for (s, d) in w.slopes)
+                        yield ScanWitness(e, f, kappa, slopes, w.subset, w.images_tau)
 
 
 def run_scan(
@@ -142,31 +176,36 @@ def run_scan(
 ) -> ScanReport:
     """Run the exhaustive scan; deterministic regardless of worker count.
 
-    The pool has min(workers, CPU count, cells) processes; with one, the
-    cells run in this process.
+    Each gap class runs once per distinct shape.  The pool has
+    min(workers, CPU count, classes) processes; with one, the classes run
+    in this process.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     scale = Fraction(band_scale)
-    cells = scan_cells(n_max, kappa_min, kappa_max, ef_values)
-    if len(cells) > max_cells:
-        raise SlopecertError(f"grid has {len(cells)} cells, above the cap {max_cells}")
-    args = [
-        (e, f, kappa, scale.numerator, scale.denominator, max_witnesses)
-        for (e, f, kappa) in cells
-    ]
-    report = ScanReport(band_scale=scale, cells=len(cells))
+    shapes = [(e, f) for (e, f) in ef_values]
+    cells = grid_cells(n_max, kappa_min, kappa_max, len(shapes))
+    if cells > max_cells:
+        raise SlopecertError(f"grid has {cells} cells, above the cap {max_cells}")
+    width = kappa_max - kappa_min + 1
+    classes = [(e, f, g) for (e, f) in dict.fromkeys(shapes) for g in _gap_classes(n_max, width)]
+    args = [(e, f, g, scale.numerator, scale.denominator, max_witnesses) for (e, f, g) in classes]
     pool_size = min(workers, os.cpu_count() or 1, len(args))
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_scan_cell, args, chunksize=64))
+            outcomes = list(pool.map(_scan_cell, args, chunksize=8))
     else:
-        results = [_scan_cell(a) for a in args]
-    for checked, bad, wits in results:
-        report.data_checked += checked
-        report.misaligned += bad
-        for w in wits:
-            if len(report.witnesses) < max_witnesses:
-                report.witnesses.append(w)
+        outcomes = [_scan_cell(a) for a in args]
+    results = {shape: {} for shape in shapes}
+    for (e, f, g), outcome in zip(classes, outcomes):
+        results[e, f][g] = outcome
+    report = ScanReport(band_scale=scale, cells=cells)
+    for shape in shapes:
+        for g, (checked, bad, _) in results[shape].items():
+            report.data_checked += (width - g[-1]) * checked
+            report.misaligned += (width - g[-1]) * bad
     report.certified = report.data_checked - report.misaligned
+    if max_witnesses and any(wits for _, _, wits in outcomes):
+        found = _witnesses_in_cell_order(shapes, n_max, kappa_min, kappa_max, results)
+        report.witnesses = list(islice(found, max_witnesses))
     return report

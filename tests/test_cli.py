@@ -13,7 +13,7 @@ import pytest
 
 from slopecert.cli import JOB_SCHEMAS, canonical_json, main, run_job
 from slopecert.kernels import CandidateTables
-from slopecert.lattice import LocalDatum, parse_rat, rat_str
+from slopecert.lattice import PRIME_LIMIT, LocalDatum, parse_rat, rat_str
 from slopecert.replay import replay_orthogonal, replay_symplectic
 from slopecert.satake import RefinedSlopes
 from slopecert.symbols import ORACLE_MAX_PRIME
@@ -34,10 +34,10 @@ def cli_process(*args, timeout=None):
     )
 
 
-def invoke(tmp_path, job, extra=()):
+def invoke(tmp_path, job, extra=(), timeout=None):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
-    return cli_process("--job", str(path), *extra)
+    return cli_process("--job", str(path), *extra, timeout=timeout)
 
 
 def test_replay_job_matches_worked_example(tmp_path):
@@ -185,6 +185,19 @@ def test_hilbert_oracle_beyond_its_prime_limit_refused(tmp_path, capsys):
     assert f"p <= {ORACLE_MAX_PRIME}" in err and "p = 1000003" in err
     del job["params"]["oracle"]  # the closed form has no limit
     assert run_job(job) == ({"command": "hilbert", "result": {"symbol": 1}}, 0)
+
+
+def test_hilbert_at_a_large_place_answered_quickly():
+    # trial division to the square root took 8.6 s at this place
+    job = {"command": "hilbert", "params": {"a": "3", "b": "5", "place": 10**16 + 61}}
+    start = time.perf_counter()
+    assert run_job(job) == ({"command": "hilbert", "result": {"symbol": 1}}, 0)
+    assert time.perf_counter() - start < 1
+
+
+def test_place_beyond_the_primality_limit_refused(tmp_path, capsys):
+    job = {"command": "hilbert", "params": {"a": "3", "b": "5", "place": PRIME_LIMIT}}
+    assert f"below {PRIME_LIMIT}" in rejected_in_one_line(tmp_path, capsys, job)
 
 
 @pytest.mark.parametrize("group, n, size", [("C", 10, 3_715_891_200), ("D", 20, 2**19 * factorial(20))])
@@ -347,6 +360,14 @@ def test_scan_job_and_workers_flag(tmp_path):
     b = invoke(tmp_path, job, extra=("--workers", "2"))
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_wide_scan_refused_before_listing_cells(tmp_path):
+    # 18,030,008 cells; listing them before the cap check took 67.7 s
+    job = {"command": "keylemma-scan", "params": {"n_max": 2, "kappa_min": 0, "kappa_max": 3000}}
+    proc = invoke(tmp_path, job, timeout=5)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: grid has 18030008 cells, above the cap 2000000\n"
 
 
 def test_wald_job(tmp_path):

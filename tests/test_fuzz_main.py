@@ -4,8 +4,10 @@ Every job must end in exit 0, 1 or 2, and exit 1 writes exactly one stderr
 line and no report; no exception may escape.  ``ps-irreducible`` draws up
 to 12 values, since its orbit size is closed-form, and ``hilbert`` places
 run through the primes up to the oracle's limit and a few beyond it, where
-an oracle job must exit 1.  ``admissible`` listing has no cost bound yet,
-so its sizes stay small.
+an oracle job must exit 1.  ``keylemma-scan`` windows lie anywhere in
++-10^9 and reach 10^9 in width, with a cell cap of at most 40, so the
+closed-form refusal runs and the answered grids stay small.
+``admissible`` listing has no cost bound yet, so its sizes stay small.
 """
 
 import contextlib
@@ -76,17 +78,30 @@ def admissible_params(draw):
     return params
 
 
-SCAN = st.fixed_dictionaries(
-    {},
-    optional={
-        "n_max": SMALL,
-        "kappa_min": st.integers(-2, 0),
-        "kappa_max": st.integers(-1, 2),
-        "ef": st.lists(st.lists(SMALL, min_size=2, max_size=2), max_size=2),
-        "band_scale": st.one_of(SMALL, st.sampled_from(["1/2", "3/2", "2"])),
-        "max_witnesses": st.integers(0, 3),
-        "max_cells": st.integers(1, 40),
-    },
+SCAN_OPTIONAL = {
+    "n_max": SMALL,
+    "ef": st.lists(st.lists(SMALL, min_size=2, max_size=2), max_size=2),
+    "band_scale": st.one_of(SMALL, st.sampled_from(["1/2", "3/2", "2"])),
+    "max_witnesses": st.integers(0, 3),
+}
+SCAN = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            **SCAN_OPTIONAL,
+            "kappa_min": st.integers(-2, 0),
+            "kappa_max": st.integers(-1, 2),
+            "max_cells": st.integers(1, 40),
+        },
+    ),
+    # windows anywhere in +-10^9 and up to 10^9 wide: the cap, at most 40
+    # cells, refuses the wide ones before any cell is listed
+    st.builds(
+        lambda low, width, rest: {"kappa_min": low, "kappa_max": low + width, **rest},
+        st.integers(-10**9, 10**9),
+        st.one_of(st.integers(-1, 6), st.integers(0, 10**9)),
+        st.fixed_dictionaries({"max_cells": st.integers(1, 40)}, optional=SCAN_OPTIONAL),
+    ),
 )
 
 

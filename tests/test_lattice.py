@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from prime_oracle import is_prime_by_trial_division
 
 from slopecert.lattice import (
+    PRIME_LIMIT,
     LocalDatum,
     WeightTable,
     parse_rat,
     rat_str,
+    is_prime,
     unit_part,
     very_regular,
     vp,
@@ -64,6 +67,25 @@ class TestLocalDatum:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             LocalDatum(3, e=0)
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_ten_to_the_fifth(self):
+        assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if is_prime_by_trial_division(n)]
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+        assert not is_prime(n) and not is_prime_by_trial_division(n)
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 10**14 + 31, 10**16 + 61, 2**61 - 1])
+    def test_large_primes(self, p):
+        assert is_prime(p)
+
+    def test_refuses_at_the_limit(self):
+        assert not is_prime(PRIME_LIMIT - 1)
+        with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
+            is_prime(PRIME_LIMIT)
 
 
 class TestWeightTable:

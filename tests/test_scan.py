@@ -1,19 +1,95 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from kernel_oracle import search_python
+from scan_oracle import scan_cells, scan_per_cell
 
 from slopecert import kernels
 from slopecert import scan as scan_mod
 from slopecert.admissibility import PhiModuleDatum, alignment_check, find_misaligned_candidate
 from slopecert.errors import SlopecertError
-from slopecert.scan import run_scan, scan_cells
+from slopecert.scan import DEFAULT_EF, grid_cells, run_scan
 
 
 def test_cells_cover_expected_shapes():
     cells = scan_cells(n_max=2, kappa_min=-1, kappa_max=1, ef_values=((1, 1),))
     # 3 rank-1 tuples + 6 sorted rank-2 tuples
     assert len(cells) == 9
+    assert grid_cells(2, -1, 1, 1) == 9
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("width", [-2, 0, 1, 2, 5])
+def test_closed_form_cell_count(n_max, width):
+    kappa_min = -1
+    kappa_max = kappa_min + width - 1
+    expected = len(scan_cells(n_max, kappa_min, kappa_max, DEFAULT_EF))
+    assert grid_cells(n_max, kappa_min, kappa_max, len(DEFAULT_EF)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa_min=st.integers(-8, 8),
+    width=st.integers(0, 8),
+    n_max=st.integers(1, 4),
+    ef_values=st.lists(st.sampled_from(DEFAULT_EF + ((3, 1),)), min_size=1, max_size=2).map(tuple),
+    band_scale=st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 2)]),
+    max_witnesses=st.integers(0, 7),
+)
+def test_class_scan_matches_per_cell_oracle(kappa_min, width, n_max, ef_values, band_scale, max_witnesses):
+    kwargs = dict(
+        n_max=n_max, kappa_min=kappa_min, kappa_max=kappa_min + width - 1,
+        ef_values=ef_values, band_scale=band_scale, max_witnesses=max_witnesses,
+    )
+    assert run_scan(**kwargs).summary() == scan_per_cell(**kwargs).summary()
+
+
+def test_each_gap_class_is_scanned_once(monkeypatch):
+    """One kernel call per datum of each class, not per datum of each cell."""
+    kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1)), band_scale=2)
+    width = 6
+    per_class = 0
+    for (e, f) in kwargs["ef_values"]:
+        for g in scan_mod._gap_classes(3, width):
+            per_class += scan_mod._scan_cell((e, f, g, 2, 1, 0))[0]
+    calls, tables = [], []
+    find_candidate, candidate_tables = kernels.find_candidate, kernels.CandidateTables
+
+    def counting_find(*args, **kw):
+        calls.append(args[1])
+        return find_candidate(*args, **kw)
+
+    def counting_tables(kappa):
+        tables.append(kappa)
+        return candidate_tables(kappa)
+
+    monkeypatch.setattr(kernels, "find_candidate", counting_find)
+    monkeypatch.setattr(kernels, "CandidateTables", counting_tables)
+    rep = run_scan(**kwargs)
+    classes = 2 * sum(1 for _ in scan_mod._gap_classes(3, width))  # (0,), then (0, a), (0, a, b) with b < 6
+    assert classes == 2 * (1 + 5 + 10)
+    assert len(tables) == classes
+    assert len(calls) == per_class < rep.data_checked
+
+
+def test_wide_grid_refused_before_listing():
+    start = time.perf_counter()
+    with pytest.raises(SlopecertError, match="18030008 cells"):
+        run_scan(n_max=2, kappa_min=0, kappa_max=3000)
+    with pytest.raises(SlopecertError, match="above the cap 40"):
+        run_scan(n_max=6, kappa_min=-10**9, kappa_max=10**9, max_cells=40)
+    assert time.perf_counter() - start < 1
+
+
+def test_far_window_matches_per_cell_oracle():
+    """Far from zero every slope moves by m*c; the class scan translates its witnesses there."""
+    kwargs = dict(n_max=3, kappa_min=10**12, kappa_max=10**12 + 4, ef_values=((2, 2),), band_scale=2)
+    far = run_scan(**kwargs)
+    assert far.misaligned > 0 and far.witnesses[0].kappa[0] >= 10**12
+    assert far.summary() == scan_per_cell(**kwargs).summary()
 
 
 def test_band_one_certifies_small_grid():
@@ -79,8 +155,9 @@ def test_pool_is_capped_by_cpus_and_cells(monkeypatch, workers, cpus, expected):
     monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
     RecordingPool.sizes = []
-    kwargs = dict(n_max=1, kappa_min=0, kappa_max=2, ef_values=((1, 1),))  # kappa (0,), (1,), (2,)
-    assert len(scan_cells(**kwargs)) == 3
+    # classes (0,), (0, 1), (0, 2); the pool is capped by classes, not by the 9 cells
+    kwargs = dict(n_max=2, kappa_min=0, kappa_max=2, ef_values=((1, 1),))
+    assert len(list(scan_mod._gap_classes(2, 3))) == 3 and len(scan_cells(**kwargs)) == 9
     assert run_scan(workers=workers, **kwargs).summary() == run_scan(**kwargs).summary()
     assert RecordingPool.sizes == expected
 
@@ -97,9 +174,10 @@ def test_grid_cap_guard():
 
 
 def test_empty_grid_gives_empty_summary():
-    rep = run_scan(n_max=2, kappa_min=1, kappa_max=0)
-    assert rep.cells == 0 and rep.data_checked == 0 and rep.misaligned == 0
-    assert rep.witnesses == []
+    for kappa_max in (0, -3):
+        rep = run_scan(n_max=2, kappa_min=1, kappa_max=kappa_max, band_scale=2)
+        assert rep.cells == 0 and rep.data_checked == 0 and rep.misaligned == 0
+        assert rep.witnesses == []
 
 
 def test_backend_summaries_agree(monkeypatch):
