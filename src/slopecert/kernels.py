@@ -25,6 +25,17 @@ every deduplicated suffix sum.  A subset passes when some reachable vector
 lies under its Newton vector with the same inside total; its passing image
 choices are listed by a depth-first walk over the suffix sums that keeps only
 choices that can still be completed, so no branch is a dead end.
+
+``CandidateTables.misaligned_flags`` decides, for a whole matrix of slope
+vectors, whether ``find_candidate`` with ``require_misaligned`` finds
+anything, without listing candidates or building the reachable set.  A row
+is flagged when, for some k, subset c and image choice r on row tau that
+moves a weight value, some sum ``other`` of the other m - 1 embeddings'
+vectors has hodge_tau[r] + other under c's bound.  That already is a
+passing candidate, so no separate passing test is needed; and as above only
+sums ``other`` whose inside total is the bound's minus hodge_tau[r]'s can
+qualify, so the test is a join keyed by inside total.  The sums ``other``
+are built once per k and tau and serve every row.
 """
 
 from __future__ import annotations
@@ -36,6 +47,9 @@ import numpy as np
 
 # Packed keys stay below this, so a sum of two keys cannot overflow int64.
 _KEY_LIMIT = 1 << 62
+# ``misaligned_flags`` expands its join this many (vector, choice, sum)
+# states at a time, so its arrays do not grow with the size of the join.
+_JOIN_STATES = 1 << 15
 
 
 def _check_range(values, scale: int = 1) -> None:
@@ -74,6 +88,44 @@ def _prefixes(values: np.ndarray, pos: np.ndarray, k: int) -> np.ndarray:
     out = np.cumsum(values[..., pos], axis=-1)
     out[..., k:] -= out[..., k - 1 : k]
     return out
+
+
+def _expand(lo: np.ndarray, counts: np.ndarray):
+    """(owner, state): every state in each owner's range lo[i] : lo[i] +
+    counts[i], by owner then state, as in ``_Level.passing``."""
+    owner = np.repeat(np.arange(lo.size), counts)
+    state = np.arange(owner.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return owner, state
+
+
+def _pieces(counts: np.ndarray, limit: int):
+    """Consecutive owner ranges [first, last) of at most ``limit`` states
+    each, but never empty: one owner with more states is a piece alone."""
+    ends = np.cumsum(counts)
+    first = 0
+    while first < counts.size:
+        base = int(ends[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        yield first, last
+        first = last
+
+
+def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
+    """``slopes`` as a V x n int64 matrix; a row is refused as ``candidates``
+    refuses it.  The column-wide maximum only decides whether rows must be
+    checked one by one."""
+    try:
+        S = np.asarray(slopes, dtype=np.int64)
+    except OverflowError:
+        S = None
+    if S is None or (S.size and e * n * max(-int(S.min()), int(S.max())) >= _KEY_LIMIT):
+        for row in slopes:
+            _check_range(row, e)
+    if S.size == 0:
+        return S.reshape(0, n)
+    if S.ndim != 2 or S.shape[1] != n:
+        raise ValueError(f"need {n} slopes per row, got shape {S.shape}")
+    return S
 
 
 def _sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,12 +254,68 @@ class CandidateTables:
         self.kappa = np.array(self.weights, dtype=np.int64).reshape(len(self.weights), -1)
         self.total = int(self.kappa.sum())
         self._levels = {}
+        self._joins = {}
 
     def _level(self, k: int) -> _Level:
         lv = self._levels.get(k)
         if lv is None:
             lv = self._levels[k] = _Level(self.kappa, k)
         return lv
+
+    def _join(self, k: int, tau: int):
+        """The flag join's tables at subset size k and row tau, built once.
+
+        (pos, pc, hr, other, totals): the choice positions; the (subset,
+        image choice) pairs whose choice moves a weight value on row tau, as
+        subset indices ``pc`` and row-tau vectors ``hr``; the distinct sums
+        of the other embeddings' vectors, ascending by inside total, and
+        those totals.
+        """
+        join = self._joins.get((k, tau))
+        if join is None:
+            m, n = self.kappa.shape
+            pos, _ = _choices(n, k)
+            hodge = _prefixes(self.kappa, pos, k)
+            other = np.zeros((1, n), dtype=np.int64)
+            for j in range(m):
+                if j != tau:
+                    other = _sumset(hodge[j], other)
+            other = other[np.argsort(other[:, k - 1], kind="stable")]
+            vals = self.kappa[tau][pos]
+            # as in candidates: r's values on row tau differ from c's
+            pc, pr = np.nonzero((vals[:, None, :] != vals[None, :, :]).any(axis=2))
+            join = self._joins[k, tau] = (pos, pc, hodge[tau][pr], other, other[:, k - 1].copy())
+        return join
+
+    def misaligned_flags(self, slopes, e: int, denom: int, tau: int) -> np.ndarray:
+        """Per row of the V x N matrix ``slopes`` (slopes times ``denom``),
+        ``find_candidate(...)[0]`` with ``require_misaligned``.
+
+        The join runs in pieces of about _JOIN_STATES states; a row leaves
+        it as soon as it is flagged or its totals do not close.
+        """
+        n = self.kappa.shape[1]
+        S = _slope_matrix(slopes, n, e)
+        flags = np.zeros(S.shape[0], dtype=bool)
+        live = np.flatnonzero(e * S.sum(axis=1) == denom * self.total)
+        for k in range(1, n):
+            if live.size == 0:
+                break
+            pos, pc, hr, other, totals = self._join(k, tau)
+            if pc.size == 0:
+                continue
+            bound = (e * _prefixes(S[live], pos, k)) // denom
+            target = (bound[:, pc, k - 1] - hr[:, k - 1]).reshape(-1)
+            lo = np.searchsorted(totals, target, side="left")
+            counts = np.searchsorted(totals, target, side="right") - lo
+            hit = np.zeros(live.size, dtype=bool)
+            for first, last in _pieces(counts, _JOIN_STATES):
+                owner, state = _expand(lo[first:last], counts[first:last])
+                v, p = np.divmod(owner + first, pc.size)
+                hit[v[(other[state] + hr[p] <= bound[v, pc[p]]).all(axis=1)]] = True
+            flags[live[hit]] = True
+            live = live[~hit]
+        return flags
 
     def candidates(self, slopes_scaled, e: int, denom: int, tau: int, require_misaligned: bool):
         """Every passing (subset_mask, image_masks) in order; a generator, so

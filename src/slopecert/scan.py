@@ -8,11 +8,10 @@ zero gap force zero deviations and therefore equal slopes, which the
 distinctness requirement discards, so only strictly increasing kappa rows
 contribute.
 
-For each datum the candidate search runs on the integer kernel; a datum
-counts as *misaligned* when some passing candidate moves a weight value on
-the distinguished row.  With band_scale = 1 the alignment lemma says the
-misaligned count is zero; with band_scale = 2 misaligned witnesses exist and
-the first few are pinned into the report.
+A datum counts as *misaligned* when some passing candidate moves a weight
+value on the distinguished row.  With band_scale = 1 the alignment lemma
+says the misaligned count is zero; with band_scale = 2 misaligned witnesses
+exist and the first few are pinned into the report.
 
 A cell's result depends only on (e, f) and on kappa's gaps.  Shifting kappa
 by c leaves the gaps, and so the band radius, unchanged and shifts every
@@ -25,6 +24,15 @@ per gap class (kappa[0] = 0; a class of span s has W - s cells in a box of
 width W), scales the counts by that multiplicity, counts the cells in closed
 form, and translates a class's witnesses back to each of its cells: kappa
 and every scaled slope move, the subset and the images stay.
+
+A class is one kernel pass: ``CandidateTables.misaligned_flags`` decides
+all of its slope vectors at once, and ``find_candidate`` runs only for the
+first ``max_witnesses`` flagged vectors, in product order, to pin them.  The
+scan passes denom = e, so e cancels from every bound and the band radius
+depends only on the band: a class result depends on m, not on (e, f), and
+shapes of equal m share it, with e, f and the slope denominators relabelled
+when the witnesses are translated.  Before any class runs, the slope vectors
+the grid lists are counted in closed form and refused above ``MAX_DATA``.
 """
 
 from __future__ import annotations
@@ -33,14 +41,21 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, islice
 from math import comb
 from typing import List, Tuple
+
+import numpy as np
 
 from . import kernels
 from .errors import SlopecertError
 
 DEFAULT_EF = ((1, 1), (1, 2), (2, 1), (2, 2))
+# A grid listing more slope vectors than this, over its distinct shapes, is
+# refused before any class runs.
+MAX_DATA = 2_000_000
+# A class's slope vectors are listed and flagged this many at a time.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -85,47 +100,49 @@ class ScanReport:
         }
 
 
-def _scan_cell(args) -> Tuple[int, int, List[ScanWitness]]:
-    """Scan one (e, f, kappa) cell; returns (checked, misaligned, witnesses)."""
-    e, f, kappa, band_num, band_den, max_witnesses = args
+def _radius(n: int, gap: int, band_num: int, band_den: int) -> int:
+    """Band radius in units of 1/e for weights of rank n and least gap ``gap``.
+
+    |dev| <= band_scale * gap / (e n) with dev on the (1/e)-grid: integer
+    units dev_e = e*dev, so |dev_e| <= band_scale * gap / n.  Rank 1 has a
+    vacuous hypothesis; its deviation is pinned to 0.
+    """
+    return 0 if n == 1 else (band_num * gap) // (band_den * n)
+
+
+def _scan_class(args) -> Tuple[int, int, list]:
+    """Scan the gap class kappa for m = e*f embeddings.
+
+    Returns (checked, misaligned, hits): the first ``max_witnesses``
+    misaligned slope vectors, scaled by e, as (scaled, subset, images_tau).
+    The scan passes denom = e, so e cancels from every bound and the class
+    runs with e = 1.  The slope vectors are listed in product order, _BLOCK
+    at a time, and each block is flagged as it is listed.
+    """
+    m, kappa, band_num, band_den, max_witnesses = args
     n = len(kappa)
-    m = e * f
     weights = tuple(tuple(kappa) for _ in range(m))
     tables = kernels.CandidateTables(weights)
-    centers = [m * kv for kv in kappa]  # e * weight-mean, an integer
-    if n == 1:
-        radius = 0  # rank 1 has a vacuous hypothesis; pin deviation 0
-        gap = 0
-    else:
-        gap = min(kappa[j + 1] - kappa[j] for j in range(n - 1))
-        # |dev| <= band_scale * gap / (e N) with dev on the (1/e)-grid:
-        # integer units dev_e = e*dev, so |dev_e| <= band_scale * gap / N.
-        radius = (band_num * gap) // (band_den * n)
-    checked = 0
-    bad = 0
-    witnesses: List[ScanWitness] = []
-    devs = range(-radius, radius + 1)
-    for dev in product(devs, repeat=n):
-        scaled = [centers[i] + dev[i] for i in range(n)]  # slope * e
-        if len(set(scaled)) != n:
-            continue
-        checked += 1
-        found, mask, img = kernels.find_candidate(
-            weights, scaled, e, e, 0, require_misaligned=True, tables=tables
-        )
-        if found:
-            bad += 1
-            if len(witnesses) < max_witnesses:
-                subset = tuple(b + 1 for b in range(n) if mask >> b & 1)
-                images = tuple(b + 1 for b in range(n) if img[0] >> b & 1)
-                witnesses.append(
-                    ScanWitness(
-                        e, f, tuple(kappa),
-                        tuple((s, e) for s in scaled),
-                        subset, images,
-                    )
-                )
-    return checked, bad, witnesses
+    gap = min((b - a for a, b in zip(kappa, kappa[1:])), default=0)
+    radius = _radius(n, gap, band_num, band_den)
+    side = max(2 * radius + 1, 0)  # a negative band lists nothing
+    low = np.array([m * kv - radius for kv in kappa], dtype=np.int64)  # e * weight-mean - radius
+    checked = bad = 0
+    hits = []
+    for start in range(0, side**n, _BLOCK):
+        index = np.arange(start, min(start + _BLOCK, side**n))
+        scaled = low + np.stack(np.unravel_index(index, (side,) * n), axis=1)
+        ordered = np.sort(scaled, axis=1)
+        scaled = scaled[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
+        flags = tables.misaligned_flags(scaled, 1, 1, 0)
+        checked += scaled.shape[0]
+        bad += int(flags.sum())
+        for row in scaled[flags][: max_witnesses - len(hits)].tolist():
+            _, mask, img = kernels.find_candidate(weights, row, 1, 1, 0, require_misaligned=True, tables=tables)
+            subset = tuple(b + 1 for b in range(n) if mask >> b & 1)
+            images = tuple(b + 1 for b in range(n) if img[0] >> b & 1)
+            hits.append((tuple(row), subset, images))
+    return checked, bad, hits
 
 
 def grid_cells(n_max: int, kappa_min: int, kappa_max: int, n_shapes: int) -> int:
@@ -143,25 +160,53 @@ def _gap_classes(n_max: int, width: int):
             yield (0,) + rest
 
 
+def data_count(n_max: int, kappa_min: int, kappa_max: int, band_scale) -> int:
+    """Slope vectors, distinct or not, that one shape's gap classes list:
+    the sum over classes of (2r + 1)^n.
+
+    A class's radius r depends only on n and its least gap d, and the
+    classes of length n >= 2 with every gap >= d number
+    C(W - 1 - (n - 1) d + n - 1, n - 1), so the sum runs over d.
+    """
+    width = kappa_max - kappa_min + 1
+    if width < 1 or n_max < 1:
+        return 0
+    scale = Fraction(band_scale)
+
+    def at_least(n, d):
+        slack = width - 1 - (n - 1) * d
+        return comb(slack + n - 1, n - 1) if slack >= 0 else 0
+
+    total = 1  # n = 1: the class (0,), radius 0
+    for n in range(2, n_max + 1):
+        for d in range(1, (width - 1) // (n - 1) + 1):
+            classes = at_least(n, d) - at_least(n, d + 1)
+            side = 2 * _radius(n, d, scale.numerator, scale.denominator) + 1
+            total += classes * max(side, 0) ** n  # a negative band lists nothing
+    return total
+
+
 def _witnesses_in_cell_order(shapes, n_max, kappa_min, kappa_max, results):
     """Every cell's witnesses, translated from its class, in cell order.
 
     Cells run by shape, then length, then kappa lexicographic; within one
     length that is kappa[0] = c ascending, then the class lexicographic.
+    A class result serves every shape of its m = e*f, so e, f and the slope
+    denominators come from the shape.
     """
     for (e, f) in shapes:
         m = e * f
         for n in range(1, n_max + 1):
-            found = [(g, wits) for g, (_, _, wits) in results[e, f].items() if wits and len(g) == n]
+            found = [(g, hits) for g, (_, _, hits) in results[m].items() if hits and len(g) == n]
             for c in range(kappa_min, kappa_max + 1):
-                found = [(g, wits) for (g, wits) in found if g[-1] <= kappa_max - c]
+                found = [(g, hits) for (g, hits) in found if g[-1] <= kappa_max - c]
                 if not found:
                     break
-                for g, wits in found:
+                for g, hits in found:
                     kappa = tuple(k + c for k in g)
-                    for w in wits:
-                        slopes = tuple((s + m * c, d) for (s, d) in w.slopes)
-                        yield ScanWitness(e, f, kappa, slopes, w.subset, w.images_tau)
+                    for scaled, subset, images in hits:
+                        slopes = tuple((s + m * c, e) for s in scaled)
+                        yield ScanWitness(e, f, kappa, slopes, subset, images)
 
 
 def run_scan(
@@ -176,9 +221,10 @@ def run_scan(
 ) -> ScanReport:
     """Run the exhaustive scan; deterministic regardless of worker count.
 
-    Each gap class runs once per distinct shape.  The pool has
+    Each gap class runs once per distinct m = e*f.  The pool has
     min(workers, CPU count, classes) processes; with one, the classes run
-    in this process.
+    in this process.  The grid is refused above ``max_cells`` cells, and
+    above MAX_DATA slope vectors over the distinct shapes.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -187,25 +233,28 @@ def run_scan(
     cells = grid_cells(n_max, kappa_min, kappa_max, len(shapes))
     if cells > max_cells:
         raise SlopecertError(f"grid has {cells} cells, above the cap {max_cells}")
+    data = len(set(shapes)) * data_count(n_max, kappa_min, kappa_max, scale)
+    if data > MAX_DATA:
+        raise SlopecertError(f"grid lists {data} slope vectors, above scan.MAX_DATA = {MAX_DATA}")
     width = kappa_max - kappa_min + 1
-    classes = [(e, f, g) for (e, f) in dict.fromkeys(shapes) for g in _gap_classes(n_max, width)]
-    args = [(e, f, g, scale.numerator, scale.denominator, max_witnesses) for (e, f, g) in classes]
+    classes = [(m, g) for m in dict.fromkeys(e * f for (e, f) in shapes) for g in _gap_classes(n_max, width)]
+    args = [(m, g, scale.numerator, scale.denominator, max_witnesses) for (m, g) in classes]
     pool_size = min(workers, os.cpu_count() or 1, len(args))
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(_scan_cell, args, chunksize=8))
+            outcomes = list(pool.map(_scan_class, args, chunksize=8))
     else:
-        outcomes = [_scan_cell(a) for a in args]
-    results = {shape: {} for shape in shapes}
-    for (e, f, g), outcome in zip(classes, outcomes):
-        results[e, f][g] = outcome
+        outcomes = [_scan_class(a) for a in args]
+    results = {e * f: {} for (e, f) in shapes}
+    for (m, g), outcome in zip(classes, outcomes):
+        results[m][g] = outcome
     report = ScanReport(band_scale=scale, cells=cells)
-    for shape in shapes:
-        for g, (checked, bad, _) in results[shape].items():
+    for (e, f) in shapes:
+        for g, (checked, bad, _) in results[e * f].items():
             report.data_checked += (width - g[-1]) * checked
             report.misaligned += (width - g[-1]) * bad
     report.certified = report.data_checked - report.misaligned
-    if max_witnesses and any(wits for _, _, wits in outcomes):
+    if max_witnesses and any(hits for _, _, hits in outcomes):
         found = _witnesses_in_cell_order(shapes, n_max, kappa_min, kappa_max, results)
         report.witnesses = list(islice(found, max_witnesses))
     return report

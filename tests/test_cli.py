@@ -370,6 +370,14 @@ def test_wide_scan_refused_before_listing_cells(tmp_path):
     assert proc.stderr == "error: grid has 18030008 cells, above the cap 2000000\n"
 
 
+def test_wide_band_scan_refused_before_any_class(tmp_path):
+    # 8,121,160 slope vectors in 210 cells; it did not finish in 60 s
+    params = {"n_max": 4, "kappa_min": 0, "kappa_max": 6, "ef": [[1, 1]], "band_scale": 40, "max_cells": 400}
+    proc = invoke(tmp_path, {"command": "keylemma-scan", "params": params}, timeout=5)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: grid lists 8121160 slope vectors, above scan.MAX_DATA = 2000000\n"
+
+
 def test_wald_job(tmp_path):
     job = {
         "command": "wald-sign",

@@ -6,7 +6,9 @@ to 12 values, since its orbit size is closed-form, and ``hilbert`` places
 run through the primes up to the oracle's limit and a few beyond it, where
 an oracle job must exit 1.  ``keylemma-scan`` windows lie anywhere in
 +-10^9 and reach 10^9 in width, with a cell cap of at most 40, so the
-closed-form refusal runs and the answered grids stay small.
+closed-form refusal runs and the answered grids stay small; ``band_scale``
+reaches 60 with ``scan.MAX_DATA``, the slope-vector cap, patched to at most
+2,000, so that refusal runs too.
 ``admissible`` listing has no cost bound yet, so its sizes stay small.
 """
 
@@ -15,10 +17,12 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopecert import scan
 from slopecert.cli import main
 from slopecert.lattice import LocalDatum, is_prime
 from slopecert.replay import replay_symplectic
@@ -84,6 +88,11 @@ SCAN_OPTIONAL = {
     "band_scale": st.one_of(SMALL, st.sampled_from(["1/2", "3/2", "2"])),
     "max_witnesses": st.integers(0, 3),
 }
+# wide bands list up to (2r + 1)^n slope vectors per class; the cap refuses them
+WIDE_BAND = st.fixed_dictionaries(
+    {"band_scale": st.one_of(st.integers(1, 60), st.sampled_from(["119/2", "60"]))},
+    optional={"n_max": st.integers(1, 4), "kappa_min": st.integers(-2, 0), "kappa_max": st.integers(0, 6)},
+)
 SCAN = st.one_of(
     st.fixed_dictionaries(
         {},
@@ -102,6 +111,7 @@ SCAN = st.one_of(
         st.one_of(st.integers(-1, 6), st.integers(0, 10**9)),
         st.fixed_dictionaries({"max_cells": st.integers(1, 40)}, optional=SCAN_OPTIONAL),
     ),
+    WIDE_BAND,
 )
 
 
@@ -183,9 +193,9 @@ JOBS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(JOBS)
-def test_main_ends_in_an_exit_code_or_one_line_error(job):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(JOBS, st.integers(1, 2000))
+def test_main_ends_in_an_exit_code_or_one_line_error(job, data_cap):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scan, "MAX_DATA", data_cap):
         path = os.path.join(tmp, "job.json")
         with open(path, "w") as fh:
             json.dump(job, fh)

@@ -10,19 +10,10 @@ from slopecert import kernels
 from slopecert.admissibility import PhiModuleDatum, admissible_candidates, candidate_passes
 
 
-@st.composite
-def kernel_inputs(draw):
-    """(kappa, scaled slopes, e, denom) for the kernel.
-
-    Slopes sit near the weight means, in order or reordered, on a grid of
-    step 1/denom; their total is usually closed so that candidates pass often.
-    """
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(2, 4))
-    e = draw(st.sampled_from([1, 2]))
-    denom = draw(st.sampled_from([1, 2, 3]))
-    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(sorted)
-    kappa = draw(st.lists(row, min_size=m, max_size=m))
+def _slopes(draw, kappa, e, denom):
+    """Scaled slopes near the weight means, in order or reordered, on a grid
+    of step 1/denom; their total is usually closed so that candidates pass often."""
+    n = len(kappa[0])
     means = [denom * sum(r[i] for r in kappa) // e for i in range(n)]
     if draw(st.booleans()):
         means = draw(st.permutations(means))  # reordered slopes make misaligned witnesses
@@ -31,7 +22,23 @@ def kernel_inputs(draw):
     target, rem = divmod(denom * sum(map(sum, kappa)), e)
     if rem == 0 and draw(st.integers(0, 4)):
         scaled[-1] += target - sum(scaled)
-    return kappa, scaled, e, denom
+    return scaled
+
+
+@st.composite
+def kernel_inputs(draw, max_rows=None):
+    """(kappa, scaled slopes, e, denom) for the kernel; with ``max_rows``,
+    a matrix of 1..max_rows slope vectors in place of one."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 4))
+    e = draw(st.sampled_from([1, 2]))
+    denom = draw(st.sampled_from([1, 2, 3]))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(sorted)
+    kappa = draw(st.lists(row, min_size=m, max_size=m))
+    if max_rows is None:
+        return kappa, _slopes(draw, kappa, e, denom), e, denom
+    rows = [_slopes(draw, kappa, e, denom) for _ in range(draw(st.integers(1, max_rows)))]
+    return kappa, rows, e, denom
 
 
 @settings(max_examples=150, deadline=None)
@@ -55,6 +62,47 @@ def test_kernel_matches_oracle(case):
     cands = admissible_candidates(datum, tables)
     assert [candidate_masks(c) for c in cands] == want
     assert all(candidate_passes(datum, c.subset, c.theta) for c in cands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs(max_rows=12))
+def test_misaligned_flags_match_oracle(case):
+    kappa, rows, e, denom = case
+    tables = kernels.CandidateTables(kappa)
+    for tau in range(len(kappa)):
+        want = [search_python(kappa, s, e, denom, tau, True)[0] for s in rows]
+        assert tables.misaligned_flags(rows, e, denom, tau).tolist() == want
+        assert tables.misaligned_flags(np.array(rows, dtype=np.int64), e, denom, tau).tolist() == want
+
+
+def test_misaligned_flags_in_small_pieces(monkeypatch):
+    # three join states per piece: every split runs
+    kappa = [[0, 1, 3], [0, 1, 3], [-1, 1, 2]]
+    rows = [[s0, s1, 10 - s0 - s1] for s0 in range(-3, 8) for s1 in range(-3, 8)]  # totals close
+    want = [[search_python(kappa, s, 1, 1, tau, True)[0] for s in rows] for tau in range(3)]
+    assert 0 < sum(map(sum, want)) < 3 * len(rows)
+    monkeypatch.setattr(kernels, "_JOIN_STATES", 3)
+    tables = kernels.CandidateTables(kappa)
+    assert [tables.misaligned_flags(rows, 1, 1, tau).tolist() for tau in range(3)] == want
+
+
+def test_misaligned_flags_edge_rows():
+    tables = kernels.CandidateTables([[0, 1, 2]])
+    assert tables.misaligned_flags([], 1, 1, 0).shape == (0,)
+    assert tables.misaligned_flags(np.zeros((0, 3), dtype=np.int64), 1, 1, 0).shape == (0,)
+    # one row beyond the int64 range refuses the matrix, as candidates refuses the row
+    far = [2**61, 0, -(2**61) + 3]
+    with pytest.raises(ValueError, match="int64") as want:
+        list(tables.candidates(far, 2, 1, 0, True))
+    for slopes in ([[2, 0, 1], far], np.array([[2, 0, 1], far], dtype=np.int64), [[0, 1, 2], [2**70, 0, 0]]):
+        with pytest.raises(ValueError, match="int64") as got:
+            tables.misaligned_flags(slopes, 2, 1, 0)
+        assert str(got.value) == str(want.value)
+    # e times the column-wide maximum is past the limit, but no row's sum is
+    ok = [[2**60, 0, -(2**60) + 3], [0, 2**60, -(2**60) + 3], [0, 0, 3]]
+    assert tables.misaligned_flags(ok, 2, 1, 0).tolist() == [False] * 3
+    with pytest.raises(ValueError, match="need 3 slopes"):
+        tables.misaligned_flags([[0, 3]], 1, 1, 0)
 
 
 def test_tables_belong_to_one_weight_table():

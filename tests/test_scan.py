@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,7 @@ def test_closed_form_cell_count(n_max, width):
     width=st.integers(0, 8),
     n_max=st.integers(1, 4),
     ef_values=st.lists(st.sampled_from(DEFAULT_EF + ((3, 1),)), min_size=1, max_size=2).map(tuple),
-    band_scale=st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 2)]),
+    band_scale=st.sampled_from([Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 2), Fraction(-1, 4)]),
     max_witnesses=st.integers(0, 7),
 )
 def test_class_scan_matches_per_cell_oracle(kappa_min, width, n_max, ef_values, band_scale, max_witnesses):
@@ -48,31 +49,87 @@ def test_class_scan_matches_per_cell_oracle(kappa_min, width, n_max, ef_values, 
 
 
 def test_each_gap_class_is_scanned_once(monkeypatch):
-    """One kernel call per datum of each class, not per datum of each cell."""
-    kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1)), band_scale=2)
-    width = 6
-    per_class = 0
-    for (e, f) in kwargs["ef_values"]:
-        for g in scan_mod._gap_classes(3, width):
-            per_class += scan_mod._scan_cell((e, f, g, 2, 1, 0))[0]
-    calls, tables = [], []
+    """One flag pass per class of each distinct m, and kernel calls only to pin witnesses."""
+    kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1), (1, 2)), band_scale=2)
+    width, max_witnesses = 6, 5
+    calls, passes, tables = [], [], []
     find_candidate, candidate_tables = kernels.find_candidate, kernels.CandidateTables
+    misaligned_flags = candidate_tables.misaligned_flags
 
     def counting_find(*args, **kw):
-        calls.append(args[1])
+        calls.append(args[0])
         return find_candidate(*args, **kw)
+
+    def counting_flags(self, slopes, *args):
+        passes.append(self.weights)
+        return misaligned_flags(self, slopes, *args)
 
     def counting_tables(kappa):
         tables.append(kappa)
         return candidate_tables(kappa)
 
     monkeypatch.setattr(kernels, "find_candidate", counting_find)
+    monkeypatch.setattr(candidate_tables, "misaligned_flags", counting_flags)
     monkeypatch.setattr(kernels, "CandidateTables", counting_tables)
-    rep = run_scan(**kwargs)
-    classes = 2 * sum(1 for _ in scan_mod._gap_classes(3, width))  # (0,), then (0, a), (0, a, b) with b < 6
+    rep = run_scan(max_witnesses=max_witnesses, **kwargs)
+    # (0,), then (0, a), (0, a, b) with b < 6; (2, 1) and (1, 2) share m = 2
+    classes = 2 * sum(1 for _ in scan_mod._gap_classes(3, width))
     assert classes == 2 * (1 + 5 + 10)
-    assert len(tables) == classes
-    assert len(calls) == per_class < rep.data_checked
+    assert len(tables) == len(passes) == classes
+    assert len(set(passes)) == classes
+    assert rep.misaligned > 0 and 0 < len(calls) <= max_witnesses * classes
+    for weights in set(calls):
+        assert calls.count(weights) <= max_witnesses
+
+
+def test_class_scan_in_small_blocks(monkeypatch):
+    """Blocks of seven slope vectors: flags, counts and witnesses cross block ends."""
+    kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1)), band_scale=2, max_witnesses=7)
+    want = scan_per_cell(**kwargs).summary()
+    monkeypatch.setattr(scan_mod, "_BLOCK", 7)
+    assert want["misaligned"] > 0 and len(want["witnesses"]) == 7
+    assert run_scan(**kwargs).summary() == want
+
+
+def test_equal_m_shapes_share_one_class_result():
+    """(1, 2) and (2, 1) read alike up to e, f and the slope denominators."""
+    kwargs = dict(n_max=3, kappa_min=-2, kappa_max=2, band_scale=3)
+    one = run_scan(ef_values=((1, 2),), **kwargs).summary()
+    two = run_scan(ef_values=((2, 1),), **kwargs).summary()
+    assert one["misaligned"] > 0
+    for w in one["witnesses"]:
+        w["e"], w["f"] = 2, 1
+        w["slopes"] = [s.replace("/1", "/2") for s in w["slopes"]]
+    assert one == two
+    assert two == scan_per_cell(ef_values=((2, 1),), **kwargs).summary()
+
+
+def test_data_count_matches_listing():
+    grids = [(4, 0, 6, 1), (4, 0, 6, 2), (3, -2, 3, Fraction(5, 2)), (3, -2, 3, Fraction(-3, 2)), (2, 0, 0, 3), (0, 0, 4, 1)]
+    for n_max, lo, hi, band in grids:
+        band = Fraction(band)
+        listed = 0
+        for g in scan_mod._gap_classes(n_max, hi - lo + 1):
+            gap = min((b - a for a, b in zip(g, g[1:])), default=0)
+            radius = scan_mod._radius(len(g), gap, band.numerator, band.denominator)
+            listed += len(range(-radius, radius + 1)) ** len(g)
+        assert scan_mod.data_count(n_max, lo, hi, band) == listed
+    # the benchmark's grids, per shape, at bands 1 and 2; n_max=6 at band 3
+    assert scan_mod.data_count(4, 0, 6, 1) == 180 and scan_mod.data_count(4, 0, 6, 2) == 824
+    assert 4 * scan_mod.data_count(6, -5, 5, 3) == 94_856
+
+
+def test_many_slope_vectors_refused_before_scanning(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(SlopecertError, match="8121160 slope vectors, above scan.MAX_DATA = 2000000"):
+        run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1),), band_scale=40, max_cells=400)
+    # distinct shapes count once each
+    monkeypatch.setattr(scan_mod, "MAX_DATA", 359)
+    with pytest.raises(SlopecertError, match="360 slope vectors, above scan.MAX_DATA = 359"):
+        run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1), (1, 2), (1, 1)))
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(scan_mod, "MAX_DATA", 360)
+    assert run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1), (1, 2))).data_checked > 0
 
 
 def test_wide_grid_refused_before_listing():
@@ -181,13 +238,18 @@ def test_empty_grid_gives_empty_summary():
 
 
 def test_backend_summaries_agree(monkeypatch):
-    """The scan reads the same with the plain-loop oracle in place of the kernel."""
+    """The scan reads the same with the plain-loop oracle in place of the
+    flag pass and of the witness search."""
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=2, ef_values=((1, 1), (2, 1)), band_scale=2)
     fast = run_scan(**kwargs)
+
+    def oracle_flags(self, slopes, e, denom, tau):
+        return np.array([search_python(self.weights, s, e, denom, tau, True)[0] for s in slopes.tolist()], dtype=bool)
 
     def oracle(kappa, scaled, e, denom, tau, require_misaligned=True, tables=None):
         return search_python(kappa, scaled, e, denom, tau, require_misaligned)
 
+    monkeypatch.setattr(kernels.CandidateTables, "misaligned_flags", oracle_flags)
     monkeypatch.setattr(kernels, "find_candidate", oracle)
     slow = run_scan(**kwargs)
     assert fast.misaligned > 0
