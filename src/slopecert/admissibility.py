@@ -20,8 +20,10 @@ states the system on Fractions, as its definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import kernels
@@ -70,6 +72,21 @@ class PhiModuleDatum:
 
     def deviations(self) -> tuple:
         return tuple(self.slopes[i] - self.weight_mean(i + 1) for i in range(self.rank))
+
+    # The two cached properties below depend on no tau; a frozen instance
+    # computes each once for all of its alignment checks.
+    @cached_property
+    def max_deviation(self) -> Fraction:
+        """max |deviation|, 0 at rank 0."""
+        return max((abs(d) for d in self.deviations()), default=Fraction(0))
+
+    @cached_property
+    def scaled_slopes(self) -> tuple:
+        """(slopes times D as ints, D) with D the slopes' least common denominator."""
+        denom = 1
+        for s in self.slopes:
+            denom = denom * s.denominator // math.gcd(denom, s.denominator)
+        return tuple(int(s * denom) for s in self.slopes), denom
 
     def min_gap(self, tau: int) -> Optional[int]:
         """Minimal consecutive gap of the tau-th weight row; None when N = 1."""
@@ -174,8 +191,7 @@ def hypothesis_margin(datum: PhiModuleDatum, tau: int) -> Optional[Fraction]:
     if gap is None:
         return None
     bound = Fraction(gap, datum.e * datum.rank)
-    worst = max((abs(d) for d in datum.deviations()), default=Fraction(0))
-    return bound - worst
+    return bound - datum.max_deviation
 
 
 CERTIFIED = "certified"
@@ -191,16 +207,6 @@ class AlignmentResult:
 
     def __bool__(self):
         return self.status == CERTIFIED
-
-
-def _scaled_ints(datum: PhiModuleDatum):
-    import math
-
-    denom = 1
-    for s in datum.slopes:
-        denom = denom * s.denominator // math.gcd(denom, s.denominator)
-    scaled = [int(s * denom) for s in datum.slopes]
-    return scaled, denom
 
 
 def _witness_from_masks(datum: PhiModuleDatum, mask: int, img_masks) -> SubmoduleCandidate:
@@ -225,7 +231,7 @@ def admissible_candidates(
     """
     if not datum.distinct_flag:
         raise NotDistinct("candidate enumeration needs pairwise distinct slopes")
-    scaled, denom = _scaled_ints(datum)
+    scaled, denom = datum.scaled_slopes
     found = kernels.tables_for(datum.weights, tables).candidates(scaled, datum.e, denom, 0, False)
     return [_witness_from_masks(datum, mask, img) for mask, img in found]
 
@@ -240,7 +246,7 @@ def find_misaligned_candidate(
     ``tables``, built for ``datum.weights``, lets calls for several tau
     share the kernel's reachable sets.
     """
-    scaled, denom = _scaled_ints(datum)
+    scaled, denom = datum.scaled_slopes
     found, mask, img = kernels.find_candidate(
         datum.weights, scaled, datum.e, denom, tau - 1, require_misaligned=True, tables=tables
     )

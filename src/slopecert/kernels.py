@@ -15,6 +15,16 @@ induced tau-assignment changes some weight value.  Candidates are listed in
 this order: subsets by size then lexicographic; per-embedding image sets
 lexicographic, last embedding fastest.
 
+Complement duality: (I, J_1..J_m) passes iff (I^c, J_1^c..J_m^c) does, and
+both are misaligned alike.  Proof: the system holds the same inequalities
+for a subset and for its complement, and both candidates glue the same
+bijections.  Among k-subsets in lexicographic order, A < B iff the least
+element of the symmetric difference lies in A, so complementing reverses
+the order: rank r goes to C(N, k) - 1 - r.  Hence the listing at size N - k
+is the listing at size k reversed and complemented, the first candidate has
+size at most N // 2, and a flag at size N - k implies one at size k.  Only
+the sizes k <= N // 2 are ever built or searched.
+
 The kernel rests on one fact.  For a subset size k, write the Hodge side of
 the system as one length-N vector: the inside prefixes followed by the
 outside prefixes.  It is a sum over embeddings of a vector that depends only
@@ -36,6 +46,10 @@ passing candidate, so no separate passing test is needed; and as above only
 sums ``other`` whose inside total is the bound's minus hodge_tau[r]'s can
 qualify, so the test is a join keyed by inside total.  The sums ``other``
 are built once per k and tau and serve every row.
+
+The bounds and the passing subsets depend on the slope vector but not on
+tau, so ``CandidateTables`` keeps them for the last slope vector: the calls
+for the other tau of a datum only run the walk.
 """
 
 from __future__ import annotations
@@ -61,6 +75,12 @@ def _check_range(values, scale: int = 1) -> None:
     """
     if scale * sum(abs(int(v)) for v in values) >= _KEY_LIMIT:
         raise ValueError("weights or scaled slopes beyond the exact int64 range of the candidate kernel")
+
+
+def _check_denom(denom: int) -> None:
+    """Refuse a slope denominator that does not fit the int64 floor division."""
+    if denom >= _KEY_LIMIT:
+        raise ValueError("slope denominator beyond the exact int64 range of the candidate kernel")
 
 
 def active_backend() -> str:
@@ -255,6 +275,9 @@ class CandidateTables:
         self.total = int(self.kappa.sum())
         self._levels = {}
         self._joins = {}
+        # (slope key, {k: (bound, passing subsets)}) of the last slope
+        # vector: every tau of a datum asks about the same one
+        self._passing = (None, {})
 
     def _level(self, k: int) -> _Level:
         lv = self._levels.get(k)
@@ -295,10 +318,11 @@ class CandidateTables:
         it as soon as it is flagged or its totals do not close.
         """
         n = self.kappa.shape[1]
+        _check_denom(denom)
         S = _slope_matrix(slopes, n, e)
         flags = np.zeros(S.shape[0], dtype=bool)
         live = np.flatnonzero(e * S.sum(axis=1) == denom * self.total)
-        for k in range(1, n):
+        for k in range(1, n // 2 + 1):
             if live.size == 0:
                 break
             pos, pc, hr, other, totals = self._join(k, tau)
@@ -320,9 +344,12 @@ class CandidateTables:
     def candidates(self, slopes_scaled, e: int, denom: int, tau: int, require_misaligned: bool):
         """Every passing (subset_mask, image_masks) in order; a generator, so
         the input is checked at the first item.  ``require_misaligned`` keeps
-        those whose image choice on row ``tau`` moves a weight value."""
+        those whose image choice on row ``tau`` moves a weight value.  Sizes
+        above n // 2 are their complement sizes' lists, reversed and
+        complemented."""
         n = self.kappa.shape[1]
         _check_range(slopes_scaled, e)
+        _check_denom(denom)
         S = np.asarray(slopes_scaled, dtype=np.int64)
         if S.shape != (n,):
             raise ValueError(f"need {n} slopes, got {S.shape[0] if S.ndim else 0}")
@@ -333,11 +360,21 @@ class CandidateTables:
         # lying under the bound is passing.
         if e * int(S.sum()) != denom * self.total:
             return
+        key = (tuple(S.tolist()), e, denom)
+        if self._passing[0] != key:
+            self._passing = (key, {})
+        passing = self._passing[1]
         row = self.kappa[tau] if require_misaligned else None
-        for k in range(1, n):
+        full = (1 << n) - 1
+        listed = {}
+        for k in range(1, n // 2 + 1):
             lv = self._level(k)
-            bound = (e * _prefixes(S, lv.pos, k)) // denom
-            for c in np.flatnonzero(lv.passing(bound)).tolist():
+            if k not in passing:
+                bound = (e * _prefixes(S, lv.pos, k)) // denom
+                passing[k] = bound, np.flatnonzero(lv.passing(bound)).tolist()
+            bound, subsets = passing[k]
+            out = listed[k] = []
+            for c in subsets:
                 rows = None
                 if require_misaligned:
                     # image choices that move a weight value on row tau
@@ -345,7 +382,12 @@ class CandidateTables:
                     if rows.size == 0:
                         continue
                 for img in lv.choices(bound[c], tau, rows):
-                    yield int(lv.masks[c]), img
+                    out.append((int(lv.masks[c]), img))
+                    yield out[-1]
+        # size k > n // 2 is size n - k complemented, in reverse order
+        for k in range(n // 2 + 1, n):
+            for mask, img in reversed(listed[n - k]):
+                yield mask ^ full, tuple(i ^ full for i in img)
 
 
 def tables_for(kappa, tables=None) -> CandidateTables:

@@ -346,6 +346,16 @@ def test_admissible_lists_every_candidate_of_a_wide_datum(tmp_path):
     assert result["alignment"]["status"] == "certified"
 
 
+def test_slope_denominator_beyond_int64_is_a_one_line_error(tmp_path):
+    # the kernel floor-divides by the common denominator 2**70 in int64; it
+    # ended in an OverflowError traceback
+    slopes = [f"1/{2**70}", f"-1/{2**70}"]
+    params = {"e": 1, "f": 1, "slopes": slopes, "weights": [[-1, 1]]}
+    proc = invoke(tmp_path, {"command": "admissible", "params": params}, timeout=20)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: slope denominator beyond the exact int64 range of the candidate kernel\n"
+
+
 def test_unknown_command_rejected(tmp_path):
     proc = invoke(tmp_path, {"command": "frobnicate", "params": {}})
     assert proc.returncode == 1

@@ -9,7 +9,9 @@ an oracle job must exit 1.  ``keylemma-scan`` windows lie anywhere in
 closed-form refusal runs and the answered grids stay small; ``band_scale``
 reaches 60 with ``scan.MAX_DATA``, the slope-vector cap, patched to at most
 2,000, so that refusal runs too.
-``admissible`` listing has no cost bound yet, so its sizes stay small.
+``admissible`` listing has no cost bound yet, so its sizes stay small; half
+of its jobs are well-formed data over one slope denominator of up to 2^70,
+so the kernel's refusal of a denominator beyond int64 runs.
 """
 
 import contextlib
@@ -71,12 +73,17 @@ def _scaled(rat, factor):
 @st.composite
 def admissible_params(draw):
     e, f, n = draw(SMALL), draw(SMALL), draw(st.integers(1, 4))
-    params = {
-        "e": e,
-        "f": f,
-        "slopes": draw(rats(n, n)),
-        "weights": draw(int_rows(draw(st.sampled_from([e * f, 1])), draw(st.sampled_from([n, n + 1])))),
-    }
+    if draw(st.booleans()):
+        # a well-formed datum over one denominator of up to 2^70, so the
+        # kernel runs and refuses the denominators beyond int64
+        denom = draw(st.integers(1, 2**70) | st.sampled_from([1, 2**62 - 1, 2**62, 2**70]))
+        nums = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))
+        slopes = [f"{num}/{denom}" for num in nums]
+        weights = [sorted(row) for row in draw(int_rows(e * f, n))]
+    else:
+        slopes = draw(rats(n, n))
+        weights = draw(int_rows(draw(st.sampled_from([e * f, 1])), draw(st.sampled_from([n, n + 1]))))
+    params = {"e": e, "f": f, "slopes": slopes, "weights": weights}
     if draw(st.booleans()):
         params["tau"] = draw(st.integers(1, 3))
     return params

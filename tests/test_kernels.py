@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from kernel_oracle import candidate_masks, candidates_python, search_python
 
 from slopecert import kernels
-from slopecert.admissibility import PhiModuleDatum, admissible_candidates, candidate_passes
+from slopecert.admissibility import (
+    CERTIFIED,
+    PhiModuleDatum,
+    admissible_candidates,
+    alignment_check,
+    candidate_passes,
+)
 
 
 def _slopes(draw, kappa, e, denom):
@@ -62,6 +68,77 @@ def test_kernel_matches_oracle(case):
     cands = admissible_candidates(datum, tables)
     assert [candidate_masks(c) for c in cands] == want
     assert all(candidate_passes(datum, c.subset, c.theta) for c in cands)
+
+
+def _blocks(listing, n):
+    """The size-k blocks of a listing of (subset_mask, image_masks), k = 1..n-1."""
+    blocks = {k: [] for k in range(1, n)}
+    for mask, img in listing:
+        blocks[bin(mask).count("1")].append((mask, img))
+    return blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_inputs())
+def test_complement_duality(case):
+    # the size n - k block is the size k block reversed and complemented, in
+    # the oracle's listing and in the kernel's; so the first candidate has
+    # size at most n // 2
+    kappa, scaled, e, denom = case
+    n = len(scaled)
+    full = (1 << n) - 1
+    tables = kernels.CandidateTables(kappa)
+    for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
+        for listing in (
+            candidates_python(kappa, scaled, e, denom, tau, require_misaligned),
+            tables.candidates(scaled, e, denom, tau, require_misaligned),
+        ):
+            blocks = _blocks(listing, n)
+            for k in range(1, n):
+                dual = [(mask ^ full, tuple(i ^ full for i in img)) for mask, img in reversed(blocks[k])]
+                assert blocks[n - k] == dual
+        found, mask, _ = kernels.find_candidate(kappa, scaled, e, denom, tau, require_misaligned, tables)
+        assert not found or bin(mask).count("1") <= n // 2
+
+
+@st.composite
+def certified_data(draw):
+    """A datum whose slopes are its weight means; strictly ascending rows
+    make them distinct, and every tau is certified."""
+    m = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 6))
+    e = draw(st.sampled_from([1, 2]))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n, unique=True).map(sorted)
+    kappa = draw(st.lists(row, min_size=m, max_size=m))
+    return PhiModuleDatum(e, 1, [Fraction(sum(r[i] for r in kappa), e) for i in range(n)], kappa)
+
+
+@settings(max_examples=60, deadline=None)
+@given(certified_data())
+def test_no_table_above_half_the_rank(datum):
+    n = datum.rank
+    tables = kernels.CandidateTables(datum.weights)
+    for tau in range(1, datum.embeddings + 1):
+        assert alignment_check(datum, tau, tables).status == CERTIFIED
+    scaled, denom = datum.scaled_slopes
+    assert tables.misaligned_flags([scaled], datum.e, denom, 0).tolist() == [False]
+    admissible_candidates(datum, tables)
+    half = set(range(1, n // 2 + 1))
+    assert set(tables._levels) == half
+    assert {k for k, _ in tables._joins} == half
+
+
+@settings(max_examples=30, deadline=None)
+@given(kernel_inputs(max_rows=2))
+def test_tables_follow_the_slope_vector(case):
+    # the tables keep the last slope vector's passing subsets for the next
+    # tau; a new vector or denominator must not reuse them
+    kappa, rows, e, denom = case
+    tables = kernels.CandidateTables(kappa)
+    for scaled, d in [(s, denom) for s in rows + rows] + [(rows[0], denom + 1)]:
+        for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
+            want = search_python(kappa, scaled, e, d, tau, require_misaligned)
+            assert kernels.find_candidate(kappa, scaled, e, d, tau, require_misaligned, tables) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,6 +204,20 @@ def test_input_beyond_int64_range_raises():
     with pytest.raises(ValueError, match="int64"):
         list(tables.candidates([2**61, 0, -(2**61) + 3], 2, 1, 0, False))
     assert list(tables.candidates([2**60, 0, -(2**60) + 3], 2, 1, 0, False)) == []
+
+
+def test_denominator_beyond_int64_range_raises():
+    # e * prefix // denom runs in int64, so the denominator must fit
+    kappa, slopes = [[-1, 1]], [1, -1]
+    tables = kernels.CandidateTables(kappa)
+    with pytest.raises(ValueError, match="denominator beyond the exact int64 range"):
+        kernels.find_candidate(kappa, slopes, 1, 2**70, 0, tables=tables)
+    with pytest.raises(ValueError, match="denominator beyond the exact int64 range"):
+        tables.misaligned_flags([slopes], 1, 2**70, 0)
+    denom = kernels._KEY_LIMIT - 1
+    for require_misaligned in (True, False):
+        want = search_python(kappa, slopes, 1, denom, 0, require_misaligned)
+        assert kernels.find_candidate(kappa, slopes, 1, denom, 0, require_misaligned, tables) == want
 
 @st.composite
 def row_pairs(draw):
