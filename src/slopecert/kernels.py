@@ -29,23 +29,26 @@ The kernel rests on one fact.  For a subset size k, write the Hodge side of
 the system as one length-N vector: the inside prefixes followed by the
 outside prefixes.  It is a sum over embeddings of a vector that depends only
 on that embedding's image choice, so the set of vectors reachable by some
-choice depends on neither the subset nor the slopes.  ``CandidateTables``
-builds that set once per weight table and k, embedding by embedding, keeping
-every deduplicated suffix sum.  A subset passes when some reachable vector
-lies under its Newton vector with the same inside total; its passing image
-choices are listed by a depth-first walk over the suffix sums that keeps only
-choices that can still be completed, so no branch is a dead end.
+choice depends on neither the subset nor the slopes.  It is s_0, the last
+of the deduplicated suffix sums s_m = {0}, ..., s_0 over the embeddings.  A
+subset passes when some reachable vector lies under its Newton vector with
+the same inside total; its passing image choices are listed by a depth-first
+walk over the suffix sums that keeps only choices that can still be
+completed, so no branch is a dead end.
 
-``CandidateTables.misaligned_flags`` decides, for a whole matrix of slope
-vectors, whether ``find_candidate`` with ``require_misaligned`` finds
-anything, without listing candidates or building the reachable set.  A row
-is flagged when, for some k, subset c and image choice r on row tau that
-moves a weight value, some sum ``other`` of the other m - 1 embeddings'
-vectors has hodge_tau[r] + other under c's bound.  That already is a
-passing candidate, so no separate passing test is needed; and as above only
-sums ``other`` whose inside total is the bound's minus hodge_tau[r]'s can
-qualify, so the test is a join keyed by inside total.  The sums ``other``
-are built once per k and tau and serve every row.
+``CandidateTables.misaligned_flags`` answers ``find_candidate(kappa, row,
+1, 1, 0)[0]`` for a whole matrix of slope vectors without listing
+candidates: the scan's question, whose weight rows are all equal and which
+passes e = D.  A row is flagged when, for some k, subset c and image choice
+r on row 0 that moves a weight value, some vector s of s_1, the sums of the
+other embeddings' vectors, has hodge_0[r] + s under c's bound: a passing
+candidate already.  As above, only s whose inside total is the bound's
+minus hodge_0[r]'s qualify, so the test is a join keyed by inside total.
+
+``_Level`` is the one table per weight table and k: the vectors and the
+s_1..s_m the walk reads, and, built on first use, s_0 for ``passing`` and
+the join's (c, r) pairs for the flags, so a scan class without witnesses
+never builds s_0.  One keyed lookup, ``_matches``, serves both.
 
 The bounds and the passing subsets depend on the slope vector but not on
 tau, so ``CandidateTables`` keeps them for the last slope vector: the calls
@@ -54,15 +57,15 @@ for the other tau of a datum only run the walk.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 
 # Packed keys stay below this, so a sum of two keys cannot overflow int64.
 _KEY_LIMIT = 1 << 62
-# ``misaligned_flags`` expands its join this many (vector, choice, sum)
-# states at a time, so its arrays do not grow with the size of the join.
+# ``_matches`` yields at most this many matches per piece, so no lookup's
+# arrays grow with its matches.
 _JOIN_STATES = 1 << 15
 
 
@@ -110,38 +113,40 @@ def _prefixes(values: np.ndarray, pos: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _expand(lo: np.ndarray, counts: np.ndarray):
-    """(owner, state): every state in each owner's range lo[i] : lo[i] +
-    counts[i], by owner then state, as in ``_Level.passing``."""
-    owner = np.repeat(np.arange(lo.size), counts)
-    state = np.arange(owner.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return owner, state
-
-
-def _pieces(counts: np.ndarray, limit: int):
-    """Consecutive owner ranges [first, last) of at most ``limit`` states
-    each, but never empty: one owner with more states is a piece alone."""
+def _matches(totals: np.ndarray, target: np.ndarray):
+    """(owner, state) for every state i with totals[i] == target[owner], by
+    owner then state, in pieces of at most _JOIN_STATES; ``totals`` is
+    ascending, and nothing is yielded when nothing matches."""
+    lo = np.searchsorted(totals, target, side="left")
+    counts = np.searchsorted(totals, target, side="right") - lo
     ends = np.cumsum(counts)
-    first = 0
-    while first < counts.size:
-        base = int(ends[first - 1]) if first else 0
-        last = max(first + 1, int(np.searchsorted(ends, base + limit, side="right")))
-        yield first, last
-        first = last
+    total = int(ends[-1]) if ends.size else 0
+    shift = lo + counts - ends  # state minus flat position, per owner
+    for start in range(0, total, _JOIN_STATES):
+        flat = np.arange(start, min(start + _JOIN_STATES, total))
+        owner = np.searchsorted(ends, flat, side="right")
+        yield owner, flat + shift[owner]
+
+
+def _by_total(rows: np.ndarray, k: int):
+    """``rows`` ascending by inside total (column k - 1), and those totals."""
+    rows = rows[np.argsort(rows[:, k - 1])]
+    return rows, rows[:, k - 1]
 
 
 def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
-    """``slopes`` as a V x n int64 matrix; a row is refused as ``candidates``
-    refuses it.  The column-wide maximum only decides whether rows must be
-    checked one by one."""
+    """``slopes`` as a V x n int64 matrix, or ``_check_range``'s refusal of
+    a row, with e the slopes' factor.  The largest |v| of the whole matrix
+    only decides whether rows must be checked one by one."""
     try:
         S = np.asarray(slopes, dtype=np.int64)
     except OverflowError:
         S = None
-    if S is None or (S.size and e * n * max(-int(S.min()), int(S.max())) >= _KEY_LIMIT):
+    # |v| as uint64 is exact for every int64 v, -2**63 included
+    if S is None or (S.size and e * n * int(np.abs(S).view(np.uint64).max()) >= _KEY_LIMIT):
         for row in slopes:
             _check_range(row, e)
-    if S.size == 0:
+    if S.ndim == 1 and S.size == 0:
         return S.reshape(0, n)
     if S.ndim != 2 or S.shape[1] != n:
         raise ValueError(f"need {n} slopes per row, got shape {S.shape}")
@@ -186,28 +191,41 @@ def _sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Level:
-    """Reachable Hodge-prefix vectors of one weight table at one subset size k."""
+    """One weight table's vectors and suffix sums at one subset size k."""
 
     def __init__(self, kappa: np.ndarray, k: int):
         m, n = kappa.shape
         self.k = k
+        self.row0 = kappa[0]
         self.pos, self.masks = _choices(n, k)
         # per-embedding vectors, one row per image choice: (m, C, n)
         self.hodge = _prefixes(kappa, self.pos, k)
-        self.suffix = self._suffix_sums(np.zeros((1, n), dtype=np.int64), 0, m)
-        reach, self.suffix[0] = self.suffix[0], None  # choices() reads suffix[1:]
-        order = np.argsort(reach[:, k - 1])
-        self.reach = reach[order]
-        self.totals = self.reach[:, k - 1]
+        # s_1..s_m: the walk reads suffix[j + 1] at embedding j
+        self.suffix = self._suffix_sums(np.zeros((1, n), dtype=np.int64), m)
 
-    def _suffix_sums(self, tail: np.ndarray, start: int, stop: int, rows=None) -> list:
-        """[s_start, ..., s_stop] with s_stop = ``tail`` and s_j the distinct
-        sums of embedding j's vectors with s_{j+1}; ``rows`` restricts the
-        choices of embedding stop - 1."""
+    @cached_property
+    def reach(self):
+        """(s_0, its inside totals): every reachable vector, by inside total."""
+        return _by_total(_sumset(self.hodge[0], self.suffix[1]), self.k)
+
+    @cached_property
+    def join(self):
+        """(pc, hr, s_1, its inside totals): the (subset, image choice) pairs
+        whose choice moves a weight value on row 0, as subset indices ``pc``
+        and row-0 vectors ``hr``; s_1 by inside total."""
+        vals = self.row0[self.pos]
+        pc, pr = np.nonzero((vals[:, None, :] != vals[None, :, :]).any(axis=2))
+        return (pc, self.hodge[0][pr], *_by_total(self.suffix[1], self.k))
+
+    def _suffix_sums(self, tail: np.ndarray, stop: int, rows=None) -> list:
+        """[None, s_1, ..., s_stop] with s_stop = ``tail`` and s_j the
+        distinct sums of embedding j's vectors with s_{j+1}; ``rows``
+        restricts the choices of embedding stop - 1.  s_0 is ``reach``."""
         out = [tail]
-        for j in range(stop - 1, start - 1, -1):
+        for j in range(stop - 1, 0, -1):
             h = self.hodge[j] if rows is None or j != stop - 1 else self.hodge[j][rows]
             out.append(_sumset(h, out[-1]))
+        out.append(None)
         out.reverse()
         return out
 
@@ -218,18 +236,10 @@ class _Level:
         inside total equals the bound's are compared: any other lies above
         the bound at one of the two totals.
         """
-        k = self.k
-        lo = np.searchsorted(self.totals, bound[:, k - 1], side="left")
-        hi = np.searchsorted(self.totals, bound[:, k - 1], side="right")
-        counts = hi - lo
+        reach, totals = self.reach
         out = np.zeros(bound.shape[0], dtype=bool)
-        total = int(counts.sum())
-        if total == 0:
-            return out
-        owner = np.repeat(np.arange(bound.shape[0]), counts)
-        state = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        ok = (self.reach[state] <= bound[owner]).all(axis=1)
-        out[owner[ok]] = True
+        for owner, state in _matches(totals, bound[:, self.k - 1]):
+            out[owner[(reach[state] <= bound[owner]).all(axis=1)]] = True
         return out
 
     def choices(self, bound: np.ndarray, tau: int, rows=None):
@@ -244,7 +254,7 @@ class _Level:
         suffix = self.suffix
         if rows is not None:
             # the walk reads suffix[1..m]; those up to tau change
-            suffix = [None] + self._suffix_sums(suffix[tau + 1], 1, tau + 1, rows) + suffix[tau + 2 :]
+            suffix = self._suffix_sums(suffix[tau + 1], tau + 1, rows) + suffix[tau + 2 :]
         return self._walk(0, np.zeros_like(bound), (), bound, tau, rows, suffix)
 
     def _walk(self, j, acc, picked, bound, tau, rows, suffix):
@@ -274,7 +284,6 @@ class CandidateTables:
         self.kappa = np.array(self.weights, dtype=np.int64).reshape(len(self.weights), -1)
         self.total = int(self.kappa.sum())
         self._levels = {}
-        self._joins = {}
         # (slope key, {k: (bound, passing subsets)}) of the last slope
         # vector: every tau of a datum asks about the same one
         self._passing = (None, {})
@@ -285,57 +294,23 @@ class CandidateTables:
             lv = self._levels[k] = _Level(self.kappa, k)
         return lv
 
-    def _join(self, k: int, tau: int):
-        """The flag join's tables at subset size k and row tau, built once.
-
-        (pos, pc, hr, other, totals): the choice positions; the (subset,
-        image choice) pairs whose choice moves a weight value on row tau, as
-        subset indices ``pc`` and row-tau vectors ``hr``; the distinct sums
-        of the other embeddings' vectors, ascending by inside total, and
-        those totals.
-        """
-        join = self._joins.get((k, tau))
-        if join is None:
-            m, n = self.kappa.shape
-            pos, _ = _choices(n, k)
-            hodge = _prefixes(self.kappa, pos, k)
-            other = np.zeros((1, n), dtype=np.int64)
-            for j in range(m):
-                if j != tau:
-                    other = _sumset(hodge[j], other)
-            other = other[np.argsort(other[:, k - 1], kind="stable")]
-            vals = self.kappa[tau][pos]
-            # as in candidates: r's values on row tau differ from c's
-            pc, pr = np.nonzero((vals[:, None, :] != vals[None, :, :]).any(axis=2))
-            join = self._joins[k, tau] = (pos, pc, hodge[tau][pr], other, other[:, k - 1].copy())
-        return join
-
-    def misaligned_flags(self, slopes, e: int, denom: int, tau: int) -> np.ndarray:
-        """Per row of the V x N matrix ``slopes`` (slopes times ``denom``),
-        ``find_candidate(...)[0]`` with ``require_misaligned``.
-
-        The join runs in pieces of about _JOIN_STATES states; a row leaves
-        it as soon as it is flagged or its totals do not close.
-        """
+    def misaligned_flags(self, slopes) -> np.ndarray:
+        """Per row of the V x N matrix ``slopes``, ``find_candidate(kappa,
+        row, 1, 1, 0)[0]``.  A row leaves the join as soon as it is flagged
+        or its totals do not close."""
         n = self.kappa.shape[1]
-        _check_denom(denom)
-        S = _slope_matrix(slopes, n, e)
+        S = _slope_matrix(slopes, n, 1)
         flags = np.zeros(S.shape[0], dtype=bool)
-        live = np.flatnonzero(e * S.sum(axis=1) == denom * self.total)
+        live = np.flatnonzero(S.sum(axis=1) == self.total)
         for k in range(1, n // 2 + 1):
             if live.size == 0:
                 break
-            pos, pc, hr, other, totals = self._join(k, tau)
-            if pc.size == 0:
-                continue
-            bound = (e * _prefixes(S[live], pos, k)) // denom
-            target = (bound[:, pc, k - 1] - hr[:, k - 1]).reshape(-1)
-            lo = np.searchsorted(totals, target, side="left")
-            counts = np.searchsorted(totals, target, side="right") - lo
+            lv = self._level(k)
+            pc, hr, other, totals = lv.join
+            bound = _prefixes(S[live], lv.pos, k)
             hit = np.zeros(live.size, dtype=bool)
-            for first, last in _pieces(counts, _JOIN_STATES):
-                owner, state = _expand(lo[first:last], counts[first:last])
-                v, p = np.divmod(owner + first, pc.size)
+            for owner, state in _matches(totals, (bound[:, pc, k - 1] - hr[:, k - 1]).reshape(-1)):
+                v, p = np.divmod(owner, pc.size)
                 hit[v[(other[state] + hr[p] <= bound[v, pc[p]]).all(axis=1)]] = True
             flags[live[hit]] = True
             live = live[~hit]
@@ -348,11 +323,8 @@ class CandidateTables:
         above n // 2 are their complement sizes' lists, reversed and
         complemented."""
         n = self.kappa.shape[1]
-        _check_range(slopes_scaled, e)
+        S = _slope_matrix([slopes_scaled], n, e)[0]
         _check_denom(denom)
-        S = np.asarray(slopes_scaled, dtype=np.int64)
-        if S.shape != (n,):
-            raise ValueError(f"need {n} slopes, got {S.shape[0] if S.ndim else 0}")
         # The inside and outside totals add up to the full ones, so both
         # equalities need the full totals to agree.  Then a reachable vector,
         # whose two totals add up to the Hodge total too, lies under the
@@ -392,11 +364,10 @@ class CandidateTables:
 
 def tables_for(kappa, tables=None) -> CandidateTables:
     """``tables`` when built for ``kappa``, new tables when None."""
-    if tables is None:
-        return CandidateTables(kappa)
-    if tables.weights != kappa and tables.weights != tuple(map(tuple, kappa)):
+    # rows compared as tuples, so a numpy table compares by value too
+    if tables is not None and tables.weights != tuple(map(tuple, kappa)):
         raise ValueError("candidate tables were built for another weight table")
-    return tables
+    return CandidateTables(kappa) if tables is None else tables
 
 
 def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True, tables=None):

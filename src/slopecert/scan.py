@@ -134,7 +134,7 @@ def _scan_class(args) -> Tuple[int, int, list]:
         scaled = low + np.stack(np.unravel_index(index, (side,) * n), axis=1)
         ordered = np.sort(scaled, axis=1)
         scaled = scaled[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
-        flags = tables.misaligned_flags(scaled, 1, 1, 0)
+        flags = tables.misaligned_flags(scaled)
         checked += scaled.shape[0]
         bad += int(flags.sum())
         for row in scaled[flags][: max_witnesses - len(hits)].tolist():

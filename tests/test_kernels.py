@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,13 +33,14 @@ def _slopes(draw, kappa, e, denom):
 
 
 @st.composite
-def kernel_inputs(draw, max_rows=None):
+def kernel_inputs(draw, max_rows=None, units=False):
     """(kappa, scaled slopes, e, denom) for the kernel; with ``max_rows``,
-    a matrix of 1..max_rows slope vectors in place of one."""
+    a matrix of 1..max_rows slope vectors in place of one; with ``units``,
+    e = denom = 1, the system the scan's flags answer."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(2, 4))
-    e = draw(st.sampled_from([1, 2]))
-    denom = draw(st.sampled_from([1, 2, 3]))
+    e = 1 if units else draw(st.sampled_from([1, 2]))
+    denom = 1 if units else draw(st.sampled_from([1, 2, 3]))
     row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(sorted)
     kappa = draw(st.lists(row, min_size=m, max_size=m))
     if max_rows is None:
@@ -120,12 +122,11 @@ def test_no_table_above_half_the_rank(datum):
     tables = kernels.CandidateTables(datum.weights)
     for tau in range(1, datum.embeddings + 1):
         assert alignment_check(datum, tau, tables).status == CERTIFIED
-    scaled, denom = datum.scaled_slopes
-    assert tables.misaligned_flags([scaled], datum.e, denom, 0).tolist() == [False]
+    # e times the slopes are the column sums, and e = D is the system at e = D = 1
+    sums = [sum(row[i] for row in datum.weights) for i in range(n)]
+    assert tables.misaligned_flags([sums]).tolist() == [False]
     admissible_candidates(datum, tables)
-    half = set(range(1, n // 2 + 1))
-    assert set(tables._levels) == half
-    assert {k for k, _ in tables._joins} == half
+    assert set(tables._levels) == set(range(1, n // 2 + 1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,14 +143,15 @@ def test_tables_follow_the_slope_vector(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kernel_inputs(max_rows=12))
+@given(kernel_inputs(max_rows=12, units=True))
 def test_misaligned_flags_match_oracle(case):
-    kappa, rows, e, denom = case
-    tables = kernels.CandidateTables(kappa)
+    # the flags ask about row 0; rotating the weight table puts each row there
+    kappa, rows, _, _ = case
     for tau in range(len(kappa)):
-        want = [search_python(kappa, s, e, denom, tau, True)[0] for s in rows]
-        assert tables.misaligned_flags(rows, e, denom, tau).tolist() == want
-        assert tables.misaligned_flags(np.array(rows, dtype=np.int64), e, denom, tau).tolist() == want
+        tables = kernels.CandidateTables(kappa[tau:] + kappa[:tau])
+        want = [search_python(kappa, s, 1, 1, tau, True)[0] for s in rows]
+        assert tables.misaligned_flags(rows).tolist() == want
+        assert tables.misaligned_flags(np.array(rows, dtype=np.int64)).tolist() == want
 
 
 def test_misaligned_flags_in_small_pieces(monkeypatch):
@@ -159,27 +161,56 @@ def test_misaligned_flags_in_small_pieces(monkeypatch):
     want = [[search_python(kappa, s, 1, 1, tau, True)[0] for s in rows] for tau in range(3)]
     assert 0 < sum(map(sum, want)) < 3 * len(rows)
     monkeypatch.setattr(kernels, "_JOIN_STATES", 3)
-    tables = kernels.CandidateTables(kappa)
-    assert [tables.misaligned_flags(rows, 1, 1, tau).tolist() for tau in range(3)] == want
+    got = [kernels.CandidateTables(kappa[tau:] + kappa[:tau]).misaligned_flags(rows).tolist() for tau in range(3)]
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_inputs())
+def test_passing_in_small_pieces(case):
+    # three matches per piece: the passing test runs in pieces too
+    kappa, scaled, e, denom = case
+    with mock.patch.object(kernels, "_JOIN_STATES", 3):
+        tables = kernels.CandidateTables(kappa)
+        for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
+            want = list(candidates_python(kappa, scaled, e, denom, tau, require_misaligned))
+            assert list(tables.candidates(scaled, e, denom, tau, require_misaligned)) == want
+            got = kernels.find_candidate(kappa, scaled, e, denom, tau, require_misaligned, tables)
+            assert got == ((True, *want[0]) if want else (False, 0, ()))
+
+
+def test_matches_in_pieces(monkeypatch):
+    # pieces of at most three states, which may split an owner's states;
+    # owners without a match are skipped, and nothing matching yields nothing
+    monkeypatch.setattr(kernels, "_JOIN_STATES", 3)
+    totals = np.array([0, 1, 1, 2, 2, 2, 2, 5])
+    pieces = [(o.tolist(), s.tolist()) for o, s in kernels._matches(totals, np.array([3, 1, 0, 9, 2, 1, 5]))]
+    assert pieces == [([1, 1, 2], [1, 2, 0]), ([4, 4, 4], [3, 4, 5]), ([4, 5, 5], [6, 1, 2]), ([6], [7])]
+    assert list(kernels._matches(totals, np.array([3, 4, 9]))) == []
+    assert list(kernels._matches(totals, np.array([], dtype=np.int64))) == []
 
 
 def test_misaligned_flags_edge_rows():
     tables = kernels.CandidateTables([[0, 1, 2]])
-    assert tables.misaligned_flags([], 1, 1, 0).shape == (0,)
-    assert tables.misaligned_flags(np.zeros((0, 3), dtype=np.int64), 1, 1, 0).shape == (0,)
+    assert tables.misaligned_flags([]).shape == (0,)
+    assert tables.misaligned_flags(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
     # one row beyond the int64 range refuses the matrix, as candidates refuses the row
-    far = [2**61, 0, -(2**61) + 3]
+    far = [2**62, 0, -(2**62) + 3]
     with pytest.raises(ValueError, match="int64") as want:
-        list(tables.candidates(far, 2, 1, 0, True))
-    for slopes in ([[2, 0, 1], far], np.array([[2, 0, 1], far], dtype=np.int64), [[0, 1, 2], [2**70, 0, 0]]):
+        list(tables.candidates(far, 1, 1, 0, True))
+    lowest = np.array([[2, 0, 1], [-(2**63), 0, 3]], dtype=np.int64)  # its absolute value wraps in int64
+    for slopes in ([[2, 0, 1], far], np.array([[2, 0, 1], far], dtype=np.int64), [[0, 1, 2], [2**70, 0, 0]], lowest):
         with pytest.raises(ValueError, match="int64") as got:
-            tables.misaligned_flags(slopes, 2, 1, 0)
+            tables.misaligned_flags(slopes)
         assert str(got.value) == str(want.value)
-    # e times the column-wide maximum is past the limit, but no row's sum is
-    ok = [[2**60, 0, -(2**60) + 3], [0, 2**60, -(2**60) + 3], [0, 0, 3]]
-    assert tables.misaligned_flags(ok, 2, 1, 0).tolist() == [False] * 3
+    # N times the column-wide maximum is past the limit, but no row's sum is
+    ok = [[2**61, 0, -(2**61) + 3], [0, 2**61, -(2**61) + 3], [0, 0, 3], [2, 0, 1]]
+    assert tables.misaligned_flags(ok).tolist() == [search_python([[0, 1, 2]], s, 1, 1, 0)[0] for s in ok]
+    for short in ([[0, 3]], [[]]):  # one empty row is a row, not an empty matrix
+        with pytest.raises(ValueError, match="need 3 slopes"):
+            tables.misaligned_flags(short)
     with pytest.raises(ValueError, match="need 3 slopes"):
-        tables.misaligned_flags([[0, 3]], 1, 1, 0)
+        list(tables.candidates([0, 3], 1, 1, 0, True))
 
 
 def test_tables_belong_to_one_weight_table():
@@ -188,7 +219,13 @@ def test_tables_belong_to_one_weight_table():
         kernels.find_candidate([[0, 2]], [0, 2], 1, 1, 0, tables=tables)
     with pytest.raises(ValueError):
         admissible_candidates(PhiModuleDatum(1, 1, [0, 2], [[0, 2]]), tables)
-
+    # a numpy weight table is compared by value, as rows of tuples
+    kappa = np.array([[0, 1, 3]])
+    want = kernels.find_candidate(kappa, [1, 0, 3], 1, 1, 0, False)
+    assert want == (True, 1, (2,))
+    assert kernels.find_candidate(kappa, [1, 0, 3], 1, 1, 0, False, kernels.CandidateTables([[0, 1, 3]])) == want
+    with pytest.raises(ValueError):
+        kernels.find_candidate(np.array([[0, 1, 4]]), [1, 0, 4], 1, 1, 0, False, kernels.CandidateTables([[0, 1, 3]]))
 
 
 def test_input_beyond_int64_range_raises():
@@ -212,8 +249,6 @@ def test_denominator_beyond_int64_range_raises():
     tables = kernels.CandidateTables(kappa)
     with pytest.raises(ValueError, match="denominator beyond the exact int64 range"):
         kernels.find_candidate(kappa, slopes, 1, 2**70, 0, tables=tables)
-    with pytest.raises(ValueError, match="denominator beyond the exact int64 range"):
-        tables.misaligned_flags([slopes], 1, 2**70, 0)
     denom = kernels._KEY_LIMIT - 1
     for require_misaligned in (True, False):
         want = search_python(kappa, slopes, 1, denom, 0, require_misaligned)

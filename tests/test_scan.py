@@ -60,9 +60,9 @@ def test_each_gap_class_is_scanned_once(monkeypatch):
         calls.append(args[0])
         return find_candidate(*args, **kw)
 
-    def counting_flags(self, slopes, *args):
+    def counting_flags(self, slopes):
         passes.append(self.weights)
-        return misaligned_flags(self, slopes, *args)
+        return misaligned_flags(self, slopes)
 
     def counting_tables(kappa):
         tables.append(kappa)
@@ -80,6 +80,25 @@ def test_each_gap_class_is_scanned_once(monkeypatch):
     assert rep.misaligned > 0 and 0 < len(calls) <= max_witnesses * classes
     for weights in set(calls):
         assert calls.count(weights) <= max_witnesses
+
+
+def test_certified_class_builds_no_reachable_set(monkeypatch):
+    """A class without witnesses runs only the flag join: no table builds s_0,
+    the reachable set that pinning a witness reads."""
+    made, candidate_tables = [], kernels.CandidateTables
+
+    def recording_tables(kappa):
+        made.append(candidate_tables(kappa))
+        return made[-1]
+
+    monkeypatch.setattr(kernels, "CandidateTables", recording_tables)
+    for band, want in ((1, (81, 0, 0)), (2, (625, 1, 1))):
+        made.clear()
+        checked, bad, hits = scan_mod._scan_class((2, (0, 4, 8, 12), band, 1, 5))
+        assert (checked, bad, len(hits)) == want
+        levels = [lv for tables in made for lv in tables._levels.values()]
+        assert len(levels) == 2 and all("join" in lv.__dict__ for lv in levels)
+        assert any("reach" in lv.__dict__ for lv in levels) == bool(hits)
 
 
 def test_class_scan_in_small_blocks(monkeypatch):
@@ -243,8 +262,8 @@ def test_backend_summaries_agree(monkeypatch):
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=2, ef_values=((1, 1), (2, 1)), band_scale=2)
     fast = run_scan(**kwargs)
 
-    def oracle_flags(self, slopes, e, denom, tau):
-        return np.array([search_python(self.weights, s, e, denom, tau, True)[0] for s in slopes.tolist()], dtype=bool)
+    def oracle_flags(self, slopes):
+        return np.array([search_python(self.weights, s, 1, 1, 0, True)[0] for s in slopes.tolist()], dtype=bool)
 
     def oracle(kappa, scaled, e, denom, tau, require_misaligned=True, tables=None):
         return search_python(kappa, scaled, e, denom, tau, require_misaligned)
