@@ -232,7 +232,7 @@ def admissible_candidates(
     if not datum.distinct_flag:
         raise NotDistinct("candidate enumeration needs pairwise distinct slopes")
     scaled, denom = datum.scaled_slopes
-    found = kernels.tables_for(datum.weights, tables).candidates(scaled, datum.e, denom, 0, False)
+    found = kernels.tables_for(datum.weights, tables).candidates(scaled, datum.e, denom)
     return [_witness_from_masks(datum, mask, img) for mask, img in found]
 
 

@@ -13,7 +13,8 @@ ascending-prefix inequality
 and both totals hold with equality.  It is *misaligned* at row tau when the
 induced tau-assignment changes some weight value.  Candidates are listed in
 this order: subsets by size then lexicographic; per-embedding image sets
-lexicographic, last embedding fastest.
+lexicographic, last embedding fastest.  The listing does not depend on tau:
+``find_candidate`` returns its first candidate misaligned at row tau.
 
 Complement duality: (I, J_1..J_m) passes iff (I^c, J_1^c..J_m^c) does, and
 both are misaligned alike.  Proof: the system holds the same inequalities
@@ -50,9 +51,8 @@ s_1..s_m the walk reads, and, built on first use, s_0 for ``passing`` and
 the join's (c, r) pairs for the flags, so a scan class without witnesses
 never builds s_0.  One keyed lookup, ``_matches``, serves both.
 
-The bounds and the passing subsets depend on the slope vector but not on
-tau, so ``CandidateTables`` keeps them for the last slope vector: the calls
-for the other tau of a datum only run the walk.
+``CandidateTables`` keeps the bounds and passing subsets of the last slope
+vector, so the calls for the other tau of a datum only run the walk.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ def _check_range(values, scale: int = 1) -> None:
         raise ValueError("weights or scaled slopes beyond the exact int64 range of the candidate kernel")
 
 
-def _check_denom(denom: int) -> None:
-    """Refuse a slope denominator that does not fit the int64 floor division."""
-    if denom >= _KEY_LIMIT:
-        raise ValueError("slope denominator beyond the exact int64 range of the candidate kernel")
-
-
 def active_backend() -> str:
     """Name of the candidate kernel."""
     return "reachable-set"
@@ -100,10 +94,8 @@ def _choices(n: int, k: int):
     """
     ins = list(combinations(range(n), k))
     pos = np.array([list(t) + [b for b in range(n) if b not in t] for t in ins], dtype=np.int64)
-    masks = np.array([sum(1 << b for b in t) for t in ins], dtype=np.int64)
     pos.setflags(write=False)
-    masks.setflags(write=False)
-    return pos, masks
+    return pos, tuple(sum(1 << b for b in t) for t in ins)
 
 
 def _prefixes(values: np.ndarray, pos: np.ndarray, k: int) -> np.ndarray:
@@ -200,8 +192,12 @@ class _Level:
         self.pos, self.masks = _choices(n, k)
         # per-embedding vectors, one row per image choice: (m, C, n)
         self.hodge = _prefixes(kappa, self.pos, k)
-        # s_1..s_m: the walk reads suffix[j + 1] at embedding j
-        self.suffix = self._suffix_sums(np.zeros((1, n), dtype=np.int64), m)
+        # [None, s_1, ..., s_m]: s_m = {0}, s_j the distinct hodge[j] + s_{j+1};
+        # the walk reads suffix[j + 1] at embedding j, and s_0 is ``reach``
+        suffix = [np.zeros((1, n), dtype=np.int64)]
+        for j in range(m - 1, 0, -1):
+            suffix.append(_sumset(self.hodge[j], suffix[-1]))
+        self.suffix = [None] + suffix[::-1]
 
     @cached_property
     def reach(self):
@@ -217,18 +213,6 @@ class _Level:
         pc, pr = np.nonzero((vals[:, None, :] != vals[None, :, :]).any(axis=2))
         return (pc, self.hodge[0][pr], *_by_total(self.suffix[1], self.k))
 
-    def _suffix_sums(self, tail: np.ndarray, stop: int, rows=None) -> list:
-        """[None, s_1, ..., s_stop] with s_stop = ``tail`` and s_j the
-        distinct sums of embedding j's vectors with s_{j+1}; ``rows``
-        restricts the choices of embedding stop - 1.  s_0 is ``reach``."""
-        out = [tail]
-        for j in range(stop - 1, 0, -1):
-            h = self.hodge[j] if rows is None or j != stop - 1 else self.hodge[j][rows]
-            out.append(_sumset(h, out[-1]))
-        out.append(None)
-        out.reverse()
-        return out
-
     def passing(self, bound: np.ndarray) -> np.ndarray:
         """Which subsets have a reachable vector under their bound row.
 
@@ -242,33 +226,25 @@ class _Level:
             out[owner[(reach[state] <= bound[owner]).all(axis=1)]] = True
         return out
 
-    def choices(self, bound: np.ndarray, tau: int, rows=None):
-        """Image bitmasks per embedding of every choice passing ``bound``, in order.
+    def choices(self, bound: np.ndarray, j: int = 0, acc=0, picked: tuple = ()):
+        """Image bitmasks per embedding of every choice passing ``bound``, in
+        order; ``j``, ``acc`` and ``picked`` carry the walk's state.
 
-        ``rows`` restricts the choices of embedding ``tau`` and must not be
-        empty.  The walk is depth first and keeps only choices that the
-        suffix sums can still complete, so every branch ends in a passing
-        choice and the first one yielded is, per embedding, the smallest
-        choice that can still be completed.
+        The walk is depth first and keeps only choices that the suffix sums
+        can still complete, so every branch ends in a passing choice and the
+        first one yielded is, per embedding, the smallest choice that can
+        still be completed.
         """
-        suffix = self.suffix
-        if rows is not None:
-            # the walk reads suffix[1..m]; those up to tau change
-            suffix = self._suffix_sums(suffix[tau + 1], tau + 1, rows) + suffix[tau + 2 :]
-        return self._walk(0, np.zeros_like(bound), (), bound, tau, rows, suffix)
-
-    def _walk(self, j, acc, picked, bound, tau, rows, suffix):
         # a method, not a recursive closure: a closure that names itself is a
         # reference cycle per call, left to the cyclic collector, which made
         # the benchmark's scan workload about 7 % slower
-        if j == len(self.hodge):
-            yield picked
+        vec = acc + self.hodge[j]
+        if j + 1 == len(self.hodge):  # the last embedding, whose suffix sum is {0}
+            for c in (vec <= bound).all(axis=1).nonzero()[0].tolist():
+                yield picked + (self.masks[c],)
             return
-        hodge = self.hodge[j]
-        choice = rows if (rows is not None and j == tau) else np.arange(hodge.shape[0])
-        full = (acc + hodge[choice])[:, None, :] + suffix[j + 1][None, :, :]
-        for c in choice[(full <= bound).all(axis=2).any(axis=1)].tolist():
-            yield from self._walk(j + 1, acc + hodge[c], picked + (int(self.masks[c]),), bound, tau, rows, suffix)
+        for c in (vec[:, None, :] + self.suffix[j + 1] <= bound).all(axis=2).any(axis=1).nonzero()[0].tolist():
+            yield from self.choices(bound, j + 1, vec[c], picked + (self.masks[c],))
 
 
 class CandidateTables:
@@ -316,15 +292,14 @@ class CandidateTables:
             live = live[~hit]
         return flags
 
-    def candidates(self, slopes_scaled, e: int, denom: int, tau: int, require_misaligned: bool):
+    def candidates(self, slopes_scaled, e: int, denom: int):
         """Every passing (subset_mask, image_masks) in order; a generator, so
-        the input is checked at the first item.  ``require_misaligned`` keeps
-        those whose image choice on row ``tau`` moves a weight value.  Sizes
-        above n // 2 are their complement sizes' lists, reversed and
-        complemented."""
+        the input is checked at the first item.  Sizes above n // 2 are their
+        complement sizes' lists, reversed and complemented."""
         n = self.kappa.shape[1]
         S = _slope_matrix([slopes_scaled], n, e)[0]
-        _check_denom(denom)
+        if denom >= _KEY_LIMIT:  # the bound's floor division runs in int64
+            raise ValueError("slope denominator beyond the exact int64 range of the candidate kernel")
         # The inside and outside totals add up to the full ones, so both
         # equalities need the full totals to agree.  Then a reachable vector,
         # whose two totals add up to the Hodge total too, lies under the
@@ -336,7 +311,6 @@ class CandidateTables:
         if self._passing[0] != key:
             self._passing = (key, {})
         passing = self._passing[1]
-        row = self.kappa[tau] if require_misaligned else None
         full = (1 << n) - 1
         listed = {}
         for k in range(1, n // 2 + 1):
@@ -347,14 +321,8 @@ class CandidateTables:
             bound, subsets = passing[k]
             out = listed[k] = []
             for c in subsets:
-                rows = None
-                if require_misaligned:
-                    # image choices that move a weight value on row tau
-                    rows = np.flatnonzero((row[lv.pos] != row[lv.pos[c]]).any(axis=1))
-                    if rows.size == 0:
-                        continue
-                for img in lv.choices(bound[c], tau, rows):
-                    out.append((int(lv.masks[c]), img))
+                for img in lv.choices(bound[c]):
+                    out.append((lv.masks[c], img))
                     yield out[-1]
         # size k > n // 2 is size n - k complemented, in reverse order
         for k in range(n // 2 + 1, n):
@@ -370,6 +338,17 @@ def tables_for(kappa, tables=None) -> CandidateTables:
     return CandidateTables(kappa) if tables is None else tables
 
 
+def _moves(row, mask: int, img: int) -> bool:
+    """Whether image ``img`` moves a value of weight row ``row`` for subset
+    ``mask``: the row's values at the subset's bits, in ascending bit order,
+    against those at the image's bits, and likewise outside."""
+    by_subset, by_image = ([], []), ([], [])
+    for b, v in enumerate(row):
+        by_subset[mask >> b & 1].append(v)
+        by_image[img >> b & 1].append(v)
+    return by_subset != by_image
+
+
 def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True, tables=None):
     """First passing (optionally misaligned) candidate in enumeration order.
 
@@ -377,8 +356,13 @@ def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True,
     times ``denom``; ``tau``: 0-based distinguished embedding; ``tables``: a
     ``CandidateTables`` built for ``kappa``, made here when None.  Returns
     (found, subset_mask, image_masks) with masks over 0-based bits, or
-    (False, 0, ()) when no candidate qualifies.
+    (False, 0, ()) when no candidate qualifies.  The misaligned one is the
+    first listed candidate whose image on row ``tau`` moves a weight value.
     """
-    found = tables_for(kappa, tables).candidates(slopes_scaled, int(e), int(denom), int(tau), require_misaligned)
+    tables = tables_for(kappa, tables)
+    found = tables.candidates(slopes_scaled, int(e), int(denom))
+    if require_misaligned:
+        row, tau = tables.weights[int(tau)], int(tau)
+        found = (c for c in found if _moves(row, c[0], c[1][tau]))
     first = next(found, None)
     return (False, 0, ()) if first is None else (True, *first)

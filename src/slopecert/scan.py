@@ -125,7 +125,7 @@ def _scan_class(args) -> Tuple[int, int, list]:
     tables = kernels.CandidateTables(weights)
     gap = min((b - a for a, b in zip(kappa, kappa[1:])), default=0)
     radius = _radius(n, gap, band_num, band_den)
-    side = max(2 * radius + 1, 0)  # a negative band lists nothing
+    side = 2 * radius + 1  # run_scan runs no class of length >= 2 at a negative band
     low = np.array([m * kv - radius for kv in kappa], dtype=np.int64)  # e * weight-mean - radius
     checked = bad = 0
     hits = []
@@ -162,11 +162,16 @@ def _gap_classes(n_max: int, width: int):
 
 def data_count(n_max: int, kappa_min: int, kappa_max: int, band_scale) -> int:
     """Slope vectors, distinct or not, that one shape's gap classes list:
-    the sum over classes of (2r + 1)^n.
+    the sum over classes of (2r + 1)^n.  The sum ends as soon as it passes
+    MAX_DATA ** 2, and is then only a lower bound above it.
 
     A class's radius r depends only on n and its least gap d, and the
     classes of length n >= 2 with every gap >= d number
-    C(W - 1 - (n - 1) d + n - 1, n - 1), so the sum runs over d.
+    C(W - 1 - (n - 1) d + n - 1, n - 1), so the sum runs over the runs of d
+    of equal radius, where those counts telescope.  A negative band lists
+    nothing beyond the class (0,), and otherwise each run adds at least
+    (2r + 1)^n with r above the last run's: the sum ends after at most about
+    15,000 runs whatever the box width W.
     """
     width = kappa_max - kappa_min + 1
     if width < 1 or n_max < 1:
@@ -178,11 +183,16 @@ def data_count(n_max: int, kappa_min: int, kappa_max: int, band_scale) -> int:
         return comb(slack + n - 1, n - 1) if slack >= 0 else 0
 
     total = 1  # n = 1: the class (0,), radius 0
-    for n in range(2, n_max + 1):
-        for d in range(1, (width - 1) // (n - 1) + 1):
-            classes = at_least(n, d) - at_least(n, d + 1)
-            side = 2 * _radius(n, d, scale.numerator, scale.denominator) + 1
-            total += classes * max(side, 0) ** n  # a negative band lists nothing
+    for n in range(2, n_max + 1 if scale >= 0 else 2):
+        top, d = (width - 1) // (n - 1), 1
+        while d <= top:
+            r = _radius(n, d, scale.numerator, scale.denominator)
+            # the last d of radius r
+            end = top if scale == 0 else min(top, ((r + 1) * scale.denominator * n - 1) // scale.numerator)
+            total += (at_least(n, d) - at_least(n, end + 1)) * (2 * r + 1) ** n
+            if total > MAX_DATA**2:
+                return total
+            d = end + 1
     return total
 
 
@@ -235,9 +245,13 @@ def run_scan(
         raise SlopecertError(f"grid has {cells} cells, above the cap {max_cells}")
     data = len(set(shapes)) * data_count(n_max, kappa_min, kappa_max, scale)
     if data > MAX_DATA:
-        raise SlopecertError(f"grid lists {data} slope vectors, above scan.MAX_DATA = {MAX_DATA}")
+        least = "at least " if data > MAX_DATA**2 else ""
+        raise SlopecertError(f"grid lists {least}{data} slope vectors, above scan.MAX_DATA = {MAX_DATA}")
     width = kappa_max - kappa_min + 1
-    classes = [(m, g) for m in dict.fromkeys(e * f for (e, f) in shapes) for g in _gap_classes(n_max, width)]
+    # a negative band lists nothing in classes of length >= 2, so every
+    # class that runs lists a vector and MAX_DATA bounds the classes too
+    lengths = n_max if scale >= 0 else 1
+    classes = [(m, g) for m in dict.fromkeys(e * f for (e, f) in shapes) for g in _gap_classes(lengths, width)]
     args = [(m, g, scale.numerator, scale.denominator, max_witnesses) for (m, g) in classes]
     pool_size = min(workers, os.cpu_count() or 1, len(args))
     if pool_size > 1:

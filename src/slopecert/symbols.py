@@ -415,14 +415,9 @@ def _poly_mul(p1, p2):
     return out
 
 
-def _poly_eval_quad(coeffs, x: QuadExtElem) -> QuadExtElem:
-    out = QuadExtElem(x.d, Fraction(0), Fraction(0))
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _poly_eval_rat(coeffs, x: Fraction) -> Fraction:
+def _poly_eval(coeffs, x):
+    """Horner's rule at a Fraction or a QuadExtElem, whose reflected
+    operators take the Fraction start."""
     out = Fraction(0)
     for c in reversed(coeffs):
         out = out * x + c
@@ -487,8 +482,8 @@ def _wald_ratios(inst: WaldInstance):
     p_zero = _char_poly_factors(inst, with_splits=False)
     dp_full = _poly_derivative(p_full)
     dp_zero = _poly_derivative(p_zero)
-    p_full_at_m1 = _poly_eval_rat(p_full, Fraction(-1))
-    p_zero_at_m1 = _poly_eval_rat(p_zero, Fraction(-1))
+    p_full_at_m1 = _poly_eval(p_full, Fraction(-1))
+    p_zero_at_m1 = _poly_eval(p_zero, Fraction(-1))
     if p_full_at_m1 == 0 or p_zero_at_m1 == 0:
         raise Degenerate("-1 is a root of the characteristic polynomial")
     for i, x in enumerate(inst.field_elements):
@@ -499,8 +494,8 @@ def _wald_ratios(inst: WaldInstance):
         one_plus_y = y + 1
         if one_plus_y.is_zero():
             raise Degenerate("1 + y vanishes")
-        c_full = xinv * _poly_eval_quad(dp_full, y) * p_full_at_m1 * y.pow(1 - m) * one_plus_y
-        c_zero = xinv * _poly_eval_quad(dp_zero, y) * p_zero_at_m1 * y.pow(1 - m0) * one_plus_y
+        c_full = xinv * _poly_eval(dp_full, y) * p_full_at_m1 * y.pow(1 - m) * one_plus_y
+        c_zero = xinv * _poly_eval(dp_zero, y) * p_zero_at_m1 * y.pow(1 - m0) * one_plus_y
         if c_full.is_zero() or c_zero.is_zero():
             raise Degenerate("a transfer-factor quantity vanished")
         yield x, y, (c_full / c_zero).rational()

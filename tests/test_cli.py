@@ -2,6 +2,7 @@ import ast
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -386,6 +387,15 @@ def test_wide_band_scan_refused_before_any_class(tmp_path):
     proc = invoke(tmp_path, {"command": "keylemma-scan", "params": params}, timeout=5)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: grid lists 8121160 slope vectors, above scan.MAX_DATA = 2000000\n"
+
+
+def test_wide_box_refused_whatever_max_cells(tmp_path):
+    # max_cells of 10**20 lets a box of width 10**8 through; counting its
+    # slope vectors once per least gap did not end in 30 s
+    params = {"n_max": 2, "kappa_min": 0, "kappa_max": 10**8, "ef": [[1, 1]], "max_cells": 10**20}
+    proc = invoke(tmp_path, {"command": "keylemma-scan", "params": params}, timeout=5)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.fullmatch(r"error: grid lists at least \d+ slope vectors, above scan.MAX_DATA = 2000000\n", proc.stderr)
 
 
 def test_wald_job(tmp_path):

@@ -49,21 +49,49 @@ def kernel_inputs(draw, max_rows=None, units=False):
     return kappa, rows, e, denom
 
 
+def _moved(row, mask, img):
+    """Whether the bijection that sends the subset's bits, ascending, to the
+    image's, and the other bits to the others, changes a value of ``row``."""
+    n = len(row)
+    ordered = [[b for b in range(n) if x >> b & 1] + [b for b in range(n) if not x >> b & 1] for x in (mask, img)]
+    return any(row[a] != row[b] for a, b in zip(*ordered))
+
+
+def _check_listing(tables, kappa, scaled, e, denom):
+    """The kernel's listing, each tau's misaligned part and ``find_candidate``
+    against the oracle; returns the oracle's listing."""
+    def first(listing):
+        return (True, *listing[0]) if listing else (False, 0, ())
+
+    want = list(candidates_python(kappa, scaled, e, denom, 0, False))
+    got = list(tables.candidates(scaled, e, denom))
+    assert got == want
+    assert kernels.find_candidate(kappa, scaled, e, denom, 0, False, tables) == first(want)
+    for tau in range(len(kappa)):
+        misaligned = list(candidates_python(kappa, scaled, e, denom, tau, True))
+        assert [c for c in got if _moved(kappa[tau], c[0], c[1][tau])] == misaligned
+        assert kernels.find_candidate(kappa, scaled, e, denom, tau, True, tables) == first(misaligned)
+    return want
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_inputs())
 # a row without misaligned choices, between two other embeddings
 @example(([[-2, 0], [2, 2], [-2, 1]], [-2, 3], 1, 1))
+# repeated weights on both rows: four aligned candidates pass before the
+# first misaligned one, for either tau
+@example(([[-1, -1, 0], [0, 1, 1]], [2, 0, -2], 1, 1))
+# a row that is not ascending: the first misaligned candidate moves values
+# that the subset and its image hold as the same multiset
+@example(([[-3, 3, -3]], [-3, 4, -4], 1, 1))
 def test_kernel_matches_oracle(case):
     kappa, scaled, e, denom = case
     tables = kernels.CandidateTables(kappa)  # shared by every tau, as callers do
-    # without require_misaligned, tau plays no part
-    for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
-        want = list(candidates_python(kappa, scaled, e, denom, tau, require_misaligned))
-        assert list(tables.candidates(scaled, e, denom, tau, require_misaligned)) == want
-        got = kernels.find_candidate(kappa, scaled, e, denom, tau, require_misaligned, tables)
-        assert got == ((True, *want[0]) if want else (False, 0, ()))
+    want = _check_listing(tables, kappa, scaled, e, denom)
     # the full list through admissible_candidates, each candidate checked on
     # the Fraction definition, which shares no integer arithmetic with either
+    if any(row != sorted(row) for row in kappa):
+        return
     datum = PhiModuleDatum(e, 1, [Fraction(s, denom) for s in scaled], kappa)
     if not datum.distinct_flag:
         return
@@ -90,15 +118,14 @@ def test_complement_duality(case):
     n = len(scaled)
     full = (1 << n) - 1
     tables = kernels.CandidateTables(kappa)
+    listings = [candidates_python(kappa, scaled, e, denom, tau, True) for tau in range(len(kappa))]
+    listings += [candidates_python(kappa, scaled, e, denom, 0, False), tables.candidates(scaled, e, denom)]
+    for listing in listings:
+        blocks = _blocks(listing, n)
+        for k in range(1, n):
+            dual = [(mask ^ full, tuple(i ^ full for i in img)) for mask, img in reversed(blocks[k])]
+            assert blocks[n - k] == dual
     for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
-        for listing in (
-            candidates_python(kappa, scaled, e, denom, tau, require_misaligned),
-            tables.candidates(scaled, e, denom, tau, require_misaligned),
-        ):
-            blocks = _blocks(listing, n)
-            for k in range(1, n):
-                dual = [(mask ^ full, tuple(i ^ full for i in img)) for mask, img in reversed(blocks[k])]
-                assert blocks[n - k] == dual
         found, mask, _ = kernels.find_candidate(kappa, scaled, e, denom, tau, require_misaligned, tables)
         assert not found or bin(mask).count("1") <= n // 2
 
@@ -171,12 +198,7 @@ def test_passing_in_small_pieces(case):
     # three matches per piece: the passing test runs in pieces too
     kappa, scaled, e, denom = case
     with mock.patch.object(kernels, "_JOIN_STATES", 3):
-        tables = kernels.CandidateTables(kappa)
-        for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
-            want = list(candidates_python(kappa, scaled, e, denom, tau, require_misaligned))
-            assert list(tables.candidates(scaled, e, denom, tau, require_misaligned)) == want
-            got = kernels.find_candidate(kappa, scaled, e, denom, tau, require_misaligned, tables)
-            assert got == ((True, *want[0]) if want else (False, 0, ()))
+        _check_listing(kernels.CandidateTables(kappa), kappa, scaled, e, denom)
 
 
 def test_matches_in_pieces(monkeypatch):
@@ -197,7 +219,7 @@ def test_misaligned_flags_edge_rows():
     # one row beyond the int64 range refuses the matrix, as candidates refuses the row
     far = [2**62, 0, -(2**62) + 3]
     with pytest.raises(ValueError, match="int64") as want:
-        list(tables.candidates(far, 1, 1, 0, True))
+        list(tables.candidates(far, 1, 1))
     lowest = np.array([[2, 0, 1], [-(2**63), 0, 3]], dtype=np.int64)  # its absolute value wraps in int64
     for slopes in ([[2, 0, 1], far], np.array([[2, 0, 1], far], dtype=np.int64), [[0, 1, 2], [2**70, 0, 0]], lowest):
         with pytest.raises(ValueError, match="int64") as got:
@@ -210,7 +232,7 @@ def test_misaligned_flags_edge_rows():
         with pytest.raises(ValueError, match="need 3 slopes"):
             tables.misaligned_flags(short)
     with pytest.raises(ValueError, match="need 3 slopes"):
-        list(tables.candidates([0, 3], 1, 1, 0, True))
+        list(tables.candidates([0, 3], 1, 1))
 
 
 def test_tables_belong_to_one_weight_table():
@@ -239,8 +261,8 @@ def test_input_beyond_int64_range_raises():
     # slopes alone: e times their absolute sum reaches 2**62
     tables = kernels.CandidateTables([[0, 1, 2]])
     with pytest.raises(ValueError, match="int64"):
-        list(tables.candidates([2**61, 0, -(2**61) + 3], 2, 1, 0, False))
-    assert list(tables.candidates([2**60, 0, -(2**60) + 3], 2, 1, 0, False)) == []
+        list(tables.candidates([2**61, 0, -(2**61) + 3], 2, 1))
+    assert list(tables.candidates([2**60, 0, -(2**60) + 3], 2, 1)) == []
 
 
 def test_denominator_beyond_int64_range_raises():

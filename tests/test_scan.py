@@ -125,6 +125,7 @@ def test_equal_m_shapes_share_one_class_result():
 
 def test_data_count_matches_listing():
     grids = [(4, 0, 6, 1), (4, 0, 6, 2), (3, -2, 3, Fraction(5, 2)), (3, -2, 3, Fraction(-3, 2)), (2, 0, 0, 3), (0, 0, 4, 1)]
+    grids += [(5, 0, 12, Fraction(2, 7)), (4, 0, 9, 0), (3, 0, 40, Fraction(9, 4))]  # long runs of one radius
     for n_max, lo, hi, band in grids:
         band = Fraction(band)
         listed = 0
@@ -149,6 +150,32 @@ def test_many_slope_vectors_refused_before_scanning(monkeypatch):
     assert time.perf_counter() - start < 1
     monkeypatch.setattr(scan_mod, "MAX_DATA", 360)
     assert run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1), (1, 2))).data_checked > 0
+
+
+def test_data_count_stops_past_max_data_squared(monkeypatch):
+    # exact up to MAX_DATA ** 2, a lower bound above it
+    exact = scan_mod.data_count(4, 0, 6, 40)
+    assert exact == 8_121_160
+    monkeypatch.setattr(scan_mod, "MAX_DATA", 1000)
+    assert 10**6 < scan_mod.data_count(4, 0, 6, 40) < exact
+    with pytest.raises(SlopecertError, match=f"grid lists at least {scan_mod.data_count(4, 0, 6, 40)} slope vectors"):
+        run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1),), band_scale=40, max_cells=400)
+
+
+def test_wide_box_counted_and_scanned_whatever_max_cells():
+    # the least gap d of a box of width 10**8 takes every value up to 10**8;
+    # summing over them one by one did not end in 30 s
+    start = time.perf_counter()
+    with pytest.raises(SlopecertError, match=r"grid lists at least \d+ slope vectors, above scan.MAX_DATA"):
+        run_scan(n_max=2, kappa_min=0, kappa_max=10**8, ef_values=((1, 1),), max_cells=10**20)
+    # a negative band lists nothing in the 300,000 classes of length 2, which
+    # ran all the same and took 5.9 s; only the class (0,) runs
+    rep = run_scan(n_max=2, kappa_min=0, kappa_max=300_000, ef_values=((1, 1),), band_scale=-1, max_cells=10**20)
+    assert time.perf_counter() - start < 1
+    assert rep.summary() == {
+        "band_scale": "-1/1", "cells": 45_000_750_002, "data_checked": 300_001,
+        "certified": 300_001, "misaligned": 0, "witnesses": [],
+    }
 
 
 def test_wide_grid_refused_before_listing():
