@@ -219,45 +219,33 @@ def _witness_from_masks(datum: PhiModuleDatum, mask: int, img_masks) -> Submodul
     return SubmoduleCandidate(subset, theta)
 
 
-def admissible_candidates(
-    datum: PhiModuleDatum, tables: Optional[kernels.CandidateTables] = None
-) -> list:
+def admissible_candidates(datum: PhiModuleDatum) -> list:
     """Every passing candidate, subsets by size then lexicographic.
 
     Image sets are enumerated lexicographically per embedding, the last
-    embedding varying fastest: the kernel's order.  ``tables``, built for
-    ``datum.weights``, lets this share the kernel's reachable sets with
-    ``alignment_check``.
+    embedding varying fastest: the kernel's order.
     """
     if not datum.distinct_flag:
         raise NotDistinct("candidate enumeration needs pairwise distinct slopes")
     scaled, denom = datum.scaled_slopes
-    found = kernels.tables_for(datum.weights, tables).candidates(scaled, datum.e, denom)
+    found = kernels.tables_for(datum.weights).candidates(scaled, datum.e, denom)
     return [_witness_from_masks(datum, mask, img) for mask, img in found]
 
 
-def find_misaligned_candidate(
-    datum: PhiModuleDatum, tau: int, tables: Optional[kernels.CandidateTables] = None
-) -> Optional[SubmoduleCandidate]:
+def find_misaligned_candidate(datum: PhiModuleDatum, tau: int) -> Optional[SubmoduleCandidate]:
     """First passing candidate whose tau-assignment moves a weight value.
 
     A candidate with theta_tau permuting equal weights is aligned: the lemma
     constrains the induced weight multiset, not index bookkeeping.
-    ``tables``, built for ``datum.weights``, lets calls for several tau
-    share the kernel's reachable sets.
     """
     scaled, denom = datum.scaled_slopes
-    found, mask, img = kernels.find_candidate(
-        datum.weights, scaled, datum.e, denom, tau - 1, require_misaligned=True, tables=tables
-    )
+    found, mask, img = kernels.find_candidate(datum.weights, scaled, datum.e, denom, tau - 1, require_misaligned=True)
     if not found:
         return None
     return _witness_from_masks(datum, mask, img)
 
 
-def alignment_check(
-    datum: PhiModuleDatum, tau: int, tables: Optional[kernels.CandidateTables] = None
-) -> AlignmentResult:
+def alignment_check(datum: PhiModuleDatum, tau: int) -> AlignmentResult:
     """Certify the alignment lemma for one datum and distinguished embedding.
 
     Order of business: the deviation hypothesis is tested first and a failure
@@ -270,7 +258,7 @@ def alignment_check(
         return AlignmentResult(HYPOTHESIS_FAILED, margin=margin)
     if not datum.distinct_flag:
         raise NotDistinct("alignment check needs pairwise distinct slopes")
-    witness = find_misaligned_candidate(datum, tau, tables=tables)
+    witness = find_misaligned_candidate(datum, tau)
     if witness is not None:
         return AlignmentResult(COUNTEREXAMPLE, margin=margin, witness=witness)
     return AlignmentResult(CERTIFIED, margin=margin)

@@ -23,7 +23,6 @@ import jsonschema
 from . import scan as scan_mod
 from .admissibility import PhiModuleDatum, admissible_candidates, alignment_check, newton_above_hodge
 from .errors import SlopecertError, VerdictFailed
-from .kernels import CandidateTables
 from .lattice import LocalDatum, WeightTable, parse_rat, rat_str
 from .principal import UnramChar, completely_refinable, so_irreducible_sufficient, sp_irreducible
 from .principal import orbit_size as refinement_orbit  # bench/layers.py traces this layer by its old name
@@ -299,10 +298,9 @@ def _run_admissible(params):
         "candidates": [],
     }
     if datum.distinct_flag:
-        tables = CandidateTables(datum.weights)
-        for c in admissible_candidates(datum, tables):
+        for c in admissible_candidates(datum):
             result["candidates"].append({"subset": list(c.subset), "theta": [list(t) for t in c.theta]})
-        align = alignment_check(datum, tau, tables)
+        align = alignment_check(datum, tau)
         result["alignment"] = {
             "status": align.status,
             "margin": rat_str(align.margin) if align.margin is not None else None,

@@ -51,14 +51,18 @@ s_1..s_m the walk reads, and, built on first use, s_0 for ``passing`` and
 the join's (c, r) pairs for the flags, so a scan class without witnesses
 never builds s_0.  One keyed lookup, ``_matches``, serves both.
 
-``CandidateTables`` keeps the bounds and passing subsets of the last slope
-vector, so the calls for the other tau of a datum only run the walk.
+``tables_for`` keeps the tables of the last weight table asked for, and
+every caller gets its tables there, so consecutive calls on one weight table
+(the tau of a datum, a replay and its verification, a scan class) build its
+levels once; the tables keep the last slope vector's passing subsets too.
+The slot drops its tables before another weight table's are built, so the
+levels of one weight table at most are alive, and they outlive its job.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import numpy as np
 
@@ -250,8 +254,8 @@ class _Level:
 class CandidateTables:
     """Reachable-set tables of one weight table, built lazily per subset size.
 
-    Hold one for as long as the weight table is in use (all tau of a datum,
-    all slope vectors of a scan gap class) and pass it to ``find_candidate``.
+    Callers get them from ``tables_for``, which keeps the last weight
+    table's tables for the calls that follow on it.
     """
 
     def __init__(self, kappa):
@@ -330,12 +334,18 @@ class CandidateTables:
                 yield mask ^ full, tuple(i ^ full for i in img)
 
 
-def tables_for(kappa, tables=None) -> CandidateTables:
-    """``tables`` when built for ``kappa``, new tables when None."""
+_slot = None  # the tables of the last weight table asked for
+
+
+def tables_for(kappa) -> CandidateTables:
+    """The tables of ``kappa``: the slot's when built for it, else new ones,
+    which replace them."""
+    global _slot
     # rows compared as tuples, so a numpy table compares by value too
-    if tables is not None and tables.weights != tuple(map(tuple, kappa)):
-        raise ValueError("candidate tables were built for another weight table")
-    return CandidateTables(kappa) if tables is None else tables
+    if _slot is None or _slot.weights != tuple(map(tuple, kappa)):
+        _slot = None  # the old levels go before the new ones are built
+        _slot = CandidateTables(kappa)
+    return _slot
 
 
 def _moves(row, mask: int, img: int) -> bool:
@@ -349,20 +359,22 @@ def _moves(row, mask: int, img: int) -> bool:
     return by_subset != by_image
 
 
-def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True, tables=None):
+def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True):
     """First passing (optionally misaligned) candidate in enumeration order.
 
     ``kappa``: per-embedding ascending weight rows; ``slopes_scaled``: slopes
-    times ``denom``; ``tau``: 0-based distinguished embedding; ``tables``: a
-    ``CandidateTables`` built for ``kappa``, made here when None.  Returns
+    times ``denom``; ``tau``: 0-based distinguished embedding.  Returns
     (found, subset_mask, image_masks) with masks over 0-based bits, or
     (False, 0, ()) when no candidate qualifies.  The misaligned one is the
-    first listed candidate whose image on row ``tau`` moves a weight value.
+    first listed candidate whose image on row ``tau`` moves a weight value;
+    by complement duality it has size at most N // 2, so the filter stops
+    at the first larger subset.
     """
-    tables = tables_for(kappa, tables)
+    tables = tables_for(kappa)
     found = tables.candidates(slopes_scaled, int(e), int(denom))
     if require_misaligned:
         row, tau = tables.weights[int(tau)], int(tau)
-        found = (c for c in found if _moves(row, c[0], c[1][tau]))
+        half = len(row) // 2
+        found = (c for c in takewhile(lambda c: c[0].bit_count() <= half, found) if _moves(row, c[0], c[1][tau]))
     first = next(found, None)
     return (False, 0, ()) if first is None else (True, *first)

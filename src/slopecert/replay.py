@@ -47,7 +47,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .admissibility import PhiModuleDatum, alignment_check, CERTIFIED
 from .cone import cone_find
 from .errors import VerdictFailed
-from .kernels import CandidateTables
 from .lattice import LocalDatum, WeightTable, rat_str, parse_rat, very_regular
 from .satake import RefinedSlopes, change_refinement, frobenius_slopes, hodge_tate_weights, zero_index
 from .weyl import minus_identity, shift_cycle
@@ -265,9 +264,8 @@ def _derive_place(
 
     # -- alignment hypothesis of the induced Frobenius-module datum
     datum = induced_datum(schema, rank, local, rec.k3, nu)
-    tables = CandidateTables(datum.weights)
     for tau in range(1, m + 1):
-        result = alignment_check(datum, tau, tables)
+        result = alignment_check(datum, tau)
         if result.status != CERTIFIED:
             rec.structural_ok = False
             rec.failure = f"alignment {result.status} at embedding {tau}"

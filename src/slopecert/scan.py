@@ -122,7 +122,7 @@ def _scan_class(args) -> Tuple[int, int, list]:
     m, kappa, band_num, band_den, max_witnesses = args
     n = len(kappa)
     weights = tuple(tuple(kappa) for _ in range(m))
-    tables = kernels.CandidateTables(weights)
+    tables = kernels.tables_for(weights)
     gap = min((b - a for a, b in zip(kappa, kappa[1:])), default=0)
     radius = _radius(n, gap, band_num, band_den)
     side = 2 * radius + 1  # run_scan runs no class of length >= 2 at a negative band
@@ -138,7 +138,7 @@ def _scan_class(args) -> Tuple[int, int, list]:
         checked += scaled.shape[0]
         bad += int(flags.sum())
         for row in scaled[flags][: max_witnesses - len(hits)].tolist():
-            _, mask, img = kernels.find_candidate(weights, row, 1, 1, 0, require_misaligned=True, tables=tables)
+            _, mask, img = kernels.find_candidate(weights, row, 1, 1, 0, require_misaligned=True)
             subset = tuple(b + 1 for b in range(n) if mask >> b & 1)
             images = tuple(b + 1 for b in range(n) if img[0] >> b & 1)
             hits.append((tuple(row), subset, images))

@@ -29,7 +29,6 @@ def scan_cell_per_datum(e, f, kappa, band_scale, max_witnesses):
     n = len(kappa)
     m = e * f
     weights = tuple(tuple(kappa) for _ in range(m))
-    tables = kernels.CandidateTables(weights)
     centers = [m * kv for kv in kappa]  # e * weight-mean, an integer
     if n == 1:
         radius = 0  # rank 1 has a vacuous hypothesis; pin deviation 0
@@ -46,7 +45,7 @@ def scan_cell_per_datum(e, f, kappa, band_scale, max_witnesses):
         if len(set(scaled)) != n:
             continue
         checked += 1
-        found, mask, img = kernels.find_candidate(weights, scaled, e, e, 0, require_misaligned=True, tables=tables)
+        found, mask, img = kernels.find_candidate(weights, scaled, e, e, 0, require_misaligned=True)
         if found:
             bad += 1
             if len(witnesses) < max_witnesses:

@@ -209,10 +209,9 @@ class TestAlignment:
         res = alignment_check(d, 1)
         assert res.status == CERTIFIED
 
-    # The case ids keep the names of the searches this test once compared.
-    # "python" is the plain-loop oracle; "numpy" is the kernel with tables
-    # built per call; "numba" is the kernel with one table shared by calls.
-    @pytest.mark.parametrize("backend", ["python", "numpy", "numba"])
+    # The case ids keep the names of the searches this test once compared:
+    # "python" is the plain-loop oracle and "numpy" the kernel.
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_backends_agree(self, backend):
         from kernel_oracle import candidate_masks, candidates_python, search_python
 
@@ -226,21 +225,20 @@ class TestAlignment:
             # close the total, or no candidate can pass and the checks are vacuous
             slopes[-1] += sum(kappa[0]) - sum(slopes)
             datum = PhiModuleDatum(1, 1, slopes, kappa)
-            tables = kernels.CandidateTables(kappa) if backend == "numba" else None
 
             def search(require_misaligned):
                 args = (datum.weights, slopes, 1, 1, 0, require_misaligned)
                 if backend == "python":
                     return search_python(*args)
-                return kernels.find_candidate(*args, tables=tables)
+                return kernels.find_candidate(*args)
 
             got = search(True)
             assert got == search_python(datum.weights, slopes, 1, 1, 0, True)
-            ref = find_misaligned_candidate(datum, 1, tables)
+            ref = find_misaligned_candidate(datum, 1)
             assert got == ((True, *candidate_masks(ref)) if ref is not None else (False, 0, ()))
             # the full list, and its first element, against the oracle's
             want = list(candidates_python(datum.weights, slopes, 1, 1, 0, False))
-            cands = [candidate_masks(c) for c in admissible_candidates(datum, tables)]
+            cands = [candidate_masks(c) for c in admissible_candidates(datum)]
             assert cands == want
             assert search(False) == ((True, *want[0]) if want else (False, 0, ()))
 

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from slopecert import kernels
 from slopecert.cli import JOB_SCHEMAS, canonical_json, main, run_job
-from slopecert.kernels import CandidateTables
 from slopecert.lattice import PRIME_LIMIT, LocalDatum, parse_rat, rat_str
 from slopecert.replay import replay_orthogonal, replay_symplectic
 from slopecert.satake import RefinedSlopes
@@ -228,9 +228,33 @@ def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     def out_of_memory(self, k):
         raise MemoryError("Unable to allocate 931. MiB for an array")
 
-    monkeypatch.setattr(CandidateTables, "_level", out_of_memory)
+    monkeypatch.setattr(kernels.CandidateTables, "_level", out_of_memory)
     job = {"command": "admissible", "params": {"e": 1, "f": 1, "slopes": ["0", "1", "2"], "weights": [[0, 1, 2]]}}
     assert rejected_in_one_line(tmp_path, capsys, job).startswith("error: out of memory: ")
+
+
+def test_replay_and_its_verification_build_the_tables_once(monkeypatch):
+    # the verifier re-derives the replay's datum at x2', so in one process it
+    # finds the replay's tables in the kernel's slot and builds no level
+    made, levels = [], []
+    candidate_tables, level = kernels.CandidateTables, kernels._Level
+
+    def recording_tables(kappa):
+        made.append(kappa)
+        return candidate_tables(kappa)
+
+    def recording_level(kappa, k):
+        levels.append(k)
+        return level(kappa, k)
+
+    monkeypatch.setattr(kernels, "CandidateTables", recording_tables)
+    monkeypatch.setattr(kernels, "_Level", recording_level)
+    cert, code = run_job({"command": "replay-sp", "params": {"n": 2, "locals": [{"p": 3}], "seeds": "zero"}})
+    assert code == 0 and len(made) == 1 and levels == [1, 2]
+    levels.clear()
+    report, code = run_job({"command": "verify-cert", "params": {"certificate": cert["result"]}})
+    assert code == 0 and report["result"] == {"ok": True, "mismatches": []}
+    assert len(made) == 1 and levels == []
 
 
 def test_certificate_covers_every_prime(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -57,20 +58,20 @@ def _moved(row, mask, img):
     return any(row[a] != row[b] for a, b in zip(*ordered))
 
 
-def _check_listing(tables, kappa, scaled, e, denom):
+def _check_listing(kappa, scaled, e, denom):
     """The kernel's listing, each tau's misaligned part and ``find_candidate``
     against the oracle; returns the oracle's listing."""
     def first(listing):
         return (True, *listing[0]) if listing else (False, 0, ())
 
     want = list(candidates_python(kappa, scaled, e, denom, 0, False))
-    got = list(tables.candidates(scaled, e, denom))
+    got = list(kernels.tables_for(kappa).candidates(scaled, e, denom))
     assert got == want
-    assert kernels.find_candidate(kappa, scaled, e, denom, 0, False, tables) == first(want)
+    assert kernels.find_candidate(kappa, scaled, e, denom, 0, False) == first(want)
     for tau in range(len(kappa)):
         misaligned = list(candidates_python(kappa, scaled, e, denom, tau, True))
         assert [c for c in got if _moved(kappa[tau], c[0], c[1][tau])] == misaligned
-        assert kernels.find_candidate(kappa, scaled, e, denom, tau, True, tables) == first(misaligned)
+        assert kernels.find_candidate(kappa, scaled, e, denom, tau, True) == first(misaligned)
     return want
 
 
@@ -86,8 +87,7 @@ def _check_listing(tables, kappa, scaled, e, denom):
 @example(([[-3, 3, -3]], [-3, 4, -4], 1, 1))
 def test_kernel_matches_oracle(case):
     kappa, scaled, e, denom = case
-    tables = kernels.CandidateTables(kappa)  # shared by every tau, as callers do
-    want = _check_listing(tables, kappa, scaled, e, denom)
+    want = _check_listing(kappa, scaled, e, denom)
     # the full list through admissible_candidates, each candidate checked on
     # the Fraction definition, which shares no integer arithmetic with either
     if any(row != sorted(row) for row in kappa):
@@ -95,7 +95,7 @@ def test_kernel_matches_oracle(case):
     datum = PhiModuleDatum(e, 1, [Fraction(s, denom) for s in scaled], kappa)
     if not datum.distinct_flag:
         return
-    cands = admissible_candidates(datum, tables)
+    cands = admissible_candidates(datum)
     assert [candidate_masks(c) for c in cands] == want
     assert all(candidate_passes(datum, c.subset, c.theta) for c in cands)
 
@@ -117,7 +117,7 @@ def test_complement_duality(case):
     kappa, scaled, e, denom = case
     n = len(scaled)
     full = (1 << n) - 1
-    tables = kernels.CandidateTables(kappa)
+    tables = kernels.tables_for(kappa)
     listings = [candidates_python(kappa, scaled, e, denom, tau, True) for tau in range(len(kappa))]
     listings += [candidates_python(kappa, scaled, e, denom, 0, False), tables.candidates(scaled, e, denom)]
     for listing in listings:
@@ -126,7 +126,7 @@ def test_complement_duality(case):
             dual = [(mask ^ full, tuple(i ^ full for i in img)) for mask, img in reversed(blocks[k])]
             assert blocks[n - k] == dual
     for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
-        found, mask, _ = kernels.find_candidate(kappa, scaled, e, denom, tau, require_misaligned, tables)
+        found, mask, _ = kernels.find_candidate(kappa, scaled, e, denom, tau, require_misaligned)
         assert not found or bin(mask).count("1") <= n // 2
 
 
@@ -145,28 +145,41 @@ def certified_data(draw):
 @settings(max_examples=60, deadline=None)
 @given(certified_data())
 def test_no_table_above_half_the_rank(datum):
+    # nor does the misalignment filter test a subset above n // 2, though
+    # the listing holds such subsets and no candidate is misaligned
     n = datum.rank
-    tables = kernels.CandidateTables(datum.weights)
-    for tau in range(1, datum.embeddings + 1):
-        assert alignment_check(datum, tau, tables).status == CERTIFIED
+    tables = kernels.tables_for(datum.weights)
+    tested, moves = [], kernels._moves
+
+    def recording_moves(row, mask, img):
+        tested.append(mask)
+        return moves(row, mask, img)
+
+    with mock.patch.object(kernels, "_moves", recording_moves):
+        for tau in range(1, datum.embeddings + 1):
+            assert alignment_check(datum, tau).status == CERTIFIED
+    assert tested and max(mask.bit_count() for mask in tested) <= n // 2
     # e times the slopes are the column sums, and e = D is the system at e = D = 1
     sums = [sum(row[i] for row in datum.weights) for i in range(n)]
     assert tables.misaligned_flags([sums]).tolist() == [False]
-    admissible_candidates(datum, tables)
+    listed = admissible_candidates(datum)
+    assert n < 3 or any(len(c.subset) > n // 2 for c in listed)
     assert set(tables._levels) == set(range(1, n // 2 + 1))
 
 
 @settings(max_examples=30, deadline=None)
-@given(kernel_inputs(max_rows=2))
-def test_tables_follow_the_slope_vector(case):
+@given(kernel_inputs(max_rows=2), kernel_inputs(max_rows=2))
+def test_tables_follow_the_slope_vector(case, other):
     # the tables keep the last slope vector's passing subsets for the next
-    # tau; a new vector or denominator must not reuse them
-    kappa, rows, e, denom = case
-    tables = kernels.CandidateTables(kappa)
-    for scaled, d in [(s, denom) for s in rows + rows] + [(rows[0], denom + 1)]:
-        for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
-            want = search_python(kappa, scaled, e, d, tau, require_misaligned)
-            assert kernels.find_candidate(kappa, scaled, e, d, tau, require_misaligned, tables) == want
+    # tau; a new vector, denominator or weight table must not reuse them.
+    # The calls on one weight table share the slot's tables.
+    for kappa, rows, e, denom in (case, other, case):
+        tables = kernels.tables_for(kappa)
+        for scaled, d in [(s, denom) for s in rows + rows] + [(rows[0], denom + 1)]:
+            for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
+                want = search_python(kappa, scaled, e, d, tau, require_misaligned)
+                assert kernels.find_candidate(kappa, scaled, e, d, tau, require_misaligned) == want
+        assert kernels.tables_for(kappa) is tables
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,7 +211,7 @@ def test_passing_in_small_pieces(case):
     # three matches per piece: the passing test runs in pieces too
     kappa, scaled, e, denom = case
     with mock.patch.object(kernels, "_JOIN_STATES", 3):
-        _check_listing(kernels.CandidateTables(kappa), kappa, scaled, e, denom)
+        _check_listing(kappa, scaled, e, denom)
 
 
 def test_matches_in_pieces(monkeypatch):
@@ -236,18 +249,32 @@ def test_misaligned_flags_edge_rows():
 
 
 def test_tables_belong_to_one_weight_table():
-    tables = kernels.CandidateTables([[0, 1]])
-    with pytest.raises(ValueError):
-        kernels.find_candidate([[0, 2]], [0, 2], 1, 1, 0, tables=tables)
-    with pytest.raises(ValueError):
-        admissible_candidates(PhiModuleDatum(1, 1, [0, 2], [[0, 2]]), tables)
-    # a numpy weight table is compared by value, as rows of tuples
+    # the slot holds one weight table's tables; a numpy table is compared by
+    # value, as rows of tuples, so it hits the slot built from lists
+    tables = kernels.tables_for([[0, 1, 3]])
     kappa = np.array([[0, 1, 3]])
-    want = kernels.find_candidate(kappa, [1, 0, 3], 1, 1, 0, False)
-    assert want == (True, 1, (2,))
-    assert kernels.find_candidate(kappa, [1, 0, 3], 1, 1, 0, False, kernels.CandidateTables([[0, 1, 3]])) == want
-    with pytest.raises(ValueError):
-        kernels.find_candidate(np.array([[0, 1, 4]]), [1, 0, 4], 1, 1, 0, False, kernels.CandidateTables([[0, 1, 3]]))
+    assert kernels.find_candidate(kappa, [1, 0, 3], 1, 1, 0, False) == (True, 1, (2,))
+    assert kernels.tables_for(kappa) is tables
+    assert kernels.tables_for(np.array([[0, 1, 4]])).weights == ((0, 1, 4),)
+    assert kernels.tables_for(kappa) is not tables
+
+
+def test_slot_drops_the_old_tables_first(monkeypatch):
+    # the slot keeps the last weight table's tables between calls, and drops
+    # them before another weight table's are built: the levels of one weight
+    # table at most are alive
+    kernels.find_candidate([[0, 1, 3]], [1, 0, 3], 1, 1, 0)
+    old = weakref.ref(kernels.tables_for([[0, 1, 3]]))
+    assert old() is not None and old()._levels
+    alive, candidate_tables = [], kernels.CandidateTables
+
+    def recording_tables(kappa):
+        alive.append(old() is not None)
+        return candidate_tables(kappa)
+
+    monkeypatch.setattr(kernels, "CandidateTables", recording_tables)
+    kernels.find_candidate([[0, 2, 3]], [0, 2, 3], 1, 1, 0)
+    assert alive == [False] and old() is None
 
 
 def test_input_beyond_int64_range_raises():
@@ -268,13 +295,12 @@ def test_input_beyond_int64_range_raises():
 def test_denominator_beyond_int64_range_raises():
     # e * prefix // denom runs in int64, so the denominator must fit
     kappa, slopes = [[-1, 1]], [1, -1]
-    tables = kernels.CandidateTables(kappa)
     with pytest.raises(ValueError, match="denominator beyond the exact int64 range"):
-        kernels.find_candidate(kappa, slopes, 1, 2**70, 0, tables=tables)
+        kernels.find_candidate(kappa, slopes, 1, 2**70, 0)
     denom = kernels._KEY_LIMIT - 1
     for require_misaligned in (True, False):
         want = search_python(kappa, slopes, 1, denom, 0, require_misaligned)
-        assert kernels.find_candidate(kappa, slopes, 1, denom, 0, require_misaligned, tables) == want
+        assert kernels.find_candidate(kappa, slopes, 1, denom, 0, require_misaligned) == want
 
 @st.composite
 def row_pairs(draw):

@@ -94,6 +94,7 @@ def test_certified_class_builds_no_reachable_set(monkeypatch):
     monkeypatch.setattr(kernels, "CandidateTables", recording_tables)
     for band, want in ((1, (81, 0, 0)), (2, (625, 1, 1))):
         made.clear()
+        kernels._slot = None  # both bands scan one weight table: build it afresh
         checked, bad, hits = scan_mod._scan_class((2, (0, 4, 8, 12), band, 1, 5))
         assert (checked, bad, len(hits)) == want
         levels = [lv for tables in made for lv in tables._levels.values()]
@@ -292,7 +293,7 @@ def test_backend_summaries_agree(monkeypatch):
     def oracle_flags(self, slopes):
         return np.array([search_python(self.weights, s, 1, 1, 0, True)[0] for s in slopes.tolist()], dtype=bool)
 
-    def oracle(kappa, scaled, e, denom, tau, require_misaligned=True, tables=None):
+    def oracle(kappa, scaled, e, denom, tau, require_misaligned=True):
         return search_python(kappa, scaled, e, denom, tau, require_misaligned)
 
     monkeypatch.setattr(kernels.CandidateTables, "misaligned_flags", oracle_flags)
