@@ -39,7 +39,6 @@ from .principal import (
 )
 from .replay import (
     Certificate,
-    NormalizedSlopes,
     certify_splittings,
     replay_orthogonal,
     replay_symplectic,
@@ -101,7 +100,6 @@ __all__ = [
     "so_irreducible_sufficient",
     "sp_irreducible",
     "Certificate",
-    "NormalizedSlopes",
     "certify_splittings",
     "replay_orthogonal",
     "replay_symplectic",

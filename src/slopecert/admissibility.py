@@ -239,7 +239,7 @@ def find_misaligned_candidate(datum: PhiModuleDatum, tau: int) -> Optional[Submo
     constrains the induced weight multiset, not index bookkeeping.
     """
     scaled, denom = datum.scaled_slopes
-    found, mask, img = kernels.find_candidate(datum.weights, scaled, datum.e, denom, tau - 1, require_misaligned=True)
+    found, mask, img = kernels.find_candidate(datum.weights, scaled, datum.e, denom, tau - 1)
     if not found:
         return None
     return _witness_from_masks(datum, mask, img)

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from functools import lru_cache
 
 import jsonschema
@@ -115,7 +114,6 @@ JOB_SCHEMAS = {
             "ef": {"type": "array", "items": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2, "maxItems": 2}},
             "band_scale": {"oneOf": [{"type": "integer", "minimum": 1}, RAT]},
             "max_witnesses": {"type": "integer", "minimum": 0},
-            "max_cells": {"type": "integer", "minimum": 1},
         },
         "additionalProperties": False,
     },
@@ -262,23 +260,19 @@ def _run_replay(params, schema, paper_sign):
 
 
 def _run_scan(params, workers):
-    band = params.get("band_scale", 1)
-    band = parse_rat(band) if isinstance(band, str) else Fraction(band)
-    kwargs = dict(
-        n_max=params.get("n_max", 4),
-        kappa_min=params.get("kappa_min", -3),
-        kappa_max=params.get("kappa_max", 3),
-        band_scale=band,
-        max_witnesses=params.get("max_witnesses", 5),
-        workers=workers,
-    )
-    if "ef" in params:
-        kwargs["ef_values"] = tuple(tuple(x) for x in params["ef"])
-    if "max_cells" in params:
-        kwargs["max_cells"] = params["max_cells"]
-    report = scan_mod.run_scan(**kwargs)
+    # only the fields the job has: run_scan states the defaults
+    band, ef = params.get("band_scale"), params.get("ef")
+    given = {
+        "n_max": params.get("n_max"),
+        "kappa_min": params.get("kappa_min"),
+        "kappa_max": params.get("kappa_max"),
+        "ef_values": None if ef is None else tuple(map(tuple, ef)),
+        "band_scale": parse_rat(band) if isinstance(band, str) else band,
+        "max_witnesses": params.get("max_witnesses"),
+    }
+    report = scan_mod.run_scan(workers=workers, **{key: v for key, v in given.items() if v is not None})
     # a misaligned candidate inside the un-widened band falsifies the lemma
-    code = 2 if (band <= 1 and report.misaligned > 0) else 0
+    code = 2 if (report.band_scale <= 1 and report.misaligned > 0) else 0
     return report.summary(), code
 
 
@@ -470,7 +464,11 @@ def main(argv=None) -> int:
     text = canonical_json(report)
     out_path = args.out or job.get("out")
     if out_path:
-        _write_atomic(out_path, text)
+        try:
+            _write_atomic(out_path, text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write report: {exc}\n")
+            return 1
     else:
         sys.stdout.write(text)
     return code

@@ -359,8 +359,8 @@ def _moves(row, mask: int, img: int) -> bool:
     return by_subset != by_image
 
 
-def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True):
-    """First passing (optionally misaligned) candidate in enumeration order.
+def find_candidate(kappa, slopes_scaled, e, denom, tau):
+    """First passing misaligned candidate in enumeration order.
 
     ``kappa``: per-embedding ascending weight rows; ``slopes_scaled``: slopes
     times ``denom``; ``tau``: 0-based distinguished embedding.  Returns
@@ -371,10 +371,9 @@ def find_candidate(kappa, slopes_scaled, e, denom, tau, require_misaligned=True)
     at the first larger subset.
     """
     tables = tables_for(kappa)
+    row, tau = tables.weights[int(tau)], int(tau)
+    half = len(row) // 2
     found = tables.candidates(slopes_scaled, int(e), int(denom))
-    if require_misaligned:
-        row, tau = tables.weights[int(tau)], int(tau)
-        half = len(row) // 2
-        found = (c for c in takewhile(lambda c: c[0].bit_count() <= half, found) if _moves(row, c[0], c[1][tau]))
+    found = (c for c in takewhile(lambda c: c[0].bit_count() <= half, found) if _moves(row, c[0], c[1][tau]))
     first = next(found, None)
     return (False, 0, ()) if first is None else (True, *first)

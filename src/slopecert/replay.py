@@ -56,42 +56,14 @@ IRREDUCIBLE = "Irreducible"
 FAILED = "Failed"
 
 
-@dataclass(frozen=True)
-class NormalizedSlopes:
-    """Deviations nu(i) = v_p(phi_i) on the extended index range of one place.
-
-    Schema C uses indices -rank..rank including 0 (nu(0) = 0); schema D uses
-    -rank..-1, 1..rank.  Only the positive half is stored; nu(-i) = -nu(i).
-    """
-
-    schema: str
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
-        zero_index(self.schema)  # rejects any other schema
-
-    @property
-    def rank(self) -> int:
-        return len(self.values)
-
-    def indices(self) -> tuple:
-        z = zero_index(self.schema)
-        return tuple(i for i in range(-self.rank, self.rank + 1) if i or z)
-
-    def value(self, i: int) -> Fraction:
-        if i == 0:
-            if not zero_index(self.schema):
-                raise ValueError(f"schema {self.schema} has no zero index")
-            return Fraction(0)
-        return self.values[i - 1] if i > 0 else -self.values[-i - 1]
-
-
-def certify_splittings(nu: NormalizedSlopes) -> Tuple[list, str]:
+def certify_splittings(schema: str, nu: RefinedSlopes) -> Tuple[list, str]:
     """Enumerate surviving proper subsets (up to complement) and the verdict.
 
-    A subset survives when, walking it and its complement in ascending index
-    order, every prefix sum of nu is >= 0 and both totals vanish.  Verdict:
+    ``nu`` holds nu(1..rank) = v_p(phi_i) at one place, extended by
+    nu(-i) = -nu(i) over the index range -rank..rank, which holds 0 with
+    nu(0) = 0 for schema C and not for schema D.  A subset survives when,
+    walking it and its complement in ascending index order, every prefix
+    sum of nu is >= 0 and both totals vanish.  Verdict:
     ArtinPlusIrreducible when the zero singleton is the only survivor
     (schema C), Irreducible when nothing survives, Failed otherwise.
 
@@ -100,8 +72,9 @@ def certify_splittings(nu: NormalizedSlopes) -> Tuple[list, str]:
     so each pair {I, complement} is met once.  nu sums to 0, so both totals
     at a leaf are 0 and only a non-empty outside is checked.
     """
-    idx = nu.indices()
-    vals = [nu.value(i) for i in idx]
+    z = zero_index(schema)
+    idx = [i for i in range(-nu.rank, nu.rank + 1) if i or z]
+    vals = [nu.slope(i) for i in idx]
     survivors = []
     stack = [(0, 0, 0, (), ())]  # (next position, inside sum, outside sum, inside, outside)
     while stack:
@@ -116,7 +89,7 @@ def certify_splittings(nu: NormalizedSlopes) -> Tuple[list, str]:
         if s_in + v >= 0:
             stack.append((p + 1, s_in + v, s_out, inside + (idx[p],), outside))
     survivors.sort(key=lambda t: (len(t), t))
-    if nu.schema == "C" and survivors == [(0,)]:
+    if z and survivors == [(0,)]:
         return survivors, ARTIN_PLUS_IRREDUCIBLE
     if not survivors:
         return survivors, IRREDUCIBLE
@@ -273,12 +246,11 @@ def _derive_place(
             rec.hypothesis_margins.append(result.margin)
 
     # -- splitting certification on the extended index range
-    norm = NormalizedSlopes(schema, nu.values)
-    rec.survivors, _ = certify_splittings(norm)
+    rec.survivors, _ = certify_splittings(schema, nu)
 
     # -- structural facts the argument extracts at x2'
-    positives_ok = all(norm.value(i) > 0 for i in range(1, rank))
-    top_ok = norm.value(rank) < 0
+    positives_ok = all(nu.slope(i) > 0 for i in range(1, rank))
+    top_ok = nu.slope(rank) < 0
     total_ok = sum(nu.values, Fraction(0)) < 0
     if not (positives_ok and top_ok and total_ok):
         rec.structural_ok = False

@@ -54,6 +54,10 @@ DEFAULT_EF = ((1, 1), (1, 2), (2, 1), (2, 2))
 # A grid listing more slope vectors than this, over its distinct shapes, is
 # refused before any class runs.
 MAX_DATA = 2_000_000
+# A grid of more (e, f, kappa) cells than this is refused before its slope
+# vectors are counted.  Each class lists at least one vector and costs about
+# 0.12 ms (Python 3.11, one core), so MAX_DATA alone admits some 2 M classes.
+MAX_CELLS = 2_000_000
 # A class's slope vectors are listed and flagged this many at a time.
 _BLOCK = 1024
 
@@ -138,7 +142,7 @@ def _scan_class(args) -> Tuple[int, int, list]:
         checked += scaled.shape[0]
         bad += int(flags.sum())
         for row in scaled[flags][: max_witnesses - len(hits)].tolist():
-            _, mask, img = kernels.find_candidate(weights, row, 1, 1, 0, require_misaligned=True)
+            _, mask, img = kernels.find_candidate(weights, row, 1, 1, 0)
             subset = tuple(b + 1 for b in range(n) if mask >> b & 1)
             images = tuple(b + 1 for b in range(n) if img[0] >> b & 1)
             hits.append((tuple(row), subset, images))
@@ -227,13 +231,12 @@ def run_scan(
     band_scale=1,
     max_witnesses: int = 5,
     workers: int = 1,
-    max_cells: int = 2_000_000,
 ) -> ScanReport:
     """Run the exhaustive scan; deterministic regardless of worker count.
 
     Each gap class runs once per distinct m = e*f.  The pool has
     min(workers, CPU count, classes) processes; with one, the classes run
-    in this process.  The grid is refused above ``max_cells`` cells, and
+    in this process.  The grid is refused above MAX_CELLS cells, and
     above MAX_DATA slope vectors over the distinct shapes.
     """
     if workers < 1:
@@ -241,8 +244,8 @@ def run_scan(
     scale = Fraction(band_scale)
     shapes = [(e, f) for (e, f) in ef_values]
     cells = grid_cells(n_max, kappa_min, kappa_max, len(shapes))
-    if cells > max_cells:
-        raise SlopecertError(f"grid has {cells} cells, above the cap {max_cells}")
+    if cells > MAX_CELLS:
+        raise SlopecertError(f"grid has {cells} cells, above scan.MAX_CELLS = {MAX_CELLS}")
     data = len(set(shapes)) * data_count(n_max, kappa_min, kappa_max, scale)
     if data > MAX_DATA:
         least = "at least " if data > MAX_DATA**2 else ""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .errors import Degenerate, SlopecertError, SplitExtension, ZeroArgument
@@ -466,14 +467,16 @@ def _check_regular(inst: WaldInstance):
             raise Degenerate("some y equals 1")
 
 
-def _wald_ratios(inst: WaldInstance):
+@lru_cache(maxsize=1)
+def _wald_ratios(inst: WaldInstance) -> tuple:
     """Per field index i, in order: (x_i, y_i, C_i / C_{i,0}).
 
     C_i = x^{-1} P'(y) P(-1) y^{1-m} (1+y) with P the full characteristic
     polynomial of the y-parameters; C_{i,0} uses the polynomial over the
     field indices only and the exponent 1 - m_0.  Both lie in Q_p by
     tau-invariance.  Raises Degenerate or SplitExtension, index by index,
-    where the ratio is not defined.
+    where the ratio is not defined.  The last instance's ratios are kept,
+    so the sign product and the structure report of one job share them.
     """
     _check_regular(inst)
     m = inst.m
@@ -486,6 +489,7 @@ def _wald_ratios(inst: WaldInstance):
     p_zero_at_m1 = _poly_eval(p_zero, Fraction(-1))
     if p_full_at_m1 == 0 or p_zero_at_m1 == 0:
         raise Degenerate("-1 is a root of the characteristic polynomial")
+    out = []
     for i, x in enumerate(inst.field_elements):
         if is_local_square(x.d, inst.p):
             raise SplitExtension(f"sqrt({x.d}) splits over Q_{inst.p}")
@@ -498,7 +502,8 @@ def _wald_ratios(inst: WaldInstance):
         c_zero = xinv * _poly_eval(dp_zero, y) * p_zero_at_m1 * y.pow(1 - m0) * one_plus_y
         if c_full.is_zero() or c_zero.is_zero():
             raise Degenerate("a transfer-factor quantity vanished")
-        yield x, y, (c_full / c_zero).rational()
+        out.append((x, y, (c_full / c_zero).rational()))
+    return tuple(out)
 
 
 def waldspurger_sign_product(inst: WaldInstance) -> int:

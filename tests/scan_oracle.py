@@ -45,7 +45,7 @@ def scan_cell_per_datum(e, f, kappa, band_scale, max_witnesses):
         if len(set(scaled)) != n:
             continue
         checked += 1
-        found, mask, img = kernels.find_candidate(weights, scaled, e, e, 0, require_misaligned=True)
+        found, mask, img = kernels.find_candidate(weights, scaled, e, e, 0)
         if found:
             bad += 1
             if len(witnesses) < max_witnesses:

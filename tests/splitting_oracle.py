@@ -10,11 +10,16 @@ from fractions import Fraction
 from slopecert.replay import ARTIN_PLUS_IRREDUCIBLE, FAILED, IRREDUCIBLE
 
 
-def certify_splittings_by_masks(nu):
+def extended_indices(schema, rank):
+    """-rank..rank, without 0 for schema D."""
+    return tuple(i for i in range(-rank, rank + 1) if i or schema == "C")
+
+
+def certify_splittings_by_masks(schema, nu):
     """(survivors, verdict) from all 2^N masks; N is the size of the index range."""
-    idx = nu.indices()
+    idx = extended_indices(schema, nu.rank)
     n = len(idx)
-    vals = [nu.value(i) for i in idx]
+    vals = [nu.slope(i) for i in idx]
 
     def walk_ok(positions) -> bool:
         total = Fraction(0)
@@ -38,7 +43,7 @@ def certify_splittings_by_masks(nu):
             b = tuple(idx[p] for p in outside)
             survivors.append(min((a, b), key=lambda t: (len(t), t)))
     survivors.sort(key=lambda t: (len(t), t))
-    if nu.schema == "C" and survivors == [(0,)]:
+    if schema == "C" and survivors == [(0,)]:
         return survivors, ARTIN_PLUS_IRREDUCIBLE
     if not survivors:
         return survivors, IRREDUCIBLE

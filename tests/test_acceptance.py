@@ -20,7 +20,6 @@ from slopecert.principal import UnramChar  # noqa: F401  (surface check)
 from slopecert.replay import (
     ARTIN_PLUS_IRREDUCIBLE,
     IRREDUCIBLE,
-    NormalizedSlopes,
     replay_orthogonal,
     replay_symplectic,
 )
@@ -112,10 +111,9 @@ def test_03_replay_certification():
     pr = cert.places[0]
     assert pr.k1.rows == ((6, 4),)
     assert pr.x2p.values == (Fraction(1), Fraction(-27))
-    nu = NormalizedSlopes("C", pr.x2p.values)
     walk, total = [], Fraction(0)
     for i in (-2, -1, 1, 2):
-        total += nu.value(i)
+        total += pr.x2p.slope(i)
         walk.append(total)
     assert walk == [27, 26, 27, 0]
 

@@ -227,10 +227,12 @@ class TestAlignment:
             datum = PhiModuleDatum(1, 1, slopes, kappa)
 
             def search(require_misaligned):
-                args = (datum.weights, slopes, 1, 1, 0, require_misaligned)
                 if backend == "python":
-                    return search_python(*args)
-                return kernels.find_candidate(*args)
+                    return search_python(datum.weights, slopes, 1, 1, 0, require_misaligned)
+                if require_misaligned:
+                    return kernels.find_candidate(datum.weights, slopes, 1, 1, 0)
+                first = next(kernels.tables_for(datum.weights).candidates(slopes, 1, 1), None)
+                return (False, 0, ()) if first is None else (True, *first)
 
             got = search(True)
             assert got == search_python(datum.weights, slopes, 1, 1, 0, True)

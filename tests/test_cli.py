@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from slopecert import kernels
+from slopecert import scan as scan_mod
 from slopecert.cli import JOB_SCHEMAS, canonical_json, main, run_job
 from slopecert.lattice import PRIME_LIMIT, LocalDatum, parse_rat, rat_str
 from slopecert.replay import replay_orthogonal, replay_symplectic
@@ -172,6 +173,25 @@ def test_seed_beyond_int64_is_a_one_line_error(tmp_path, capsys):
 def test_max_sum_field_rejected(tmp_path, capsys, command):
     job = {"command": command, "params": {"n": 1, "locals": [{"p": 3}], "seeds": "zero", "max_sum": 10**6}}
     assert "max_sum" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+def test_max_cells_field_rejected(tmp_path, capsys):
+    # the cells cap is the constant scan.MAX_CELLS, no longer a job field
+    job = {"command": "keylemma-scan", "params": {"n_max": 1, "max_cells": 10**6}}
+    assert "max_cells" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+@pytest.mark.parametrize("out", [("missing", "report.json"), ("directory",)])
+def test_unwritable_report_path_is_a_one_line_error(tmp_path, capsys, out):
+    # a report path in a missing directory, or naming a directory, ended in
+    # a traceback from the atomic write; so did the job's own "out"
+    (tmp_path / "directory").mkdir()
+    out = str(tmp_path.joinpath(*out))
+    job = {"command": "hilbert", "params": {"a": "2", "b": "3", "place": 5}}
+    err = rejected_in_one_line(tmp_path, capsys, job, extra=("--out", out))
+    assert err.startswith("error: cannot write report: ")
+    assert rejected_in_one_line(tmp_path, capsys, {**job, "out": out}).startswith("error: cannot write report: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["directory", "job.json"]  # no temporary file left
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -402,24 +422,26 @@ def test_wide_scan_refused_before_listing_cells(tmp_path):
     job = {"command": "keylemma-scan", "params": {"n_max": 2, "kappa_min": 0, "kappa_max": 3000}}
     proc = invoke(tmp_path, job, timeout=5)
     assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == "error: grid has 18030008 cells, above the cap 2000000\n"
+    assert proc.stderr == "error: grid has 18030008 cells, above scan.MAX_CELLS = 2000000\n"
 
 
 def test_wide_band_scan_refused_before_any_class(tmp_path):
     # 8,121,160 slope vectors in 210 cells; it did not finish in 60 s
-    params = {"n_max": 4, "kappa_min": 0, "kappa_max": 6, "ef": [[1, 1]], "band_scale": 40, "max_cells": 400}
+    params = {"n_max": 4, "kappa_min": 0, "kappa_max": 6, "ef": [[1, 1]], "band_scale": 40}
     proc = invoke(tmp_path, {"command": "keylemma-scan", "params": params}, timeout=5)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: grid lists 8121160 slope vectors, above scan.MAX_DATA = 2000000\n"
 
 
-def test_wide_box_refused_whatever_max_cells(tmp_path):
-    # max_cells of 10**20 lets a box of width 10**8 through; counting its
-    # slope vectors once per least gap did not end in 30 s
-    params = {"n_max": 2, "kappa_min": 0, "kappa_max": 10**8, "ef": [[1, 1]], "max_cells": 10**20}
-    proc = invoke(tmp_path, {"command": "keylemma-scan", "params": params}, timeout=5)
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert re.fullmatch(r"error: grid lists at least \d+ slope vectors, above scan.MAX_DATA = 2000000\n", proc.stderr)
+def test_wide_box_refused_whatever_max_cells(tmp_path, capsys, monkeypatch):
+    # with the cells cap lifted, a box of width 10**8 is refused by its slope
+    # vector count; counting them once per least gap did not end in 30 s
+    monkeypatch.setattr(scan_mod, "MAX_CELLS", 10**20)
+    params = {"n_max": 2, "kappa_min": 0, "kappa_max": 10**8, "ef": [[1, 1]]}
+    start = time.perf_counter()
+    err = rejected_in_one_line(tmp_path, capsys, {"command": "keylemma-scan", "params": params})
+    assert time.perf_counter() - start < 5
+    assert re.fullmatch(r"error: grid lists at least \d+ slope vectors, above scan.MAX_DATA = 2000000\n", err)
 
 
 def test_wald_job(tmp_path):

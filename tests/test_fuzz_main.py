@@ -5,10 +5,13 @@ line and no report; no exception may escape.  ``ps-irreducible`` draws up
 to 12 values, since its orbit size is closed-form, and ``hilbert`` places
 run through the primes up to the oracle's limit and a few beyond it, where
 an oracle job must exit 1.  ``keylemma-scan`` windows lie anywhere in
-+-10^9 and reach 10^9 in width, with a cell cap of at most 40, so the
-closed-form refusal runs and the answered grids stay small; ``band_scale``
-reaches 60 with ``scan.MAX_DATA``, the slope-vector cap, patched to at most
-2,000, so that refusal runs too.
++-10^9 and reach 10^9 in width, with ``scan.MAX_CELLS``, the cell cap,
+patched to at most 40 on most draws, so the closed-form refusal runs and the
+answered grids stay small; ``band_scale`` reaches 60 with ``scan.MAX_DATA``,
+the slope-vector cap, patched to at most 2,000, so that refusal runs too,
+and bounds the classes of the draws that keep the shipped cell cap.  Some
+jobs name a report path in a missing directory, or a directory, which must
+end in exit 1 whatever the job.
 ``admissible`` listing has no cost bound yet, so its sizes stay small; half
 of its jobs are well-formed data over one slope denominator of up to 2^70,
 so the kernel's refusal of a denominator beyond int64 runs.
@@ -107,16 +110,15 @@ SCAN = st.one_of(
             **SCAN_OPTIONAL,
             "kappa_min": st.integers(-2, 0),
             "kappa_max": st.integers(-1, 2),
-            "max_cells": st.integers(1, 40),
         },
     ),
-    # windows anywhere in +-10^9 and up to 10^9 wide: the cap, at most 40
-    # cells, refuses the wide ones before any cell is listed
+    # windows anywhere in +-10^9 and up to 10^9 wide: the cell cap refuses
+    # the wide ones before any cell is listed
     st.builds(
         lambda low, width, rest: {"kappa_min": low, "kappa_max": low + width, **rest},
         st.integers(-10**9, 10**9),
         st.one_of(st.integers(-1, 6), st.integers(0, 10**9)),
-        st.fixed_dictionaries({"max_cells": st.integers(1, 40)}, optional=SCAN_OPTIONAL),
+        st.fixed_dictionaries({}, optional=SCAN_OPTIONAL),
     ),
     WIDE_BAND,
 )
@@ -199,19 +201,35 @@ JOBS = st.one_of(
 )
 
 
+# the shipped cell cap on some draws, so the wide bands reach the data cap
+CELLS_CAP = st.one_of(st.integers(1, 40), st.just(scan.MAX_CELLS))
+# a report path in a missing directory, or one naming a directory
+UNWRITABLE_OUT = st.one_of(st.none(), st.sampled_from([("missing", "report.json"), ("directory",)]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(JOBS, st.integers(1, 2000))
-def test_main_ends_in_an_exit_code_or_one_line_error(job, data_cap):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scan, "MAX_DATA", data_cap):
+@given(JOBS, st.integers(1, 2000), CELLS_CAP, UNWRITABLE_OUT)
+def test_main_ends_in_an_exit_code_or_one_line_error(job, data_cap, cells_cap, out_path):
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(scan, "MAX_DATA", data_cap),
+        mock.patch.object(scan, "MAX_CELLS", cells_cap),
+    ):
         path = os.path.join(tmp, "job.json")
+        if out_path is not None:
+            os.mkdir(os.path.join(tmp, "directory"))
+            job = {**job, "out": os.path.join(tmp, *out_path)}
         with open(path, "w") as fh:
             json.dump(job, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--job", path])
+        leftover = sorted(os.listdir(tmp))
     assert code in (0, 1, 2)
     if job["command"] == "hilbert" and job["params"].get("oracle") is True:
         assert code == 1 or job["params"]["place"] not in BEYOND_LIMIT
+    if out_path is not None:
+        assert code == 1 and leftover == ["directory", "job.json"]  # no report, no temporary file
     if code == 1:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from splitting_oracle import certify_splittings_by_masks
+from splitting_oracle import certify_splittings_by_masks, extended_indices
 
 import slopecert.replay as replay_mod
 from slopecert.errors import VerdictFailed
@@ -21,7 +21,6 @@ from slopecert.replay import (
     ARTIN_PLUS_IRREDUCIBLE,
     FAILED,
     IRREDUCIBLE,
-    NormalizedSlopes,
     certify_splittings,
     replay_orthogonal,
     replay_symplectic,
@@ -49,9 +48,9 @@ def step_one_skipped():
         yield
 
 
-def brute_survivors(nu):
+def brute_survivors(schema, nu):
     """Independent enumerator over index subsets with explicit prefix walks."""
-    idx = nu.indices()
+    idx = extended_indices(schema, nu.rank)
     out = []
     for r in range(1, len(idx)):
         for sub in combinations(idx, r):
@@ -60,7 +59,7 @@ def brute_survivors(nu):
             def ok(part):
                 tot = Fraction(0)
                 for i in part:
-                    tot += nu.value(i)
+                    tot += nu.slope(i)
                     if tot < 0:
                         return False
                 return tot == 0
@@ -72,25 +71,25 @@ def brute_survivors(nu):
 
 class TestCertifySplittings:
     def test_examples(self):
-        s, v = certify_splittings(NormalizedSlopes("C", [-3]))
+        s, v = certify_splittings("C", RefinedSlopes([-3]))
         assert (s, v) == ([(0,)], ARTIN_PLUS_IRREDUCIBLE)
-        s, v = certify_splittings(NormalizedSlopes("D", [1, -3]))
+        s, v = certify_splittings("D", RefinedSlopes([1, -3]))
         assert (s, v) == ([], IRREDUCIBLE)
-        s, v = certify_splittings(NormalizedSlopes("D", [1, -1]))
+        s, v = certify_splittings("D", RefinedSlopes([1, -1]))
         assert (s, v) == ([(-2, -1)], FAILED)
+        with pytest.raises(ValueError, match="schema must be 'C' or 'D'"):
+            certify_splittings("B", RefinedSlopes([1, -1]))
 
     def test_matches_bruteforce_and_complement_closure(self):
         rng = random.Random(8)
         for _ in range(60):
             schema = rng.choice(["C", "D"])
             rank = rng.choice([1, 2, 3]) if schema == "C" else rng.choice([2, 4])
-            nu = NormalizedSlopes(
-                schema, [Fraction(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(rank)]
-            )
-            got, _ = certify_splittings(nu)
-            assert got == brute_survivors(nu)
+            nu = RefinedSlopes([Fraction(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(rank)])
+            got, _ = certify_splittings(schema, nu)
+            assert got == brute_survivors(schema, nu)
             # closure under complement of the underlying surviving family
-            idx = nu.indices()
+            idx = extended_indices(schema, rank)
             for rep in got:
                 comp = tuple(i for i in idx if i not in rep)
                 assert min((rep, comp), key=lambda t: (len(t), t)) in got
@@ -98,25 +97,26 @@ class TestCertifySplittings:
 
 @st.composite
 def normalized_slopes(draw):
-    """nu of rank 1-6 in either schema, on a grid of step 1/denom with zeros."""
+    """A schema and nu of rank 1-6, on a grid of step 1/denom with zeros."""
     denom = draw(st.integers(1, 3))
     rank = draw(st.integers(1, 6))
     values = draw(st.lists(st.integers(-3 * denom, 3 * denom), min_size=rank, max_size=rank))
-    return NormalizedSlopes(draw(st.sampled_from("CD")), [Fraction(v, denom) for v in values])
+    return draw(st.sampled_from("CD")), RefinedSlopes([Fraction(v, denom) for v in values])
 
 
 @settings(max_examples=200, deadline=None)
 @given(normalized_slopes())
-def test_pruned_walk_matches_mask_oracle(nu):
-    assert certify_splittings(nu) == certify_splittings_by_masks(nu)
+def test_pruned_walk_matches_mask_oracle(schema_nu):
+    assert certify_splittings(*schema_nu) == certify_splittings_by_masks(*schema_nu)
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 RANK_12 = """
-from slopecert.replay import NormalizedSlopes, certify_splittings
-nu = list(range(1, 12)) + [-67]  # the replay regime: nu(i) > 0 for i < 12, nu(12) < 0
-assert certify_splittings(NormalizedSlopes("C", nu)) == ([(0,)], "ArtinPlusIrreducible")
-assert certify_splittings(NormalizedSlopes("D", nu)) == ([], "Irreducible")
+from slopecert.replay import certify_splittings
+from slopecert.satake import RefinedSlopes
+nu = RefinedSlopes(list(range(1, 12)) + [-67])  # the replay regime: nu(i) > 0 for i < 12, nu(12) < 0
+assert certify_splittings("C", nu) == ([(0,)], "ArtinPlusIrreducible")
+assert certify_splittings("D", nu) == ([], "Irreducible")
 """
 
 
@@ -140,10 +140,9 @@ class TestSymplecticReplay:
         assert pr.survivors == [(0,)]
         assert cert.verdict == ARTIN_PLUS_IRREDUCIBLE
         walk = []
-        nu = NormalizedSlopes("C", pr.x2p.values)
         tot = Fraction(0)
         for i in (-2, -1, 1, 2):
-            tot += nu.value(i)
+            tot += pr.x2p.slope(i)
             walk.append(tot)
         assert walk == [27, 26, 27, 0]
 

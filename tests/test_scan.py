@@ -142,8 +142,10 @@ def test_data_count_matches_listing():
 
 def test_many_slope_vectors_refused_before_scanning(monkeypatch):
     start = time.perf_counter()
+    monkeypatch.setattr(scan_mod, "MAX_CELLS", 400)
     with pytest.raises(SlopecertError, match="8121160 slope vectors, above scan.MAX_DATA = 2000000"):
-        run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1),), band_scale=40, max_cells=400)
+        run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1),), band_scale=40)
+    monkeypatch.undo()
     # distinct shapes count once each
     monkeypatch.setattr(scan_mod, "MAX_DATA", 359)
     with pytest.raises(SlopecertError, match="360 slope vectors, above scan.MAX_DATA = 359"):
@@ -158,20 +160,22 @@ def test_data_count_stops_past_max_data_squared(monkeypatch):
     exact = scan_mod.data_count(4, 0, 6, 40)
     assert exact == 8_121_160
     monkeypatch.setattr(scan_mod, "MAX_DATA", 1000)
+    monkeypatch.setattr(scan_mod, "MAX_CELLS", 400)
     assert 10**6 < scan_mod.data_count(4, 0, 6, 40) < exact
     with pytest.raises(SlopecertError, match=f"grid lists at least {scan_mod.data_count(4, 0, 6, 40)} slope vectors"):
-        run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1),), band_scale=40, max_cells=400)
+        run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1),), band_scale=40)
 
 
-def test_wide_box_counted_and_scanned_whatever_max_cells():
+def test_wide_box_counted_and_scanned_whatever_max_cells(monkeypatch):
     # the least gap d of a box of width 10**8 takes every value up to 10**8;
     # summing over them one by one did not end in 30 s
+    monkeypatch.setattr(scan_mod, "MAX_CELLS", 10**20)
     start = time.perf_counter()
     with pytest.raises(SlopecertError, match=r"grid lists at least \d+ slope vectors, above scan.MAX_DATA"):
-        run_scan(n_max=2, kappa_min=0, kappa_max=10**8, ef_values=((1, 1),), max_cells=10**20)
+        run_scan(n_max=2, kappa_min=0, kappa_max=10**8, ef_values=((1, 1),))
     # a negative band lists nothing in the 300,000 classes of length 2, which
     # ran all the same and took 5.9 s; only the class (0,) runs
-    rep = run_scan(n_max=2, kappa_min=0, kappa_max=300_000, ef_values=((1, 1),), band_scale=-1, max_cells=10**20)
+    rep = run_scan(n_max=2, kappa_min=0, kappa_max=300_000, ef_values=((1, 1),), band_scale=-1)
     assert time.perf_counter() - start < 1
     assert rep.summary() == {
         "band_scale": "-1/1", "cells": 45_000_750_002, "data_checked": 300_001,
@@ -179,12 +183,24 @@ def test_wide_box_counted_and_scanned_whatever_max_cells():
     }
 
 
-def test_wide_grid_refused_before_listing():
+def test_wide_grid_refused_before_listing(monkeypatch):
     start = time.perf_counter()
-    with pytest.raises(SlopecertError, match="18030008 cells"):
+    with pytest.raises(SlopecertError, match="18030008 cells, above scan.MAX_CELLS = 2000000"):
         run_scan(n_max=2, kappa_min=0, kappa_max=3000)
-    with pytest.raises(SlopecertError, match="above the cap 40"):
-        run_scan(n_max=6, kappa_min=-10**9, kappa_max=10**9, max_cells=40)
+    monkeypatch.setattr(scan_mod, "MAX_CELLS", 40)
+    with pytest.raises(SlopecertError, match="above scan.MAX_CELLS = 40"):
+        run_scan(n_max=6, kappa_min=-10**9, kappa_max=10**9)
+    assert time.perf_counter() - start < 1
+
+
+def test_band_zero_box_refused_by_the_cells_cap():
+    # at band 0 every class of a box lists one vector, so MAX_DATA alone
+    # admits about 2 M classes: box 0..1,999,998 lists 1,999,999 vectors and
+    # would take minutes; its 2,000,000,999,999 cells are refused at once
+    start = time.perf_counter()
+    assert scan_mod.data_count(2, 0, 1_999_998, 0) == 1_999_999 <= scan_mod.MAX_DATA
+    with pytest.raises(SlopecertError, match="2000000999999 cells, above scan.MAX_CELLS = 2000000"):
+        run_scan(n_max=2, kappa_min=0, kappa_max=1_999_998, ef_values=((1, 1),), band_scale="0/1")
     assert time.perf_counter() - start < 1
 
 
@@ -272,9 +288,10 @@ def test_workers_below_one_rejected(workers):
         run_scan(n_max=1, workers=workers)
 
 
-def test_grid_cap_guard():
+def test_grid_cap_guard(monkeypatch):
+    monkeypatch.setattr(scan_mod, "MAX_CELLS", 10)
     with pytest.raises(SlopecertError):
-        run_scan(n_max=4, kappa_min=-3, kappa_max=3, max_cells=10)
+        run_scan(n_max=4, kappa_min=-3, kappa_max=3)
 
 
 def test_empty_grid_gives_empty_summary():
@@ -293,8 +310,8 @@ def test_backend_summaries_agree(monkeypatch):
     def oracle_flags(self, slopes):
         return np.array([search_python(self.weights, s, 1, 1, 0, True)[0] for s in slopes.tolist()], dtype=bool)
 
-    def oracle(kappa, scaled, e, denom, tau, require_misaligned=True):
-        return search_python(kappa, scaled, e, denom, tau, require_misaligned)
+    def oracle(kappa, scaled, e, denom, tau):
+        return search_python(kappa, scaled, e, denom, tau, True)
 
     monkeypatch.setattr(kernels.CandidateTables, "misaligned_flags", oracle_flags)
     monkeypatch.setattr(kernels, "find_candidate", oracle)

@@ -5,6 +5,8 @@ from itertools import product
 import pytest
 
 from slopecert.errors import Degenerate, SlopecertError, SplitExtension, ZeroArgument
+from slopecert import symbols
+from slopecert.cli import run_job
 from slopecert.lattice import is_prime
 from slopecert.symbols import (
     INFINITE_PLACE,
@@ -241,3 +243,27 @@ class TestWaldspurger:
     def test_degree_count_enforced(self):
         with pytest.raises(ValueError):
             WaldInstance(5, 2, (Fraction(2),), ())
+
+    def test_one_job_evaluates_its_ratios_once(self, monkeypatch):
+        # the sign product and the structure report share the ratios; each
+        # evaluation builds two characteristic polynomials
+        built = []
+
+        def counting(inst, with_splits):
+            built.append(with_splits)
+            return char_poly_factors(inst, with_splits)
+
+        char_poly_factors = symbols._char_poly_factors
+        monkeypatch.setattr(symbols, "_char_poly_factors", counting)
+        symbols._wald_ratios.cache_clear()
+        params = {"p": 5, "m": 2, "split_values": ["2"], "field_elements": [{"d": 2, "a": "1", "b": "1"}]}
+        report, code = run_job({"command": "wald-sign", "params": params})
+        assert code == 0 and report["result"]["sign"] == 1
+        assert built == [True, False]
+        # an error is not kept: each call raises it again, with its message
+        degenerate = WaldInstance(5, 3, (Fraction(2), Fraction(1, 2)), (QuadExtElem(2, Fraction(1), Fraction(1)),))
+        split = WaldInstance(5, 1, (), (QuadExtElem(-1, Fraction(1), Fraction(1)),))
+        for inst, error, message in [(degenerate, Degenerate, "collide"), (split, SplitExtension, "splits over Q_5")]:
+            for fn in (waldspurger_sign_product, wald_structure_report, waldspurger_sign_product):
+                with pytest.raises(error, match=message):
+                    fn(inst)
