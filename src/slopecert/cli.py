@@ -100,6 +100,7 @@ JOB_SCHEMAS = {
                     {"type": "array", "items": RATS},
                 ]
             },
+            "paper_sign": {"type": "boolean"},
         },
         "required": ["n", "locals", "seeds"],
         "additionalProperties": False,
@@ -249,13 +250,13 @@ def _make_seeds(spec, n_places, rank):
     return seeds
 
 
-def _run_replay(params, schema, paper_sign):
+def _run_replay(params, schema):
     locals_ = [LocalDatum(**loc) for loc in params["locals"]]
     n = params["n"]
     rank = n if schema == "C" else 2 * n
     seeds = _make_seeds(params["seeds"], len(locals_), rank)
     fn = replay_symplectic if schema == "C" else replay_orthogonal
-    cert = fn(n, locals_, seeds, paper_sign=paper_sign)
+    cert = fn(n, locals_, seeds, paper_sign=params.get("paper_sign", False))
     return cert.to_dict(), 0
 
 
@@ -309,6 +310,8 @@ def _run_admissible(params):
 def _run_classicality(params):
     loc = LocalDatum(**params["local"])
     weights = WeightTable(params["weights"])
+    if weights.embeddings != loc.embeddings:
+        raise InputError(f"params.weights: {weights.embeddings} rows, need e*f = {loc.embeddings}")
     mu = [parse_rat(v) for v in params["mu"]]
     n = params["n"]
     sp = classicality_sp(loc, n, weights, mu)
@@ -385,7 +388,7 @@ def _run_verify(params):
     return {"ok": ok, "mismatches": mismatches}, (0 if ok else 2)
 
 
-def run_job(job: dict, workers: int = 1, paper_sign: bool = False):
+def run_job(job: dict, workers: int = 1):
     """Execute one job; returns (report dict, exit code)."""
     _validate(job, None, "job")
     command = job["command"]
@@ -393,9 +396,9 @@ def run_job(job: dict, workers: int = 1, paper_sign: bool = False):
     _validate(params, command, "params")
     try:
         if command == "replay-sp":
-            result, code = _run_replay(params, "C", paper_sign)
+            result, code = _run_replay(params, "C")
         elif command == "replay-so":
-            result, code = _run_replay(params, "D", paper_sign)
+            result, code = _run_replay(params, "D")
         elif command == "keylemma-scan":
             result, code = _run_scan(params, workers)
         elif command == "admissible":
@@ -426,8 +429,6 @@ def main(argv=None) -> int:
     parser.add_argument("--job", help="path to a JSON job document")
     parser.add_argument("--out", help="report output path (overrides the job's 'out')")
     parser.add_argument("--workers", type=int, default=1, help="scan fan-out (>= 1; capped at the CPU count and the number of gap classes)")
-    parser.add_argument("--paper-sign", action="store_true",
-                        help="use the alternative sign-flip exponent convention in refinement changes")
     parser.add_argument("--print-schemas", action="store_true",
                         help="dump the published job schemas and exit")
     try:
@@ -453,7 +454,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        report, code = run_job(job, workers=args.workers, paper_sign=args.paper_sign)
+        report, code = run_job(job, workers=args.workers)
     except (InputError, SlopecertError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -20,11 +20,12 @@ refinement is obtained by permuting the extended valuation list,
 
     val'(i) = val(w(i)),      val(-i) = -val(i),  val(0) = 0,
 
-and solving back for phi'.  This action is forced by multiset invariance and
-agrees with the classical instance formulas for sign-free w exactly.  For
-sign-flipping w an alternative transcription with the opposite
-(sign(i) - sign(w(i))) convention circulates; it breaks multiset invariance
-but is kept behind ``paper_sign=True`` for side-by-side comparison.
+and solving back for phi' (the closed form is ``change_refinement``'s).  This
+action is forced by multiset invariance and agrees with the classical
+instance formulas for sign-free w exactly.  An alternative transcription
+circulates that differs in the sign of q(1 - sign w(i)) in the exponent of
+f, q = r + zero_index; it breaks multiset invariance on sign-flipping w but
+is kept behind ``paper_sign=True`` for side-by-side comparison.
 """
 
 from __future__ import annotations
@@ -62,31 +63,12 @@ class RefinedSlopes:
         return sum(self.values, Fraction(0))
 
 
-def _weight_column_mean(local: LocalDatum, weights: WeightTable, i: int) -> Fraction:
-    """(1/e) * sum over embeddings of k[sigma][i]; extended index allowed."""
-    return Fraction(weights.column_sum(i), local.e)
-
-
 def zero_index(schema: str) -> int:
     """1 if the schema's extended index range holds 0 (C), 0 if not (D); the
     module rank is then 2r + zero_index and the rho-shift of index i is r + zero_index - i."""
     if schema not in ("C", "D"):
         raise ValueError("schema must be 'C' or 'D'")
     return int(schema == "C")
-
-
-def satake_valuation(
-    local: LocalDatum, weights: WeightTable, phi: RefinedSlopes, schema: str, i: int
-) -> Fraction:
-    """v_p of the i-th Satake torus entry, for i in the full extended index range."""
-    z = zero_index(schema)
-    if i == 0:
-        if not z:
-            raise ValueError(f"schema {schema} has no index 0")
-        return Fraction(0)
-    r, j = phi.rank, abs(i)
-    base = (r + z - j) * local.f + phi.slope(r + 1 - j) + _weight_column_mean(local, weights, j)
-    return base if i > 0 else -base
 
 
 def frobenius_slopes(
@@ -103,8 +85,12 @@ def frobenius_slopes(
     """
     if phi.rank != rank or weights.rank != rank:
         raise ValueError("rank mismatch between weights and slopes")
-    vals = [satake_valuation(local, weights, phi, schema, i) for i in range(1, rank + 1)]
-    return tuple(sorted(vals + [-v for v in vals] + [Fraction(0)] * zero_index(schema)))
+    z = zero_index(schema)
+    vals = [
+        (rank + z - i) * local.f + phi.slope(rank + 1 - i) + Fraction(weights.column_sum(i), local.e)
+        for i in range(1, rank + 1)
+    ]
+    return tuple(sorted(vals + [-v for v in vals] + [Fraction(0)] * z))
 
 
 def hodge_tate_weights(
@@ -135,34 +121,27 @@ def change_refinement(
     """Slope vector of the refinement obtained by acting with w.
 
     The representation and its weight are fixed; only the ordering data moves.
-    Default mode solves val'(i) = val(w(i)) for phi', which preserves the
-    Frobenius slope multiset by construction.  ``paper_sign`` instead applies
-    the transcribed exponent with the (sign(i) - sign(w(i))) convention; the
-    two agree for sign-free w and differ (by design) for sign-flipping w.
+    For i = 1..r, with s = sign(w(i)), q = r + zero_index and c = -1,
+
+        phi'[r+1-i] = phi[s(r+1) - w(i)] + (i - w(i) + c q (1-s)) f + (K(w(i)) - K(i)) / e,
+
+    K the sign-extended column sum of the weights: this solves
+    val'(i) = val(w(i)) and so preserves the Frobenius slope multiset.
+    ``paper_sign`` takes c = +1, the transcribed exponent; the two
+    conventions differ in the sign of q(1 - sign w(i)), so they agree for
+    sign-free w and differ (by design) for sign-flipping w.
     """
     r = phi.rank
     if w.n != r or weights.rank != r:
         raise ValueError("rank mismatch")
-    schema = w.family
-    q_shift = r + zero_index(schema)  # rho-shift in the q-exponent
-    phi_shift = r + 1  # the phi functions are indexed by r+1-i in both schemas
-
+    q = r + zero_index(w.family)  # rho-shift in the q-exponent
+    c = 1 if paper_sign else -1
     new = [Fraction(0)] * r
-    if not paper_sign:
-        for i in range(1, r + 1):
-            target = satake_valuation(local, weights, phi, schema, w(i))
-            # val'(i) = (q_shift-i) f + phi'[r+1-i] + weight mean; solve for phi'.
-            base = (q_shift - i) * local.f + _weight_column_mean(local, weights, i)
-            new[r - i] = target - base  # slot r+1-i, 0-based index r-i
-        return RefinedSlopes(tuple(new))
-
     for i in range(1, r + 1):
         wi = w(i)
-        sgn_w = 1 if wi > 0 else -1
-        src_index = phi_shift * sgn_w - wi  # extended phi index of the source slot
-        exponent = i - wi + q_shift * (1 - sgn_w)  # (sign(i) - sign(w(i))) convention
-        kdiff = _weight_column_mean(local, weights, wi) - _weight_column_mean(local, weights, i)
-        new[r - i] = phi.slope(src_index) + exponent * local.f + kdiff
+        s = 1 if wi > 0 else -1
+        kdiff = Fraction(weights.column_sum(wi) - weights.column_sum(i), local.e)
+        new[r - i] = phi.slope(s * (r + 1) - wi) + (i - wi + c * q * (1 - s)) * local.f + kdiff
     return RefinedSlopes(tuple(new))
 
 

@@ -263,7 +263,14 @@ def sign_char(d: int, u, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the largest |d| that ``QuadExtElem`` accepts: its squarefree test is trial
+# division to sqrt|d|, about 0.26 s at 10**12
+MAX_DISCRIMINANT = 10**12
+
+
+@lru_cache(maxsize=256)
 def _squarefree(n: int) -> bool:
+    """Trial division, cached: each d is tested once, not once per product."""
     n = abs(n)
     d = 2
     while d * d <= n:
@@ -284,6 +291,8 @@ class QuadExtElem:
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
+        if abs(self.d) > MAX_DISCRIMINANT:
+            raise ValueError(f"discriminant class {self.d} is beyond symbols.MAX_DISCRIMINANT = {MAX_DISCRIMINANT}")
         if self.d in (0, 1) or not _squarefree(self.d):
             raise ValueError(f"discriminant class {self.d} must be squarefree and != 0, 1")
 

@@ -11,12 +11,9 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-import pytest
-
 from slopecert.admissibility import PhiModuleDatum, alignment_check, find_misaligned_candidate
 from slopecert.conj import congruence_pin
 from slopecert.lattice import LocalDatum, WeightTable
-from slopecert.principal import UnramChar  # noqa: F401  (surface check)
 from slopecert.replay import (
     ARTIN_PLUS_IRREDUCIBLE,
     IRREDUCIBLE,

@@ -18,7 +18,7 @@ from slopecert.cli import JOB_SCHEMAS, canonical_json, main, run_job
 from slopecert.lattice import PRIME_LIMIT, LocalDatum, parse_rat, rat_str
 from slopecert.replay import replay_orthogonal, replay_symplectic
 from slopecert.satake import RefinedSlopes
-from slopecert.symbols import ORACLE_MAX_PRIME
+from slopecert.symbols import MAX_DISCRIMINANT, ORACLE_MAX_PRIME
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -458,6 +458,62 @@ def test_wald_job(tmp_path):
     out = json.loads(proc.stdout)
     assert proc.returncode == 0 and out["result"]["sign"] == 1
     assert all(entry["match"] for entry in out["result"]["structure"])
+
+
+def wald_job(p, d):
+    params = {"p": p, "m": 2, "split_values": ["2"], "field_elements": [{"d": d, "a": "1", "b": "1"}]}
+    return {"command": "wald-sign", "params": params}
+
+
+def test_wald_discriminant_beyond_its_cap_refused(tmp_path, capsys):
+    # the squarefree test ran once per arithmetic result, by trial division
+    # to sqrt|d|: this job gave no answer within 20 s
+    job = wald_job(3, 10**18 + 3)
+    proc = invoke(tmp_path, job, timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    start = time.perf_counter()
+    err = rejected_in_one_line(tmp_path, capsys, job)
+    assert time.perf_counter() - start < 1
+    assert err == f"error: discriminant class {10**18 + 3} is beyond symbols.MAX_DISCRIMINANT = {MAX_DISCRIMINANT}\n"
+
+
+def test_wald_discriminant_below_its_cap_answered():
+    # 1.7 s when every product re-tested d; the report is unchanged
+    ratio = {"ratio": "-11250000037/5000000016", "predicted": "-11250000037/5000000016", "match": True}
+    assert run_job(wald_job(5, 10_000_000_033)) == ({"command": "wald-sign", "result": {"sign": 1, "structure": [ratio]}}, 0)
+
+
+@pytest.mark.parametrize("local, rows", [({"p": 3, "e": 1, "f": 1}, 3), ({"p": 3, "e": 2}, 1)])
+def test_classicality_weights_need_e_times_f_rows(tmp_path, capsys, local, rows):
+    # both were answered with a verdict over the wrong number of embeddings
+    params = {"local": local, "n": 1, "weights": [[2]] * rows, "mu": ["1"]}
+    err = rejected_in_one_line(tmp_path, capsys, {"command": "classicality", "params": params})
+    need = local.get("e", 1) * local.get("f", 1)
+    assert err == f"error: params.weights: {rows} rows, need e*f = {need}\n"
+
+
+def test_replay_job_picks_the_paper_sign_convention(tmp_path, capsys):
+    params = {"n": 2, "locals": [{"p": 3}], "seeds": "zero", "paper_sign": True}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "replay-sp", "params": params}))
+    assert main(["--job", str(path)]) == 0
+    cert = json.loads(capsys.readouterr().out)["result"]
+    assert cert == replay_symplectic(2, [LocalDatum(3)], [RefinedSlopes([0, 0])], paper_sign=True).to_dict()
+    assert cert != run_job({"command": "replay-sp", "params": {**params, "paper_sign": False}})[0]["result"]
+    path.write_text(json.dumps({"command": "verify-cert", "params": {"certificate": cert}}))
+    assert main(["--job", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == {"ok": True, "mismatches": []}
+    flipped = {**cert, "paper_sign": False}
+    path.write_text(json.dumps({"command": "verify-cert", "params": {"certificate": flipped}}))
+    assert main(["--job", str(path)]) == 2
+    assert not json.loads(capsys.readouterr().out)["result"]["ok"]
+
+
+def test_paper_sign_flag_is_a_usage_error(tmp_path):
+    job = {"command": "replay-sp", "params": {"n": 1, "locals": [{"p": 3}], "seeds": "zero"}}
+    proc = invoke(tmp_path, job, extra=("--paper-sign",))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "--paper-sign" in proc.stderr
 
 
 def test_print_schemas():

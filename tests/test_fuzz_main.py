@@ -62,6 +62,8 @@ def replay_params(draw, command):
         # beyond the kernel's int64 range: the refusal path stays covered
         seeds = [[_scaled(v, 10**18) for v in row] for row in seeds]
     params = {"n": n, "locals": draw(st.lists(LOCAL, min_size=1, max_size=2)), "seeds": seeds}
+    if draw(st.booleans()):
+        params["paper_sign"] = draw(st.booleans())
     return {"command": command, "params": params}
 
 
@@ -144,13 +146,15 @@ PLACE = st.one_of(
     st.sampled_from([q for q in range(2, ORACLE_MAX_PRIME + 1) if is_prime(q)] + BEYOND_LIMIT),
 )
 HILBERT = st.fixed_dictionaries({"a": RAT, "b": RAT, "place": PLACE}, optional={"oracle": st.booleans()})
+# near symbols.MAX_DISCRIMINANT (answered, trial division once) and beyond it (refused)
+DISCRIMINANT = st.one_of(st.integers(-5, 5), st.sampled_from([10**12 - 11, -10**18]))
 WALD = st.fixed_dictionaries(
     {
         "p": st.integers(3, 11),
         "m": st.integers(1, 3),
         "split_values": rats(),
         "field_elements": st.lists(
-            st.fixed_dictionaries({"d": st.integers(-5, 5), "a": RAT, "b": RAT}), max_size=2
+            st.fixed_dictionaries({"d": DISCRIMINANT, "a": RAT, "b": RAT}), max_size=2
         ),
     }
 )

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from refinement_oracle import solve_back, transcribed
 
 from slopecert.lattice import LocalDatum, WeightTable
 from slopecert.satake import (
@@ -178,6 +179,19 @@ class TestChangeRefinement:
             )
             back = change_refinement(g.inverse(), loc, w, moved)
             assert back.values == phi.values
+
+    @pytest.mark.parametrize("schema", ["C", "D"])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_formula_matches_both_oracle_loops(self, schema, rank):
+        """Every Weyl element, both conventions, five random data each."""
+        rng = random.Random(100 * rank + ord(schema))
+        for g in weyl_elements(schema, rank):
+            for _ in range(5):
+                loc = LocalDatum(3, rng.choice([1, 2, 3]), rng.choice([1, 2]))
+                w = random_weights(rng, loc.embeddings, rank)
+                phi = random_slopes(rng, rank)
+                assert change_refinement(g, loc, w, phi).values == solve_back(g, loc, w, phi)
+                assert change_refinement(g, loc, w, phi, paper_sign=True).values == transcribed(g, loc, w, phi)
 
     def test_paper_sign_breaks_invariance_on_flips(self):
         loc = Q11

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses.
 
 No linter is installed, so this reads each module's syntax tree: a name
 bound by an import must be read somewhere in the module.  ``__init__``
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slopecert"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "slopecert"
 
 
 def unused_imports(source: str) -> list:
@@ -34,3 +35,8 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_import(path):
     assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in TESTS.glob("*.py")))
+def test_no_unused_import_in_tests(path):
+    assert unused_imports((TESTS / path).read_text()) == []
