@@ -6,6 +6,11 @@ Reports are canonical JSON (sorted keys, two-space indent, rationals as
 codes: 0 for expected verdicts, 1 for input/usage errors and out of memory,
 2 for mathematical verdict failures (unexpected survivor, tampered
 certificate, misaligned candidate inside the hypothesis band).
+
+A job and its params are held to the JSON schemas below (``--print-schemas``
+publishes them) by ``_schema_error``, an interpreter of just the keywords
+they use; the first error by path is the one-line exit 1
+``where.path: message``.
 """
 
 from __future__ import annotations
@@ -13,11 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
-from functools import lru_cache
-
-import jsonschema
 
 from . import scan as scan_mod
 from .admissibility import PhiModuleDatum, admissible_candidates, alignment_check, newton_above_hodge
@@ -49,9 +52,9 @@ STEP_CHECK = {
 NULL_OR_STRING = {"type": ["string", "null"]}
 # Every field of a certificate; the verifier compares each one with its
 # re-derivation.  A certificate is held to this schema only when its
-# verification raises, to name the malformed field: validating every
-# certificate up front added about 0.7 ms to each verify-cert job, 7 % of
-# the benchmark's replay round.
+# verification raises, to name the malformed field: checking every
+# certificate up front would add about 0.2 ms to each verify-cert job, 8-10 %
+# of the benchmark's replay round (seed 1; 2 shared cores, Python 3.11).
 CERTIFICATE = {
     "type": "object",
     "properties": {
@@ -208,20 +211,108 @@ class InputError(Exception):
     pass
 
 
-@lru_cache(maxsize=None)
-def _validator(name=None):
-    """The validator of a job document (None), of a command's params (the
-    command) or of a certificate ("certificate"), built on first use."""
-    schema = {None: JOB_DOC_SCHEMA, "certificate": CERTIFICATE}.get(name) or JOB_SCHEMAS[name]
-    return jsonschema.Draft202012Validator(schema)
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool, "null": type(None)}
 
 
-def _validate(instance, name, where):
-    errors = sorted(_validator(name).iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise InputError(f"{where}.{path}: {err.message}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _type_error(names, value, schema):
+    names = [names] if isinstance(names, str) else names
+    for name in names:
+        # "integer" is a Python int: neither a bool nor an integral float such as 1.0
+        if isinstance(value, _TYPES[name]) and (name == "boolean" or not isinstance(value, bool)):
+            return None
+    return f"{value!r} is not of type {', '.join(map(repr, names))}"
+
+
+def _one_of_error(schemas, value, schema):
+    valid = [s for s in schemas if _schema_error(value, s) is None]
+    if not valid:
+        return f"{value!r} is not valid under any of the given schemas"
+    if len(valid) > 1:
+        return f"{value!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+
+
+def _required_error(names, value, schema):
+    if isinstance(value, dict):
+        for name in names:
+            if name not in value:
+                return f"{name!r} is a required property"
+
+
+def _additional_error(allowed, value, schema):
+    if not allowed and isinstance(value, dict):
+        extras = sorted(key for key in value if key not in schema.get("properties", {}))
+        if extras:
+            listed = ", ".join(map(repr, extras))
+            return f"Additional properties are not allowed ({listed} {'was' if len(extras) == 1 else 'were'} unexpected)"
+
+
+# Per keyword, the check it makes at its own node: (argument, value, schema)
+# -> message or None, worded as a Draft 2020-12 validator words it.  As in
+# Draft 2020-12, a keyword about numbers, strings, arrays or objects passes
+# values of other types.  "properties" and "items" descend (see
+# _schema_error), and "description" is an annotation.  The schemas above use
+# no other keyword, list only strings under "enum" and "const", and set
+# additionalProperties only to false.
+_CHECKS = {
+    "type": _type_error,
+    "enum": lambda options, value, schema: None if value in options else f"{value!r} is not one of {options!r}",
+    "const": lambda const, value, schema: None if value == const else f"{const!r} was expected",
+    "oneOf": _one_of_error,
+    "required": _required_error,
+    "additionalProperties": _additional_error,
+    "minimum": lambda low, value, schema: (
+        f"{value!r} is less than the minimum of {low!r}" if _is_number(value) and value < low else None),
+    "maximum": lambda high, value, schema: (
+        f"{value!r} is greater than the maximum of {high!r}" if _is_number(value) and value > high else None),
+    "minItems": lambda low, value, schema: (
+        f"{value!r} {'should be non-empty' if low == 1 else 'is too short'}"
+        if isinstance(value, list) and len(value) < low else None),
+    "maxItems": lambda high, value, schema: (
+        f"{value!r} {'is expected to be empty' if high == 0 else 'is too long'}"
+        if isinstance(value, list) and len(value) > high else None),
+    "pattern": lambda pattern, value, schema: (
+        f"{value!r} does not match {pattern!r}" if isinstance(value, str) and not re.search(pattern, value) else None),
+    "properties": lambda properties, value, schema: None,
+    "items": lambda items, value, schema: None,
+    "description": lambda text, value, schema: None,
+}
+
+
+def _schema_error(value, schema, path=()):
+    """The first error of ``value`` under ``schema``, as (path, message), or None.
+
+    A node's own keywords are checked in schema order before its members,
+    an object's members in key order, so the error returned is the one that
+    sorts first by path among a Draft 2020-12 validator's errors.
+    """
+    for keyword, arg in schema.items():
+        message = _CHECKS[keyword](arg, value, schema)
+        if message:
+            return path, message
+    if isinstance(value, dict) and "properties" in schema:
+        properties = schema["properties"]
+        for key in sorted(value):
+            if key in properties:
+                error = _schema_error(value[key], properties[key], path + (key,))
+                if error:
+                    return error
+    elif isinstance(value, list) and "items" in schema:
+        for index, item in enumerate(value):
+            error = _schema_error(item, schema["items"], path + (index,))
+            if error:
+                return error
+    return None
+
+
+def _validate(instance, schema, where):
+    error = _schema_error(instance, schema)
+    if error:
+        path, message = error
+        raise InputError(f"{where}.{'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
 def canonical_json(obj) -> str:
@@ -383,17 +474,17 @@ def _run_verify(params):
     try:
         ok, mismatches = verify_certificate(doc)
     except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
-        _validate(doc, "certificate", "certificate")  # names the malformed field
+        _validate(doc, CERTIFICATE, "certificate")  # names the malformed field
         raise InputError(f"certificate: {exc}") from exc
     return {"ok": ok, "mismatches": mismatches}, (0 if ok else 2)
 
 
 def run_job(job: dict, workers: int = 1):
     """Execute one job; returns (report dict, exit code)."""
-    _validate(job, None, "job")
+    _validate(job, JOB_DOC_SCHEMA, "job")
     command = job["command"]
     params = job["params"]
-    _validate(params, command, "params")
+    _validate(params, JOB_SCHEMAS[command], "params")
     try:
         if command == "replay-sp":
             result, code = _run_replay(params, "C")

@@ -40,27 +40,25 @@ def parse_rat(s) -> Fraction:
     raise TypeError(f"cannot parse rational from {s!r}")
 
 
-def vp(x, p: int) -> Fraction:
-    """p-adic valuation of a nonzero rational, normalized by v_p(p) = 1."""
-    q = Fraction(x)
-    if q == 0:
+def vp(x, p: int) -> int:
+    """p-adic valuation of a nonzero int or Fraction, normalized by v_p(p) = 1."""
+    num, den = x.numerator, x.denominator
+    if num == 0:
         raise ZeroDivisionError("v_p(0) is undefined")
-
-    def _ival(n: int) -> int:
-        n = abs(n)
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return Fraction(_ival(q.numerator) - _ival(q.denominator))
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
 def unit_part(x, p: int) -> Fraction:
     """The p-unit u with x = p^{v_p(x)} * u."""
     q = Fraction(x)
-    v = int(vp(q, p))
+    v = vp(q, p)
     return q / Fraction(p) ** v
 
 

@@ -94,8 +94,8 @@ def hilbert(a, b, place) -> int:
     if place.is_infinite:
         return -1 if (a < 0 and b < 0) else 1
     p = place.p
-    alpha = int(vp(a, p))
-    beta = int(vp(b, p))
+    alpha = vp(a, p)
+    beta = vp(b, p)
     u = unit_part(a, p)
     w = unit_part(b, p)
     if p != 2:
@@ -122,7 +122,7 @@ def hilbert(a, b, place) -> int:
 
 def _reduce_square_class(x: Fraction, p: int) -> int:
     """Integer representative of x modulo squares with v_p in {0, 1}."""
-    v = int(vp(x, p))
+    v = vp(x, p)
     y = x / Fraction(p) ** (v - v % 2)
     n = y.numerator * y.denominator  # same square class, now an integer
     return n
@@ -168,8 +168,8 @@ def hilbert_solvable(a, b, place) -> bool:
     if p > ORACLE_MAX_PRIME:
         raise SlopecertError(f"the Hilbert oracle is capped at p <= {ORACLE_MAX_PRIME}, got p = {p}")
     coeffs = (_reduce_square_class(a, p), _reduce_square_class(b, p), -1)
-    vmax = max(int(vp(c, p)) for c in coeffs)
-    depth_cap = 2 * (int(vp(2, p)) + vmax) + 1
+    vmax = max(vp(c, p) for c in coeffs)
+    depth_cap = 2 * (vp(2, p) + vmax) + 1
 
     def chart_solvable(c) -> bool:
         i, j = (k for k in range(3) if k != c)
@@ -177,7 +177,7 @@ def hilbert_solvable(a, b, place) -> bool:
 
         def expand(xi, xj, level) -> bool:
             # invariant: f = fixed + ci xi^2 + cj xj^2 = 0 mod p^level
-            if any(g and level > 2 * int(vp(g, p)) for g in (2 * fixed, 2 * ci * xi, 2 * cj * xj)):
+            if any(g and level > 2 * vp(g, p) for g in (2 * fixed, 2 * ci * xi, 2 * cj * xj)):
                 return True
             if level >= depth_cap:
                 return False
@@ -237,7 +237,7 @@ def is_local_square(d, p: int) -> bool:
     d = Fraction(d)
     if d == 0:
         raise ZeroArgument("square test needs a nonzero argument")
-    if int(vp(d, p)) % 2:
+    if vp(d, p) % 2:
         return False
     u = unit_part(d, p)
     if p == 2:

@@ -24,11 +24,11 @@ from slopecert.symbols import MAX_DISCRIMINANT, ORACLE_MAX_PRIME
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def cli_process(*args, timeout=None):
-    """Run the CLI in a child process that imports this checkout's package."""
+def cli_process(*args, timeout=None, entry=("-m", "slopecert.cli")):
+    """Run the CLI (or the Python ``entry`` given) in a child process that imports this checkout's package."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "slopecert.cli", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -179,6 +179,42 @@ def test_max_cells_field_rejected(tmp_path, capsys):
     # the cells cap is the constant scan.MAX_CELLS, no longer a job field
     job = {"command": "keylemma-scan", "params": {"n_max": 1, "max_cells": 10**6}}
     assert "max_cells" in rejected_in_one_line(tmp_path, capsys, job)
+
+
+@pytest.mark.parametrize(
+    "command, params, field",
+    [
+        ("replay-sp", {"n": 1.0, "locals": [{"p": 3}], "seeds": "zero"}, "n"),
+        ("keylemma-scan", {"n_max": 2.0}, "n_max"),
+        ("admissible", {"e": 1.0, "f": 1, "slopes": ["-1", "1"], "weights": [[0, 2]]}, "e"),
+        ("ps-irreducible", {"q": 2.0, "values": ["2"], "group": "C"}, "q"),
+        ("classicality", {"local": {"p": 3}, "n": 1.0, "weights": [[2]], "mu": ["1"]}, "n"),
+        ("replay-sp", {"n": 1, "locals": [{"p": 3.0}], "seeds": "zero"}, "locals/0/p"),
+        ("hilbert", {"a": "2", "b": "3", "place": 5.0}, "place"),
+    ],
+    ids=["replay-sp", "keylemma-scan", "admissible", "ps-irreducible", "classicality", "local-p", "hilbert-place"],
+)
+def test_integral_float_in_an_integer_field_rejected(tmp_path, capsys, command, params, field):
+    # an integer field takes a JSON integer only; Draft 2020-12 admits 1.0,
+    # and the first five jobs then ended in a TypeError traceback, the last
+    # two were answered
+    err = rejected_in_one_line(tmp_path, capsys, {"command": command, "params": params})
+    assert err.startswith(f"error: params.{field}: ")
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    # jsonschema is the tests' oracle, not a run-time dependency
+    blocked = ("-c", "import sys; sys.modules['jsonschema'] = None; "
+                     "from slopecert.cli import main; sys.exit(main(sys.argv[1:]))")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"command": "hilbert", "params": {"a": "-1", "b": "-1", "place": 2}}))
+    bad.write_text(json.dumps({"command": "hilbert", "params": {"a": "-1", "b": "-1"}}))
+    proc = cli_process("--job", str(good), entry=blocked)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == {"symbol": -1}
+    proc = cli_process("--job", str(bad), entry=blocked)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: params.<root>: 'place' is a required property\n"
 
 
 @pytest.mark.parametrize("out", [("missing", "report.json"), ("directory",)])
