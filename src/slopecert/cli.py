@@ -91,24 +91,26 @@ CERTIFICATE = {
     "required": ["schema", "rank", "module_rank", "paper_sign", "verdict", "failure_reason", "places"],
 }
 
-JOB_SCHEMAS = {
-    "replay-sp": {
-        "type": "object",
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "locals": {"type": "array", "items": LOCAL, "minItems": 1},
-            "seeds": {
-                "oneOf": [
-                    {"const": "zero"},
-                    {"type": "array", "items": RATS},
-                ]
-            },
-            "paper_sign": {"type": "boolean"},
+REPLAY = {
+    "type": "object",
+    "properties": {
+        "n": {"type": "integer", "minimum": 1},
+        "locals": {"type": "array", "items": LOCAL, "minItems": 1},
+        "seeds": {
+            "oneOf": [
+                {"const": "zero"},
+                {"type": "array", "items": RATS},
+            ]
         },
-        "required": ["n", "locals", "seeds"],
-        "additionalProperties": False,
+        "paper_sign": {"type": "boolean"},
     },
-    "replay-so": None,  # same shape as replay-sp; filled below
+    "required": ["n", "locals", "seeds"],
+    "additionalProperties": False,
+}
+
+JOB_SCHEMAS = {
+    "replay-sp": REPLAY,
+    "replay-so": REPLAY,
     "keylemma-scan": {
         "type": "object",
         "properties": {
@@ -148,7 +150,9 @@ JOB_SCHEMAS = {
         "type": "object",
         "properties": {
             "q": {"type": "integer", "minimum": 2},
-            "values": {**RATS, "minItems": 1},
+            # the irreducibility tests compare every pair of values: 256 take
+            # 0.6-0.8 s (2 shared cores, Python 3.11), 512 about 3.5 s
+            "values": {**RATS, "minItems": 1, "maxItems": 256},
             "group": {"enum": ["C", "D"]},
         },
         "required": ["q", "values", "group"],
@@ -193,7 +197,6 @@ JOB_SCHEMAS = {
         "additionalProperties": False,
     },
 }
-JOB_SCHEMAS["replay-so"] = JOB_SCHEMAS["replay-sp"]
 
 JOB_DOC_SCHEMA = {
     "type": "object",
@@ -322,7 +325,10 @@ def canonical_json(obj) -> str:
 def _write_atomic(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".slopecert-")
+    umask = os.umask(0)  # the umask is read by setting it
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes 0600; a report gets the mode open() would give it
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -351,7 +357,7 @@ def _run_replay(params, schema):
     return cert.to_dict(), 0
 
 
-def _run_scan(params, workers):
+def _run_scan(params):
     # only the fields the job has: run_scan states the defaults
     band, ef = params.get("band_scale"), params.get("ef")
     given = {
@@ -362,7 +368,7 @@ def _run_scan(params, workers):
         "band_scale": parse_rat(band) if isinstance(band, str) else band,
         "max_witnesses": params.get("max_witnesses"),
     }
-    report = scan_mod.run_scan(workers=workers, **{key: v for key, v in given.items() if v is not None})
+    report = scan_mod.run_scan(**{key: v for key, v in given.items() if v is not None})
     # a misaligned candidate inside the un-widened band falsifies the lemma
     code = 2 if (report.band_scale <= 1 and report.misaligned > 0) else 0
     return report.summary(), code
@@ -479,33 +485,30 @@ def _run_verify(params):
     return {"ok": ok, "mismatches": mismatches}, (0 if ok else 2)
 
 
-def run_job(job: dict, workers: int = 1):
+# command -> handler(params) -> (result, exit code).  A handler reads the
+# layers it calls (replay_symplectic, hilbert, ...) as this module's globals
+# when it runs, so a tracer that rebinds them, as bench/layers.py does, sees it.
+_HANDLERS = {
+    "replay-sp": lambda params: _run_replay(params, "C"),
+    "replay-so": lambda params: _run_replay(params, "D"),
+    "keylemma-scan": _run_scan,
+    "admissible": _run_admissible,
+    "classicality": _run_classicality,
+    "ps-irreducible": _run_ps,
+    "hilbert": _run_hilbert,
+    "wald-sign": _run_wald,
+    "verify-cert": _run_verify,
+}
+
+
+def run_job(job: dict):
     """Execute one job; returns (report dict, exit code)."""
     _validate(job, JOB_DOC_SCHEMA, "job")
     command = job["command"]
     params = job["params"]
     _validate(params, JOB_SCHEMAS[command], "params")
     try:
-        if command == "replay-sp":
-            result, code = _run_replay(params, "C")
-        elif command == "replay-so":
-            result, code = _run_replay(params, "D")
-        elif command == "keylemma-scan":
-            result, code = _run_scan(params, workers)
-        elif command == "admissible":
-            result, code = _run_admissible(params)
-        elif command == "classicality":
-            result, code = _run_classicality(params)
-        elif command == "ps-irreducible":
-            result, code = _run_ps(params)
-        elif command == "hilbert":
-            result, code = _run_hilbert(params)
-        elif command == "wald-sign":
-            result, code = _run_wald(params)
-        elif command == "verify-cert":
-            result, code = _run_verify(params)
-        else:  # unreachable past validation
-            raise InputError(f"unknown command {command}")
+        result, code = _HANDLERS[command](params)
     except VerdictFailed as exc:
         result = {"error": "verdict-failed", "detail": str(exc), "certificate": exc.certificate.to_dict()}
         code = 2
@@ -519,7 +522,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--job", help="path to a JSON job document")
     parser.add_argument("--out", help="report output path (overrides the job's 'out')")
-    parser.add_argument("--workers", type=int, default=1, help="scan fan-out (>= 1; capped at the CPU count and the number of gap classes)")
     parser.add_argument("--print-schemas", action="store_true",
                         help="dump the published job schemas and exit")
     try:
@@ -533,19 +535,16 @@ def main(argv=None) -> int:
     if not args.job:
         sys.stderr.write("error: --job is required (or --print-schemas)\n")
         return 1
-    if args.workers < 1:
-        sys.stderr.write(f"error: --workers must be >= 1, got {args.workers}\n")
-        return 1
 
     try:
         with open(args.job) as fh:
             job = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, malformed JSON, or an integer of over 4,300 digits
         sys.stderr.write(f"error: cannot read job: {exc}\n")
         return 1
 
     try:
-        report, code = run_job(job, workers=args.workers)
+        report, code = run_job(job)
     except (InputError, SlopecertError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -37,8 +37,6 @@ the grid lists are counted in closed form and refused above ``MAX_DATA``.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
@@ -114,7 +112,7 @@ def _radius(n: int, gap: int, band_num: int, band_den: int) -> int:
     return 0 if n == 1 else (band_num * gap) // (band_den * n)
 
 
-def _scan_class(args) -> Tuple[int, int, list]:
+def _scan_class(m: int, kappa: tuple, band_num: int, band_den: int, max_witnesses: int) -> Tuple[int, int, list]:
     """Scan the gap class kappa for m = e*f embeddings.
 
     Returns (checked, misaligned, hits): the first ``max_witnesses``
@@ -123,7 +121,6 @@ def _scan_class(args) -> Tuple[int, int, list]:
     runs with e = 1.  The slope vectors are listed in product order, _BLOCK
     at a time, and each block is flagged as it is listed.
     """
-    m, kappa, band_num, band_den, max_witnesses = args
     n = len(kappa)
     weights = tuple(tuple(kappa) for _ in range(m))
     tables = kernels.tables_for(weights)
@@ -230,17 +227,13 @@ def run_scan(
     ef_values=DEFAULT_EF,
     band_scale=1,
     max_witnesses: int = 5,
-    workers: int = 1,
 ) -> ScanReport:
-    """Run the exhaustive scan; deterministic regardless of worker count.
+    """Run the exhaustive scan, one gap class after another, in this process.
 
-    Each gap class runs once per distinct m = e*f.  The pool has
-    min(workers, CPU count, classes) processes; with one, the classes run
-    in this process.  The grid is refused above MAX_CELLS cells, and
-    above MAX_DATA slope vectors over the distinct shapes.
+    Each gap class runs once per distinct m = e*f.  The grid is refused
+    above MAX_CELLS cells, and above MAX_DATA slope vectors over the
+    distinct shapes.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     scale = Fraction(band_scale)
     shapes = [(e, f) for (e, f) in ef_values]
     cells = grid_cells(n_max, kappa_min, kappa_max, len(shapes))
@@ -254,24 +247,17 @@ def run_scan(
     # a negative band lists nothing in classes of length >= 2, so every
     # class that runs lists a vector and MAX_DATA bounds the classes too
     lengths = n_max if scale >= 0 else 1
-    classes = [(m, g) for m in dict.fromkeys(e * f for (e, f) in shapes) for g in _gap_classes(lengths, width)]
-    args = [(m, g, scale.numerator, scale.denominator, max_witnesses) for (m, g) in classes]
-    pool_size = min(workers, os.cpu_count() or 1, len(args))
-    if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            outcomes = list(pool.map(_scan_class, args, chunksize=8))
-    else:
-        outcomes = [_scan_class(a) for a in args]
-    results = {e * f: {} for (e, f) in shapes}
-    for (m, g), outcome in zip(classes, outcomes):
-        results[m][g] = outcome
+    results = {
+        m: {g: _scan_class(m, g, scale.numerator, scale.denominator, max_witnesses) for g in _gap_classes(lengths, width)}
+        for m in dict.fromkeys(e * f for (e, f) in shapes)
+    }
     report = ScanReport(band_scale=scale, cells=cells)
     for (e, f) in shapes:
         for g, (checked, bad, _) in results[e * f].items():
             report.data_checked += (width - g[-1]) * checked
             report.misaligned += (width - g[-1]) * bad
     report.certified = report.data_checked - report.misaligned
-    if max_witnesses and any(hits for _, _, hits in outcomes):
+    if max_witnesses and any(hits for runs in results.values() for _, _, hits in runs.values()):
         found = _witnesses_in_cell_order(shapes, n_max, kappa_min, kappa_max, results)
         report.witnesses = list(islice(found, max_witnesses))
     return report

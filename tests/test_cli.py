@@ -230,12 +230,6 @@ def test_unwritable_report_path_is_a_one_line_error(tmp_path, capsys, out):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["directory", "job.json"]  # no temporary file left
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_workers_below_one_rejected(tmp_path, capsys, workers):
-    job = {"command": "hilbert", "params": {"a": "2", "b": "3", "place": 5}}
-    assert "--workers" in rejected_in_one_line(tmp_path, capsys, job, extra=("--workers", workers))
-
-
 def test_hilbert_oracle_beyond_its_prime_limit_refused(tmp_path, capsys):
     job = {"command": "hilbert", "params": {"a": "3", "b": "5", "place": 1000003, "oracle": True}}
     err = rejected_in_one_line(tmp_path, capsys, job)
@@ -269,6 +263,67 @@ def test_long_ps_job_answered_in_closed_form(tmp_path, capsys, group, n, size):
     assert code == 0 and elapsed < 1
     orbit = json.loads(capsys.readouterr().out)["result"]["orbit_size"]
     assert isinstance(orbit, int) and orbit == size
+
+
+def test_ps_job_beyond_the_values_cap_refused(tmp_path, capsys):
+    # 2,000 values were answered, then writing an orbit size of more than
+    # 4,300 digits ended in a traceback
+    job = {"command": "ps-irreducible", "params": {"q": 3, "values": ["-1"] + [str(v) for v in range(2, 2001)], "group": "C"}}
+    err = rejected_in_one_line(tmp_path, capsys, job)
+    assert err.startswith("error: params.values: ") and err.endswith("is too long\n")
+
+
+def test_ps_job_at_the_values_cap_answered(tmp_path, capsys):
+    # distinct primes >= 5 at q = 3: no value, product or ratio is 1 or 3^{+-1},
+    # so every pair is compared
+    primes = [v for v in range(5, 2000) if all(v % d for d in range(2, v))][:256]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "ps-irreducible", "params": {"q": 3, "values": list(map(str, primes)), "group": "D"}}))
+    assert main(["--job", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["completely_refinable"] is True and result["orbit_size"] == 2**255 * factorial(256)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b'{"command": "hilbert", "params": {"a": "2", "b": "3", "place": 1' + b"0" * 5000 + b"}}", b'{"command": "\xff"}'],
+    ids=["long-integer", "not-utf8"],
+)
+def test_job_file_read_as_a_value_error_rejected(tmp_path, capsys, text):
+    # json.load raises ValueError, not JSONDecodeError, for an integer literal
+    # of more than 4,300 digits, and reading bytes that are not UTF-8 raises
+    # UnicodeDecodeError; both ended in a traceback
+    (tmp_path / "job.json").write_bytes(text)
+    assert main(["--job", str(tmp_path / "job.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot read job: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_report_mode_follows_the_umask(tmp_path, capsys, umask, mode):
+    # the atomic write went through mkstemp, which made every report 0600
+    out = tmp_path / "report.json"
+    job = {"command": "hilbert", "params": {"a": "2", "b": "3", "place": 5}, "out": str(out)}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    old = os.umask(umask)
+    try:
+        assert main(["--job", str(tmp_path / "job.json")]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+
+
+def test_run_scan_takes_no_workers():
+    with pytest.raises(TypeError, match="workers"):
+        scan_mod.run_scan(n_max=1, workers=1)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the scan runs its classes in this process
+    check = ("-c", "import sys, slopecert.cli; "
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = cli_process(entry=check)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_certificate_weight_beyond_int64_rejected(tmp_path, capsys):
@@ -448,9 +503,11 @@ def test_scan_job_and_workers_flag(tmp_path):
         "params": {"n_max": 2, "kappa_min": -1, "kappa_max": 1, "ef": [[1, 1]], "band_scale": 1},
     }
     a = invoke(tmp_path, job)
+    assert a.returncode == 0 and json.loads(a.stdout)["result"]["misaligned"] == 0
+    # the scan runs in one process; the flag that sized its pool is gone
     b = invoke(tmp_path, job, extra=("--workers", "2"))
-    assert a.returncode == 0 and b.returncode == 0
-    assert a.stdout == b.stdout
+    assert b.returncode == 1 and b.stdout == ""
+    assert "--workers" in b.stderr
 
 
 def test_wide_scan_refused_before_listing_cells(tmp_path):
@@ -572,7 +629,8 @@ def _is_params(node):
 def params_reads(source):
     """Per command, the params keys its runner reads as params["x"], params.get("x") or "x" in params.
 
-    A command's runner is the function that ``run_job`` calls in that command's branch.
+    A command's runner is the function that ``run_job``'s table ``_HANDLERS``
+    holds for it, or that a lambda in the table calls.
     """
     tree = ast.parse(source)
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -592,20 +650,21 @@ def params_reads(source):
                 keys.add(key.value)
         return keys
 
+    (table,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_HANDLERS"]
     commands = {}
-    for node in ast.walk(functions["run_job"]):
-        if isinstance(node, ast.If) and isinstance(node.test.comparators[0], ast.Constant):
-            runner = node.body[0].value.func.id  # result, code = _run_x(params, ...)
-            commands[node.test.comparators[0].value] = reads(functions[runner])
+    for key, value in zip(table.keys, table.values):
+        runner = value.body.func if isinstance(value, ast.Lambda) else value  # lambda params: _run_x(params, ...)
+        commands[key.value] = reads(functions[runner.id])
     return commands
 
 
 def test_the_field_check_sees_an_unread_field():
     source = (
         'def _run_x(params):\n    return params["a"], params.get("b"), "c" in params, other["d"]\n\n'
-        'def run_job(job):\n    if command == "x":\n        result, code = _run_x(params)\n'
+        '_HANDLERS = {"x": _run_x, "y": lambda params: _run_x(params, "Y")}\n'
     )
-    assert params_reads(source) == {"x": {"a", "b", "c"}}
+    assert params_reads(source) == {"x": {"a", "b", "c"}, "y": {"a", "b", "c"}}
 
 
 def test_every_job_field_is_read():

@@ -2,7 +2,9 @@
 
 Every job must end in exit 0, 1 or 2, and exit 1 writes exactly one stderr
 line and no report; no exception may escape.  ``ps-irreducible`` draws up
-to 12 values, since its orbit size is closed-form, and ``hilbert`` places
+to 12 values, since its orbit size is closed-form, and sometimes more than
+the schema's cap of 256 (a ``"-1"`` first, which settles irreducibility at
+once), which must exit 1; ``hilbert`` places
 run through the primes up to the oracle's limit and a few beyond it, where
 an oracle job must exit 1.  ``keylemma-scan`` windows lie anywhere in
 +-10^9 and reach 10^9 in width, with ``scan.MAX_CELLS``, the cell cap,
@@ -28,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopecert import scan
-from slopecert.cli import main
+from slopecert.cli import JOB_SCHEMAS, main
 from slopecert.lattice import LocalDatum, is_prime
 from slopecert.replay import replay_symplectic
 from slopecert.satake import RefinedSlopes
@@ -132,10 +134,17 @@ def classicality_params(draw):
     return {"local": draw(LOCAL), "n": n, "weights": draw(int_rows(draw(SMALL), n)), "mu": draw(rats(n, n))}
 
 
+PS_MAX_VALUES = JOB_SCHEMAS["ps-irreducible"]["properties"]["values"]["maxItems"]
 PS = st.fixed_dictionaries(
     {
         "q": st.integers(2, 9),
-        "values": st.one_of(rats(1, 4), st.lists(VALID_RAT, min_size=5, max_size=12)),
+        "values": st.one_of(
+            rats(1, 4),
+            st.lists(VALID_RAT, min_size=5, max_size=12),
+            # beyond the cap; from about 1,425 distinct values the orbit size had
+            # more than 4,300 digits and could not be written
+            st.integers(PS_MAX_VALUES + 1, 2000).map(lambda n: ["-1"] + [str(v) for v in range(2, n + 1)]),
+        ),
         "group": st.sampled_from(["C", "D"]),
     }
 )
@@ -232,6 +241,8 @@ def test_main_ends_in_an_exit_code_or_one_line_error(job, data_cap, cells_cap, o
     assert code in (0, 1, 2)
     if job["command"] == "hilbert" and job["params"].get("oracle") is True:
         assert code == 1 or job["params"]["place"] not in BEYOND_LIMIT
+    if job["command"] == "ps-irreducible" and len(job["params"]["values"]) > PS_MAX_VALUES:
+        assert code == 1
     if out_path is not None:
         assert code == 1 and leftover == ["directory", "job.json"]  # no report, no temporary file
     if code == 1:

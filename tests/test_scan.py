@@ -95,7 +95,7 @@ def test_certified_class_builds_no_reachable_set(monkeypatch):
     for band, want in ((1, (81, 0, 0)), (2, (625, 1, 1))):
         made.clear()
         kernels._slot = None  # both bands scan one weight table: build it afresh
-        checked, bad, hits = scan_mod._scan_class((2, (0, 4, 8, 12), band, 1, 5))
+        checked, bad, hits = scan_mod._scan_class(2, (0, 4, 8, 12), band, 1, 5)
         assert (checked, bad, len(hits)) == want
         levels = [lv for tables in made for lv in tables._levels.values()]
         assert len(levels) == 2 and all("join" in lv.__dict__ for lv in levels)
@@ -240,52 +240,6 @@ def test_pinned_regression_witness():
     assert cand is not None
     assert cand.subset == (1,) and cand.theta_row(1) == (2, 1)
     assert alignment_check(datum, 1).status == "hypothesis_failed"
-
-
-def test_worker_sharding_is_deterministic():
-    kwargs = dict(n_max=2, kappa_min=-2, kappa_max=2, ef_values=((1, 1), (1, 2)), band_scale=2)
-    one = run_scan(workers=1, **kwargs)
-    two = run_scan(workers=2, **kwargs)
-    assert one.summary() == two.summary()
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize(
-    "workers,cpus,expected",
-    [(1000, 2, [2]), (1000, 64, [3]), (2, 64, [2]), (1000, None, []), (1, 64, [])],
-)
-def test_pool_is_capped_by_cpus_and_cells(monkeypatch, workers, cpus, expected):
-    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
-    RecordingPool.sizes = []
-    # classes (0,), (0, 1), (0, 2); the pool is capped by classes, not by the 9 cells
-    kwargs = dict(n_max=2, kappa_min=0, kappa_max=2, ef_values=((1, 1),))
-    assert len(list(scan_mod._gap_classes(2, 3))) == 3 and len(scan_cells(**kwargs)) == 9
-    assert run_scan(workers=workers, **kwargs).summary() == run_scan(**kwargs).summary()
-    assert RecordingPool.sizes == expected
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_workers_below_one_rejected(workers):
-    with pytest.raises(ValueError, match="workers"):
-        run_scan(n_max=1, workers=workers)
 
 
 def test_grid_cap_guard(monkeypatch):
