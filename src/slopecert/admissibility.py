@@ -20,7 +20,6 @@ states the system on Fractions, as its definition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,6 +27,7 @@ from typing import Optional
 
 from . import kernels
 from .errors import NotDistinct
+from .lattice import over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,9 @@ class PhiModuleDatum:
     weights: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "slopes", tuple(Fraction(s) for s in self.slopes))
+        object.__setattr__(
+            self, "slopes", tuple(s if isinstance(s, Fraction) else Fraction(s) for s in self.slopes)
+        )
         object.__setattr__(
             self, "weights", tuple(tuple(int(k) for k in row) for row in self.weights)
         )
@@ -57,7 +59,7 @@ class PhiModuleDatum:
     def rank(self) -> int:
         return len(self.slopes)
 
-    @property
+    @cached_property
     def distinct_flag(self) -> bool:
         """Whether the slopes are pairwise distinct (sub-objects are then spanned by eigenlines)."""
         return len(set(self.slopes)) == self.rank
@@ -73,20 +75,23 @@ class PhiModuleDatum:
     def deviations(self) -> tuple:
         return tuple(self.slopes[i] - self.weight_mean(i + 1) for i in range(self.rank))
 
-    # The two cached properties below depend on no tau; a frozen instance
-    # computes each once for all of its alignment checks.
+    # The cached properties depend on no tau; a frozen instance computes
+    # each once for all of its alignment checks.
     @cached_property
     def max_deviation(self) -> Fraction:
         """max |deviation|, 0 at rank 0."""
-        return max((abs(d) for d in self.deviations()), default=Fraction(0))
+        # deviation i is (scaled[i] e - D sum_sigma kappa[sigma][i]) / (D e)
+        scaled, denom = self.scaled_slopes
+        worst = max(
+            (abs(v * self.e - denom * sum(row[i] for row in self.weights)) for i, v in enumerate(scaled)),
+            default=0,
+        )
+        return Fraction(worst, denom * self.e)
 
     @cached_property
     def scaled_slopes(self) -> tuple:
         """(slopes times D as ints, D) with D the slopes' least common denominator."""
-        denom = 1
-        for s in self.slopes:
-            denom = denom * s.denominator // math.gcd(denom, s.denominator)
-        return tuple(int(s * denom) for s in self.slopes), denom
+        return over_common_denominator(self.slopes)
 
     def min_gap(self, tau: int) -> Optional[int]:
         """Minimal consecutive gap of the tau-th weight row; None when N = 1."""
@@ -190,8 +195,8 @@ def hypothesis_margin(datum: PhiModuleDatum, tau: int) -> Optional[Fraction]:
     gap = datum.min_gap(tau)
     if gap is None:
         return None
-    bound = Fraction(gap, datum.e * datum.rank)
-    return bound - datum.max_deviation
+    dev, scale = datum.max_deviation, datum.e * datum.rank
+    return Fraction(gap * dev.denominator - dev.numerator * scale, scale * dev.denominator)
 
 
 CERTIFIED = "certified"

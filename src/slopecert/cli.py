@@ -26,7 +26,7 @@ from . import scan as scan_mod
 from .admissibility import PhiModuleDatum, admissible_candidates, alignment_check, newton_above_hodge
 from .errors import SlopecertError, VerdictFailed
 from .lattice import LocalDatum, WeightTable, parse_rat, rat_str
-from .principal import UnramChar, completely_refinable, so_irreducible_sufficient, sp_irreducible
+from .principal import UnramChar, completely_refinable
 from .principal import orbit_size as refinement_orbit  # bench/layers.py traces this layer by its old name
 from .replay import replay_orthogonal, replay_symplectic, verify_certificate
 from .satake import RefinedSlopes, classicality_general, classicality_sp, sp_delta_groups
@@ -311,10 +311,21 @@ def _schema_error(value, schema, path=()):
     return None
 
 
+#: Characters of the offending value's repr that an input error quotes; a
+#: longer repr (a job may list thousands of values) is cut to this many.
+_SHOWN = 200
+
+
 def _validate(instance, schema, where):
     error = _schema_error(instance, schema)
     if error:
         path, message = error
+        value = instance
+        for key in path:
+            value = value[key]
+        shown = repr(value)
+        if len(shown) > _SHOWN:
+            message = message.replace(shown, f"{shown[:_SHOWN]}... ({len(shown)} characters)")
         raise InputError(f"{where}.{'/'.join(map(str, path)) or '<root>'}: {message}")
 
 
@@ -419,11 +430,12 @@ def _run_classicality(params):
 def _run_ps(params):
     chars = [UnramChar(parse_rat(v), params["q"]) for v in params["values"]]
     group = params["group"]
+    irreducible = completely_refinable(chars, group)  # the group's irreducibility predicate
     result = {
         "group": group,
-        "sp_irreducible": sp_irreducible(chars) if group == "C" else None,
-        "so_irreducible_sufficient": so_irreducible_sufficient(chars) if group == "D" else None,
-        "completely_refinable": completely_refinable(chars, group),
+        "sp_irreducible": irreducible if group == "C" else None,
+        "so_irreducible_sufficient": irreducible if group == "D" else None,
+        "completely_refinable": irreducible,
         "orbit_size": refinement_orbit(chars, group),
     }
     return result, 0

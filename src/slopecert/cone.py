@@ -41,8 +41,7 @@ from .lattice import WeightTable
 
 
 def _int_above(b) -> int:
-    """Smallest integer strictly greater than the rational b."""
-    b = Fraction(b)
+    """Smallest integer strictly greater than b, an int or a Fraction."""
     return b.numerator // b.denominator + 1
 
 

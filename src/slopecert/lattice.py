@@ -15,29 +15,51 @@ k[sigma][0] = 0; the extension is never stored.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 #: Exact rational scalar used everywhere; no floating point enters the package.
+#: The replay's hot loops hold their values as int numerators over one common
+#: denominator (``over_common_denominator``) and build a Rat only for a value
+#: they return or record.
 Rat = Fraction
+
+#: An ASCII "num/den" string, the form rat_str writes; it parses with two int()s.
+_RAT = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def rat_str(x) -> str:
-    """Serialize a rational (or int) canonically as ``"num/den"``."""
-    q = Fraction(x)
-    return f"{q.numerator}/{q.denominator}"
+    """Serialize an int or a Fraction canonically as ``"num/den"``; anything
+    else, a float above all, is a TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"rat_str takes an int or a Fraction, not {type(x).__name__}")
+    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rat(s) -> Fraction:
     """Parse ``"num/den"``, a plain integer string, or a number."""
     if isinstance(s, str):
+        if _RAT.fullmatch(s):
+            num, den = s.split("/")
+            return Fraction(int(num), int(den))
         return Fraction(s)
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, Fraction):
         return s
     raise TypeError(f"cannot parse rational from {s!r}")
+
+
+def over_common_denominator(values) -> tuple:
+    """(numerators, D) with D the least common denominator of the ints and
+    Fractions ``values`` and ``numerators[i] = values[i] * D`` as ints."""
+    denom = 1
+    for v in values:
+        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    return tuple(v.numerator * (denom // v.denominator) for v in values), denom
 
 
 def vp(x, p: int) -> int:
@@ -193,7 +215,6 @@ def very_regular(weights: WeightTable, bound) -> bool:
     This is the weight-regularity lower bound that makes enough room for
     classicality and complete refinability at nearby points.
     """
-    bound = Fraction(bound)
     n = weights.rank
     for row in weights.rows:
         for j in range(n - 1):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 from typing import Sequence
 
@@ -48,36 +47,43 @@ def _common_q(chars: Sequence[UnramChar]) -> int:
     return qs.pop()
 
 
+def _has_partner(counts: Counter, v: Fraction, partners) -> bool:
+    """Whether a value in ``partners`` is held at a position other than one holding v."""
+    return any(counts[b] > (b == v) for b in partners)
+
+
 def sp_irreducible(chars: Sequence[UnramChar]) -> bool:
     """Tadic's three conditions for Sp(2n); an equivalence.
 
     Order-2 means order exactly two: the trivial character passes the first
-    condition.
+    condition.  A pair {a, b} with a = b q is found from b, and one with
+    a b = q^{+-1} from either member, so one lookup per value and partner
+    replaces the walk over pairs.
     """
     q = _common_q(chars)
-    nu = Fraction(1, q)
     vals = [c.value for c in chars]
+    counts = Counter(vals)
     for v in vals:
-        if v == -1:
+        if v == -1 or v == q or v * q == 1:
             return False
-        if v == nu or v == 1 / nu:
-            return False
-    for a, b in combinations(vals, 2):
-        if a / b in (nu, 1 / nu) or a * b in (nu, 1 / nu):
+        if _has_partner(counts, v, (v * q, q / v, 1 / (q * v))):
             return False
     return True
 
 
 def so_irreducible_sufficient(chars: Sequence[UnramChar]) -> bool:
-    """Sufficient irreducibility test for split SO(4n); not an equivalence."""
+    """Sufficient irreducibility test for split SO(4n); not an equivalence.
+
+    The pair conditions are looked up per value as in ``sp_irreducible``;
+    a/b = 1 is a repeated value.
+    """
     q = _common_q(chars)
-    qf = Fraction(q)
     vals = [c.value for c in chars]
+    counts = Counter(vals)
     for v in vals:
         if v * v == 1:
             return False
-    for a, b in combinations(vals, 2):
-        if a * b in (1, qf, 1 / qf) or a / b in (1, qf, 1 / qf):
+        if _has_partner(counts, v, (v, v * q, 1 / v, q / v, 1 / (q * v))):
             return False
     return True
 

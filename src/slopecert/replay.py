@@ -70,11 +70,13 @@ def certify_splittings(schema: str, nu: RefinedSlopes) -> Tuple[list, str]:
     One depth-first walk puts each index, in ascending order, inside or
     outside while that side's prefix sum stays >= 0; the first goes inside,
     so each pair {I, complement} is met once.  nu sums to 0, so both totals
-    at a leaf are 0 and only a non-empty outside is checked.
+    at a leaf are 0 and only a non-empty outside is checked.  The walk reads
+    nu times its common denominator: a positive scale keeps every sign.
     """
     z = zero_index(schema)
+    nums, _ = nu.scaled
     idx = [i for i in range(-nu.rank, nu.rank + 1) if i or z]
-    vals = [nu.slope(i) for i in idx]
+    vals = [-v for v in reversed(nums)] + [0] * z + list(nums)
     survivors = []
     stack = [(0, 0, 0, (), ())]  # (next position, inside sum, outside sum, inside, outside)
     while stack:
@@ -160,12 +162,10 @@ class Certificate:
         }
 
 
-def _ceil_to_int_if_fractional(b: Fraction) -> Fraction:
-    """Margin policy: strict bounds are ceiled so integer forms clear them by >= 1."""
-    b = Fraction(b)
-    if b.denominator == 1:
-        return b
-    return Fraction(-((-b.numerator) // b.denominator))
+def _ceil_to_int_if_fractional(num: int, den: int) -> int:
+    """Margin policy: the strict bound num/den (den > 0) is ceiled, so integer
+    forms clear it by >= 1."""
+    return -(-num // den)
 
 
 def _schema_numbers(schema: str, rank: int) -> Tuple[int, int]:
@@ -178,7 +178,7 @@ def _schema_numbers(schema: str, rank: int) -> Tuple[int, int]:
 _EXPECTED = {"C": (ARTIN_PLUS_IRREDUCIBLE, [(0,)]), "D": (IRREDUCIBLE, [])}
 
 
-def _step_check(step: int, form: str, value: int, bound: Fraction) -> dict:
+def _step_check(step: int, form: str, value: int, bound: int) -> dict:
     return {
         "step": step,
         "form": form,
@@ -207,18 +207,20 @@ def _derive_place(
     module_rank, rho_margin = _schema_numbers(schema, rank)
     rec = PlaceRecord(local=local, seed=seed)
 
+    # Each bound is a rational over the denominator d of the slopes it reads;
+    # the slopes' numerators over d keep the arithmetic on ints.
     # -- step 1: push the total weight past the product valuation, flip by -Id
-    bound1 = _ceil_to_int_if_fractional(e * (-seed.total() + rho_margin * f))
-    rec.k1 = pick(1, gap=0, total=bound1 / 2)
+    nums, d = seed.scaled
+    bound1 = _ceil_to_int_if_fractional(e * (rho_margin * f * d - sum(nums)), d)
+    rec.k1 = pick(1, gap=0, total=Fraction(bound1, 2))
     rec.step_checks.append(_step_check(1, "2*sum(k1)", 2 * rec.k1.total(), bound1))
     flip = minus_identity(schema, rank)
     rec.x1p = change_refinement(flip, local, rec.k1, seed, paper_sign=paper_sign)
 
     # -- step 2: nearby point keeps the slopes; open the column gaps, rotate
     # column gap i = rank + j for j = -(rank-1)..-1, i.e. columns 1..rank-1
-    bounds = [
-        _ceil_to_int_if_fractional(e * (-rec.x1p.slope(rank - i + 1) - f)) for i in range(1, rank)
-    ]
+    nums, d = rec.x1p.scaled
+    bounds = [_ceil_to_int_if_fractional(-e * (nums[rank - i] + f * d), d) for i in range(1, rank)]
     rec.k2 = pick(2, gap=0, column_gaps=bounds)
     for i, b in enumerate(bounds, 1):
         value = rec.k2.column_sum(i) - rec.k2.column_sum(i + 1)
@@ -228,8 +230,8 @@ def _derive_place(
 
     # -- step 3: weights regular enough for the alignment lemma at x3 = x2'
     nu = rec.x2p
-    worst = max([Fraction(0)] + [abs(v) for v in nu.values])
-    bound3 = _ceil_to_int_if_fractional(e * module_rank * worst)
+    nums, d = nu.scaled
+    bound3 = _ceil_to_int_if_fractional(e * module_rank * max(map(abs, nums)), d)
     rec.k3 = pick(3, gap=bound3)
     for row in rec.k3.rows:
         for gap in (a - b for a, b in zip(row, row[1:] + (0,))):  # k[i] - k[i+1], then k[rank]
@@ -249,9 +251,9 @@ def _derive_place(
     rec.survivors, _ = certify_splittings(schema, nu)
 
     # -- structural facts the argument extracts at x2'
-    positives_ok = all(nu.slope(i) > 0 for i in range(1, rank))
-    top_ok = nu.slope(rank) < 0
-    total_ok = sum(nu.values, Fraction(0)) < 0
+    positives_ok = all(v > 0 for v in nums[:-1])
+    top_ok = nums[-1] < 0
+    total_ok = sum(nums) < 0
     if not (positives_ok and top_ok and total_ok):
         rec.structural_ok = False
         rec.failure = rec.failure or "structural slope facts violated at x2'"

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .lattice import LocalDatum, WeightTable
+from .lattice import LocalDatum, WeightTable, over_common_denominator
 from .weyl import SignedPerm
 
 
@@ -45,7 +46,9 @@ class RefinedSlopes:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(
+            self, "values", tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
+        )
 
     @property
     def rank(self) -> int:
@@ -59,8 +62,10 @@ class RefinedSlopes:
             return self.values[i - 1]
         return -self.values[-i - 1]
 
-    def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+    @cached_property
+    def scaled(self) -> tuple:
+        """(values times D as ints, D) with D the values' least common denominator."""
+        return over_common_denominator(self.values)
 
 
 def zero_index(schema: str) -> int:
@@ -86,11 +91,13 @@ def frobenius_slopes(
     if phi.rank != rank or weights.rank != rank:
         raise ValueError("rank mismatch between weights and slopes")
     z = zero_index(schema)
+    e = local.e
+    nums, d = phi.scaled  # every value over the denominator e * d
     vals = [
-        (rank + z - i) * local.f + phi.slope(rank + 1 - i) + Fraction(weights.column_sum(i), local.e)
+        ((rank + z - i) * local.f * e + weights.column_sum(i)) * d + nums[rank - i] * e
         for i in range(1, rank + 1)
     ]
-    return tuple(sorted(vals + [-v for v in vals] + [Fraction(0)] * z))
+    return tuple(Fraction(v, e * d) for v in sorted(vals + [-v for v in vals] + [0] * z))
 
 
 def hodge_tate_weights(
@@ -136,12 +143,15 @@ def change_refinement(
         raise ValueError("rank mismatch")
     q = r + zero_index(w.family)  # rho-shift in the q-exponent
     c = 1 if paper_sign else -1
-    new = [Fraction(0)] * r
+    e = local.e
+    nums, d = phi.scaled  # phi[j] = nums[j-1] / d; the result is over e * d
+    new = [None] * r
     for i in range(1, r + 1):
         wi = w(i)
         s = 1 if wi > 0 else -1
-        kdiff = Fraction(weights.column_sum(wi) - weights.column_sum(i), local.e)
-        new[r - i] = phi.slope(s * (r + 1) - wi) + (i - wi + c * q * (1 - s)) * local.f + kdiff
+        # phi[s(r+1) - w(i)] = s * phi[r+1 - |w(i)|]
+        term = (i - wi + c * q * (1 - s)) * local.f * e + weights.column_sum(wi) - weights.column_sum(i)
+        new[r - i] = Fraction(s * nums[r - abs(wi)] * e + term * d, e * d)
     return RefinedSlopes(tuple(new))
 
 

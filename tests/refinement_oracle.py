@@ -1,12 +1,14 @@
-"""The two refinement changes the one formula replaced: the test oracle for
-``satake.change_refinement``.
+"""The two refinement changes the one formula replaced, and the Frobenius
+valuations they act on: the test oracle for ``satake.change_refinement`` and
+``satake.frobenius_slopes``.
 
-``solve_back`` permutes the extended Frobenius valuation list,
-val'(i) = val(w(i)), and solves each entry for phi'; it preserves the slope
-multiset by construction.  ``transcribed`` applies the exponent
-i - w(i) + q (1 - sign w(i)) as it was transcribed.  Both read the slopes
-and weights through their own sign extension and share no code with the
-package formula.
+``frobenius_multiset`` lists the extended Frobenius valuations entry by
+entry.  ``solve_back`` permutes that list, val'(i) = val(w(i)), and solves
+each entry for phi'; it preserves the slope multiset by construction.
+``transcribed`` applies the exponent i - w(i) + q (1 - sign w(i)) as it was
+transcribed.  All three read the slopes and weights through their own sign
+extension, work on Fractions throughout and share no code with the package
+formulas.
 """
 
 from fractions import Fraction
@@ -57,3 +59,11 @@ def transcribed(w, local, weights, phi) -> tuple:
         kdiff = _column_mean(local, rows, wi) - _column_mean(local, rows, i)
         new[r - i] = _slope(values, (r + 1) * sgn - wi) + exponent * local.f + kdiff
     return tuple(new)
+
+
+def frobenius_multiset(local, weights, phi, schema) -> tuple:
+    """Sorted val(i) over the extended index range: 0 for schema C, then +-val(j)."""
+    r = len(phi.values)
+    zero = [Fraction(0)] if schema == "C" else []
+    signed = [_valuation(local, weights.rows, phi.values, schema, s * j) for j in range(1, r + 1) for s in (1, -1)]
+    return tuple(sorted(zero + signed))

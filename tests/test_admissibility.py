@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slopecert.admissibility import (
     CERTIFIED,
@@ -160,6 +162,23 @@ class TestCandidates:
         ident = ((1, 2),)
         # prefix holds (0 >= -2) but totals 1 != -2
         assert not candidate_passes(datum, (1,), ident)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_margin_matches_the_fraction_formula(data):
+    """The margin, read from the slopes' integers over their common
+    denominator, against min-gap / (e N) - max |slope - weight mean| on
+    Fractions, for slopes of mixed denominators and several embeddings."""
+    e, f, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 5))
+    slopes = data.draw(st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)), min_size=n, max_size=n))
+    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(sorted), min_size=e * f, max_size=e * f))
+    datum = PhiModuleDatum(e, f, slopes, rows)
+    worst = max(abs(s - Fraction(sum(row[i] for row in rows), e)) for i, s in enumerate(slopes))
+    assert datum.max_deviation == worst
+    for tau, row in enumerate(rows, 1):
+        expected = Fraction(min(b - a for a, b in zip(row, row[1:])), e * n) - worst if n > 1 else None
+        assert hypothesis_margin(datum, tau) == expected
 
 
 class TestAlignment:

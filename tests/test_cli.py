@@ -271,6 +271,22 @@ def test_ps_job_beyond_the_values_cap_refused(tmp_path, capsys):
     job = {"command": "ps-irreducible", "params": {"q": 3, "values": ["-1"] + [str(v) for v in range(2, 2001)], "group": "C"}}
     err = rejected_in_one_line(tmp_path, capsys, job)
     assert err.startswith("error: params.values: ") and err.endswith("is too long\n")
+    # the line quotes the 14,894-character repr of the values cut to 200
+    assert err.startswith("error: params.values: ['-1', '2', '3', ") and "... (14894 characters) is too long" in err
+    assert len(err) < 300
+
+
+@pytest.mark.parametrize("group", ["C", "D"])
+def test_ps_job_evaluates_its_predicate_once(monkeypatch, group):
+    # every evaluation of either irreducibility predicate reads the common q once
+    from slopecert import principal
+
+    calls = []
+    common_q = principal._common_q
+    monkeypatch.setattr(principal, "_common_q", lambda chars: calls.append(1) or common_q(chars))
+    report, code = run_job({"command": "ps-irreducible", "params": {"q": 3, "values": ["2", "5/7"], "group": group}})
+    assert code == 0 and report["result"]["completely_refinable"] is True
+    assert len(calls) == 1
 
 
 def test_ps_job_at_the_values_cap_answered(tmp_path, capsys):

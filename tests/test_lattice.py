@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from prime_oracle import is_prime_by_trial_division
 
 from slopecert.lattice import (
@@ -39,6 +39,30 @@ class TestRat:
     @given(rationals)
     def test_serialization_roundtrip(self, a):
         assert parse_rat(rat_str(a)) == a
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, float("nan"), "1/2", None, complex(1, 0)])
+    def test_rat_str_takes_only_ints_and_fractions(self, x):
+        with pytest.raises(TypeError):
+            rat_str(x)
+
+    @settings(max_examples=300)
+    @given(
+        st.one_of(
+            st.from_regex(r"-?[0-9]{1,30}/[0-9]{1,30}", fullmatch=True),
+            st.sampled_from([" 1/2", "+3", "٣/4", "²/3", "1/2\n", "-0/7", "3", "1.5", "1e3", "1 /2", "/2", "2/"]),
+            st.text(alphabet="0123456789-+/ .e٣²_", max_size=12),
+        )
+    )
+    def test_parse_rat_agrees_with_fraction(self, s):
+        try:
+            want = Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                parse_rat(s)
+        else:
+            got = parse_rat(s)
+            assert type(got) is Fraction and got == want
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
     def test_vp(self):
         assert vp(Fraction(12), 2) == 2

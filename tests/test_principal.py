@@ -3,6 +3,9 @@ from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from irreducibility_oracle import so_irreducible_by_pairs, sp_irreducible_by_pairs
 from orbit_oracle import refinement_orbit
 
 from slopecert.errors import MixedResidue
@@ -119,3 +122,24 @@ class TestCompletelyRefinable:
     def test_group_validation(self):
         with pytest.raises(ValueError):
             completely_refinable(chars(3, 2), "B")
+
+
+@st.composite
+def clustered_values(draw):
+    """q and 1-8 values of the form +-q^a (b/c) on a small grid, so that
+    values, products and ratios meet 1 and q^{+-1} often."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 9]))
+    value = st.builds(
+        lambda sign, a, b, c: sign * Fraction(q) ** a * Fraction(b, c),
+        st.sampled_from([1, -1]), st.integers(-2, 2), st.integers(1, 3), st.integers(1, 3),
+    )
+    return q, draw(st.lists(value, min_size=1, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(clustered_values())
+def test_counter_lookups_match_the_pairwise_oracle(q_values):
+    q, values = q_values
+    cs = [UnramChar(v, q) for v in values]
+    assert sp_irreducible(cs) == sp_irreducible_by_pairs(values, q)
+    assert so_irreducible_sufficient(cs) == so_irreducible_by_pairs(values, q)

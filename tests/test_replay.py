@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import json
 import os
 import random
@@ -10,7 +11,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from splitting_oracle import certify_splittings_by_masks, extended_indices
 
@@ -97,15 +98,18 @@ class TestCertifySplittings:
 
 @st.composite
 def normalized_slopes(draw):
-    """A schema and nu of rank 1-6, on a grid of step 1/denom with zeros."""
-    denom = draw(st.integers(1, 3))
+    """A schema and nu of rank 1-6 whose values have mixed denominators
+    1, 2, 3 and 6, with zeros, so that prefix sums often vanish."""
     rank = draw(st.integers(1, 6))
-    values = draw(st.lists(st.integers(-3 * denom, 3 * denom), min_size=rank, max_size=rank))
-    return draw(st.sampled_from("CD")), RefinedSlopes([Fraction(v, denom) for v in values])
+    value = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+    values = draw(st.lists(value, min_size=rank, max_size=rank))
+    return draw(st.sampled_from("CD")), RefinedSlopes(values)
 
 
 @settings(max_examples=200, deadline=None)
 @given(normalized_slopes())
+@example(("C", RefinedSlopes([0, 0, 0])))  # degenerate nu: every subset survives
+@example(("D", RefinedSlopes([0, 0, 0, 0])))
 def test_pruned_walk_matches_mask_oracle(schema_nu):
     assert certify_splittings(*schema_nu) == certify_splittings_by_masks(*schema_nu)
 
@@ -234,6 +238,51 @@ class TestOrthogonalReplay:
         datum = induced_datum("D", 2, Q11, pr.k3, pr.x2p)
         for row in datum.weights:
             assert 0 not in row
+
+
+def numbers_in(x):
+    """Every scalar a place record holds, through lists, dicts, slopes and tables."""
+    if isinstance(x, RefinedSlopes):
+        x = x.values
+    elif isinstance(x, WeightTable):
+        x = x.rows
+    elif isinstance(x, LocalDatum):
+        x = (x.p, x.e, x.f)
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        return [leaf for item in x for leaf in numbers_in(item)]
+    return [x]
+
+
+@pytest.mark.parametrize(
+    "replay, n, local, seed",
+    [
+        (replay_symplectic, 2, LocalDatum(5, 2, 1), [Fraction(7, 2), Fraction(-5, 3)]),
+        (replay_orthogonal, 1, LocalDatum(3, 1, 2), [Fraction(-3, 4), Fraction(5, 6)]),
+    ],
+)
+def test_no_float_in_a_place_or_a_step_bound(replay, n, local, seed):
+    bounds, checks = [], []
+    real_cone_find, real_step_check = replay_mod.cone_find, replay_mod._step_check
+
+    def cone_find(rank, embeddings, **cone):
+        bounds.append(cone)
+        return real_cone_find(rank, embeddings, **cone)
+
+    def step_check(step, form, value, bound):
+        checks.append((value, bound))
+        return real_step_check(step, form, value, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay_mod, "cone_find", cone_find)
+        mp.setattr(replay_mod, "_step_check", step_check)
+        place = replay(n, [local], [RefinedSlopes(seed)]).places[0]
+    recorded = numbers_in([getattr(place, f.name) for f in dataclasses.fields(place)])
+    used = numbers_in(bounds) + numbers_in(checks)
+    assert bounds and checks and recorded
+    assert all(isinstance(v, (int, Fraction, str)) or v is None for v in recorded)
+    assert all(isinstance(v, (int, Fraction)) for v in used)
 
 
 class TestCertificates:

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from refinement_oracle import solve_back, transcribed
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from refinement_oracle import frobenius_multiset, solve_back, transcribed
 
 from slopecert.lattice import LocalDatum, WeightTable
 from slopecert.satake import (
@@ -192,6 +194,26 @@ class TestChangeRefinement:
                 phi = random_slopes(rng, rank)
                 assert change_refinement(g, loc, w, phi).values == solve_back(g, loc, w, phi)
                 assert change_refinement(g, loc, w, phi, paper_sign=True).values == transcribed(g, loc, w, phi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_integer_formula_matches_the_oracle_on_mixed_denominators(self, data):
+        """A random Weyl element, shape, weight table and slopes whose
+        denominators differ entry by entry; both conventions, and the
+        Frobenius multiset before and after."""
+        schema = data.draw(st.sampled_from("CD"))
+        rank = data.draw(st.integers(1, 4))
+        loc = LocalDatum(3, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)))
+        row = st.lists(st.integers(0, 12), min_size=rank, max_size=rank).map(lambda r: sorted(r, reverse=True))
+        w = WeightTable(data.draw(st.lists(row, min_size=loc.embeddings, max_size=loc.embeddings)))
+        value = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+        phi = RefinedSlopes(data.draw(st.lists(value, min_size=rank, max_size=rank)))
+        g = data.draw(st.sampled_from(list(weyl_elements(schema, rank))))
+        moved = change_refinement(g, loc, w, phi)
+        assert moved.values == solve_back(g, loc, w, phi)
+        assert change_refinement(g, loc, w, phi, paper_sign=True).values == transcribed(g, loc, w, phi)
+        for slopes in (phi, moved):
+            assert frobenius_slopes(loc, rank, w, slopes, schema) == frobenius_multiset(loc, w, slopes, schema)
 
     def test_paper_sign_breaks_invariance_on_flips(self):
         loc = Q11
