@@ -72,9 +72,6 @@ class PhiModuleDatum:
         """(1/e) sum_sigma kappa[sigma][i], the center the i-th slope tracks."""
         return Fraction(sum(row[i - 1] for row in self.weights), self.e)
 
-    def deviations(self) -> tuple:
-        return tuple(self.slopes[i] - self.weight_mean(i + 1) for i in range(self.rank))
-
     # The cached properties depend on no tau; a frozen instance computes
     # each once for all of its alignment checks.
     @cached_property
@@ -114,21 +111,6 @@ class SubmoduleCandidate:
 
     def theta_row(self, sigma: int) -> tuple:
         return self.theta[sigma - 1]
-
-
-def newton_number(datum: PhiModuleDatum, subset) -> Fraction:
-    """Sum of the slopes indexed by the subset (1-based indices)."""
-    return sum((datum.slopes[i - 1] for i in subset), Fraction(0))
-
-
-def hodge_number(datum: PhiModuleDatum, subset, theta) -> Fraction:
-    """(1/e) sum_sigma sum_{i in subset} kappa[sigma][theta_sigma(i)]."""
-    total = 0
-    for sigma in range(datum.embeddings):
-        row = datum.weights[sigma]
-        th = theta[sigma]
-        total += sum(row[th[i - 1] - 1] for i in subset)
-    return Fraction(total, datum.e)
 
 
 def newton_above_hodge(datum: PhiModuleDatum) -> bool:

@@ -3,9 +3,10 @@
 A job is a JSON document {"command": ..., "params": {...}, "out": path}.
 Reports are canonical JSON (sorted keys, two-space indent, rationals as
 "num/den" strings, no timestamps), so reruns are byte-identical.  Exit
-codes: 0 for expected verdicts, 1 for input/usage errors and out of memory,
-2 for mathematical verdict failures (unexpected survivor, tampered
-certificate, misaligned candidate inside the hypothesis band).
+codes: 0 for expected verdicts, 1 for input/usage errors (a certificate
+outside its schema among them) and out of memory, 2 for mathematical
+verdict failures (unexpected survivor, tampered schema-valid certificate,
+misaligned candidate inside the hypothesis band).
 
 A job and its params are held to the JSON schemas below (``--print-schemas``
 publishes them) by ``_schema_error``, an interpreter of just the keywords
@@ -51,10 +52,11 @@ STEP_CHECK = {
 }
 NULL_OR_STRING = {"type": ["string", "null"]}
 # Every field of a certificate; the verifier compares each one with its
-# re-derivation.  A certificate is held to this schema only when its
-# verification raises, to name the malformed field: checking every
-# certificate up front would add about 0.2 ms to each verify-cert job, 8-10 %
-# of the benchmark's replay round (seed 1; 2 shared cores, Python 3.11).
+# re-derivation.  A certificate is held to this schema only when it fails to
+# verify (its verification raises or finds a mismatch), so that a malformed
+# field is named as an input error: checking every certificate up front
+# would add about 0.2 ms to each verify-cert job, 8-10 % of the benchmark's
+# replay round (seed 1; 2 shared cores, Python 3.11).
 CERTIFICATE = {
     "type": "object",
     "properties": {
@@ -494,6 +496,8 @@ def _run_verify(params):
     except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError) as exc:
         _validate(doc, CERTIFICATE, "certificate")  # names the malformed field
         raise InputError(f"certificate: {exc}") from exc
+    if not ok:
+        _validate(doc, CERTIFICATE, "certificate")  # a malformed field is an input error, not a mismatch
     return {"ok": ok, "mismatches": mismatches}, (0 if ok else 2)
 
 

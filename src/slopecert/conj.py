@@ -1,96 +1,14 @@
-"""Archimedean parameter predicates and complex-conjugation trace bookkeeping.
+"""Congruence pinning, the integer endgame of trace comparisons.
 
-An archimedean parameter in scope is eps^e (+) sum_i Ind_{W_C}^{W_R}(z ->
-(z/zbar)^{r_i}): a sign-character multiplicity parity e, a list of
-nonnegative twist exponents r, and optionally the central summand making the
-dimension odd.  Conjugation acts on each induced plane with trace 0 and
-determinant -1, so the whole recipe matrix has trace (-1)^e (odd case) or 0
-(even case) and determinant (-1)^{e+n} resp. (-1)^n.
-
-The congruence-pinning and component-trace helpers are the integer endgame
-of trace comparisons modulo large p-powers: a trace known modulo p^N and
-within distance t of a target is the target once p^N exceeds t.
+A trace known modulo p^N and within distance t of a target is the target
+once p^N exceeds t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from .errors import BadGap, DimensionMismatch, Inconsistent
 from .lattice import is_prime
-
-
-@dataclass(frozen=True)
-class ArchParam:
-    """Sign parity e, nondecreasing nonnegative exponents r, optional central summand."""
-
-    eps: int
-    r: tuple
-    central: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
-        if self.eps not in (0, 1):
-            raise ValueError("eps is a parity, 0 or 1")
-        if any(v < 0 for v in self.r):
-            raise ValueError("exponents must be nonnegative")
-        if any(self.r[i] > self.r[i + 1] for i in range(len(self.r) - 1)):
-            raise ValueError("exponents must be nondecreasing")
-
-    @property
-    def dim(self) -> int:
-        return 2 * len(self.r) + (1 if self.central else 0)
-
-
-def in_A_Sp(param: ArchParam) -> bool:
-    """Far-from-walls test for the symplectic family: r_1 >= 2, gaps >= 2."""
-    if not param.central:
-        raise DimensionMismatch("the symplectic family has odd-dimensional parameters")
-    r = param.r
-    if not r or r[0] < 2:
-        return False
-    return all(r[i + 1] >= r[i] + 2 for i in range(len(r) - 1))
-
-
-def nonregular_orthogonal_ok(param: ArchParam) -> bool:
-    """Almost-regular orthogonal condition: r strictly increasing, r_1 >= 0 allowed."""
-    r = param.r
-    if len(r) % 2:
-        raise DimensionMismatch("expected an even number of exponents")
-    return all(r[i + 1] > r[i] for i in range(len(r) - 1))
-
-
-def conj_trace_det(param: ArchParam, n: int) -> Tuple[int, int]:
-    """Trace and determinant of the conjugation recipe matrix.
-
-    Odd case (dim 2n+1): trace (-1)^e, det (-1)^(e+n); even case (dim 2n):
-    trace 0, det (-1)^n.  Each induced plane contributes an antidiagonal
-    2x2 block (trace 0, det -1).
-    """
-    if param.central:
-        if param.dim != 2 * n + 1:
-            raise DimensionMismatch(f"parameter has dim {param.dim}, expected {2*n+1}")
-        return ((-1) ** param.eps, (-1) ** (param.eps + n))
-    if param.dim != 2 * n:
-        raise DimensionMismatch(f"parameter has dim {param.dim}, expected {2*n}")
-    return (0, (-1) ** n)
-
-
-def so2k_highest_weight(param: ArchParam, k: int) -> tuple:
-    """Highest weight of the compact SO(2k) representation with this parameter.
-
-    The exponents, sorted descending and padded with a trailing 0, give the
-    coordinates r_i - (k - i); a negative coordinate means the parameter does
-    not fit SO(2k) and raises BadGap.
-    """
-    rs = sorted(param.r, reverse=True) + [0]
-    if len(rs) != k:
-        raise DimensionMismatch(f"{len(param.r)} exponents cannot fill SO({2*k})")
-    coords = tuple(rs[i] - (k - 1 - i) for i in range(k))
-    if any(c < 0 for c in coords):
-        raise BadGap(f"coordinates {coords} leave the dominant cone")
-    return coords
 
 
 def congruence_pin(t_bound: int, p: int, N: int, target: int) -> Optional[int]:
@@ -104,50 +22,3 @@ def congruence_pin(t_bound: int, p: int, N: int, target: int) -> Optional[int]:
     if not is_prime(p) or N < 1:
         raise ValueError("need a prime p and N >= 1")
     return target if p**N > t_bound else None
-
-
-def resolve_component_traces(n: int, total: int, dim0: int) -> Tuple[int, int]:
-    """Split a two-component conjugation trace into its even and odd parts.
-
-    The odd component has dimension dim0, determinant (-1)^n at the
-    involution and trace of absolute value 1, which forces its trace to
-    -det = (-1)^(n+1); the even component, an involution of even dimension,
-    has even trace.  Raises Inconsistent when no such split exists.
-    """
-    if dim0 % 2 == 0 or dim0 < 1:
-        raise Inconsistent(f"auxiliary dimension {dim0} must be odd")
-    t_pi0 = (-1) ** (n + 1)
-    t_pi = total - t_pi0
-    if t_pi % 2:
-        raise Inconsistent(f"total {total} cannot split as even + ({t_pi0})")
-    return (t_pi, t_pi0)
-
-
-ODD_N = "odd-n"
-EVEN_N_COVERED = "even-n-covered"
-EVEN_N_TRIVIAL = "even-n-trivial"
-EVEN_N_OPEN = "even-n-open"
-
-
-def normalization_shift(n: int, q: int, eta_inf_sign: int) -> Tuple[int, str]:
-    """Exponent shift between the two algebraicity normalizations, with case label.
-
-    Input q is the similitude exponent in the arithmetic (Clozel-algebraic)
-    normalization; the shifted exponent q_L = q + (n-1) is the one whose
-    parity drives the trace bound.  Labels for even n:
-
-    * covered: q odd and eta_inf(-1) = +1 (the bound is a theorem);
-    * trivial: eta_inf(-1) = (-1)^q, i.e. the pair is symplectic and the
-      trace vanishes outright;
-    * open: q even and eta_inf(-1) = -1.
-    """
-    if eta_inf_sign not in (1, -1):
-        raise ValueError("eta_inf_sign is +1 or -1")
-    q_l = q + (n - 1)
-    if n % 2:
-        return q_l, ODD_N
-    if q % 2 and eta_inf_sign == 1:
-        return q_l, EVEN_N_COVERED
-    if eta_inf_sign == (-1) ** q:
-        return q_l, EVEN_N_TRIVIAL
-    return q_l, EVEN_N_OPEN

@@ -30,18 +30,6 @@ class Degenerate(SlopecertError):
     """A regularity invariant of a transfer-factor instance failed at evaluation time."""
 
 
-class DimensionMismatch(SlopecertError):
-    """Archimedean parameter is inconsistent with the requested dimension."""
-
-
-class BadGap(SlopecertError):
-    """Highest-weight coordinates would be negative for this parameter."""
-
-
-class Inconsistent(SlopecertError):
-    """Trace constraints admit no solution."""
-
-
 class VerdictFailed(SlopecertError):
     """Certification produced a verdict other than the expected one; carries the certificate."""
 

@@ -27,8 +27,8 @@ from typing import Iterable, Sequence
 #: they return or record.
 Rat = Fraction
 
-#: An ASCII "num/den" string, the form rat_str writes; it parses with two int()s.
-_RAT = re.compile(r"-?[0-9]+/[0-9]+")
+#: The job schema's rational grammar: an ASCII integer, optionally "/den".
+_RAT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def rat_str(x) -> str:
@@ -39,18 +39,18 @@ def rat_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rat(s) -> Fraction:
-    """Parse ``"num/den"``, a plain integer string, or a number."""
-    if isinstance(s, str):
-        if _RAT.fullmatch(s):
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(s)
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, Fraction):
-        return s
-    raise TypeError(f"cannot parse rational from {s!r}")
+def parse_rat(s: str) -> Fraction:
+    """Parse ``"num/den"`` or a plain integer string through int()s.
+
+    Any other string is a ValueError and a non-string a TypeError, so no
+    exponent such as ``"1e3000000"`` is ever expanded.
+    """
+    if not isinstance(s, str):
+        raise TypeError(f"a rational is a string, not {type(s).__name__}")
+    if not _RAT.fullmatch(s):
+        raise ValueError(f"{s[:40]!r} is not an integer or num/den")
+    num, _, den = s.partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def over_common_denominator(values) -> tuple:
@@ -134,16 +134,6 @@ class LocalDatum:
             raise ValueError(f"p = {self.p} is not prime")
         if self.e < 1 or self.f < 1:
             raise ValueError("need e >= 1 and f >= 1")
-
-    @property
-    def q_valuation(self) -> Fraction:
-        """v_p of the residue cardinality q = p^f."""
-        return Fraction(self.f)
-
-    @property
-    def uniformizer_valuation(self) -> Fraction:
-        """v_p of any uniformizer, i.e. 1/e."""
-        return Fraction(1, self.e)
 
     @property
     def embeddings(self) -> int:

@@ -46,13 +46,6 @@ class SignedPerm:
             return self.images[i - 1]
         return -self.images[-i - 1]
 
-    def compose(self, other: "SignedPerm") -> "SignedPerm":
-        """self after other: (self * other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        family = self.family if self.family == other.family else "C"
-        return SignedPerm(family, tuple(self(other(i)) for i in range(1, self.n + 1)))
-
     def inverse(self) -> "SignedPerm":
         inv = [0] * self.n
         for i in range(1, self.n + 1):
@@ -62,9 +55,6 @@ class SignedPerm:
             else:
                 inv[-j - 1] = -i
         return SignedPerm(self.family, tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(self.n))
 
 
 def identity(family: str, n: int) -> SignedPerm:

@@ -87,10 +87,51 @@ def test_verify_cert_roundtrip_and_tamper(tmp_path):
 
 
 def test_verify_cert_rejects_certificate_without_places():
-    cert = {"schema": "C", "rank": 2, "module_rank": 5, "verdict": "ArtinPlusIrreducible", "places": []}
+    cert = {"schema": "C", "rank": 2, "module_rank": 5, "paper_sign": False, "verdict": "ArtinPlusIrreducible",
+            "failure_reason": None, "places": []}
     report, code = run_job({"command": "verify-cert", "params": {"certificate": cert}})
     assert code == 2
     assert report["result"] == {"ok": False, "mismatches": ["places"]}
+
+
+SMALL_CERTIFICATE = replay_symplectic(1, [LocalDatum(3)], [RefinedSlopes([0])]).to_dict()
+
+
+@pytest.mark.parametrize(
+    "where, value, code",
+    [
+        (("rank",), True, 1),
+        (("rank",), 1.0, 1),
+        (("rank",), "1", 1),
+        (("places", 0, "local", "p"), "3", 1),
+        (("places", 0, "local", "e"), True, 1),
+        (("paper_sign",), 0, 1),
+        (("places", 0, "k1", 0, 0), 4.0, 1),
+        (("places", 0, "seed", 0), "0.0", 1),
+        (("places", 0, "seed", 0), "1/2 ", 1),
+        (("places", 0, "seed", 0), "1e5", 1),
+        (("places", 0, "seed", 0), "1/2", 2),
+    ],
+    ids=["rank-true", "rank-float", "rank-string", "p-string", "e-true", "paper-sign-int", "k1-float",
+         "seed-decimal", "seed-space", "seed-exponent", "seed-tampered-within-schema"],
+)
+def test_certificate_outside_its_schema_is_an_input_error(tmp_path, capsys, where, value, code):
+    """A field outside the certificate schema is a one-line exit 1 naming it;
+    a tampered field within the schema stays a mismatch, exit 2."""
+    cert = copy.deepcopy(SMALL_CERTIFICATE)
+    target = cert
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "verify-cert", "params": {"certificate": cert}}))
+    assert main(["--job", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert json.loads(out)["result"]["ok"] is False and err == ""
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: certificate.{'/'.join(map(str, where))}: ")
 
 
 def test_run_job_validates_before_dispatch():

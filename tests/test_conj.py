@@ -1,77 +1,6 @@
 import pytest
 
-from slopecert.conj import (
-    EVEN_N_COVERED,
-    EVEN_N_OPEN,
-    EVEN_N_TRIVIAL,
-    ODD_N,
-    ArchParam,
-    congruence_pin,
-    conj_trace_det,
-    in_A_Sp,
-    nonregular_orthogonal_ok,
-    normalization_shift,
-    resolve_component_traces,
-    so2k_highest_weight,
-)
-from slopecert.errors import BadGap, DimensionMismatch, Inconsistent
-
-
-class TestArchPredicates:
-    def test_in_a_sp(self):
-        assert in_A_Sp(ArchParam(0, (2, 4, 6)))
-        assert not in_A_Sp(ArchParam(0, (1, 3)))
-        assert not in_A_Sp(ArchParam(0, (2, 3)))
-
-    def test_nonregular_orthogonal(self):
-        assert nonregular_orthogonal_ok(ArchParam(0, (0, 3), central=False))
-        assert not nonregular_orthogonal_ok(ArchParam(0, (0, 0), central=False))
-        assert nonregular_orthogonal_ok(ArchParam(0, (1, 4), central=False))
-
-    def test_regular_family_is_nonregular_ok_after_reindexing(self):
-        for r in [(2, 4), (2, 4, 6), (3, 5, 8, 11)]:
-            p = ArchParam(0, r)
-            if in_A_Sp(p):
-                if len(r) % 2 == 0:
-                    assert nonregular_orthogonal_ok(ArchParam(0, r, central=False))
-                else:
-                    assert nonregular_orthogonal_ok(ArchParam(0, (0,) + r, central=False))
-
-
-class TestConjTraceDet:
-    def test_odd_case(self):
-        assert conj_trace_det(ArchParam(1, (2, 4)), 2) == (-1, -1)
-        assert conj_trace_det(ArchParam(0, ()), 0) == (1, 1)
-
-    def test_even_case(self):
-        assert conj_trace_det(ArchParam(0, (1, 2, 3), central=False), 3) == (0, -1)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            conj_trace_det(ArchParam(1, (2, 4)), 3)
-
-    def test_trace_bound_by_construction(self):
-        for e in (0, 1):
-            for k in range(4):
-                param = ArchParam(e, tuple(range(2, 2 + 2 * k, 2)))
-                tr, det = conj_trace_det(param, k)
-                assert abs(tr) <= 1 and det in (1, -1)
-
-
-class TestSo2kWeights:
-    def test_examples(self):
-        assert so2k_highest_weight(ArchParam(0, (3,), central=False), 2) == (2, 0)
-        assert so2k_highest_weight(ArchParam(0, (), central=False), 1) == (0,)
-        assert so2k_highest_weight(ArchParam(0, (3, 5), central=False), 3) == (3, 2, 0)
-
-    def test_bad_gap(self):
-        with pytest.raises(BadGap):
-            so2k_highest_weight(ArchParam(0, (1, 1), central=False), 3)
-
-    def test_dominant_when_gaps_hold(self):
-        coords = so2k_highest_weight(ArchParam(0, (2, 5, 9), central=False), 4)
-        assert all(coords[i] >= coords[i + 1] for i in range(3))
-        assert coords[-1] >= 0
+from slopecert.conj import congruence_pin
 
 
 class TestCongruencePin:
@@ -106,49 +35,3 @@ class TestCongruencePin:
         while p**N <= bound:
             N += 1
         assert congruence_pin(bound, p, N, 1) == 1
-
-
-class TestComponentTraces:
-    def test_examples(self):
-        assert resolve_component_traces(2, -1, 3) == (0, -1)
-        assert resolve_component_traces(3, 1, 3) == (0, 1)
-        with pytest.raises(Inconsistent):
-            resolve_component_traces(2, 2, 3)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_parity_constraints(self, n):
-        total = (-1) ** (n + 1)
-        t_pi, t_pi0 = resolve_component_traces(n, total, 3)
-        assert t_pi + t_pi0 == total
-        assert t_pi % 2 == 0
-        assert abs(t_pi0) == 1
-
-    def test_even_dim0_rejected(self):
-        with pytest.raises(Inconsistent):
-            resolve_component_traces(2, -1, 4)
-
-
-class TestNormalizationShift:
-    def test_covered_case(self):
-        assert normalization_shift(4, 1, 1) == (4, EVEN_N_COVERED)
-
-    def test_odd_case(self):
-        assert normalization_shift(3, 0, -1) == (2, ODD_N)
-
-    def test_trivial_and_open_split(self):
-        # trivial exactly when the similitude sign matches (-1)^q: the pair is
-        # symplectic and the conjugation trace vanishes outright
-        assert normalization_shift(4, 0, 1)[1] == EVEN_N_TRIVIAL
-        assert normalization_shift(4, 1, -1)[1] == EVEN_N_TRIVIAL
-        assert normalization_shift(4, 0, -1)[1] == EVEN_N_OPEN
-
-    def test_partition(self):
-        for q in (0, 1, 2, 3):
-            for sign in (1, -1):
-                _, label = normalization_shift(6, q, sign)
-                assert label in (EVEN_N_COVERED, EVEN_N_TRIVIAL, EVEN_N_OPEN)
-
-    def test_shift_parity(self):
-        # covered inputs land on an even shifted exponent
-        q_l, label = normalization_shift(4, 3, 1)
-        assert label == EVEN_N_COVERED and q_l % 2 == 0

@@ -17,22 +17,29 @@ end in exit 1 whatever the job.
 ``admissible`` listing has no cost bound yet, so its sizes stay small; half
 of its jobs are well-formed data over one slope denominator of up to 2^70,
 so the kernel's refusal of a denominator beyond int64 runs.
+
+A second test forges replay certificates: one field of a valid certificate
+takes a JSON type its schema does not allow, or a rational field a string
+off the schema's grammar (``"1e30000000"`` among them).  ``verify-cert``
+must answer each with exit 1 and one stderr line, within a second.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopecert import scan
-from slopecert.cli import JOB_SCHEMAS, main
+from slopecert.cli import CERTIFICATE as CERTIFICATE_SCHEMA, JOB_SCHEMAS, main
 from slopecert.lattice import LocalDatum, is_prime
-from slopecert.replay import replay_symplectic
+from slopecert.replay import replay_orthogonal, replay_symplectic
 from slopecert.satake import RefinedSlopes
 from slopecert.symbols import ORACLE_MAX_PRIME
 
@@ -250,3 +257,63 @@ def test_main_ends_in_an_exit_code_or_one_line_error(job, data_cap, cells_cap, o
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
     else:
         assert json.loads(out.getvalue())["command"] == job["command"]
+
+
+FORGEABLE = [
+    CERTIFICATE,
+    replay_orthogonal(1, [LocalDatum(5, 2, 1)], [RefinedSlopes([0, Fraction(1, 2)])]).to_dict(),
+    replay_symplectic(2, [LocalDatum(3), LocalDatum(2, 2, 1)], [RefinedSlopes([1, -2])] * 2).to_dict(),
+]
+# one value of each JSON type; 2.0 is a number but not an integer
+JSON_VALUES = {"null": None, "boolean": True, "integer": 0, "number": 2.0, "string": "1", "array": [], "object": {}}
+OFF_GRAMMAR = st.one_of(
+    st.sampled_from(["1e30000000", "0e600000", "1.5", " 1/2", "1/2 ", "+3", "٣", "1_0", "1/0", "0/00", "", "1/-2"]),
+    st.text(alphabet="0123456789-+/ .e٣_", max_size=12).filter(
+        lambda text: not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", text)
+    ),
+)
+
+
+def _nodes(node, schema, path=()):
+    """(path, schema) of every node below the root of a certificate."""
+    if path:
+        yield path, schema
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nodes(value, schema["properties"][key], path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _nodes(value, schema["items"], path + (i,))
+
+
+@st.composite
+def forged_certificates(draw):
+    cert = json.loads(json.dumps(draw(st.sampled_from(FORGEABLE))))
+    nodes = list(_nodes(cert, CERTIFICATE_SCHEMA))
+    if draw(st.booleans()):
+        where, schema = draw(st.sampled_from(nodes))
+        allowed = schema.get("type", "string")  # the enums list strings
+        allowed = [allowed] if isinstance(allowed, str) else allowed
+        value = JSON_VALUES[draw(st.sampled_from([name for name in JSON_VALUES if name not in allowed]))]
+    else:
+        where = draw(st.sampled_from([path for path, schema in nodes if "pattern" in schema]))
+        value = draw(OFF_GRAMMAR)
+    target = cert
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    return cert
+
+
+@settings(max_examples=200, deadline=1000)
+@given(forged_certificates())
+def test_forged_certificate_ends_in_one_line(cert):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "job.json")
+        with open(path, "w") as fh:
+            json.dump({"command": "verify-cert", "params": {"certificate": cert}}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--job", path])
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: certificate.") and err.getvalue().count("\n") == 1, err.getvalue()

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,20 +50,32 @@ class TestRat:
     @given(
         st.one_of(
             st.from_regex(r"-?[0-9]{1,30}/[0-9]{1,30}", fullmatch=True),
-            st.sampled_from([" 1/2", "+3", "٣/4", "²/3", "1/2\n", "-0/7", "3", "1.5", "1e3", "1 /2", "/2", "2/"]),
+            st.sampled_from([" 1/2", "+3", "٣/4", "²/3", "1/2\n", "-0/7", "3", "1.5", "1e3", "1 /2", "/2", "2/",
+                             "1e3000000", "0e600000", "1_0", "-"]),
             st.text(alphabet="0123456789-+/ .e٣²_", max_size=12),
         )
     )
     def test_parse_rat_agrees_with_fraction(self, s):
+        # Fraction(s) reads more than the grammar (spaces, "_", exponents that
+        # it expands in full), so it is the oracle only on grammar strings
+        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+            with pytest.raises(ValueError):
+                parse_rat(s)
+            return
         try:
             want = Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            with pytest.raises(type(exc)):
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
                 parse_rat(s)
         else:
             got = parse_rat(s)
             assert type(got) is Fraction and got == want
             assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @pytest.mark.parametrize("x", [3, Fraction(1, 2), 0.5, None, b"1/2"])
+    def test_parse_rat_takes_only_strings(self, x):
+        with pytest.raises(TypeError):
+            parse_rat(x)
 
     def test_vp(self):
         assert vp(Fraction(12), 2) == 2
@@ -79,8 +92,6 @@ class TestRat:
 class TestLocalDatum:
     def test_derived_valuations(self):
         loc = LocalDatum(5, e=2, f=3)
-        assert loc.q_valuation == 3
-        assert loc.uniformizer_valuation == Fraction(1, 2)
         assert loc.embeddings == 6
 
     @pytest.mark.parametrize("p", [1, 4, 9, 15])

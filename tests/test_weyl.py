@@ -49,7 +49,7 @@ def test_shift_cycle_images():
     w = shift_cycle(3)
     assert (w(1), w(2), w(3)) == (3, 1, 2)
     assert (w(-1), w(-2), w(-3)) == (-3, -1, -2)
-    assert shift_cycle(1).is_identity()
+    assert shift_cycle(1).images == (1,)
     w2 = shift_cycle(2)
     assert (w2(1), w2(2)) == (2, 1)
 
@@ -66,12 +66,9 @@ def test_oddness_and_inverse_relations():
         elems = list(weyl_elements(family, n))
         for _ in range(50):
             w = rng.choice(elems)
-            v = rng.choice(elems)
             for i in range(-n, n + 1):
                 assert w(-i) == -w(i)
-            assert w.compose(w.inverse()).is_identity()
-            assert w.inverse().compose(w).is_identity()
-            assert w.compose(v)(1) == w(v(1))
+                assert w.inverse()(w(i)) == i and w(w.inverse()(i)) == i
 
 
 def test_d_parity_enforced():
@@ -81,5 +78,5 @@ def test_d_parity_enforced():
 
 
 def test_identity():
-    assert identity("C", 4).is_identity()
-    assert not shift_cycle(2).is_identity()
+    assert identity("C", 4).images == (1, 2, 3, 4)
+    assert shift_cycle(2).images != identity("C", 2).images
