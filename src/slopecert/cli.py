@@ -279,8 +279,11 @@ _CHECKS = {
     "maxItems": lambda high, value, schema: (
         f"{value!r} {'is expected to be empty' if high == 0 else 'is too long'}"
         if isinstance(value, list) and len(value) > high else None),
+    # the schemas' one pattern is anchored at both ends, so a full match
+    # reads its "$" as ECMA-262 does, at the end of the string; re.search
+    # would also match it before a final "\n"
     "pattern": lambda pattern, value, schema: (
-        f"{value!r} does not match {pattern!r}" if isinstance(value, str) and not re.search(pattern, value) else None),
+        f"{value!r} does not match {pattern!r}" if isinstance(value, str) and not re.fullmatch(pattern, value) else None),
     "properties": lambda properties, value, schema: None,
     "items": lambda items, value, schema: None,
     "description": lambda text, value, schema: None,

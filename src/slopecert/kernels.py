@@ -37,24 +37,29 @@ the same inside total; its passing image choices are listed by a depth-first
 walk over the suffix sums that keeps only choices that can still be
 completed, so no branch is a dead end.
 
-``CandidateTables.misaligned_flags`` answers ``find_candidate(kappa, row,
-1, 1, 0)[0]`` for a whole matrix of slope vectors without listing
-candidates: the scan's question, whose weight rows are all equal and which
-passes e = D.  A row is flagged when, for some k, subset c and image choice
-r on row 0 that moves a weight value, some vector s of s_1, the sums of the
-other embeddings' vectors, has hodge_0[r] + s under c's bound: a passing
-candidate already.  As above, only s whose inside total is the bound's
-minus hodge_0[r]'s qualify, so the test is a join keyed by inside total.
+``misaligned_flags`` answers ``find_candidate(kappa, row, 1, 1, 0)[0]``
+for a whole matrix of slope vectors without listing candidates: the scan's
+question, whose weight rows are all equal and which passes e = D.  A row is
+flagged when, for some k, subset c and image choice r on row 0 that moves a
+weight value, some vector s of s_1, the sums of the other embeddings'
+vectors, has hodge_0[r] + s under c's bound: a passing candidate already.
+As above, only s whose inside total is the bound's minus hodge_0[r]'s
+qualify, so the test is a join keyed by inside total.  One call serves a
+stack of weight tables of one shape, each slope vector labelled with its
+table: the s_1 of all tables are one labelled suffix sumset, and one join
+keyed by (label, inside total) decides every vector.  It builds no s_0
+and keeps nothing.
 
-``_Level`` is the one table per weight table and k: the vectors and the
-s_1..s_m the walk reads, and, built on first use, s_0 for ``passing`` and
-the join's (c, r) pairs for the flags, so a scan class without witnesses
-never builds s_0.  One keyed lookup, ``_matches``, serves both.
+``_Level`` is the one table per weight table and k that the listing reads:
+the vectors and the s_1..s_m of the walk, and, built on first use, s_0 for
+``passing``.  One keyed lookup, ``_matches``, serves the flags and
+``passing``; one sumset, ``_sumset``, labelled, serves both too.
 
 ``tables_for`` keeps the tables of the last weight table asked for, and
 every caller gets its tables there, so consecutive calls on one weight table
-(the tau of a datum, a replay and its verification, a scan class) build its
-levels once; the tables keep the last slope vector's passing subsets too.
+(the tau of a datum, a replay and its verification, the witness pins of a
+scan class) build its levels once; the tables keep the last slope vector's
+passing subsets too.
 The slot drops its tables before another weight table's are built, so the
 levels of one weight table at most are alive, and they outlive its job.
 """
@@ -149,41 +154,55 @@ def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
     return S
 
 
-def _sumset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The distinct rows a[i] + b[j].
+def _sumset(a: np.ndarray, b: np.ndarray, labels: np.ndarray):
+    """The distinct pairs (label, a[label, i] + b[j]) with label = labels[j],
+    as (rows, labels).
 
-    Rows are told apart by an integer key that is linear in the row, so the
-    key of a[i] + b[j] is key(a[i]) + key(b[j]) and no sum row is built
-    before deduplication.  Coordinates are packed in mixed radix; where the
-    next one would overflow the key, the key so far is replaced by its rank
-    among the distinct keys, which is below the number of pairs.  A single
-    row b leaves a's rows as they are: repeats cost a little time later but
-    change no answer.
+    ``a`` holds the same number of rows per label, ``b`` at least one row
+    of each label, by label; so do the rows returned.  Pairs are told apart
+    by an integer key that leads with the label and is linear in the row,
+    so it is built from the keys of a[label, i] and b[j] and no sum row is
+    built before deduplication.  Coordinates are packed in mixed radix;
+    where the next one would overflow the key, the key so far is replaced
+    by its rank among the distinct keys, which is below the number of
+    pairs.  One row b per label leaves a's rows as they are: repeats cost a
+    little time later but change no answer.
     """
-    if b.shape[0] == 1:
-        return a + b
-    a_off = a - a.min(axis=0)
+    g, c, n = a.shape
+    if b.shape[0] == g:
+        return (a + b[:, None]).reshape(-1, n), np.repeat(labels, c)
+    rows = a.reshape(-1, n)  # a[label, i] at label * c + i
+    a_off = rows - rows.min(axis=0)
     b_off = b - b.min(axis=0)
     span = (a_off.max(axis=0) + b_off.max(axis=0) + 1).tolist()
-    pairs = a.shape[0] * b.shape[0]
-    groups, size = [], _KEY_LIMIT
+    pairs = c * b.shape[0]
+    # coordinates [bounds[t], bounds[t + 1]) make the t-th packed key; the
+    # first starts as the label
+    bounds, size = [0], g
     for x, s in enumerate(span):
         if size * s >= _KEY_LIMIT:
-            size = pairs if groups else 1
-            groups.append([])
-        groups[-1].append(x)
+            size = pairs
+            bounds.append(x)
         size *= s
-    key = None
-    for cols in groups:
-        radix = np.cumprod([1] + [span[x] for x in cols], dtype=np.int64)
-        part = ((a_off[:, cols] @ radix[:-1])[:, None] + (b_off[:, cols] @ radix[:-1])[None, :]).reshape(-1)
-        if key is None:
-            key = part
-        else:
-            key = np.unique(key, return_inverse=True)[1] * radix[-1] + part
-    _, first = np.unique(key, return_index=True)
+    bounds.append(n)
+    key = labels
+    for group, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if group:
+            key = np.unique(key, return_inverse=True)[1].reshape(key.shape)
+        radix = np.cumprod([1] + span[lo:hi], dtype=np.int64)
+        # pair (i, j) at [i, j]: b's rows, in key order, make runs that
+        # leave the sort little to do.  One label broadcasts a's part, which
+        # is many times faster than gathering it per pair
+        a_part = (a_off[:, lo:hi] @ radix[:-1]).reshape(g, c).T
+        key = (a_part if g == 1 else a_part[:, labels]) + (key * radix[-1] + b_off[:, lo:hi] @ radix[:-1])
+    # the first pair of each distinct key, in key order: np.unique's
+    # return_index without the unique values and the call's overhead
+    order = key.reshape(-1).argsort(kind="stable")
+    ordered = key.reshape(-1)[order]
+    first = order[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     i, j = np.divmod(first, b.shape[0])
-    return a[i] + b[j]
+    label = labels[j]
+    return rows[label * c + i] + b[j], label
 
 
 class _Level:
@@ -192,30 +211,23 @@ class _Level:
     def __init__(self, kappa: np.ndarray, k: int):
         m, n = kappa.shape
         self.k = k
-        self.row0 = kappa[0]
         self.pos, self.masks = _choices(n, k)
         # per-embedding vectors, one row per image choice: (m, C, n)
         self.hodge = _prefixes(kappa, self.pos, k)
         # [None, s_1, ..., s_m]: s_m = {0}, s_j the distinct hodge[j] + s_{j+1};
         # the walk reads suffix[j + 1] at embedding j, and s_0 is ``reach``
-        suffix = [np.zeros((1, n), dtype=np.int64)]
+        rows, labels = np.zeros((1, n), dtype=np.int64), np.zeros(1, dtype=np.intp)
+        suffix = [rows]
         for j in range(m - 1, 0, -1):
-            suffix.append(_sumset(self.hodge[j], suffix[-1]))
+            rows, labels = _sumset(self.hodge[None, j], rows, labels)
+            suffix.append(rows)
         self.suffix = [None] + suffix[::-1]
 
     @cached_property
     def reach(self):
         """(s_0, its inside totals): every reachable vector, by inside total."""
-        return _by_total(_sumset(self.hodge[0], self.suffix[1]), self.k)
-
-    @cached_property
-    def join(self):
-        """(pc, hr, s_1, its inside totals): the (subset, image choice) pairs
-        whose choice moves a weight value on row 0, as subset indices ``pc``
-        and row-0 vectors ``hr``; s_1 by inside total."""
-        vals = self.row0[self.pos]
-        pc, pr = np.nonzero((vals[:, None, :] != vals[None, :, :]).any(axis=2))
-        return (pc, self.hodge[0][pr], *_by_total(self.suffix[1], self.k))
+        s_1 = self.suffix[1]
+        return _by_total(_sumset(self.hodge[None, 0], s_1, np.zeros(len(s_1), dtype=np.intp))[0], self.k)
 
     def passing(self, bound: np.ndarray) -> np.ndarray:
         """Which subsets have a reachable vector under their bound row.
@@ -274,28 +286,6 @@ class CandidateTables:
             lv = self._levels[k] = _Level(self.kappa, k)
         return lv
 
-    def misaligned_flags(self, slopes) -> np.ndarray:
-        """Per row of the V x N matrix ``slopes``, ``find_candidate(kappa,
-        row, 1, 1, 0)[0]``.  A row leaves the join as soon as it is flagged
-        or its totals do not close."""
-        n = self.kappa.shape[1]
-        S = _slope_matrix(slopes, n, 1)
-        flags = np.zeros(S.shape[0], dtype=bool)
-        live = np.flatnonzero(S.sum(axis=1) == self.total)
-        for k in range(1, n // 2 + 1):
-            if live.size == 0:
-                break
-            lv = self._level(k)
-            pc, hr, other, totals = lv.join
-            bound = _prefixes(S[live], lv.pos, k)
-            hit = np.zeros(live.size, dtype=bool)
-            for owner, state in _matches(totals, (bound[:, pc, k - 1] - hr[:, k - 1]).reshape(-1)):
-                v, p = np.divmod(owner, pc.size)
-                hit[v[(other[state] + hr[p] <= bound[v, pc[p]]).all(axis=1)]] = True
-            flags[live[hit]] = True
-            live = live[~hit]
-        return flags
-
     def candidates(self, slopes_scaled, e: int, denom: int):
         """Every passing (subset_mask, image_masks) in order; a generator, so
         the input is checked at the first item.  Sizes above n // 2 are their
@@ -346,6 +336,68 @@ def tables_for(kappa) -> CandidateTables:
         _slot = None  # the old levels go before the new ones are built
         _slot = CandidateTables(kappa)
     return _slot
+
+
+def misaligned_flags(kappas, slopes, labels) -> np.ndarray:
+    """Per row v of the V x N matrix ``slopes``, ``find_candidate(
+    kappas[labels[v]], row, 1, 1, 0)[0]``; ``kappas`` is a stack of G
+    weight tables of one shape.  A row leaves the join as soon as it is
+    flagged or its totals do not close.  Nothing is kept between calls."""
+    try:
+        K = np.asarray(kappas, dtype=np.int64)
+    except OverflowError:
+        K = None
+    # as in _slope_matrix, with a table for a row
+    if K is None or (K.size and K[0].size * int(np.abs(K).view(np.uint64).max()) >= _KEY_LIMIT):
+        for kappa in kappas:
+            _check_range(v for row in kappa for v in row)
+    g, m, n = K.shape
+    S = _slope_matrix(slopes, n, 1)
+    labels = np.asarray(labels, dtype=np.intp)
+    flags = np.zeros(S.shape[0], dtype=bool)
+    live = np.flatnonzero(S.sum(axis=1) == K.sum(axis=(1, 2))[labels])
+    for k in range(1, n // 2 + 1):
+        if live.size == 0:
+            break
+        pos, _ = _choices(n, k)
+        hodge = _prefixes(K, pos, k)  # (G, m, C, n)
+        # s_1 of every table, labelled: the sums of its other embeddings' vectors
+        other, owner = np.zeros((g, n), dtype=np.int64), np.arange(g)
+        for j in range(m - 1, 0, -1):
+            other, owner = _sumset(hodge[:, j], other, owner)
+        # s_1 by (label, inside total), keyed by label and the total's rank
+        totals, rank = np.unique(other[:, k - 1], return_inverse=True)
+        key = owner * totals.size + rank
+        order = np.argsort(key)
+        other, key = other[order], key[order]
+        # (table, subset, image choice) whose choice moves a value of the
+        # table's row 0, by table; ``first`` indexes each table's first
+        vals = K[:, 0][:, pos]
+        pt, pc, pr = np.nonzero((vals[:, :, None, :] != vals[:, None, :, :]).any(axis=3))
+        hr = hodge[pt, 0, pr]
+        count = np.bincount(pt, minlength=g)
+        first = np.cumsum(count) - count
+        # every live row against every pair of its table, in slices of about
+        # _JOIN_STATES (row, pair) owners, so no array grows with the rows
+        step = max(1, _JOIN_STATES // max(1, int(count.max())))
+        hit = np.zeros(live.size, dtype=bool)
+        for lo in range(0, live.size, step):
+            rows = live[lo : lo + step]
+            lab = labels[rows]
+            per_row = count[lab]
+            v = np.repeat(np.arange(rows.size), per_row)
+            p = np.arange(v.size) + np.repeat(first[lab] - (np.cumsum(per_row) - per_row), per_row)
+            bound = _prefixes(S[rows], pos, k)
+            # s_1 vectors qualify only at the bound's inside total minus hr's
+            want = bound[v, pc[p], k - 1] - hr[p, k - 1]
+            at = np.minimum(np.searchsorted(totals, want), totals.size - 1)
+            want = np.where(totals[at] == want, lab[v] * totals.size + at, -1)
+            for o, state in _matches(key, want):
+                vo, po = v[o], p[o]
+                hit[lo + vo[(other[state] + hr[po] <= bound[vo, pc[po]]).all(axis=1)]] = True
+        flags[live[hit]] = True
+        live = live[~hit]
+    return flags
 
 
 def _moves(row, mask: int, img: int) -> bool:

@@ -25,23 +25,28 @@ width W), scales the counts by that multiplicity, counts the cells in closed
 form, and translates a class's witnesses back to each of its cells: kappa
 and every scaled slope move, the subset and the images stay.
 
-A class is one kernel pass: ``CandidateTables.misaligned_flags`` decides
-all of its slope vectors at once, and ``find_candidate`` runs only for the
-first ``max_witnesses`` flagged vectors, in product order, to pin them.  The
-scan passes denom = e, so e cancels from every bound and the band radius
-depends only on the band: a class result depends on m, not on (e, f), and
-shapes of equal m share it, with e, f and the slope denominators relabelled
-when the witnesses are translated.  Before any class runs, the slope vectors
-the grid lists are counted in closed form and refused above ``MAX_DATA``.
+The classes of one length n run together, per m: ``kernels.misaligned_flags``
+decides the slope vectors of a chunk of classes in one pass per block of
+vectors, each vector labelled with its class, and ``find_candidate`` runs
+only for the first ``max_witnesses`` flagged vectors of a class, in product
+order, to pin them.  A chunk's weight tables hold about
+``kernels._JOIN_STATES`` vectors of s_1 and (subset, image) pairs at most,
+a larger class runs alone, so memory follows one class's tables where they
+are large.  The scan passes
+denom = e, so e cancels from every bound and the band radius depends only
+on the band: a class result depends on m, not on (e, f), and shapes of
+equal m share it, with e, f and the slope denominators relabelled when the
+witnesses are translated.  Before any class runs, the slope vectors the
+grid lists are counted in closed form and refused above ``MAX_DATA``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, groupby, islice
 from math import comb
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -54,9 +59,10 @@ DEFAULT_EF = ((1, 1), (1, 2), (2, 1), (2, 2))
 MAX_DATA = 2_000_000
 # A grid of more (e, f, kappa) cells than this is refused before its slope
 # vectors are counted.  Each class lists at least one vector and costs about
-# 0.12 ms (Python 3.11, one core), so MAX_DATA alone admits some 2 M classes.
+# 7 us and 0.3 kB of results at band 0 (Python 3.11, one shared core), so
+# MAX_DATA alone admits some 2 M classes.
 MAX_CELLS = 2_000_000
-# A class's slope vectors are listed and flagged this many at a time.
+# A chunk's slope vectors are listed and flagged this many at a time.
 _BLOCK = 1024
 
 
@@ -112,38 +118,66 @@ def _radius(n: int, gap: int, band_num: int, band_den: int) -> int:
     return 0 if n == 1 else (band_num * gap) // (band_den * n)
 
 
-def _scan_class(m: int, kappa: tuple, band_num: int, band_den: int, max_witnesses: int) -> Tuple[int, int, list]:
-    """Scan the gap class kappa for m = e*f embeddings.
+def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnesses: int) -> list:
+    """Scan the gap classes ``classes``, all of one length n, for m = e*f
+    embeddings.
 
-    Returns (checked, misaligned, hits): the first ``max_witnesses``
-    misaligned slope vectors, scaled by e, as (scaled, subset, images_tau).
-    The scan passes denom = e, so e cancels from every bound and the class
-    runs with e = 1.  The slope vectors are listed in product order, _BLOCK
-    at a time, and each block is flagged as it is listed.
+    Returns one (checked, misaligned, hits) per class: the first
+    ``max_witnesses`` misaligned slope vectors, scaled by e, as (scaled,
+    subset, images_tau).  The scan passes denom = e, so e cancels from every
+    bound and the classes run with e = 1.  The classes go to the kernel in
+    chunks whose s_1 tables and pairs hold about _JOIN_STATES rows at most,
+    a class above that alone.  A chunk's slope vectors are listed class by
+    class, in product order within a class, _BLOCK at a time, and each
+    block is flagged as it is listed: a block may hold vectors of several
+    classes.
     """
-    n = len(kappa)
-    weights = tuple(tuple(kappa) for _ in range(m))
-    tables = kernels.tables_for(weights)
-    gap = min((b - a for a, b in zip(kappa, kappa[1:])), default=0)
-    radius = _radius(n, gap, band_num, band_den)
-    side = 2 * radius + 1  # run_scan runs no class of length >= 2 at a negative band
-    low = np.array([m * kv - radius for kv in kappa], dtype=np.int64)  # e * weight-mean - radius
-    checked = bad = 0
-    hits = []
-    for start in range(0, side**n, _BLOCK):
-        index = np.arange(start, min(start + _BLOCK, side**n))
-        scaled = low + np.stack(np.unravel_index(index, (side,) * n), axis=1)
-        ordered = np.sort(scaled, axis=1)
-        scaled = scaled[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)]
-        flags = tables.misaligned_flags(scaled)
-        checked += scaled.shape[0]
-        bad += int(flags.sum())
-        for row in scaled[flags][: max_witnesses - len(hits)].tolist():
-            _, mask, img = kernels.find_candidate(weights, row, 1, 1, 0)
-            subset = tuple(b + 1 for b in range(n) if mask >> b & 1)
-            images = tuple(b + 1 for b in range(n) if img[0] >> b & 1)
-            hits.append((tuple(row), subset, images))
-    return checked, bad, hits
+    n = len(classes[0])
+    # per class and subset size k, C(n, k) ** (m - 1) vectors of s_1 before
+    # deduplication and C(n, k) ** 2 (subset, image) pairs at most; C(n, k)
+    # >= 2, so the exponent is capped where a term passes the budget
+    budget = kernels._JOIN_STATES
+    rows = sum(comb(n, k) ** min(m - 1, budget.bit_length()) + comb(n, k) ** 2 for k in range(1, n // 2 + 1))
+    size = max(1, budget // rows) if rows else len(classes)
+    out = []
+    for chunk in (classes[i : i + size] for i in range(0, len(classes), size)):
+        kappas = np.array([[g] * m for g in chunk], dtype=np.int64)
+        gaps = [min((b - a for a, b in zip(g, g[1:])), default=0) for g in chunk]
+        # run_scan runs no class of length >= 2 at a negative band
+        radius = np.array([_radius(n, gap, band_num, band_den) for gap in gaps])
+        side = 2 * radius + 1
+        ends = np.cumsum(side**n)  # the listing's end per class
+        starts = ends - side**n
+        low = m * kappas[:, 0] - radius[:, None]  # e * weight-mean - radius
+        checked = np.zeros(len(chunk), dtype=np.int64)
+        bad = np.zeros(len(chunk), dtype=np.int64)
+        hits = [[] for _ in chunk]
+        for start in range(0, int(ends[-1]), _BLOCK):
+            index = np.arange(start, min(start + _BLOCK, int(ends[-1])))
+            owner = np.searchsorted(ends, index, side="right")
+            index = index - starts[owner]
+            scaled = low[owner]
+            for x in range(n - 1, -1, -1):  # the last coordinate runs fastest
+                index, digit = np.divmod(index, side[owner])
+                scaled[:, x] += digit
+            ordered = np.sort(scaled, axis=1)
+            keep = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+            scaled, owner = scaled[keep], owner[keep]
+            flags = kernels.misaligned_flags(kappas, scaled, owner)
+            checked += np.bincount(owner, minlength=len(chunk))
+            bad += np.bincount(owner[flags], minlength=len(chunk))
+            # the flagged vectors each class still needs, by their rank in the class
+            flagged = np.flatnonzero(flags)
+            rank = np.arange(flagged.size) - np.searchsorted(owner[flagged], owner[flagged])
+            room = max_witnesses - np.array([len(h) for h in hits])
+            pin = flagged[rank < room[owner[flagged]]]
+            for row, c in zip(scaled[pin].tolist(), owner[pin].tolist()):
+                _, mask, img = kernels.find_candidate((chunk[c],) * m, row, 1, 1, 0)
+                subset = tuple(b + 1 for b in range(n) if mask >> b & 1)
+                images = tuple(b + 1 for b in range(n) if img[0] >> b & 1)
+                hits[c].append((tuple(row), subset, images))
+        out += [(int(c), int(b), h) for c, b, h in zip(checked, bad, hits)]
+    return out
 
 
 def grid_cells(n_max: int, kappa_min: int, kappa_max: int, n_shapes: int) -> int:
@@ -228,7 +262,8 @@ def run_scan(
     band_scale=1,
     max_witnesses: int = 5,
 ) -> ScanReport:
-    """Run the exhaustive scan, one gap class after another, in this process.
+    """Run the exhaustive scan in this process, the gap classes of one
+    length after another.
 
     Each gap class runs once per distinct m = e*f.  The grid is refused
     above MAX_CELLS cells, and above MAX_DATA slope vectors over the
@@ -247,10 +282,12 @@ def run_scan(
     # a negative band lists nothing in classes of length >= 2, so every
     # class that runs lists a vector and MAX_DATA bounds the classes too
     lengths = n_max if scale >= 0 else 1
-    results = {
-        m: {g: _scan_class(m, g, scale.numerator, scale.denominator, max_witnesses) for g in _gap_classes(lengths, width)}
-        for m in dict.fromkeys(e * f for (e, f) in shapes)
-    }
+    results = {}
+    for m in dict.fromkeys(e * f for (e, f) in shapes):
+        results[m] = {}
+        for _, classes in groupby(_gap_classes(lengths, width), len):
+            classes = list(classes)
+            results[m].update(zip(classes, _scan_length(m, classes, scale.numerator, scale.denominator, max_witnesses)))
     report = ScanReport(band_scale=scale, cells=cells)
     for (e, f) in shapes:
         for g, (checked, bad, _) in results[e * f].items():

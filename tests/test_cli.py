@@ -111,9 +111,10 @@ SMALL_CERTIFICATE = replay_symplectic(1, [LocalDatum(3)], [RefinedSlopes([0])]).
         (("places", 0, "seed", 0), "1/2 ", 1),
         (("places", 0, "seed", 0), "1e5", 1),
         (("places", 0, "seed", 0), "1/2", 2),
+        (("places", 0, "x1_prime", 0), "1/2\n", 1),
     ],
     ids=["rank-true", "rank-float", "rank-string", "p-string", "e-true", "paper-sign-int", "k1-float",
-         "seed-decimal", "seed-space", "seed-exponent", "seed-tampered-within-schema"],
+         "seed-decimal", "seed-space", "seed-exponent", "seed-tampered-within-schema", "x1-final-newline"],
 )
 def test_certificate_outside_its_schema_is_an_input_error(tmp_path, capsys, where, value, code):
     """A field outside the certificate schema is a one-line exit 1 naming it;
@@ -132,6 +133,12 @@ def test_certificate_outside_its_schema_is_an_input_error(tmp_path, capsys, wher
     else:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: certificate.{'/'.join(map(str, where))}: ")
+
+
+def test_final_newline_is_outside_the_rational_pattern(tmp_path, capsys):
+    # "$" ends the string, as in ECMA-262, not before a final newline
+    job = {"command": "hilbert", "params": {"a": "1/2\n", "b": "3", "place": 5}}
+    assert rejected_in_one_line(tmp_path, capsys, job).startswith("error: params.a: '1/2\\n' does not match ")
 
 
 def test_run_job_validates_before_dispatch():

@@ -170,7 +170,7 @@ def test_no_table_above_half_the_rank(datum):
     assert tested and max(mask.bit_count() for mask in tested) <= n // 2
     # e times the slopes are the column sums, and e = D is the system at e = D = 1
     sums = [sum(row[i] for row in datum.weights) for i in range(n)]
-    assert tables.misaligned_flags([sums]).tolist() == [False]
+    assert kernels.misaligned_flags([datum.weights], [sums], [0]).tolist() == [False]
     listed = admissible_candidates(datum)
     assert n < 3 or any(len(c.subset) > n // 2 for c in listed)
     assert set(tables._levels) == set(range(1, n // 2 + 1))
@@ -191,27 +191,67 @@ def test_tables_follow_the_slope_vector(case, other):
         assert kernels.tables_for(kappa) is tables
 
 
+def _rotations(kappa, rows):
+    """(kappas, slopes, labels): every rotation of ``kappa`` in one stack,
+    each with every row of ``rows``, the labels interleaved.  The flags ask
+    about row 0, and the rotation labelled tau puts row tau there."""
+    m = len(kappa)
+    kappas = [kappa[tau:] + kappa[:tau] for tau in range(m)]
+    return kappas, [s for s in rows for _ in range(m)], [tau for _ in rows for tau in range(m)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(kernel_inputs(max_rows=12, units=True))
 def test_misaligned_flags_match_oracle(case):
-    # the flags ask about row 0; rotating the weight table puts each row there
     kappa, rows, _, _ = case
-    for tau in range(len(kappa)):
-        tables = kernels.CandidateTables(kappa[tau:] + kappa[:tau])
-        want = [search_python(kappa, s, 1, 1, tau, True)[0] for s in rows]
-        assert tables.misaligned_flags(rows).tolist() == want
-        assert tables.misaligned_flags(np.array(rows, dtype=np.int64)).tolist() == want
+    kappas, slopes, labels = _rotations(kappa, rows)
+    want = [search_python(kappa, s, 1, 1, tau, True)[0] for s, tau in zip(slopes, labels)]
+    assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
+    K, S = np.array(kappas, dtype=np.int64), np.array(slopes, dtype=np.int64)
+    assert kernels.misaligned_flags(K, S, np.array(labels)).tolist() == want
+
+
+@st.composite
+def flag_stacks(draw):
+    """(kappas, slopes, labels): 2..5 weight tables of one shape, rows
+    unequal, one of them given no slope vector; the vectors' labels in any
+    order, their totals mostly closed."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(sorted)
+    kappas = draw(st.lists(st.lists(row, min_size=m, max_size=m), min_size=2, max_size=5))
+    idle = draw(st.integers(0, len(kappas) - 1))
+    labels = draw(st.lists(st.integers(0, len(kappas) - 1).filter(lambda t: t != idle), max_size=16))
+    return kappas, [_slopes(draw, kappas[t], 1, 1) for t in labels], labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_stacks())
+@example((
+    [[[0, 1, 3]], [[0, 0, 0]], [[-3, 1, 2]], [[1, 2, 3]]],
+    [[1, 0, 3], [4, 0, -4], [0, 1, 3], [0, 1, 5], [1, -1, 0]],
+    [0, 2, 0, 2, 1],
+))
+def test_misaligned_flags_on_a_stack_match_oracle(case):
+    # several weight tables in one call; a table without vectors, one whose
+    # row 0 moves no value, and vectors whose totals do not close
+    kappas, slopes, labels = case
+    want = [search_python(kappas[t], s, 1, 1, 0, True)[0] for s, t in zip(slopes, labels)]
+    assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
+    with mock.patch.object(kernels, "_JOIN_STATES", 3):
+        assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
 
 
 def test_misaligned_flags_in_small_pieces(monkeypatch):
-    # three join states per piece: every split runs
+    # three join states per piece: every split runs, and pieces cross from
+    # one table's vectors to the next's
     kappa = [[0, 1, 3], [0, 1, 3], [-1, 1, 2]]
     rows = [[s0, s1, 10 - s0 - s1] for s0 in range(-3, 8) for s1 in range(-3, 8)]  # totals close
-    want = [[search_python(kappa, s, 1, 1, tau, True)[0] for s in rows] for tau in range(3)]
-    assert 0 < sum(map(sum, want)) < 3 * len(rows)
+    kappas, slopes, labels = _rotations(kappa, rows)
+    want = [search_python(kappa, s, 1, 1, tau, True)[0] for s, tau in zip(slopes, labels)]
+    assert 0 < sum(want) < len(want)
     monkeypatch.setattr(kernels, "_JOIN_STATES", 3)
-    got = [kernels.CandidateTables(kappa[tau:] + kappa[:tau]).misaligned_flags(rows).tolist() for tau in range(3)]
-    assert got == want
+    assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -235,26 +275,37 @@ def test_matches_in_pieces(monkeypatch):
 
 
 def test_misaligned_flags_edge_rows():
-    tables = kernels.CandidateTables([[0, 1, 2]])
-    assert tables.misaligned_flags([]).shape == (0,)
-    assert tables.misaligned_flags(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+    kappas = [[[0, 1, 2]], [[-1, 0, 4]]]
+    flags = kernels.misaligned_flags
+    assert flags(kappas, [], []).shape == (0,)
+    assert flags(kappas, np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.intp)).shape == (0,)
     # one row beyond the int64 range refuses the matrix, as candidates refuses the row
     far = [2**62, 0, -(2**62) + 3]
     with pytest.raises(ValueError, match="int64") as want:
-        list(tables.candidates(far, 1, 1))
+        list(kernels.CandidateTables([[0, 1, 2]]).candidates(far, 1, 1))
     lowest = np.array([[2, 0, 1], [-(2**63), 0, 3]], dtype=np.int64)  # its absolute value wraps in int64
     for slopes in ([[2, 0, 1], far], np.array([[2, 0, 1], far], dtype=np.int64), [[0, 1, 2], [2**70, 0, 0]], lowest):
         with pytest.raises(ValueError, match="int64") as got:
-            tables.misaligned_flags(slopes)
+            flags(kappas, slopes, [0, 1])
         assert str(got.value) == str(want.value)
+    # so does one weight table beyond it, as the tables of that table refuse it
+    for table in ([[2**61, 2**61, 3]], [[-(2**63), 0, 3]], [[0, 0, 2**70]]):
+        with pytest.raises(ValueError, match="int64") as want:
+            kernels.CandidateTables(table)
+        for stack in (kappas + [table], np.array(kappas + [table], dtype=object)):
+            with pytest.raises(ValueError, match="int64") as got:
+                flags(stack, [[0, 1, 2]], [0])
+            assert str(got.value) == str(want.value)
     # N times the column-wide maximum is past the limit, but no row's sum is
     ok = [[2**61, 0, -(2**61) + 3], [0, 2**61, -(2**61) + 3], [0, 0, 3], [2, 0, 1]]
-    assert tables.misaligned_flags(ok).tolist() == [search_python([[0, 1, 2]], s, 1, 1, 0)[0] for s in ok]
+    assert flags(kappas, ok, [0, 0, 0, 0]).tolist() == [search_python([[0, 1, 2]], s, 1, 1, 0)[0] for s in ok]
+    wide = [[[0, 3, 2**61]], [[0, 1, 2]]]  # likewise for the weights
+    assert flags(wide, [[0, 1, 2], [1, 0, 2]], [1, 1]).tolist() == [False, True]
     for short in ([[0, 3]], [[]]):  # one empty row is a row, not an empty matrix
         with pytest.raises(ValueError, match="need 3 slopes"):
-            tables.misaligned_flags(short)
+            flags(kappas, short, [0])
     with pytest.raises(ValueError, match="need 3 slopes"):
-        list(tables.candidates([0, 3], 1, 1))
+        list(kernels.CandidateTables([[0, 1, 2]]).candidates([0, 3], 1, 1))
 
 
 def test_tables_belong_to_one_weight_table():
@@ -312,19 +363,28 @@ def test_denominator_beyond_int64_range_raises():
         assert _search(kappa, slopes, 1, denom, 0, require_misaligned) == want
 
 @st.composite
-def row_pairs(draw):
-    """Two row sets; wide values overflow one packed key, so ranked packing runs."""
+def labelled_rows(draw):
+    """(a, b, labels): C rows per label in ``a``, and rows of ``b`` with
+    every label among ``labels``, by label; wide values overflow one packed
+    key, so ranked packing runs."""
     n = draw(st.integers(1, 8))
+    g = draw(st.integers(1, 3))
     value = st.integers(-2, 2) | st.integers(-(1 << 29), 1 << 29)
-    rows = st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=12)
-    return draw(rows), draw(rows)
+    vec = st.lists(value, min_size=n, max_size=n)
+    c = draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(vec, min_size=c, max_size=c), min_size=g, max_size=g))
+    labels = sorted(list(range(g)) + draw(st.lists(st.integers(0, g - 1), max_size=10)))
+    return a, draw(st.lists(vec, min_size=len(labels), max_size=len(labels))), labels
 
 
 @settings(max_examples=100, deadline=None)
-@given(row_pairs())
-def test_sumset_is_the_set_of_sums(pair):
-    a, b = (np.array(rows, dtype=np.int64) for rows in pair)
-    rows = kernels._sumset(a, b)
-    got = {tuple(map(int, r)) for r in rows}
-    assert got == {tuple(x + y for x, y in zip(u, v)) for u in pair[0] for v in pair[1]}
-    assert len(rows) == len(got) or len(b) == 1  # one row b is added, not deduplicated
+@given(labelled_rows())
+# a first coordinate so wide that the label fills the first packed key alone
+@example(([[[0, 1], [2**60, 0]], [[5, 5], [0, 2**60]]], [[0, 0], [2**60, 3], [1, 1]], [0, 0, 1]))
+def test_sumset_is_the_set_of_sums(case):
+    a, b, labels = case
+    rows, got_labels = kernels._sumset(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), np.array(labels))
+    got = {(t, tuple(map(int, r))) for t, r in zip(got_labels.tolist(), rows)}
+    assert got == {(t, tuple(x + y for x, y in zip(u, v))) for v, t in zip(b, labels) for u in a[t]}
+    assert len(rows) == len(got) or len(b) == len(a)  # one row b per label is added, not deduplicated
+    assert got_labels.tolist() == sorted(got_labels.tolist())

@@ -49,42 +49,77 @@ def test_class_scan_matches_per_cell_oracle(kappa_min, width, n_max, ef_values, 
 
 
 def test_each_gap_class_is_scanned_once(monkeypatch):
-    """One flag pass per class of each distinct m, and kernel calls only to pin witnesses."""
+    """One flag pass per chunk of each (m, length), each class of each
+    distinct m in exactly one, and kernel calls only to pin witnesses."""
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1), (1, 2)), band_scale=2)
     width, max_witnesses = 6, 5
     calls, passes, tables = [], [], []
     find_candidate, candidate_tables = kernels.find_candidate, kernels.CandidateTables
-    misaligned_flags = candidate_tables.misaligned_flags
+    misaligned_flags = kernels.misaligned_flags
 
     def counting_find(*args, **kw):
         calls.append(args[0])
         return find_candidate(*args, **kw)
 
-    def counting_flags(self, slopes):
-        passes.append(self.weights)
-        return misaligned_flags(self, slopes)
+    def counting_flags(kappas, slopes, labels):
+        passes.append(tuple(tuple(map(tuple, kappa)) for kappa in kappas.tolist()))
+        return misaligned_flags(kappas, slopes, labels)
 
     def counting_tables(kappa):
         tables.append(kappa)
         return candidate_tables(kappa)
 
     monkeypatch.setattr(kernels, "find_candidate", counting_find)
-    monkeypatch.setattr(candidate_tables, "misaligned_flags", counting_flags)
+    monkeypatch.setattr(kernels, "misaligned_flags", counting_flags)
     monkeypatch.setattr(kernels, "CandidateTables", counting_tables)
     rep = run_scan(max_witnesses=max_witnesses, **kwargs)
-    # (0,), then (0, a), (0, a, b) with b < 6; (2, 1) and (1, 2) share m = 2
-    classes = 2 * sum(1 for _ in scan_mod._gap_classes(3, width))
-    assert classes == 2 * (1 + 5 + 10)
-    assert len(tables) == len(passes) == classes
-    assert len(set(passes)) == classes
-    assert rep.misaligned > 0 and 0 < len(calls) <= max_witnesses * classes
+    # (0,), then (0, a), (0, a, b) with b < 6; (2, 1) and (1, 2) share m = 2.
+    # Every chunk fits the budget and lists fewer than _BLOCK vectors: one
+    # pass per (m, length), its stack the length's classes in order
+    classes = list(scan_mod._gap_classes(3, width))
+    assert len(classes) == 1 + 5 + 10
+    want = [tuple((g,) * m for g in classes if len(g) == n) for m in (1, 2) for n in (1, 2, 3)]
+    assert passes == want
+    # only the witness pins build tables, one per weight table pinned
+    assert rep.misaligned > 0 and 0 < len(calls) <= max_witnesses * 2 * len(classes)
+    assert sorted(map(tuple, tables)) == sorted(set(calls))
     for weights in set(calls):
         assert calls.count(weights) <= max_witnesses
 
 
+def test_every_class_alone_reads_the_same(monkeypatch):
+    """A chunk budget of one s_1 row: every class of length >= 2 runs in a
+    chunk of its own, and the report does not change."""
+    kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1)), band_scale=2, max_witnesses=7)
+    want = run_scan(**kwargs).summary()
+    stacks, misaligned_flags = [], kernels.misaligned_flags
+
+    def recording_flags(kappas, slopes, labels):
+        stacks.append(len(kappas))
+        return misaligned_flags(kappas, slopes, labels)
+
+    monkeypatch.setattr(kernels, "_JOIN_STATES", 1)
+    monkeypatch.setattr(kernels, "misaligned_flags", recording_flags)
+    assert run_scan(**kwargs).summary() == want
+    assert want["misaligned"] > 0 and set(stacks) == {1}
+    assert len(stacks) == 2 * sum(1 for _ in scan_mod._gap_classes(3, 6))
+
+
+def test_a_chunk_reads_as_its_classes_alone(monkeypatch):
+    """Counts and pinned witnesses per class do not depend on the classes
+    flagged beside it, in one block or in blocks of seven vectors that
+    cross class ends."""
+    classes = [g for g in scan_mod._gap_classes(3, 7) if len(g) == 3]
+    alone = [scan_mod._scan_length(2, [g], 3, 1, 3)[0] for g in classes]
+    assert sum(len(hits) > 1 for _, _, hits in alone) > 1
+    assert scan_mod._scan_length(2, classes, 3, 1, 3) == alone
+    monkeypatch.setattr(scan_mod, "_BLOCK", 7)
+    assert scan_mod._scan_length(2, classes, 3, 1, 3) == alone
+
+
 def test_certified_class_builds_no_reachable_set(monkeypatch):
-    """A class without witnesses runs only the flag join: no table builds s_0,
-    the reachable set that pinning a witness reads."""
+    """The flag pass builds no candidate tables, so no s_0, the reachable
+    set that pinning a witness reads: only the witness pins build them."""
     made, candidate_tables = [], kernels.CandidateTables
 
     def recording_tables(kappa):
@@ -95,19 +130,23 @@ def test_certified_class_builds_no_reachable_set(monkeypatch):
     for band, want in ((1, (81, 0, 0)), (2, (625, 1, 1))):
         made.clear()
         kernels._slot = None  # both bands scan one weight table: build it afresh
-        checked, bad, hits = scan_mod._scan_class(2, (0, 4, 8, 12), band, 1, 5)
+        [(checked, bad, hits)] = scan_mod._scan_length(2, [(0, 4, 8, 12)], band, 1, 5)
         assert (checked, bad, len(hits)) == want
-        levels = [lv for tables in made for lv in tables._levels.values()]
-        assert len(levels) == 2 and all("join" in lv.__dict__ for lv in levels)
-        assert any("reach" in lv.__dict__ for lv in levels) == bool(hits)
+        assert len(made) == len(hits)
+        assert all("reach" in lv.__dict__ for tables in made for lv in tables._levels.values())
 
 
 def test_class_scan_in_small_blocks(monkeypatch):
-    """Blocks of seven slope vectors: flags, counts and witnesses cross block ends."""
+    """Blocks of seven slope vectors: flags, counts and witnesses cross
+    block ends, and blocks cross class ends."""
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1)), band_scale=2, max_witnesses=7)
     want = scan_per_cell(**kwargs).summary()
     monkeypatch.setattr(scan_mod, "_BLOCK", 7)
     assert want["misaligned"] > 0 and len(want["witnesses"]) == 7
+    assert run_scan(**kwargs).summary() == want
+    # chunks of three classes at m = 1 and join pieces of three states:
+    # blocks and pieces cross from one class to the next
+    monkeypatch.setattr(kernels, "_JOIN_STATES", 3)
     assert run_scan(**kwargs).summary() == want
 
 
@@ -196,7 +235,8 @@ def test_wide_grid_refused_before_listing(monkeypatch):
 def test_band_zero_box_refused_by_the_cells_cap():
     # at band 0 every class of a box lists one vector, so MAX_DATA alone
     # admits about 2 M classes: box 0..1,999,998 lists 1,999,999 vectors and
-    # would take minutes; its 2,000,000,999,999 cells are refused at once
+    # would take some 15 s and 0.6 GB; its 2,000,000,999,999 cells are
+    # refused at once
     start = time.perf_counter()
     assert scan_mod.data_count(2, 0, 1_999_998, 0) == 1_999_999 <= scan_mod.MAX_DATA
     with pytest.raises(SlopecertError, match="2000000999999 cells, above scan.MAX_CELLS = 2000000"):
@@ -261,13 +301,14 @@ def test_backend_summaries_agree(monkeypatch):
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=2, ef_values=((1, 1), (2, 1)), band_scale=2)
     fast = run_scan(**kwargs)
 
-    def oracle_flags(self, slopes):
-        return np.array([search_python(self.weights, s, 1, 1, 0, True)[0] for s in slopes.tolist()], dtype=bool)
+    def oracle_flags(kappas, slopes, labels):
+        rows = zip(slopes.tolist(), labels.tolist())
+        return np.array([search_python(kappas[t].tolist(), s, 1, 1, 0, True)[0] for s, t in rows], dtype=bool)
 
     def oracle(kappa, scaled, e, denom, tau):
         return search_python(kappa, scaled, e, denom, tau, True)
 
-    monkeypatch.setattr(kernels.CandidateTables, "misaligned_flags", oracle_flags)
+    monkeypatch.setattr(kernels, "misaligned_flags", oracle_flags)
     monkeypatch.setattr(kernels, "find_candidate", oracle)
     slow = run_scan(**kwargs)
     assert fast.misaligned > 0

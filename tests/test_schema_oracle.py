@@ -3,7 +3,9 @@
 jsonschema is the oracle here and a dependency of the tests only.  Its type
 checker is extended so that "integer" means an int that is not a bool, as in
 the interpreter (plain Draft 2020-12 also admits integral floats such as
-1.0).  The documents are the job documents written out in ``test_cli.py``,
+1.0), and "pattern" reads "$" as ECMA-262 does, as the end of the string,
+where Python's re.search also matches it before a final newline.  The
+documents are the job documents written out in ``test_cli.py``,
 those the fuzz strategies of ``test_fuzz_main.py`` draw, and mutations of
 both: a field dropped, added, retyped or set to an integral float.  On each
 document, its params and its certificate, the interpreter and the oracle
@@ -14,19 +16,30 @@ jsonschema: the same path and the same message.
 
 import ast
 import copy
+import re
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator, validators
+from jsonschema import Draft202012Validator, ValidationError, validators
 
 from slopecert import cli
 from slopecert.cli import CERTIFICATE, JOB_DOC_SCHEMA, JOB_SCHEMAS
 from test_cli import deep_replay_job, wald_job
 from test_fuzz_main import JOBS
 
+
+def ecma_pattern(validator, pattern, instance, schema):
+    """jsonschema's "pattern" with "$" read as ECMA-262 reads it, at the end
+    of the string only: Python's re.search also matches "$" before a final
+    newline, and Python's "\\Z" is ECMA-262's "$"."""
+    if validator.is_type(instance, "string") and not re.search(pattern.replace("$", r"\Z"), instance):
+        yield ValidationError(f"{instance!r} does not match {pattern!r}")
+
+
 ORACLE = validators.extend(
     Draft202012Validator,
+    validators={"pattern": ecma_pattern},
     type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
         "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)
     ),
@@ -63,6 +76,9 @@ def test_every_schema_keyword_is_interpreted():
     assert all(isinstance(v, str) for keyword, arg in used if keyword == "enum" for v in arg)
     assert all(isinstance(arg, str) for keyword, arg in used if keyword == "const")
     assert all(isinstance(arg, bool) for keyword, arg in used if keyword == "additionalProperties")
+    # every pattern is anchored at both ends and has no other "$", so the
+    # interpreter's full match and the oracle's "\\Z" both read it as ECMA-262 does
+    assert all(arg[0] == "^" and arg.index("$") == len(arg) - 1 for keyword, arg in used if keyword == "pattern")
     types = {name for keyword, arg in used if keyword == "type" for name in ([arg] if isinstance(arg, str) else arg)}
     assert types <= set(cli._TYPES)
 
