@@ -50,31 +50,39 @@ table: the s_1 of all tables are one labelled suffix sumset, and one join
 keyed by (label, inside total) decides every vector.  It builds no s_0
 and keeps nothing.
 
-``_Level`` is the one table per weight table and k that the listing reads:
-the vectors and the s_1..s_m of the walk, and, built on first use, s_0 for
-``passing``.  One keyed lookup, ``_matches``, serves the flags and
-``passing``; one sumset, ``_sumset``, labelled, serves both too.
+``_Table`` is the one table per weight table that the listing reads, every
+subset size k <= N // 2 a label on its rows: the vectors and the s_1..s_m
+of the walk, and, built on first use, s_0 for ``passing``.  Each is built
+by one labelled call for all sizes: the position rows and vectors by one
+``_prefixes``, each s_j by one ``_sumset``, whose label groups may differ in
+size.  ``passing`` is one join keyed by (label, inside total) per slope
+vector, and the walk reads the slice of its subset's label.  One keyed
+lookup, ``_matches``, serves the flags and ``passing``; one sumset,
+``_sumset``, labelled, serves both too.
 
 ``tables_for`` keeps the tables of the last weight table asked for, and
 every caller gets its tables there, so consecutive calls on one weight table
 (the tau of a datum, a replay and its verification, the witness pins of a
-scan class) build its levels once; the tables keep the last slope vector's
-passing subsets too.
+scan) build its table once.  The tables keep the last slope vector's
+listing too, as far as it has been read: a later call on that vector reads
+what is listed and walks on only past it, so a call that finds its
+candidate early still stops there.
 The slot drops its tables before another weight table's are built, so the
-levels of one weight table at most are alive, and they outlive its job.
+table of one weight table at most is alive, and it outlives its job.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, takewhile
+from itertools import combinations, count, takewhile
 
 import numpy as np
 
 # Packed keys stay below this, so a sum of two keys cannot overflow int64.
 _KEY_LIMIT = 1 << 62
-# ``_matches`` yields at most this many matches per piece, so no lookup's
-# arrays grow with its matches.
+# ``_matches`` yields at most this many matches per piece, and ``_sumset``
+# pairs about this many rows at a time where labels allow, so no lookup's
+# or sumset's arrays grow with all of its matches or pairs.
 _JOIN_STATES = 1 << 15
 
 
@@ -95,22 +103,33 @@ def active_backend() -> str:
 
 
 @lru_cache(maxsize=None)
-def _choices(n: int, k: int):
-    """The k-subsets of range(n), lexicographic.
+def _choices(n: int):
+    """The k-subsets of range(n) of every size k <= n // 2, by size then
+    lexicographic: (positions, bitmasks, starts, sizes).
 
-    Returns (positions, bitmasks): each row of ``positions`` lists a
-    subset's elements ascending and then its complement's.
+    Each row of ``positions`` lists a subset's elements ascending and then
+    its complement's; the subsets of size k are the rows [starts[k - 1],
+    starts[k]), and ``sizes`` holds each row's k.
     """
-    ins = list(combinations(range(n), k))
-    pos = np.array([list(t) + [b for b in range(n) if b not in t] for t in ins], dtype=np.int64)
+    ins = [t for k in range(1, n // 2 + 1) for t in combinations(range(n), k)]
+    pos = np.array([list(t) + [b for b in range(n) if b not in t] for t in ins], dtype=np.int64).reshape(len(ins), n)
+    sizes = np.array([len(t) for t in ins], dtype=np.int64)
     pos.setflags(write=False)
-    return pos, tuple(sum(1 << b for b in t) for t in ins)
+    sizes.setflags(write=False)
+    starts = np.searchsorted(sizes, np.arange(1, n // 2 + 2)).tolist()
+    return pos, tuple(sum(1 << b for b in t) for t in ins), starts, sizes
 
 
-def _prefixes(values: np.ndarray, pos: np.ndarray, k: int) -> np.ndarray:
-    """Inside prefix sums then outside prefix sums of ``values`` along ``pos``."""
+def _prefixes(values: np.ndarray, pos: np.ndarray, k) -> np.ndarray:
+    """Inside prefix sums then outside prefix sums of ``values`` along each
+    row of ``pos``, whose first k positions are inside: k an int, or an
+    array of one per row."""
     out = np.cumsum(values[..., pos], axis=-1)
-    out[..., k:] -= out[..., k - 1 : k]
+    if np.ndim(k):
+        inside = out[..., np.arange(len(k)), k - 1][..., None]
+        out -= (np.arange(pos.shape[-1]) >= k[:, None]) * inside
+    else:
+        out[..., k:] -= out[..., k - 1 : k]
     return out
 
 
@@ -127,12 +146,6 @@ def _matches(totals: np.ndarray, target: np.ndarray):
         flat = np.arange(start, min(start + _JOIN_STATES, total))
         owner = np.searchsorted(ends, flat, side="right")
         yield owner, flat + shift[owner]
-
-
-def _by_total(rows: np.ndarray, k: int):
-    """``rows`` ascending by inside total (column k - 1), and those totals."""
-    rows = rows[np.argsort(rows[:, k - 1])]
-    return rows, rows[:, k - 1]
 
 
 def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
@@ -154,28 +167,81 @@ def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
     return S
 
 
-def _sumset(a: np.ndarray, b: np.ndarray, labels: np.ndarray):
-    """The distinct pairs (label, a[label, i] + b[j]) with label = labels[j],
-    as (rows, labels).
+def _sumset(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndarray):
+    """The distinct pairs (t, a[i] + b[j]) with a_labels[i] = b_labels[j] =
+    t, as (rows, labels), by label: the rows of ``_pairs``."""
+    if b.shape[0] == int(b_labels[-1]) + 1:  # one row b per label: every pair
+        return a + b[a_labels], a_labels
+    i, j = _pairs(a, a_labels, b, b_labels)
+    return _sum_rows(a, i, b, j), b_labels[j]
 
-    ``a`` holds the same number of rows per label, ``b`` at least one row
-    of each label, by label; so do the rows returned.  Pairs are told apart
-    by an integer key that leads with the label and is linear in the row,
-    so it is built from the keys of a[label, i] and b[j] and no sum row is
-    built before deduplication.  Coordinates are packed in mixed radix;
-    where the next one would overflow the key, the key so far is replaced
-    by its rank among the distinct keys, which is below the number of
-    pairs.  One row b per label leaves a's rows as they are: repeats cost a
-    little time later but change no answer.
+
+def _sum_rows(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """a[i] + b[j], built _JOIN_STATES rows at a time, so that no temporary
+    array grows with the result."""
+    out = np.empty((len(i), a.shape[1]), dtype=np.int64)
+    for lo in range(0, len(i), _JOIN_STATES):
+        piece = slice(lo, lo + _JOIN_STATES)
+        np.add(a[i[piece]], b[j[piece]], out=out[piece])
+    return out
+
+
+def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndarray):
+    """(i, j): one pair per distinct (t, a[i] + b[j]) with a_labels[i] =
+    b_labels[j] = t, ascending by key, so by label.
+
+    The labels are 0..G-1, and each of a and b holds at least one row of
+    every label, by label, however many.  Pairs are told apart by an
+    integer key that leads with the label and is linear in the row, so it
+    is built from the keys of a[i] and b[j] and no sum row is built.
+    Coordinates are packed in mixed radix; where the next one would
+    overflow the key, the key so far is replaced by its rank among the
+    distinct keys, which is below the number of pairs.  A coordinate whose
+    span times the number of pairs reaches _KEY_LIMIT is packed as
+    base-2**w digits that each fit: their sums still tell distinct rows
+    apart, and equal rows they keep apart are repeats.  One row b per label
+    gives every pair, and so may a label with one row b when labels pair
+    apart: repeats cost a little time later but change no answer.
     """
-    g, c, n = a.shape
+    g = int(b_labels[-1]) + 1
     if b.shape[0] == g:
-        return (a + b[:, None]).reshape(-1, n), np.repeat(labels, c)
-    rows = a.reshape(-1, n)  # a[label, i] at label * c + i
-    a_off = rows - rows.min(axis=0)
+        return np.arange(len(a)), a_labels
+    b_count = np.bincount(b_labels, minlength=g)
+    per_a = b_count[a_labels]  # the pairs of each row of a
+    ends = np.cumsum(per_a)
+    pairs = int(ends[-1])
+    if pairs > _JOIN_STATES and g > 1:
+        # labels apart, in runs of about _JOIN_STATES pairs (a larger label
+        # alone), so no array grows with the pairs of every label
+        label_pairs = np.bincount(a_labels, minlength=g) * b_count
+        run = (np.cumsum(label_pairs) - label_pairs) // _JOIN_STATES
+        if run[-1]:
+            cut = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), g]
+            at_a, at_b = np.searchsorted(a_labels, cut), np.searchsorted(b_labels, cut)
+            parts = [
+                _pairs(a[i:i1], a_labels[i:i1] - lo, b[j:j1], b_labels[j:j1] - lo)
+                for lo, i, i1, j, j1 in zip(cut, at_a, at_a[1:], at_b, at_b[1:])
+            ]
+            i = np.concatenate([part[0] + at for part, at in zip(parts, at_a)])
+            return i, np.concatenate([part[1] + at for part, at in zip(parts, at_b)])
+    # pair (i, j) at ends[i] - per_a[i] + (j - the first b row of i's label)
+    j = np.arange(pairs) - np.repeat(ends - per_a - (np.cumsum(b_count) - b_count)[a_labels], per_a)
+    a_off = a - a.min(axis=0)
     b_off = b - b.min(axis=0)
-    span = (a_off.max(axis=0) + b_off.max(axis=0) + 1).tolist()
-    pairs = c * b.shape[0]
+
+    def spans():  # in Python ints: two offsets can sum past int64
+        return [u + v + 1 for u, v in zip(a_off.max(axis=0).tolist(), b_off.max(axis=0).tolist())]
+
+    span, limit = spans(), _KEY_LIMIT // pairs
+    if max(span) >= limit:
+        w = limit.bit_length() - 2  # a digit sum is below 2**(w + 1) <= limit
+        shifts = np.arange(0, 63, w)
+
+        def digits(off):
+            return np.hstack([off[:, [x]] if s < limit else off[:, [x]] >> shifts & (1 << w) - 1 for x, s in enumerate(span)])
+
+        a_off, b_off = digits(a_off), digits(b_off)
+        span = spans()
     # coordinates [bounds[t], bounds[t + 1]) make the t-th packed key; the
     # first starts as the label
     bounds, size = [0], g
@@ -184,67 +250,79 @@ def _sumset(a: np.ndarray, b: np.ndarray, labels: np.ndarray):
             size = pairs
             bounds.append(x)
         size *= s
-    bounds.append(n)
-    key = labels
+    bounds.append(len(span))
+    key = np.repeat(a_labels, per_a)
     for group, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         if group:
-            key = np.unique(key, return_inverse=True)[1].reshape(key.shape)
+            key = np.unique(key, return_inverse=True)[1]
         radix = np.cumprod([1] + span[lo:hi], dtype=np.int64)
-        # pair (i, j) at [i, j]: b's rows, in key order, make runs that
-        # leave the sort little to do.  One label broadcasts a's part, which
-        # is many times faster than gathering it per pair
-        a_part = (a_off[:, lo:hi] @ radix[:-1]).reshape(g, c).T
-        key = (a_part if g == 1 else a_part[:, labels]) + (key * radix[-1] + b_off[:, lo:hi] @ radix[:-1])
-    # the first pair of each distinct key, in key order: np.unique's
-    # return_index without the unique values and the call's overhead
-    order = key.reshape(-1).argsort(kind="stable")
-    ordered = key.reshape(-1)[order]
+        key = key * radix[-1] + np.repeat(a_off[:, lo:hi] @ radix[:-1], per_a) + (b_off[:, lo:hi] @ radix[:-1])[j]
+    # one pair of each distinct key, in key order: np.unique's return_index
+    # without the unique values and the call's overhead.  Pairs of one key
+    # sum to one row, so the unstable sort, several times faster than the
+    # stable one, returns the same rows
+    order = key.argsort()
+    ordered = key[order]
     first = order[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    i, j = np.divmod(first, b.shape[0])
-    label = labels[j]
-    return rows[label * c + i] + b[j], label
+    return np.repeat(np.arange(len(a)), per_a)[first], j[first]
 
 
-class _Level:
-    """One weight table's vectors and suffix sums at one subset size k."""
+class _Table:
+    """One weight table's vectors and suffix sums at every subset size
+    k <= N // 2, each row labelled k - 1."""
 
-    def __init__(self, kappa: np.ndarray, k: int):
+    def __init__(self, kappa: np.ndarray):
         m, n = kappa.shape
-        self.k = k
-        self.pos, self.masks = _choices(n, k)
-        # per-embedding vectors, one row per image choice: (m, C, n)
-        self.hodge = _prefixes(kappa, self.pos, k)
-        # [None, s_1, ..., s_m]: s_m = {0}, s_j the distinct hodge[j] + s_{j+1};
-        # the walk reads suffix[j + 1] at embedding j, and s_0 is ``reach``
-        rows, labels = np.zeros((1, n), dtype=np.int64), np.zeros(1, dtype=np.intp)
-        suffix = [rows]
+        self.pos, self.masks, self.starts, self.size = _choices(n)
+        self.label = self.size - 1
+        # per-embedding vectors, one row per (size, image choice): (m, R, n)
+        self.hodge = _prefixes(kappa, self.pos, self.size)
+        # [None, s_1, ..., s_m] as (rows, labels, starts of the labels):
+        # s_m = {0} per label, s_j the distinct hodge[j] + s_{j+1} of one
+        # label; the walk reads suffix[j + 1] at embedding j, and s_0 is ``reach``
+        g = len(self.starts) - 1
+        rows, labels = np.zeros((g, n), dtype=np.int64), np.arange(g)
+        suffix = [(rows, labels, list(range(g + 1)))]
         for j in range(m - 1, 0, -1):
-            rows, labels = _sumset(self.hodge[None, j], rows, labels)
-            suffix.append(rows)
+            rows, labels = _sumset(self.hodge[j], self.label, rows, labels)
+            suffix.append((rows, labels, np.searchsorted(labels, np.arange(g + 1)).tolist()))
         self.suffix = [None] + suffix[::-1]
 
     @cached_property
     def reach(self):
-        """(s_0, its inside totals): every reachable vector, by inside total."""
-        s_1 = self.suffix[1]
-        return _by_total(_sumset(self.hodge[None, 0], s_1, np.zeros(len(s_1), dtype=np.intp))[0], self.k)
+        """(s_0, its keys, inside totals): every reachable vector, ascending
+        by its key, its label times the number of distinct inside totals
+        plus its inside total's rank among them."""
+        s_1, labels, _ = self.suffix[1]
+        i, j = _pairs(self.hodge[0], self.label, s_1, labels)
+        labels = labels[j]
+        # the inside total of size k is coordinate k - 1, the label
+        totals, rank = np.unique(self.hodge[0, i, labels] + s_1[j, labels], return_inverse=True)
+        key = labels * totals.size + rank
+        order = key.argsort()  # the pairs in that order: s_0 is built once
+        return _sum_rows(self.hodge[0], i[order], s_1, j[order]), key[order], totals
 
     def passing(self, bound: np.ndarray) -> np.ndarray:
-        """Which subsets have a reachable vector under their bound row.
+        """Which subsets have a reachable vector of their size under their
+        bound row.
 
         ``bound`` holds floor(Newton / D) per subset.  Only vectors whose
         inside total equals the bound's are compared: any other lies above
         the bound at one of the two totals.
         """
-        reach, totals = self.reach
-        out = np.zeros(bound.shape[0], dtype=bool)
-        for owner, state in _matches(totals, bound[:, self.k - 1]):
+        reach, keys, totals = self.reach
+        want = bound[np.arange(len(bound)), self.label]
+        at = np.minimum(np.searchsorted(totals, want), totals.size - 1)
+        want = np.where(totals[at] == want, self.label * totals.size + at, -1)
+        out = np.zeros(len(bound), dtype=bool)
+        for owner, state in _matches(keys, want):
             out[owner[(reach[state] <= bound[owner]).all(axis=1)]] = True
         return out
 
-    def choices(self, bound: np.ndarray, j: int = 0, acc=0, picked: tuple = ()):
-        """Image bitmasks per embedding of every choice passing ``bound``, in
-        order; ``j``, ``acc`` and ``picked`` carry the walk's state.
+    def choices(self, bound: np.ndarray, t: int, j: int = 0, acc=0, picked: tuple = ()):
+        """Image bitmasks per embedding of every choice of label ``t``
+        passing ``bound``, in order; ``j``, ``acc`` and ``picked`` carry the
+        walk's state.
 
         The walk is depth first and keeps only choices that the suffix sums
         can still complete, so every branch ends in a passing choice and the
@@ -254,17 +332,30 @@ class _Level:
         # a method, not a recursive closure: a closure that names itself is a
         # reference cycle per call, left to the cyclic collector, which made
         # the benchmark's scan workload about 7 % slower
-        vec = acc + self.hodge[j]
+        lo = self.starts[t]
+        vec = acc + self.hodge[j, lo : self.starts[t + 1]]
         if j + 1 == len(self.hodge):  # the last embedding, whose suffix sum is {0}
             for c in (vec <= bound).all(axis=1).nonzero()[0].tolist():
-                yield picked + (self.masks[c],)
+                yield picked + (self.masks[lo + c],)
             return
-        for c in (vec[:, None, :] + self.suffix[j + 1] <= bound).all(axis=2).any(axis=1).nonzero()[0].tolist():
-            yield from self.choices(bound, j + 1, vec[c], picked + (self.masks[c],))
+        rows, _, at = self.suffix[j + 1]
+        ahead = rows[at[t] : at[t + 1]]
+        for c in (vec[:, None, :] + ahead <= bound).all(axis=2).any(axis=1).nonzero()[0].tolist():
+            yield from self.choices(bound, t, j + 1, vec[c], picked + (self.masks[lo + c],))
+
+    def walk(self, S: np.ndarray, e: int, denom: int):
+        """Every passing (subset_mask, image_masks) of size k <= N // 2 for
+        the scaled slopes ``S``, in order; the bounds and the passing
+        subsets of every size are found at the first item."""
+        bound = (e * _prefixes(S, self.pos, self.size)) // denom
+        for c in np.flatnonzero(self.passing(bound)).tolist():
+            for img in self.choices(bound[c], int(self.label[c])):
+                yield self.masks[c], img
 
 
 class CandidateTables:
-    """Reachable-set tables of one weight table, built lazily per subset size.
+    """The reachable-set table of one weight table, built on first use, and
+    the last slope vector's listing.
 
     Callers get them from ``tables_for``, which keeps the last weight
     table's tables for the calls that follow on it.
@@ -275,16 +366,16 @@ class CandidateTables:
         _check_range(v for row in self.weights for v in row)
         self.kappa = np.array(self.weights, dtype=np.int64).reshape(len(self.weights), -1)
         self.total = int(self.kappa.sum())
-        self._levels = {}
-        # (slope key, {k: (bound, passing subsets)}) of the last slope
-        # vector: every tau of a datum asks about the same one
-        self._passing = (None, {})
+        # (slope key, candidates listed so far, the walk that lists the
+        # rest) of the last slope vector: every tau of a datum, and the
+        # verification after its replay, ask about the same one.  The walk
+        # holds the table, not these tables, so no reference cycle keeps
+        # them alive once the slot drops them
+        self._listing = None
 
-    def _level(self, k: int) -> _Level:
-        lv = self._levels.get(k)
-        if lv is None:
-            lv = self._levels[k] = _Level(self.kappa, k)
-        return lv
+    @cached_property
+    def table(self) -> _Table:
+        return _Table(self.kappa)
 
     def candidates(self, slopes_scaled, e: int, denom: int):
         """Every passing (subset_mask, image_masks) in order; a generator, so
@@ -299,28 +390,27 @@ class CandidateTables:
         # whose two totals add up to the Hodge total too, lies under the
         # bound floor(Newton / D) at both totals only when it meets both:
         # lying under the bound is passing.
-        if e * int(S.sum()) != denom * self.total:
+        if e * int(S.sum()) != denom * self.total or n < 2:
             return
         key = (tuple(S.tolist()), e, denom)
-        if self._passing[0] != key:
-            self._passing = (key, {})
-        passing = self._passing[1]
+        if self._listing is None or self._listing[0] != key:
+            self._listing = (key, [], self.table.walk(S, e, denom))
+        _, listed, walk = self._listing
+        for i in count():
+            if i == len(listed):
+                try:
+                    listed.append(next(walk))
+                except StopIteration:
+                    break
+                except BaseException:  # a walk cut short lists nothing more
+                    self._listing = None
+                    raise
+            yield listed[i]
+        # size k > n // 2 is size n - k complemented, in reverse order: the
+        # listing reversed, each size below n / 2 complemented
         full = (1 << n) - 1
-        listed = {}
-        for k in range(1, n // 2 + 1):
-            lv = self._level(k)
-            if k not in passing:
-                bound = (e * _prefixes(S, lv.pos, k)) // denom
-                passing[k] = bound, np.flatnonzero(lv.passing(bound)).tolist()
-            bound, subsets = passing[k]
-            out = listed[k] = []
-            for c in subsets:
-                for img in lv.choices(bound[c]):
-                    out.append((lv.masks[c], img))
-                    yield out[-1]
-        # size k > n // 2 is size n - k complemented, in reverse order
-        for k in range(n // 2 + 1, n):
-            for mask, img in reversed(listed[n - k]):
+        for mask, img in reversed(listed):
+            if 2 * mask.bit_count() < n:
                 yield mask ^ full, tuple(i ^ full for i in img)
 
 
@@ -333,7 +423,7 @@ def tables_for(kappa) -> CandidateTables:
     global _slot
     # rows compared as tuples, so a numpy table compares by value too
     if _slot is None or _slot.weights != tuple(map(tuple, kappa)):
-        _slot = None  # the old levels go before the new ones are built
+        _slot = None  # the old table goes before the new one is built
         _slot = CandidateTables(kappa)
     return _slot
 
@@ -356,15 +446,17 @@ def misaligned_flags(kappas, slopes, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.intp)
     flags = np.zeros(S.shape[0], dtype=bool)
     live = np.flatnonzero(S.sum(axis=1) == K.sum(axis=(1, 2))[labels])
+    every, _, starts, _ = _choices(n)
     for k in range(1, n // 2 + 1):
         if live.size == 0:
             break
-        pos, _ = _choices(n, k)
+        pos = every[starts[k - 1] : starts[k]]
         hodge = _prefixes(K, pos, k)  # (G, m, C, n)
         # s_1 of every table, labelled: the sums of its other embeddings' vectors
         other, owner = np.zeros((g, n), dtype=np.int64), np.arange(g)
+        table = np.repeat(np.arange(g), pos.shape[0])
         for j in range(m - 1, 0, -1):
-            other, owner = _sumset(hodge[:, j], other, owner)
+            other, owner = _sumset(hodge[:, j].reshape(-1, n), table, other, owner)
         # s_1 by (label, inside total), keyed by label and the total's rank
         totals, rank = np.unique(other[:, k - 1], return_inverse=True)
         key = owner * totals.size + rank

@@ -237,10 +237,20 @@ def _derive_place(
         for gap in (a - b for a, b in zip(row, row[1:] + (0,))):  # k[i] - k[i+1], then k[rank]
             rec.step_checks.append(_step_check(3, "k3 gap", gap, bound3))
 
-    # -- alignment hypothesis of the induced Frobenius-module datum
+    # -- alignment hypothesis of the induced Frobenius-module datum, checked
+    # once per distinct weight row.  Two equal rows tau and tau' get the same
+    # result: swapping the image choices of embeddings tau and tau' keeps a
+    # candidate passing, since the Hodge side sums the same values, and
+    # carries "misaligned at tau" to "misaligned at tau'"; the margin reads
+    # only the row's least gap.  The witness differs between the two, but a
+    # place record does not keep it.
     datum = induced_datum(schema, rank, local, rec.k3, nu)
+    checked = {}
     for tau in range(1, m + 1):
-        result = alignment_check(datum, tau)
+        row = datum.weights[tau - 1]
+        if row not in checked:
+            checked[row] = alignment_check(datum, tau)
+        result = checked[row]
         if result.status != CERTIFIED:
             rec.structural_ok = False
             rec.failure = f"alignment {result.status} at embedding {tau}"

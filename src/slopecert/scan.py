@@ -28,8 +28,11 @@ and every scaled slope move, the subset and the images stay.
 The classes of one length n run together, per m: ``kernels.misaligned_flags``
 decides the slope vectors of a chunk of classes in one pass per block of
 vectors, each vector labelled with its class, and ``find_candidate`` runs
-only for the first ``max_witnesses`` flagged vectors of a class, in product
-order, to pin them.  A chunk's weight tables hold about
+only for the first flagged vectors of the length, classes in order and
+product order within a class, to pin them: as many as the report can
+still read after the shorter lengths' witnesses, ``max_witnesses`` at
+most, for the report's witnesses of one shape and length translate no
+others.  A chunk's weight tables hold about
 ``kernels._JOIN_STATES`` vectors of s_1 and (subset, image) pairs at most,
 a larger class runs alone, so memory follows one class's tables where they
 are large.  The scan passes
@@ -122,9 +125,12 @@ def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnes
     """Scan the gap classes ``classes``, all of one length n, for m = e*f
     embeddings.
 
-    Returns one (checked, misaligned, hits) per class: the first
-    ``max_witnesses`` misaligned slope vectors, scaled by e, as (scaled,
-    subset, images_tau).  The scan passes denom = e, so e cancels from every
+    Returns one (checked, misaligned, hits) per class: its misaligned slope
+    vectors among the first ``max_witnesses`` of all the classes, in
+    listing order, scaled by e, as (scaled, subset, images_tau).  No cell
+    of the report reads more: a report keeps the first ``max_witnesses``
+    witnesses of a shape and length, in cell order, which translate those
+    vectors.  The scan passes denom = e, so e cancels from every
     bound and the classes run with e = 1.  The classes go to the kernel in
     chunks whose s_1 tables and pairs hold about _JOIN_STATES rows at most,
     a class above that alone.  A chunk's slope vectors are listed class by
@@ -139,7 +145,7 @@ def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnes
     budget = kernels._JOIN_STATES
     rows = sum(comb(n, k) ** min(m - 1, budget.bit_length()) + comb(n, k) ** 2 for k in range(1, n // 2 + 1))
     size = max(1, budget // rows) if rows else len(classes)
-    out = []
+    out, pinned = [], 0
     for chunk in (classes[i : i + size] for i in range(0, len(classes), size)):
         kappas = np.array([[g] * m for g in chunk], dtype=np.int64)
         gaps = [min((b - a for a, b in zip(g, g[1:])), default=0) for g in chunk]
@@ -166,11 +172,9 @@ def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnes
             flags = kernels.misaligned_flags(kappas, scaled, owner)
             checked += np.bincount(owner, minlength=len(chunk))
             bad += np.bincount(owner[flags], minlength=len(chunk))
-            # the flagged vectors each class still needs, by their rank in the class
-            flagged = np.flatnonzero(flags)
-            rank = np.arange(flagged.size) - np.searchsorted(owner[flagged], owner[flagged])
-            room = max_witnesses - np.array([len(h) for h in hits])
-            pin = flagged[rank < room[owner[flagged]]]
+            # the first flagged vectors of the length, in listing order
+            pin = np.flatnonzero(flags)[: max_witnesses - pinned]
+            pinned += pin.size
             for row, c in zip(scaled[pin].tolist(), owner[pin].tolist()):
                 _, mask, img = kernels.find_candidate((chunk[c],) * m, row, 1, 1, 0)
                 subset = tuple(b + 1 for b in range(n) if mask >> b & 1)
@@ -267,7 +271,9 @@ def run_scan(
 
     Each gap class runs once per distinct m = e*f.  The grid is refused
     above MAX_CELLS cells, and above MAX_DATA slope vectors over the
-    distinct shapes.
+    distinct shapes.  A length pins only the witnesses that the shorter
+    lengths of its m leave room for: a shape's report lists its lengths in
+    turn, and stops at ``max_witnesses``.
     """
     scale = Fraction(band_scale)
     shapes = [(e, f) for (e, f) in ef_values]
@@ -284,10 +290,13 @@ def run_scan(
     lengths = n_max if scale >= 0 else 1
     results = {}
     for m in dict.fromkeys(e * f for (e, f) in shapes):
-        results[m] = {}
+        results[m], room = {}, max_witnesses
         for _, classes in groupby(_gap_classes(lengths, width), len):
             classes = list(classes)
-            results[m].update(zip(classes, _scan_length(m, classes, scale.numerator, scale.denominator, max_witnesses)))
+            runs = _scan_length(m, classes, scale.numerator, scale.denominator, room)
+            results[m].update(zip(classes, runs))
+            # a shape of this m reports each hit of class g once per cell
+            room -= min(room, sum(len(hits) * (width - g[-1]) for g, (_, _, hits) in zip(classes, runs)))
     report = ScanReport(band_scale=scale, cells=cells)
     for (e, f) in shapes:
         for g, (checked, bad, _) in results[e * f].items():

@@ -398,38 +398,42 @@ def test_certificate_weight_beyond_int64_rejected(tmp_path, capsys):
 
 
 def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
-    # numpy raises _ArrayMemoryError, a MemoryError, when _Level cannot
+    # numpy raises _ArrayMemoryError, a MemoryError, when _Table cannot
     # allocate its reachable prefix vectors
-    def out_of_memory(self, k):
+    def out_of_memory(kappa):
         raise MemoryError("Unable to allocate 931. MiB for an array")
 
-    monkeypatch.setattr(kernels.CandidateTables, "_level", out_of_memory)
+    monkeypatch.setattr(kernels, "_slot", None)  # no table kept from an earlier call
+    monkeypatch.setattr(kernels, "_Table", out_of_memory)
     job = {"command": "admissible", "params": {"e": 1, "f": 1, "slopes": ["0", "1", "2"], "weights": [[0, 1, 2]]}}
     assert rejected_in_one_line(tmp_path, capsys, job).startswith("error: out of memory: ")
 
 
 def test_replay_and_its_verification_build_the_tables_once(monkeypatch):
     # the verifier re-derives the replay's datum at x2', so in one process it
-    # finds the replay's tables in the kernel's slot and builds no level
-    made, levels = [], []
-    candidate_tables, level = kernels.CandidateTables, kernels._Level
+    # finds the replay's tables in the kernel's slot, listing and all, and
+    # builds no table; the one table holds the sizes up to N // 2 = 2
+    made, built = [], []
+    candidate_tables, table = kernels.CandidateTables, kernels._Table
 
     def recording_tables(kappa):
         made.append(kappa)
         return candidate_tables(kappa)
 
-    def recording_level(kappa, k):
-        levels.append(k)
-        return level(kappa, k)
+    def recording_table(kappa):
+        built.append(table(kappa))
+        return built[-1]
 
+    monkeypatch.setattr(kernels, "_slot", None)
     monkeypatch.setattr(kernels, "CandidateTables", recording_tables)
-    monkeypatch.setattr(kernels, "_Level", recording_level)
+    monkeypatch.setattr(kernels, "_Table", recording_table)
     cert, code = run_job({"command": "replay-sp", "params": {"n": 2, "locals": [{"p": 3}], "seeds": "zero"}})
-    assert code == 0 and len(made) == 1 and levels == [1, 2]
-    levels.clear()
+    assert code == 0 and len(made) == 1 and len(built) == 1
+    assert sorted(set(built[0].size.tolist())) == [1, 2]
+    built.clear()
     report, code = run_job({"command": "verify-cert", "params": {"certificate": cert["result"]}})
     assert code == 0 and report["result"] == {"ok": True, "mismatches": []}
-    assert len(made) == 1 and levels == []
+    assert len(made) == 1 and built == []
 
 
 def test_certificate_covers_every_prime(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import weakref
 from fractions import Fraction
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -94,6 +95,9 @@ def _check_listing(kappa, scaled, e, denom):
 # a row that is not ascending: the first misaligned candidate moves values
 # that the subset and its image hold as the same multiset
 @example(([[-3, 3, -3]], [-3, 4, -4], 1, 1))
+# weights near 2**60, inside the int64 range: packing s_0's keys once
+# wrapped int64 and lost 2 of the 14 passing candidates
+@example(([[-3 * 2**58, -1, 2**59, 3 * 2**58], [0, 2, 2**59, 3 * 2**58]], [-3 * 2**58, 2**60, 3 * 2**59, 1], 1, 1))
 def test_kernel_matches_oracle(case):
     kappa, scaled, e, denom = case
     want = _check_listing(kappa, scaled, e, denom)
@@ -140,6 +144,65 @@ def test_complement_duality(case):
 
 
 @st.composite
+def repeated_row_inputs(draw):
+    """(kappa, scaled slopes, e, denom, tau, twin): rows tau and twin of
+    kappa are equal, the other rows drawn as ``kernel_inputs`` draws them."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 4))
+    e, denom = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2, 3]))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(sorted)
+    kappa = draw(st.lists(row, min_size=m - 1, max_size=m - 1))
+    tau = draw(st.integers(0, m - 2))
+    twin = draw(st.integers(0, m - 1))
+    kappa.insert(twin, kappa[tau])
+    tau += twin <= tau
+    return kappa, _slopes(draw, kappa, e, denom), e, denom, tau, twin
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_row_inputs())
+# the first misaligned candidate at tau and at its twin differ, their
+# answers do not
+@example(([[-1, 1, 3], [-3, 0, 3], [-1, 1, 3]], [2, 8, -4], 1, 1, 0, 2))
+def test_equal_rows_are_misaligned_alike(case):
+    # swapping the image choices of two equal rows keeps a candidate passing
+    # and carries its misalignment from one row to the other: the replay
+    # checks one tau per distinct row on this
+    kappa, scaled, e, denom, tau, twin = case
+    assert kappa[tau] == kappa[twin] and tau != twin
+    want = search_python(kappa, scaled, e, denom, tau)[0]
+    assert search_python(kappa, scaled, e, denom, twin)[0] == want
+    assert kernels.find_candidate(kappa, scaled, e, denom, tau) == search_python(kappa, scaled, e, denom, tau)
+    assert kernels.find_candidate(kappa, scaled, e, denom, twin)[0] == want
+
+
+def test_listing_is_walked_once_and_only_as_far_as_read(monkeypatch):
+    # a candidate at k = 1 is found without walking the size-2 subsets; a
+    # later call on the same slope vector reads the listing kept so far and
+    # walks on only past it, and one more reads it all without walking
+    walked, choices = [], kernels._Table.choices
+
+    def recording_choices(self, bound, t, j=0, acc=0, picked=()):
+        if j == 0:
+            walked.append(t)
+        return choices(self, bound, t, j, acc, picked)
+
+    monkeypatch.setattr(kernels, "_slot", None)
+    monkeypatch.setattr(kernels._Table, "choices", recording_choices)
+    kappa, slopes = [[0, 1, 3, 4], [0, 1, 3, 4]], [2, 0, 6, 8]
+    want = list(candidates_python(kappa, slopes, 1, 1, 0, False))
+    assert kernels.find_candidate(kappa, slopes, 1, 1, 1) == search_python(kappa, slopes, 1, 1, 1)
+    assert walked == [0]
+    tables = kernels.tables_for(kappa)
+    assert list(tables.candidates(slopes, 1, 1)) == want
+    assert walked[0] == 0 and 1 in walked and sorted(walked) == walked
+    read = list(walked)
+    assert list(tables.candidates(slopes, 1, 1)) == want
+    assert kernels.find_candidate(kappa, slopes, 1, 1, 0) == search_python(kappa, slopes, 1, 1, 0)
+    assert walked == read
+
+
+@st.composite
 def certified_data(draw):
     """A datum whose slopes are its weight means; strictly ascending rows
     make them distinct, and every tau is certified."""
@@ -173,14 +236,21 @@ def test_no_table_above_half_the_rank(datum):
     assert kernels.misaligned_flags([datum.weights], [sums], [0]).tolist() == [False]
     listed = admissible_candidates(datum)
     assert n < 3 or any(len(c.subset) > n // 2 for c in listed)
-    assert set(tables._levels) == set(range(1, n // 2 + 1))
+    # one table, labelled by every size up to n // 2 and no other, and so
+    # are its suffix sums and s_0, whose keys lead with the label
+    table = tables.table
+    assert table.size.tolist() == [k for k in range(1, n // 2 + 1) for _ in range(comb(n, k))]
+    for _, labels, _ in table.suffix[1:]:
+        assert set(labels.tolist()) == set(range(n // 2))
+    _, keys, totals = table.reach
+    assert set((keys // totals.size).tolist()) == set(range(n // 2))
 
 
 @settings(max_examples=30, deadline=None)
 @given(kernel_inputs(max_rows=2), kernel_inputs(max_rows=2))
 def test_tables_follow_the_slope_vector(case, other):
-    # the tables keep the last slope vector's passing subsets for the next
-    # tau; a new vector, denominator or weight table must not reuse them.
+    # the tables keep the last slope vector's listing for the next tau; a
+    # new vector, denominator or weight table must not reuse it.
     # The calls on one weight table share the slot's tables.
     for kappa, rows, e, denom in (case, other, case):
         tables = kernels.tables_for(kappa)
@@ -321,11 +391,11 @@ def test_tables_belong_to_one_weight_table():
 
 def test_slot_drops_the_old_tables_first(monkeypatch):
     # the slot keeps the last weight table's tables between calls, and drops
-    # them before another weight table's are built: the levels of one weight
-    # table at most are alive
+    # them before another weight table's are built, listing memo and all:
+    # the table of one weight table at most is alive
     kernels.find_candidate([[0, 1, 3]], [1, 0, 3], 1, 1, 0)
     old = weakref.ref(kernels.tables_for([[0, 1, 3]]))
-    assert old() is not None and old()._levels
+    assert old() is not None and "table" in old().__dict__ and old()._listing
     alive, candidate_tables = [], kernels.CandidateTables
 
     def recording_tables(kappa):
@@ -364,27 +434,52 @@ def test_denominator_beyond_int64_range_raises():
 
 @st.composite
 def labelled_rows(draw):
-    """(a, b, labels): C rows per label in ``a``, and rows of ``b`` with
-    every label among ``labels``, by label; wide values overflow one packed
-    key, so ranked packing runs."""
+    """(a, a_labels, b, b_labels): rows of every label in each of ``a`` and
+    ``b``, by label, and not alike in number; wide values overflow one
+    packed key, so ranked packing runs."""
     n = draw(st.integers(1, 8))
-    g = draw(st.integers(1, 3))
+    g = draw(st.integers(1, 4))
     value = st.integers(-2, 2) | st.integers(-(1 << 29), 1 << 29)
     vec = st.lists(value, min_size=n, max_size=n)
-    c = draw(st.integers(1, 6))
-    a = draw(st.lists(st.lists(vec, min_size=c, max_size=c), min_size=g, max_size=g))
-    labels = sorted(list(range(g)) + draw(st.lists(st.integers(0, g - 1), max_size=10)))
-    return a, draw(st.lists(vec, min_size=len(labels), max_size=len(labels))), labels
+    a_labels = sorted(list(range(g)) + draw(st.lists(st.integers(0, g - 1), max_size=10)))
+    b_labels = sorted(list(range(g)) + draw(st.lists(st.integers(0, g - 1), max_size=10)))
+    rows = [draw(st.lists(vec, min_size=len(t), max_size=len(t))) for t in (a_labels, b_labels)]
+    return rows[0], a_labels, rows[1], b_labels
+
+
+B60 = 2**60
+WIDE = [0, 1, B60, B60 + 1, 2**59, 3 * 2**58, 2**62 - 1, -(2**62) + 1]
 
 
 @settings(max_examples=100, deadline=None)
 @given(labelled_rows())
 # a first coordinate so wide that the label fills the first packed key alone
-@example(([[[0, 1], [2**60, 0]], [[5, 5], [0, 2**60]]], [[0, 0], [2**60, 3], [1, 1]], [0, 0, 1]))
+@example(([[0, 1], [B60, 0], [5, 5]], [0, 0, 1], [[0, 0], [B60, 3], [1, 1]], [0, 0, 1]))
+# every coordinate wide, so each makes its own packed key, ranked in turn
+@example(([[2**40, -(2**40), 7], [0, 2**40, -3], [1, 1, 1]], [0, 1, 1], [[2**40, 0, 1], [-(2**40), 5, 0], [2, 2, 2]], [0, 1, 1]))
+# coordinates so wide that, after a rank, the number of pairs times one
+# coordinate's span passes int64: packed as digits, where a rank times the
+# span used to wrap and merge distinct rows
+@example((
+    [[WIDE[i % 8], WIDE[(3 * i + 1) % 8], WIDE[(5 * i + 2) % 8]] for i in range(7)], [0, 0, 0, 1, 1, 1, 1],
+    [[WIDE[(i + 4) % 8], WIDE[(7 * i) % 8], WIDE[(i * i) % 8]] for i in range(6)], [0, 0, 1, 1, 1, 1],
+))
+# in pieces of three pairs, label 0 pairs alone with its one row b
+@example(([[0], [0], [0], [0]], [0, 0, 0, 1], [[0], [0], [0]], [0, 1, 1]))
 def test_sumset_is_the_set_of_sums(case):
-    a, b, labels = case
-    rows, got_labels = kernels._sumset(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), np.array(labels))
-    got = {(t, tuple(map(int, r))) for t, r in zip(got_labels.tolist(), rows)}
-    assert got == {(t, tuple(x + y for x, y in zip(u, v))) for v, t in zip(b, labels) for u in a[t]}
-    assert len(rows) == len(got) or len(b) == len(a)  # one row b per label is added, not deduplicated
-    assert got_labels.tolist() == sorted(got_labels.tolist())
+    # per label, np.unique of the explicit pair sums: label groups of
+    # unequal size, spans past _KEY_LIMIT; with three pairs a piece, the
+    # labels pair apart and the sum rows are built in pieces
+    a, a_labels, b, b_labels = case
+    A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    g = b_labels[-1] + 1
+    for pieces in (kernels._JOIN_STATES, 3):
+        with mock.patch.object(kernels, "_JOIN_STATES", pieces):
+            rows, got_labels = kernels._sumset(A, np.array(a_labels), B, np.array(b_labels))
+        assert got_labels.tolist() == sorted(got_labels.tolist())
+        for t in range(g):
+            pairs = (A[np.array(a_labels) == t][:, None] + B[np.array(b_labels) == t]).reshape(-1, A.shape[1])
+            got, want = rows[got_labels == t], np.unique(pairs, axis=0)
+            assert np.unique(got, axis=0).tolist() == want.tolist()
+            # a label with one row b may be added, not deduplicated
+            assert len(got) == len(want) or b_labels.count(t) == 1

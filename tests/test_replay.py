@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from kernel_oracle import search_python
 from splitting_oracle import certify_splittings_by_masks, extended_indices
 
 import slopecert.replay as replay_mod
@@ -327,3 +328,35 @@ class TestCertificates:
             replay_symplectic(2, [Q11], [RefinedSlopes([0, 0])]).to_dict(), sort_keys=True
         )
         assert a == b
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_one_alignment_check_per_distinct_row(shift):
+    # step 3's cone point repeats one row at every embedding, and equal rows
+    # share one check; a k3 with distinct rows gets one check per row.  The
+    # record holds each tau's margin and status as a check at that tau gives
+    # them, and the kernel oracle agrees that no tau has a misaligned candidate
+    local, rank = LocalDatum(3, 1, 2), 2
+    checks, real_check = [], replay_mod.alignment_check
+
+    def pick(step, **bounds):
+        rows = replay_mod.cone_find(rank, local.embeddings, **bounds).rows
+        if step == 3:  # widen the gaps of the last row: still in the cone
+            rows = rows[:-1] + (tuple(v + shift * (rank - i) for i, v in enumerate(rows[-1])),)
+        return WeightTable(rows)
+
+    def counting_check(datum, tau):
+        checks.append(tau)
+        return real_check(datum, tau)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay_mod, "alignment_check", counting_check)
+        rec = replay_mod._derive_place("C", rank, local, RefinedSlopes([1, -2]), False, pick)
+    assert checks == ([1, 2] if shift else [1])
+    assert (len(set(rec.k3.rows)) == 2) == bool(shift)
+    datum = replay_mod.induced_datum("C", rank, local, rec.k3, rec.x2p)
+    direct = [real_check(datum, tau) for tau in (1, 2)]
+    assert rec.hypothesis_margins == [r.margin for r in direct]
+    assert rec.failure is None and all(r.status == "certified" for r in direct)
+    scaled, denom = datum.scaled_slopes
+    assert not any(search_python(datum.weights, scaled, datum.e, denom, tau)[0] for tau in (0, 1))

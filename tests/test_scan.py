@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_oracle import search_python
-from scan_oracle import scan_cells, scan_per_cell
+from scan_oracle import scan_cell_per_datum, scan_cells, scan_per_cell
 
 from slopecert import kernels
 from slopecert import scan as scan_mod
@@ -81,7 +81,7 @@ def test_each_gap_class_is_scanned_once(monkeypatch):
     want = [tuple((g,) * m for g in classes if len(g) == n) for m in (1, 2) for n in (1, 2, 3)]
     assert passes == want
     # only the witness pins build tables, one per weight table pinned
-    assert rep.misaligned > 0 and 0 < len(calls) <= max_witnesses * 2 * len(classes)
+    assert rep.misaligned > 0 and 0 < len(calls) <= max_witnesses * 2 * 3
     assert sorted(map(tuple, tables)) == sorted(set(calls))
     for weights in set(calls):
         assert calls.count(weights) <= max_witnesses
@@ -106,15 +106,49 @@ def test_every_class_alone_reads_the_same(monkeypatch):
 
 
 def test_a_chunk_reads_as_its_classes_alone(monkeypatch):
-    """Counts and pinned witnesses per class do not depend on the classes
-    flagged beside it, in one block or in blocks of seven vectors that
-    cross class ends."""
+    """Counts per class do not depend on the classes flagged beside it, and
+    the pinned witnesses are the first three of the classes in order, each
+    as its class pins it alone, in one block or in blocks of seven vectors
+    that cross class ends."""
     classes = [g for g in scan_mod._gap_classes(3, 7) if len(g) == 3]
     alone = [scan_mod._scan_length(2, [g], 3, 1, 3)[0] for g in classes]
     assert sum(len(hits) > 1 for _, _, hits in alone) > 1
-    assert scan_mod._scan_length(2, classes, 3, 1, 3) == alone
+    want, room = [], 3
+    for checked, bad, hits in alone:
+        want.append((checked, bad, hits[:room]))
+        room -= len(want[-1][2])
+    assert sum(bool(hits) for _, _, hits in want) > 1
+    assert scan_mod._scan_length(2, classes, 3, 1, 3) == want
     monkeypatch.setattr(scan_mod, "_BLOCK", 7)
-    assert scan_mod._scan_length(2, classes, 3, 1, 3) == alone
+    assert scan_mod._scan_length(2, classes, 3, 1, 3) == want
+
+
+def test_pins_only_the_witnesses_a_report_reads(monkeypatch):
+    """At most ``max_witnesses`` kernel calls per m, though the flagged
+    vectors of a length span several classes and blocks of seven vectors
+    cross class ends; the report equals the per-cell oracle's,
+    witnesses from several classes of one length among it."""
+    kwargs = dict(n_max=3, kappa_min=-2, kappa_max=4, ef_values=((1, 1), (2, 1)), band_scale=3, max_witnesses=6)
+    want = scan_per_cell(**kwargs).summary()
+    calls, find_candidate = [], kernels.find_candidate
+
+    def counting_find(kappa, *args):
+        calls.append((len(kappa), len(kappa[0])))
+        return find_candidate(kappa, *args)
+
+    monkeypatch.setattr(kernels, "find_candidate", counting_find)
+    monkeypatch.setattr(scan_mod, "_BLOCK", 7)
+    assert run_scan(**kwargs).summary() == want
+    assert len({tuple(w["kappa"]) for w in want["witnesses"]}) == 6
+    assert calls and all(calls.count(length) <= 6 for length in set(calls))
+    # and no more over the lengths of one m: each pin is reported at least
+    # once, so a shape's shorter lengths leave the longer ones less room
+    assert all(sum(m == mm for mm, _ in calls) <= 6 for m in (1, 2))
+    # at m = 1 and length 3, several classes hold flagged vectors, more than
+    # six in all: pinning six per class would call the kernel more often
+    classes = [g for g in scan_mod._gap_classes(3, 7) if len(g) == 3]
+    bad = [scan_cell_per_datum(1, 1, g, Fraction(3), 0)[1] for g in classes]
+    assert sum(b > 0 for b in bad) > 1 and sum(min(b, 6) for b in bad) > 6
 
 
 def test_certified_class_builds_no_reachable_set(monkeypatch):
@@ -133,7 +167,7 @@ def test_certified_class_builds_no_reachable_set(monkeypatch):
         [(checked, bad, hits)] = scan_mod._scan_length(2, [(0, 4, 8, 12)], band, 1, 5)
         assert (checked, bad, len(hits)) == want
         assert len(made) == len(hits)
-        assert all("reach" in lv.__dict__ for tables in made for lv in tables._levels.values())
+        assert all("reach" in tables.table.__dict__ for tables in made)
 
 
 def test_class_scan_in_small_blocks(monkeypatch):
@@ -313,3 +347,12 @@ def test_backend_summaries_agree(monkeypatch):
     slow = run_scan(**kwargs)
     assert fast.misaligned > 0
     assert slow.summary() == fast.summary()
+
+
+def test_a_longer_length_pins_what_the_shorter_leave():
+    """Length 2 reports fewer witnesses than asked for, so length 3 pins
+    the rest: each hit of a class counts once per cell of the class."""
+    kwargs = dict(n_max=3, kappa_min=0, kappa_max=2, ef_values=((1, 1), (1, 2)), band_scale=3, max_witnesses=4)
+    want = scan_per_cell(**kwargs).summary()
+    assert {len(w["kappa"]) for w in want["witnesses"]} == {2, 3}
+    assert run_scan(**kwargs).summary() == want
