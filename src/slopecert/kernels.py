@@ -37,28 +37,26 @@ the same inside total; its passing image choices are listed by a depth-first
 walk over the suffix sums that keeps only choices that can still be
 completed, so no branch is a dead end.
 
+One builder, ``_Table``, makes the vectors and suffix sums of a stack of G
+weight tables of one shape, the rows of table t and size k <= N // 2
+labelled t * (N // 2) + k - 1: the vectors by one ``_prefixes`` call, each
+s_j from the one before by one labelled ``_sumset``.  One join, ``_under``,
+asks per owner whether some row of its label in a set that ``_keyed``
+ordered by (label, inside total) lies under the owner's bound less an
+offset; only rows of the inside total that the two leave qualify, so it is
+one keyed lookup, ``_matches``.  The listing reads one weight table's
+stack: it keeps s_1..s_m for the walk, and ``passing`` joins s_0, built on
+first use, with every subset's bound and no offset.
+
 ``misaligned_flags`` answers ``find_candidate(kappa, row, 1, 1, 0)[0]``
 for a whole matrix of slope vectors without listing candidates: the scan's
 question, whose weight rows are all equal and which passes e = D.  A row is
-flagged when, for some k, subset c and image choice r on row 0 that moves a
-weight value, some vector s of s_1, the sums of the other embeddings'
-vectors, has hodge_0[r] + s under c's bound: a passing candidate already.
-As above, only s whose inside total is the bound's minus hodge_0[r]'s
-qualify, so the test is a join keyed by inside total.  One call serves a
-stack of weight tables of one shape, each slope vector labelled with its
-table: the s_1 of all tables are one labelled suffix sumset, and one join
-keyed by (label, inside total) decides every vector.  It builds no s_0
-and keeps nothing.
-
-``_Table`` is the one table per weight table that the listing reads, every
-subset size k <= N // 2 a label on its rows: the vectors and the s_1..s_m
-of the walk, and, built on first use, s_0 for ``passing``.  Each is built
-by one labelled call for all sizes: the position rows and vectors by one
-``_prefixes``, each s_j by one ``_sumset``, whose label groups may differ in
-size.  ``passing`` is one join keyed by (label, inside total) per slope
-vector, and the walk reads the slice of its subset's label.  One keyed
-lookup, ``_matches``, serves the flags and ``passing``; one sumset,
-``_sumset``, labelled, serves both too.
+flagged when, for some subset c and image choice r of one size on row 0
+that moves a weight value, some vector s of s_1, the sums of the other
+embeddings' vectors, has hodge_0[r] + s under c's bound: a passing
+candidate already.  Its stack holds the weight tables of the rows' labels,
+and one join with offset hodge_0[r] decides every row at every size.  It
+keeps only s_1, the last suffix sum, builds no s_0 and keeps nothing.
 
 ``tables_for`` keeps the tables of the last weight table asked for, and
 every caller gets its tables there, so consecutive calls on one weight table
@@ -120,16 +118,19 @@ def _choices(n: int):
     return pos, tuple(sum(1 << b for b in t) for t in ins), starts, sizes
 
 
-def _prefixes(values: np.ndarray, pos: np.ndarray, k) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _same_size(n: int):
+    """(subsets, images): every pair of rows of ``_choices(n)`` of one size."""
+    starts = _choices(n)[2]
+    return np.hstack([np.array(np.divmod(np.arange((hi - lo) ** 2), hi - lo)) + lo for lo, hi in zip(starts, starts[1:])])
+
+
+def _prefixes(values: np.ndarray, pos: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Inside prefix sums then outside prefix sums of ``values`` along each
-    row of ``pos``, whose first k positions are inside: k an int, or an
-    array of one per row."""
+    row of ``pos``, whose first k[row] positions are inside."""
     out = np.cumsum(values[..., pos], axis=-1)
-    if np.ndim(k):
-        inside = out[..., np.arange(len(k)), k - 1][..., None]
-        out -= (np.arange(pos.shape[-1]) >= k[:, None]) * inside
-    else:
-        out[..., k:] -= out[..., k - 1 : k]
+    inside = out[..., np.arange(len(k)), k - 1][..., None]
+    out -= (np.arange(pos.shape[-1]) >= k[:, None]) * inside
     return out
 
 
@@ -170,8 +171,6 @@ def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
 def _sumset(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndarray):
     """The distinct pairs (t, a[i] + b[j]) with a_labels[i] = b_labels[j] =
     t, as (rows, labels), by label: the rows of ``_pairs``."""
-    if b.shape[0] == int(b_labels[-1]) + 1:  # one row b per label: every pair
-        return a + b[a_labels], a_labels
     i, j = _pairs(a, a_labels, b, b_labels)
     return _sum_rows(a, i, b, j), b_labels[j]
 
@@ -204,7 +203,7 @@ def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndar
     apart: repeats cost a little time later but change no answer.
     """
     g = int(b_labels[-1]) + 1
-    if b.shape[0] == g:
+    if b.shape[0] == g:  # one row b per label: every pair
         return np.arange(len(a)), a_labels
     b_count = np.bincount(b_labels, minlength=g)
     per_a = b_count[a_labels]  # the pairs of each row of a
@@ -267,57 +266,79 @@ def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndar
     return np.repeat(np.arange(len(a)), per_a)[first], j[first]
 
 
-class _Table:
-    """One weight table's vectors and suffix sums at every subset size
-    k <= N // 2, each row labelled k - 1."""
+def _keyed(labels: np.ndarray, inside: np.ndarray):
+    """(order, keys, totals): the order that sorts labelled rows by (label,
+    inside total), their keys in that order and the distinct totals; a key
+    is the label times the number of totals plus the total's rank."""
+    totals, rank = np.unique(inside, return_inverse=True)
+    key = labels * totals.size + rank
+    order = key.argsort()
+    return order, key[order], totals
 
-    def __init__(self, kappa: np.ndarray):
-        m, n = kappa.shape
+
+def _under(keyed, label: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """Per owner o, whether some row of label label[o] in ``keyed``, (rows,
+    keys, totals) in ``_keyed``'s order, lies under room[o], a bound less an
+    offset.  Only rows of the room's inside total qualify: row plus offset
+    and bound have the same full total, so any other row lies above the
+    room at one of the two totals."""
+    rows, keys, totals = keyed
+    inside = label % (room.shape[1] // 2)  # label t * (N // 2) + k - 1: coordinate k - 1
+    want = room[np.arange(len(label)), inside]
+    at = np.minimum(np.searchsorted(totals, want), totals.size - 1)
+    want = np.where(totals[at] == want, label * totals.size + at, -1)
+    out = np.zeros(len(label), dtype=bool)
+    for owner, state in _matches(keys, want):
+        out[owner[(rows[state] <= room[owner]).all(axis=1)]] = True
+    return out
+
+
+class _Table:
+    """The vectors and suffix sums of a stack of G weight tables of one
+    shape, the rows of table t and size k <= N // 2 labelled
+    t * (N // 2) + k - 1; the listing reads a stack of one."""
+
+    def __init__(self, K: np.ndarray):
+        g, m, n = K.shape
+        # the walk reads one table, whose labels start where its sizes do
         self.pos, self.masks, self.starts, self.size = _choices(n)
-        self.label = self.size - 1
-        # per-embedding vectors, one row per (size, image choice): (m, R, n)
-        self.hodge = _prefixes(kappa, self.pos, self.size)
-        # [None, s_1, ..., s_m] as (rows, labels, starts of the labels):
-        # s_m = {0} per label, s_j the distinct hodge[j] + s_{j+1} of one
-        # label; the walk reads suffix[j + 1] at embedding j, and s_0 is ``reach``
-        g = len(self.starts) - 1
-        rows, labels = np.zeros((g, n), dtype=np.int64), np.arange(g)
-        suffix = [(rows, labels, list(range(g + 1)))]
-        for j in range(m - 1, 0, -1):
+        # per-embedding vectors, one row per (table, size, image choice): (m, G * R, N)
+        self.hodge = _prefixes(K.transpose(1, 0, 2), self.pos, self.size).reshape(m, -1, n)
+        self.label = (np.arange(g)[:, None] * (n // 2) + self.size - 1).ravel()
+        self.groups = g * (n // 2)
+
+    def sums(self):
+        """s_m = {0} per label, s_{m-1}, ..., s_1 as (rows, labels), s_j the
+        distinct hodge[j] + s_{j+1} of one label: each is built from the one
+        before, so a caller that keeps only the last holds s_1 alone."""
+        rows, labels = np.zeros((self.groups, self.hodge.shape[2]), dtype=np.int64), np.arange(self.groups)
+        yield rows, labels
+        for j in range(len(self.hodge) - 1, 0, -1):
             rows, labels = _sumset(self.hodge[j], self.label, rows, labels)
-            suffix.append((rows, labels, np.searchsorted(labels, np.arange(g + 1)).tolist()))
-        self.suffix = [None] + suffix[::-1]
+            yield rows, labels
+
+    @cached_property
+    def suffix(self):
+        """[None, s_1, ..., s_m] as (rows, labels, starts of the labels): the
+        walk reads suffix[j + 1] at embedding j, and s_0 is ``reach``."""
+        sums = [(rows, labels, np.searchsorted(labels, np.arange(self.groups + 1)).tolist()) for rows, labels in self.sums()]
+        return [None] + sums[::-1]
 
     @cached_property
     def reach(self):
-        """(s_0, its keys, inside totals): every reachable vector, ascending
-        by its key, its label times the number of distinct inside totals
-        plus its inside total's rank among them."""
+        """(s_0, its keys, inside totals): every reachable vector, as
+        ``_keyed`` orders them."""
         s_1, labels, _ = self.suffix[1]
         i, j = _pairs(self.hodge[0], self.label, s_1, labels)
         labels = labels[j]
-        # the inside total of size k is coordinate k - 1, the label
-        totals, rank = np.unique(self.hodge[0, i, labels] + s_1[j, labels], return_inverse=True)
-        key = labels * totals.size + rank
-        order = key.argsort()  # the pairs in that order: s_0 is built once
-        return _sum_rows(self.hodge[0], i[order], s_1, j[order]), key[order], totals
+        inside = labels % (s_1.shape[1] // 2)  # the coordinate of the inside total
+        order, keys, totals = _keyed(labels, self.hodge[0, i, inside] + s_1[j, inside])
+        return _sum_rows(self.hodge[0], i[order], s_1, j[order]), keys, totals  # s_0 built once
 
     def passing(self, bound: np.ndarray) -> np.ndarray:
         """Which subsets have a reachable vector of their size under their
-        bound row.
-
-        ``bound`` holds floor(Newton / D) per subset.  Only vectors whose
-        inside total equals the bound's are compared: any other lies above
-        the bound at one of the two totals.
-        """
-        reach, keys, totals = self.reach
-        want = bound[np.arange(len(bound)), self.label]
-        at = np.minimum(np.searchsorted(totals, want), totals.size - 1)
-        want = np.where(totals[at] == want, self.label * totals.size + at, -1)
-        out = np.zeros(len(bound), dtype=bool)
-        for owner, state in _matches(keys, want):
-            out[owner[(reach[state] <= bound[owner]).all(axis=1)]] = True
-        return out
+        bound row; ``bound`` holds floor(Newton / D) per subset."""
+        return _under(self.reach, self.label, bound)  # no offset
 
     def choices(self, bound: np.ndarray, t: int, j: int = 0, acc=0, picked: tuple = ()):
         """Image bitmasks per embedding of every choice of label ``t``
@@ -375,7 +396,7 @@ class CandidateTables:
 
     @cached_property
     def table(self) -> _Table:
-        return _Table(self.kappa)
+        return _Table(self.kappa[None])
 
     def candidates(self, slopes_scaled, e: int, denom: int):
         """Every passing (subset_mask, image_masks) in order; a generator, so
@@ -431,64 +452,42 @@ def tables_for(kappa) -> CandidateTables:
 def misaligned_flags(kappas, slopes, labels) -> np.ndarray:
     """Per row v of the V x N matrix ``slopes``, ``find_candidate(
     kappas[labels[v]], row, 1, 1, 0)[0]``; ``kappas`` is a stack of G
-    weight tables of one shape.  A row leaves the join as soon as it is
-    flagged or its totals do not close.  Nothing is kept between calls."""
-    try:
-        K = np.asarray(kappas, dtype=np.int64)
-    except OverflowError:
-        K = None
-    # as in _slope_matrix, with a table for a row
-    if K is None or (K.size and K[0].size * int(np.abs(K).view(np.uint64).max()) >= _KEY_LIMIT):
-        for kappa in kappas:
-            _check_range(v for row in kappa for v in row)
-    g, m, n = K.shape
+    weight tables of one shape.  Nothing is kept between calls."""
+    g, m, n = np.shape(kappas)
+    K = _slope_matrix(np.reshape(kappas, (g, m * n)), m * n, 1).reshape(g, m, n)
     S = _slope_matrix(slopes, n, 1)
     labels = np.asarray(labels, dtype=np.intp)
     flags = np.zeros(S.shape[0], dtype=bool)
     live = np.flatnonzero(S.sum(axis=1) == K.sum(axis=(1, 2))[labels])
-    every, _, starts, _ = _choices(n)
-    for k in range(1, n // 2 + 1):
-        if live.size == 0:
-            break
-        pos = every[starts[k - 1] : starts[k]]
-        hodge = _prefixes(K, pos, k)  # (G, m, C, n)
-        # s_1 of every table, labelled: the sums of its other embeddings' vectors
-        other, owner = np.zeros((g, n), dtype=np.int64), np.arange(g)
-        table = np.repeat(np.arange(g), pos.shape[0])
-        for j in range(m - 1, 0, -1):
-            other, owner = _sumset(hodge[:, j].reshape(-1, n), table, other, owner)
-        # s_1 by (label, inside total), keyed by label and the total's rank
-        totals, rank = np.unique(other[:, k - 1], return_inverse=True)
-        key = owner * totals.size + rank
-        order = np.argsort(key)
-        other, key = other[order], key[order]
-        # (table, subset, image choice) whose choice moves a value of the
-        # table's row 0, by table; ``first`` indexes each table's first
-        vals = K[:, 0][:, pos]
-        pt, pc, pr = np.nonzero((vals[:, :, None, :] != vals[:, None, :, :]).any(axis=3))
-        hr = hodge[pt, 0, pr]
-        count = np.bincount(pt, minlength=g)
-        first = np.cumsum(count) - count
-        # every live row against every pair of its table, in slices of about
-        # _JOIN_STATES (row, pair) owners, so no array grows with the rows
-        step = max(1, _JOIN_STATES // max(1, int(count.max())))
-        hit = np.zeros(live.size, dtype=bool)
-        for lo in range(0, live.size, step):
-            rows = live[lo : lo + step]
-            lab = labels[rows]
-            per_row = count[lab]
-            v = np.repeat(np.arange(rows.size), per_row)
-            p = np.arange(v.size) + np.repeat(first[lab] - (np.cumsum(per_row) - per_row), per_row)
-            bound = _prefixes(S[rows], pos, k)
-            # s_1 vectors qualify only at the bound's inside total minus hr's
-            want = bound[v, pc[p], k - 1] - hr[p, k - 1]
-            at = np.minimum(np.searchsorted(totals, want), totals.size - 1)
-            want = np.where(totals[at] == want, lab[v] * totals.size + at, -1)
-            for o, state in _matches(key, want):
-                vo, po = v[o], p[o]
-                hit[lo + vo[(other[state] + hr[po] <= bound[vo, pc[po]]).all(axis=1)]] = True
-        flags[live[hit]] = True
-        live = live[~hit]
+    if n < 2 or live.size == 0:
+        return flags
+    table = _Table(K)
+    for s_1, owner in table.sums():  # only the last, s_1, is kept
+        pass
+    order, keys, totals = _keyed(owner, s_1[np.arange(len(owner)), owner % (n // 2)])
+    s_1 = s_1[order]
+    # (table, subset, image choice) of one size whose choice moves a value of
+    # the table's row 0, by table; ``first`` indexes each table's first
+    subset, image = _same_size(n)
+    vals = K[:, 0][:, table.pos]
+    pt, pair = np.nonzero((vals[:, subset] != vals[:, image]).any(axis=2))
+    pc, img = subset[pair], pt * len(table.size) + image[pair]  # the image as a row of the stack
+    count = np.bincount(pt, minlength=g)
+    first = np.cumsum(count) - count
+    # every live row against every pair of its table, in slices whose rooms,
+    # N entries per (row, pair) owner, hold about _JOIN_STATES entries, so
+    # no array grows with the rows
+    step = max(1, _JOIN_STATES // max(1, int(count.max()) * n))
+    for lo in range(0, live.size, step):
+        rows = live[lo : lo + step]
+        per_row = count[labels[rows]]
+        v = np.repeat(np.arange(rows.size), per_row)
+        p = np.arange(v.size) + np.repeat(first[labels[rows]] - (np.cumsum(per_row) - per_row), per_row)
+        # a pair passes when some s of s_1 of its label, the image's, lies
+        # under its bound less hodge_0[r]
+        room = _prefixes(S[rows], table.pos, table.size)[v, pc[p]]
+        room -= table.hodge[0, img[p]]
+        flags[rows[v[_under((s_1, keys, totals), table.label[img[p]], room)]]] = True
     return flags
 
 

@@ -412,7 +412,8 @@ def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
 def test_replay_and_its_verification_build_the_tables_once(monkeypatch):
     # the verifier re-derives the replay's datum at x2', so in one process it
     # finds the replay's tables in the kernel's slot, listing and all, and
-    # builds no table; the one table holds the sizes up to N // 2 = 2
+    # builds no table; the one table, a stack of one weight table, holds the
+    # sizes up to N // 2 = 2
     made, built = [], []
     candidate_tables, table = kernels.CandidateTables, kernels._Table
 
@@ -420,8 +421,9 @@ def test_replay_and_its_verification_build_the_tables_once(monkeypatch):
         made.append(kappa)
         return candidate_tables(kappa)
 
-    def recording_table(kappa):
-        built.append(table(kappa))
+    def recording_table(stack):
+        assert len(stack) == 1
+        built.append(table(stack))
         return built[-1]
 
     monkeypatch.setattr(kernels, "_slot", None)

@@ -236,10 +236,11 @@ def test_no_table_above_half_the_rank(datum):
     assert kernels.misaligned_flags([datum.weights], [sums], [0]).tolist() == [False]
     listed = admissible_candidates(datum)
     assert n < 3 or any(len(c.subset) > n // 2 for c in listed)
-    # one table, labelled by every size up to n // 2 and no other, and so
-    # are its suffix sums and s_0, whose keys lead with the label
+    # a stack of one table, labelled by every size up to n // 2 and no
+    # other, and so are its suffix sums and s_0, whose keys lead with the label
     table = tables.table
     assert table.size.tolist() == [k for k in range(1, n // 2 + 1) for _ in range(comb(n, k))]
+    assert table.label.tolist() == (table.size - 1).tolist() and table.hodge.shape[1] == len(table.size)
     for _, labels, _ in table.suffix[1:]:
         assert set(labels.tolist()) == set(range(n // 2))
     _, keys, totals = table.reach
@@ -322,6 +323,62 @@ def test_misaligned_flags_in_small_pieces(monkeypatch):
     assert 0 < sum(want) < len(want)
     monkeypatch.setattr(kernels, "_JOIN_STATES", 3)
     assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
+
+
+def _rows_of(rows, labels, label):
+    return set(map(tuple, rows[labels == label].tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_stacks())
+def test_stack_reads_as_each_table_alone(case):
+    # under table t's labels, the vectors and every suffix sum of a stack
+    # hold those of table t built alone, also with three pairs per piece
+    kappas = np.array(case[0], dtype=np.int64)
+    g, m, n = kappas.shape
+    half = n // 2
+    for pieces in (kernels._JOIN_STATES, 3):
+        with mock.patch.object(kernels, "_JOIN_STATES", pieces):
+            stack = kernels._Table(kappas)
+            sums = list(stack.sums())
+            assert len(sums) == m
+            for _, labels in sums:
+                assert labels.tolist() == sorted(labels.tolist()) and set(labels.tolist()) == set(range(g * half))
+            for t in range(g):
+                alone = kernels._Table(kappas[t : t + 1])
+                for k in range(half):
+                    label = t * half + k
+                    for j in range(m):
+                        got = _rows_of(stack.hodge[j], stack.label, label)
+                        assert got and got == _rows_of(alone.hodge[j], alone.label, k)
+                    for (rows, labels), (own, own_labels) in zip(sums, alone.sums(), strict=True):
+                        assert _rows_of(rows, labels, label) == _rows_of(own, own_labels, k)
+
+
+def test_flag_pass_keeps_only_s_1(monkeypatch):
+    # when the join first runs, s_3 and s_2 are gone: the flag pass keeps the
+    # last suffix sum alone, not every one as the listing's table does
+    kappa = [[0, 1, 3], [0, 1, 3], [-1, 1, 2]]
+    rows = [[s0, s1, 10 - s0 - s1] for s0 in range(-3, 8) for s1 in range(-3, 8)]  # totals close
+    kappas, slopes, labels = _rotations(kappa, rows)
+    want = [search_python(kappa, s, 1, 1, tau, True)[0] for s, tau in zip(slopes, labels)]
+    sums, matches = kernels._Table.sums, kernels._matches
+    yielded, alive = [], []
+
+    def recording_sums(self):
+        for rows, labels in sums(self):
+            yielded.append(weakref.ref(rows))
+            yield rows, labels
+
+    def checking_matches(keys, target):
+        if not alive:
+            alive.append([ref() is not None for ref in yielded])
+        return matches(keys, target)
+
+    monkeypatch.setattr(kernels._Table, "sums", recording_sums)
+    monkeypatch.setattr(kernels, "_matches", checking_matches)
+    assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
+    assert len(yielded) == 3 and alive and not any(alive[0][:-1])
 
 
 @settings(max_examples=60, deadline=None)

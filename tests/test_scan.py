@@ -152,22 +152,32 @@ def test_pins_only_the_witnesses_a_report_reads(monkeypatch):
 
 
 def test_certified_class_builds_no_reachable_set(monkeypatch):
-    """The flag pass builds no candidate tables, so no s_0, the reachable
-    set that pinning a witness reads: only the witness pins build them."""
+    """The flag pass builds no candidate tables, and its stack builds no s_0,
+    the reachable set that pinning a witness reads: only the witness pins
+    build them."""
     made, candidate_tables = [], kernels.CandidateTables
+    built, table = [], kernels._Table
 
     def recording_tables(kappa):
         made.append(candidate_tables(kappa))
         return made[-1]
 
+    def recording_table(stack):
+        built.append(table(stack))
+        return built[-1]
+
     monkeypatch.setattr(kernels, "CandidateTables", recording_tables)
+    monkeypatch.setattr(kernels, "_Table", recording_table)
     for band, want in ((1, (81, 0, 0)), (2, (625, 1, 1))):
         made.clear()
+        built.clear()
         kernels._slot = None  # both bands scan one weight table: build it afresh
         [(checked, bad, hits)] = scan_mod._scan_length(2, [(0, 4, 8, 12)], band, 1, 5)
         assert (checked, bad, len(hits)) == want
         assert len(made) == len(hits)
         assert all("reach" in tables.table.__dict__ for tables in made)
+        stacks = [t for t in built if all(t is not tables.table for tables in made)]
+        assert len(stacks) == 1 and "reach" not in stacks[0].__dict__
 
 
 def test_class_scan_in_small_blocks(monkeypatch):
