@@ -77,13 +77,6 @@ def vp(x, p: int) -> int:
     return v
 
 
-def unit_part(x, p: int) -> Fraction:
-    """The p-unit u with x = p^{v_p(x)} * u."""
-    q = Fraction(x)
-    v = vp(q, p)
-    return q / Fraction(p) ** v
-
-
 #: Miller-Rabin on these 13 bases is exact below PRIME_LIMIT.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3_317_044_064_679_887_385_961_981

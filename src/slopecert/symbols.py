@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .errors import Degenerate, SlopecertError, SplitExtension, ZeroArgument
-from .lattice import is_prime, unit_part, vp
+from .lattice import is_prime, over_common_denominator, vp
 
 # ---------------------------------------------------------------------------
 # places
@@ -77,11 +77,19 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _unit_mod(u: Fraction, modulus: int) -> int:
-    """A p-unit rational reduced modulo p^k (num * den^{-1})."""
-    num = u.numerator % modulus
-    den = u.denominator % modulus
-    return num * pow(den, -1, modulus) % modulus
+def _unit_class(x: Fraction, p: int) -> tuple:
+    """(v_p(x), w) for a nonzero rational x, with w the integer p-unit
+    n' * d' of x = p^v n' / d'.  w is in the square class of the unit part
+    n' / d', since the two differ by the square d'^2; it is also n' / d'
+    modulo 8 when p = 2, as every odd square is 1 mod 8."""
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num * den
 
 
 def hilbert(a, b, place) -> int:
@@ -94,21 +102,18 @@ def hilbert(a, b, place) -> int:
     if place.is_infinite:
         return -1 if (a < 0 and b < 0) else 1
     p = place.p
-    alpha = vp(a, p)
-    beta = vp(b, p)
-    u = unit_part(a, p)
-    w = unit_part(b, p)
+    alpha, u = _unit_class(a, p)
+    beta, w = _unit_class(b, p)
     if p != 2:
         sign = 1
         if alpha * beta % 2:
             sign *= legendre(-1, p)
         if beta % 2:
-            sign *= legendre(_unit_mod(u, p), p)
+            sign *= legendre(u, p)
         if alpha % 2:
-            sign *= legendre(_unit_mod(w, p), p)
+            sign *= legendre(w, p)
         return sign
-    u8 = _unit_mod(u, 8)
-    w8 = _unit_mod(w, 8)
+    u8, w8 = u % 8, w % 8
     eps_u, eps_w = (u8 - 1) // 2 % 2, (w8 - 1) // 2 % 2
     om_u, om_w = (u8 * u8 - 1) // 8 % 2, (w8 * w8 - 1) // 8 % 2
     expo = eps_u * eps_w + alpha * om_w + beta * om_u
@@ -121,11 +126,13 @@ def hilbert(a, b, place) -> int:
 
 
 def _reduce_square_class(x: Fraction, p: int) -> int:
-    """Integer representative of x modulo squares with v_p in {0, 1}."""
+    """Integer representative of x modulo squares with v_p in {0, 1}: the
+    numerator times the denominator once the even part of p^v_p(x) is gone."""
     v = vp(x, p)
-    y = x / Fraction(p) ** (v - v % 2)
-    n = y.numerator * y.denominator  # same square class, now an integer
-    return n
+    num, den = x.numerator, x.denominator
+    if v >= 0:
+        return num // p ** (v - v % 2) * den
+    return num * p ** (v % 2) * (den // p**-v)
 
 
 # the largest prime at which ``hilbert_solvable`` searches; see its docstring
@@ -139,23 +146,27 @@ def hilbert_solvable(a, b, place) -> bool:
     f = a x^2 + b y^2 - z^2 over projective charts.  Every primitive
     solution is a unit multiple of one whose first p-unit coordinate is
     exactly 1, so chart c in (x, y, z) fixes coordinate c to 1, keeps the
-    earlier coordinates = 0 mod p and lifts only the other two: each
-    expansion has p^2 children, and the top level at most 3 p^2 points.  A
-    point is certified once its level k exceeds twice the valuation of some
-    gradient component, and expanded one p-digit at a time otherwise.
+    earlier coordinates = 0 mod p and lifts only the other two, xi and xj.
+    A point is certified once its level k exceeds twice the valuation of
+    some gradient component, and expanded one p-digit at a time otherwise.
     Depth is capped by 2 * (v_p(2) + max coefficient valuation) + 1, beyond
     which every live branch would have been certified, so an empty frontier
     decides unsolvability.  Only f mod p^k is ever evaluated: no Legendre
     symbol, so the search shares nothing with ``hilbert``.
 
-    Primes above ``ORACLE_MAX_PRIME`` = 101 are refused with a
-    ``SlopecertError`` before any search.  At odd p an uncertified point
-    has its gradient = 0 mod p, so all or none of its p^2 children pass:
-    at most p + 1 top points are expanded, p^3 steps, and only when both
-    valuations are odd up to 2 p^2 second-level points, 2 p^4 steps.  Over
-    120 sampled pairs per prime at p <= 101 the slowest took 1.3 s (p = 97;
-    Python 3.11, one core).  Beyond the cap the cost runs away: one pair
-    took 4 s at p = 131 and 19 s at p = 251.
+    A point's p^2 children are found in O(p), not by testing each: the
+    residues cj yj^2 mod p^(k+1) of the p lifts yj of xj are tabulated once,
+    and each of the p lifts yi of xi looks up -(fixed + ci yi^2).  Children
+    are still visited with the digit of xi ascending, then that of xj.  At
+    odd p an uncertified point has its gradient = 0 mod p, so all or none of
+    its children pass: a search expands at most p + 1 top points and, only
+    when both valuations are odd, up to 2 p^2 second-level points, about
+    4 p^3 table steps.  Primes above ``ORACLE_MAX_PRIME`` = 101 are refused
+    with a ``SlopecertError`` before any search.  Over 120 sampled pairs per
+    prime at p <= 101 the slowest took 0.05 s (p = 101), and so did the
+    slowest of all 9,216 pairs (97 u, 97 w) with 0 < u, w < 97 (Python 3.11,
+    one core).  Beyond the cap one pair took 0.05 s at p = 131 and 0.13 s
+    at p = 251.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -174,30 +185,38 @@ def hilbert_solvable(a, b, place) -> bool:
     def chart_solvable(c) -> bool:
         i, j = (k for k in range(3) if k != c)
         fixed, ci, cj = coeffs[c], coeffs[i], coeffs[j]
+        # the gradient is (2 fixed, 2 ci xi, 2 cj xj); fixed, ci, cj are nonzero
+        v_fixed, v_i, v_j = vp(2 * fixed, p), vp(2 * ci, p), vp(2 * cj, p)
+
+        def roots(lifts_i, lifts_j, modulus):
+            """The pairs of lifts with f = 0 mod modulus, in lift order."""
+            by_residue = {}
+            for yj in lifts_j:
+                by_residue.setdefault(cj * yj * yj % modulus, []).append(yj)
+            for yi in lifts_i:
+                for yj in by_residue.get(-(fixed + ci * yi * yi) % modulus, ()):
+                    yield yi, yj
 
         def expand(xi, xj, level) -> bool:
             # invariant: f = fixed + ci xi^2 + cj xj^2 = 0 mod p^level
-            if any(g and level > 2 * vp(g, p) for g in (2 * fixed, 2 * ci * xi, 2 * cj * xj)):
+            if (
+                level > 2 * v_fixed
+                or xi and level > 2 * (v_i + vp(xi, p))
+                or xj and level > 2 * (v_j + vp(xj, p))
+            ):
                 return True
             if level >= depth_cap:
                 return False
             step = p**level
-            target = p ** (level + 1)
-            for di in range(p):
-                yi = xi + di * step
-                partial = fixed + ci * yi * yi
-                for dj in range(p):
-                    yj = xj + dj * step
-                    if (partial + cj * yj * yj) % target == 0 and expand(yi, yj, level + 1):
-                        return True
-            return False
+            target = step * p
+            lifts_i = range(xi, xi + target, step)
+            lifts_j = range(xj, xj + target, step)
+            return any(expand(yi, yj, level + 1) for yi, yj in roots(lifts_i, lifts_j, target))
 
         # a lifted coordinate before the chart's 1 is = 0 mod p
-        return any(
-            (fixed + ci * xi * xi + cj * xj * xj) % p == 0 and expand(xi, xj, 1)
-            for xi in range(1 if i < c else p)
-            for xj in range(1 if j < c else p)
-        )
+        lifts_i = range(1 if i < c else p)
+        lifts_j = range(1 if j < c else p)
+        return any(expand(xi, xj, 1) for xi, xj in roots(lifts_i, lifts_j, p))
 
     return any(chart_solvable(c) for c in range(3))
 
@@ -237,12 +256,12 @@ def is_local_square(d, p: int) -> bool:
     d = Fraction(d)
     if d == 0:
         raise ZeroArgument("square test needs a nonzero argument")
-    if vp(d, p) % 2:
+    v, u = _unit_class(d, p)
+    if v % 2:
         return False
-    u = unit_part(d, p)
     if p == 2:
-        return _unit_mod(u, 8) == 1
-    return legendre(_unit_mod(u, p), p) == 1
+        return u % 8 == 1
+    return legendre(u, p) == 1
 
 
 def sign_char(d: int, u, p: int) -> int:
@@ -282,7 +301,11 @@ def _squarefree(n: int) -> bool:
 
 @dataclass(frozen=True)
 class QuadExtElem:
-    """a + b sqrt(d) with rational a, b over a squarefree discriminant class d."""
+    """a + b sqrt(d) with rational a, b over a squarefree discriminant class d.
+
+    An element built by a caller is checked; the result of arithmetic on
+    checked elements is built by ``_of``, which checks nothing again.
+    """
 
     d: int
     a: Fraction
@@ -296,39 +319,48 @@ class QuadExtElem:
         if self.d in (0, 1) or not _squarefree(self.d):
             raise ValueError(f"discriminant class {self.d} must be squarefree and != 0, 1")
 
+    @classmethod
+    def _of(cls, d: int, a: Fraction, b: Fraction) -> "QuadExtElem":
+        """An element over a checked d with Fraction a, b, built unchecked."""
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "d", d)
+        object.__setattr__(elem, "a", a)
+        object.__setattr__(elem, "b", b)
+        return elem
+
     def _lift(self, other) -> "QuadExtElem":
         if isinstance(other, QuadExtElem):
             if other.d != self.d:
                 raise ValueError("elements live in different quadratic extensions")
             return other
-        return QuadExtElem(self.d, Fraction(other), Fraction(0))
+        return QuadExtElem._of(self.d, Fraction(other), Fraction(0))
 
     def __add__(self, other):
         o = self._lift(other)
-        return QuadExtElem(self.d, self.a + o.a, self.b + o.b)
+        return QuadExtElem._of(self.d, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._lift(other)
-        return QuadExtElem(self.d, self.a - o.a, self.b - o.b)
+        return QuadExtElem._of(self.d, self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __mul__(self, other):
         o = self._lift(other)
-        return QuadExtElem(
+        return QuadExtElem._of(
             self.d, self.a * o.a + self.d * self.b * o.b, self.a * o.b + self.b * o.a
         )
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadExtElem(self.d, -self.a, -self.b)
+        return QuadExtElem._of(self.d, -self.a, -self.b)
 
     def conj(self) -> "QuadExtElem":
-        return QuadExtElem(self.d, self.a, -self.b)
+        return QuadExtElem._of(self.d, self.a, -self.b)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.d * self.b * self.b
@@ -343,7 +375,7 @@ class QuadExtElem:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("not invertible")
-        return QuadExtElem(self.d, self.a / n, -self.b / n)
+        return QuadExtElem._of(self.d, self.a / n, -self.b / n)
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()
@@ -354,7 +386,7 @@ class QuadExtElem:
     def pow(self, k: int) -> "QuadExtElem":
         if k < 0:
             return self.inverse().pow(-k)
-        out = QuadExtElem(self.d, Fraction(1), Fraction(0))
+        out = QuadExtElem._of(self.d, Fraction(1), Fraction(0))
         base = self
         while k:
             if k & 1:
@@ -362,11 +394,6 @@ class QuadExtElem:
             base = base * base
             k >>= 1
         return out
-
-    def rational(self) -> Fraction:
-        if self.b != 0:
-            raise Degenerate(f"{self} is not rational")
-        return self.a
 
     def __repr__(self):
         return f"({self.a} + {self.b}*sqrt({self.d}))"
@@ -418,20 +445,28 @@ class WaldInstance:
 
 
 def _poly_mul(p1, p2):
-    out = [Fraction(0)] * (len(p1) + len(p2) - 1)
+    out = [0] * (len(p1) + len(p2) - 1)
     for i, c1 in enumerate(p1):
         for j, c2 in enumerate(p2):
             out[i + j] += c1 * c2
     return out
 
 
-def _poly_eval(coeffs, x):
-    """Horner's rule at a Fraction or a QuadExtElem, whose reflected
-    operators take the Fraction start."""
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+def _quad_mul(u, v, d: int) -> tuple:
+    """(u0 + u1 sqrt(d)) (v0 + v1 sqrt(d)) on pairs of ints."""
+    return u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _poly_eval(coeffs, y, d: int) -> tuple:
+    """yd^n P(y) as a pair of ints, for P the int polynomial of degree
+    n = len(coeffs) - 1 at y = (ya + yb sqrt(d)) / yd: Horner's rule with
+    the denominator carried as a power, so no value is ever reduced."""
+    ya, yb, yd = y
+    qa, qb, power = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        power *= yd
+        qa, qb = qa * ya + d * qb * yb + c * power, qa * yb + qb * ya
+    return qa, qb
 
 
 def _poly_derivative(coeffs):
@@ -439,16 +474,18 @@ def _poly_derivative(coeffs):
 
 
 def _char_poly_factors(inst: WaldInstance, with_splits: bool):
-    """[prod over indices of (T - y)(T - y^{tau})] as an exact rational polynomial."""
-    poly = [Fraction(1)]
-    for y in map(inst.y_field, range(len(inst.field_elements))):
-        # (T - y)(T - conj y) = T^2 - trace(y) T + 1: y has norm one.
-        poly = _poly_mul(poly, [Fraction(1), -y.trace(), Fraction(1)])
+    """prod over indices of (T - y)(T - y^{tau}) as (int coefficients, D):
+    the exact rational polynomial is the coefficients over the int D."""
+    # (T - y)(T - conj y) = T^2 - trace(y) T + 1: y has norm one.
+    factors = [(Fraction(1), -y.trace(), Fraction(1)) for y in map(inst.y_field, range(len(inst.field_elements)))]
     if with_splits:
-        for j in range(len(inst.split_values)):
-            y1, y2 = inst.y_split(j)
-            poly = _poly_mul(poly, [y1 * y2, -(y1 + y2), Fraction(1)])
-    return poly
+        factors += [(y1 * y2, -(y1 + y2), Fraction(1)) for y1, y2 in map(inst.y_split, range(len(inst.split_values)))]
+    poly, denom = [1], 1
+    for factor in factors:
+        coeffs, factor_denom = over_common_denominator(factor)
+        poly = _poly_mul(poly, coeffs)
+        denom *= factor_denom
+    return poly, denom
 
 
 def _all_y_values(inst: WaldInstance):
@@ -486,16 +523,26 @@ def _wald_ratios(inst: WaldInstance) -> tuple:
     tau-invariance.  Raises Degenerate or SplitExtension, index by index,
     where the ratio is not defined.  The last instance's ratios are kept,
     so the sign product and the structure report of one job share them.
+
+    The ratio is evaluated on ints.  x^{-1} (1+y) cancels, and y^{m_0-m}
+    is conj(y)^k with k = m - m_0, as y has norm one.  With y = Y / yd,
+    P = (int polynomial) / D of degree n and P_0 likewise over D_0, write
+    q = yd^(n-1) D P'(y), an integral pair, and e = D P(-1), an int; then
+    n - n_0 = 2k and
+
+        C_i / C_{i,0} = q conj(Y)^k e D_0^2 / (q_0 e_0 D^2 yd^(3k)),
+
+    so a Fraction is built only for the ratio.
     """
     _check_regular(inst)
-    m = inst.m
-    m0 = len(inst.field_elements)
-    p_full = _char_poly_factors(inst, with_splits=True)
-    p_zero = _char_poly_factors(inst, with_splits=False)
+    k = inst.m - len(inst.field_elements)
+    p_full, den_full = _char_poly_factors(inst, with_splits=True)
+    p_zero, den_zero = _char_poly_factors(inst, with_splits=False)
     dp_full = _poly_derivative(p_full)
     dp_zero = _poly_derivative(p_zero)
-    p_full_at_m1 = _poly_eval(p_full, Fraction(-1))
-    p_zero_at_m1 = _poly_eval(p_zero, Fraction(-1))
+    # D P(-1) and D_0 P_0(-1): -1 is (-1 + 0 sqrt(d)) / 1 for any d
+    p_full_at_m1 = _poly_eval(p_full, (-1, 0, 1), 0)[0]
+    p_zero_at_m1 = _poly_eval(p_zero, (-1, 0, 1), 0)[0]
     if p_full_at_m1 == 0 or p_zero_at_m1 == 0:
         raise Degenerate("-1 is a root of the characteristic polynomial")
     out = []
@@ -503,15 +550,26 @@ def _wald_ratios(inst: WaldInstance) -> tuple:
         if is_local_square(x.d, inst.p):
             raise SplitExtension(f"sqrt({x.d}) splits over Q_{inst.p}")
         y = inst.y_field(i)
-        xinv = x.inverse()
-        one_plus_y = y + 1
-        if one_plus_y.is_zero():
+        (ya, yb), yd = over_common_denominator((y.a, y.b))
+        if ya == -yd and yb == 0:
             raise Degenerate("1 + y vanishes")
-        c_full = xinv * _poly_eval(dp_full, y) * p_full_at_m1 * y.pow(1 - m) * one_plus_y
-        c_zero = xinv * _poly_eval(dp_zero, y) * p_zero_at_m1 * y.pow(1 - m0) * one_plus_y
-        if c_full.is_zero() or c_zero.is_zero():
+        q_full = _poly_eval(dp_full, (ya, yb, yd), x.d)
+        q_zero = _poly_eval(dp_zero, (ya, yb, yd), x.d)
+        if q_full == (0, 0) or q_zero == (0, 0):
             raise Degenerate("a transfer-factor quantity vanished")
-        out.append((x, y, (c_full / c_zero).rational()))
+        num = q_full
+        for _ in range(k):
+            num = _quad_mul(num, (ya, -yb), x.d)
+        # divide by q_zero: multiply by its conjugate over its norm
+        num_a, num_b = _quad_mul(num, (q_zero[0], -q_zero[1]), x.d)
+        if num_b != 0:
+            raise Degenerate(f"C_{i} / C_{i},0 is not rational")
+        norm_zero = q_zero[0] * q_zero[0] - x.d * q_zero[1] * q_zero[1]
+        ratio = Fraction(
+            num_a * p_full_at_m1 * den_zero * den_zero,
+            norm_zero * p_zero_at_m1 * den_full * den_full * yd ** (3 * k),
+        )
+        out.append((x, y, ratio))
     return tuple(out)
 
 
@@ -538,7 +596,7 @@ def wald_structure_report(inst: WaldInstance) -> list:
     sign = (-1) ** (inst.m - len(inst.field_elements))
     out = []
     for x, y, ratio in _wald_ratios(inst):
-        w = QuadExtElem(x.d, Fraction(1), Fraction(0))
+        w = QuadExtElem._of(x.d, Fraction(1), Fraction(0))
         for xj in inst.split_values:
             w = w * (y + xj) * (1 / xj - 1)
         out.append((ratio, Fraction(sign) * w.norm()))

@@ -646,6 +646,17 @@ def test_wald_discriminant_below_its_cap_answered():
     assert run_job(wald_job(5, 10_000_000_033)) == ({"command": "wald-sign", "result": {"sign": 1, "structure": [ratio]}}, 0)
 
 
+def test_wald_indices_beyond_their_cap_refused(tmp_path, capsys):
+    # nothing capped m: 64 field elements took 1.6 s, and the cost grows
+    # faster than m^2
+    fields = [{"d": -1, "a": str(k), "b": "1"} for k in range(1, 130)]
+    job = {"command": "wald-sign", "params": {"p": 3, "m": 129, "split_values": [], "field_elements": fields}}
+    start = time.perf_counter()
+    err = rejected_in_one_line(tmp_path, capsys, job)
+    assert time.perf_counter() - start < 1
+    assert err == "error: params.m: 129 is greater than the maximum of 128\n"
+
+
 @pytest.mark.parametrize("local, rows", [({"p": 3, "e": 1, "f": 1}, 3), ({"p": 3, "e": 2}, 1)])
 def test_classicality_weights_need_e_times_f_rows(tmp_path, capsys, local, rows):
     # both were answered with a verdict over the wrong number of embeddings

@@ -12,7 +12,6 @@ from slopecert.lattice import (
     parse_rat,
     rat_str,
     is_prime,
-    unit_part,
     very_regular,
     vp,
 )
@@ -83,10 +82,6 @@ class TestRat:
         assert vp(Fraction(5, 7), 3) == 0
         with pytest.raises(ZeroDivisionError):
             vp(0, 5)
-
-    def test_unit_part(self):
-        assert unit_part(Fraction(12), 2) == 3
-        assert unit_part(Fraction(5, 18), 3) == Fraction(5, 2)
 
 
 class TestLocalDatum:

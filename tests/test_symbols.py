@@ -3,7 +3,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hensel_oracle import solvable_by_double_loop
 from slopecert.errors import Degenerate, SlopecertError, SplitExtension, ZeroArgument
 from slopecert import symbols
 from slopecert.cli import run_job
@@ -24,6 +27,16 @@ from slopecert.symbols import (
 )
 
 PLACES = [Place(2), Place(3), Place(5), Place(7), INFINITE_PLACE]
+ORACLE_PRIMES = [q for q in range(2, ORACLE_MAX_PRIME + 1) if is_prime(q)]
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def local_rationals(p):
+    """Nonzero rationals with v_p in -3..3, so both valuations are odd in
+    about a third of the drawn pairs, and units of either square class."""
+    unit = st.integers(-500, 500).filter(lambda n: n % p)
+    denominator = st.integers(1, 60).filter(lambda n: n % p)
+    return st.builds(lambda u, d, v: Fraction(u, d) * Fraction(p) ** v, unit, denominator, st.integers(-3, 3))
 
 
 def unit_reps(p):
@@ -103,6 +116,20 @@ class TestHilbert:
                 hilbert_solvable(3, 5, p)
         assert hilbert(3, 5, 1000003) == 1
 
+    @pytest.mark.parametrize("p", [q for q in ORACLE_PRIMES if q <= 43])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_search_agrees_with_the_double_loop(self, p, data):
+        a, b = data.draw(local_rationals(p)), data.draw(local_rationals(p))
+        assert hilbert_solvable(a, b, p) == solvable_by_double_loop(a, b, p)
+
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_search_agrees_with_the_closed_form_at_every_oracle_prime(self, p, data):
+        a, b = data.draw(local_rationals(p)), data.draw(local_rationals(p))
+        assert hilbert_solvable(a, b, p) == (hilbert(a, b, p) == 1)
+
     def test_bilinearity_symmetry_and_hyperbolic(self):
         rng = random.Random(42)
         for _ in range(200):
@@ -133,6 +160,16 @@ class TestSignChar:
             assert sign_char(-1, u * u, 3) == 1
             assert sign_char(2, u * u, 5) == 1
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_local_squares_against_the_search(self, p):
+        # d is a square in Q_p exactly when (d, b)_p = 1 for b over the square classes
+        classes = [1, -1, 2, -2, 5, -5, 10, -10] if p == 2 else [c * p**v for c in unit_reps(p)[::2] for v in (0, 1)]
+        rng = random.Random(p)
+        for _ in range(60):
+            r = nonzero(rng)
+            d = rng.choice(classes) * r * r
+            assert is_local_square(d, p) == all(hilbert_solvable(d, b, p) for b in classes), (d, p)
+
     def test_split_extension(self):
         assert is_local_square(-1, 5)  # -1 = 2^2 mod 5 lifts
         with pytest.raises(SplitExtension):
@@ -144,9 +181,9 @@ class TestQuadExt:
         x = QuadExtElem(2, Fraction(1), Fraction(1))
         assert x.norm() == -1
         assert x.trace() == 2
-        assert (x * x.conj()).rational() == -1
-        assert (x.inverse() * x).rational() == 1
-        assert (x.pow(3) * x.pow(-3)).rational() == 1
+        assert x * x.conj() == QuadExtElem(2, -1, 0)
+        assert x.inverse() * x == QuadExtElem(2, 1, 0)
+        assert x.pow(3) * x.pow(-3) == QuadExtElem(2, 1, 0)
 
     def test_conjugation(self):
         x = QuadExtElem(5, Fraction(2), Fraction(-3))
@@ -162,6 +199,43 @@ class TestQuadExt:
     def test_cross_field_mixing_rejected(self):
         with pytest.raises(ValueError):
             QuadExtElem(2, 1, 1) * QuadExtElem(3, 1, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.sampled_from([-7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 13]),
+        x=st.tuples(RATIONALS, RATIONALS),
+        y=st.tuples(RATIONALS, RATIONALS),
+        k=st.integers(-5, 5),
+    )
+    def test_arithmetic_against_fraction_pairs(self, d, x, y, k):
+        def mul(u, v):
+            return u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+        def norm(u):
+            return u[0] * u[0] - d * u[1] * u[1]
+
+        def pair(elem):
+            assert elem.d == d and type(elem.a) is Fraction and type(elem.b) is Fraction
+            return elem.a, elem.b
+
+        xe, ye = QuadExtElem(d, *x), QuadExtElem(d, *y)
+        assert xe.norm() == norm(x)
+        assert pair(xe * ye) == mul(x, y)
+        assert pair(3 * xe) == pair(xe * 3) == (3 * x[0], 3 * x[1])
+        assert pair(xe + ye) == (x[0] + y[0], x[1] + y[1])
+        assert pair(1 - xe) == (1 - x[0], -x[1])
+        if norm(y):
+            inverse = (y[0] / norm(y), -y[1] / norm(y))
+            assert pair(ye.inverse()) == inverse
+            assert pair(xe / ye) == mul(x, inverse)
+            assert pair(2 / ye) == (2 * inverse[0], 2 * inverse[1])
+            power = (Fraction(1), Fraction(0))
+            for _ in range(abs(k)):
+                power = mul(power, y if k > 0 else inverse)
+            assert pair(ye.pow(k)) == power
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ye.inverse()
 
 
 def random_instance(rng):
@@ -267,3 +341,30 @@ class TestWaldspurger:
             for fn in (waldspurger_sign_product, wald_structure_report, waldspurger_sign_product):
                 with pytest.raises(error, match=message):
                     fn(inst)
+
+
+def test_wald_job_checks_only_the_elements_it_reads(monkeypatch):
+    # every arithmetic result re-ran the squarefree test and the field checks
+    checked, tested = [], []
+    post_init, squarefree = QuadExtElem.__post_init__, symbols._squarefree
+
+    def counting_post_init(self):
+        checked.append(self.d)
+        post_init(self)
+
+    def counting_squarefree(n):
+        tested.append(n)
+        return squarefree(n)
+
+    monkeypatch.setattr(QuadExtElem, "__post_init__", counting_post_init)
+    monkeypatch.setattr(symbols, "_squarefree", counting_squarefree)
+    symbols._wald_ratios.cache_clear()
+    params = {
+        "p": 3,
+        "m": 3,
+        "split_values": ["2"],
+        "field_elements": [{"d": -1, "a": "1", "b": "2"}, {"d": 2, "a": "3", "b": "1"}],
+    }
+    report, code = run_job({"command": "wald-sign", "params": params})
+    assert report["result"]["structure"] and code in (0, 2)
+    assert checked == tested == [-1, 2]
