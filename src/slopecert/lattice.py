@@ -11,6 +11,11 @@ embedding of the field into its algebraic closure, so e*f rows) and column i
 for the dominant coordinates k[sigma][1] >= ... >= k[sigma][n] >= 0.  The
 accessor extends indices to -n..n by k[sigma][-i] = -k[sigma][i] and
 k[sigma][0] = 0; the extension is never stored.
+
+Every scalar is an exact rational, a Fraction, and no floating point enters
+the package.  Hot loops hold their values as int numerators over one common
+denominator (``over_common_denominator``) and build a Fraction only for a
+value they return or record.
 """
 
 from __future__ import annotations
@@ -20,12 +25,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-#: Exact rational scalar used everywhere; no floating point enters the package.
-#: The replay's hot loops hold their values as int numerators over one common
-#: denominator (``over_common_denominator``) and build a Rat only for a value
-#: they return or record.
-Rat = Fraction
 
 #: The job schema's rational grammar: an ASCII integer, optionally "/den".
 _RAT = re.compile(r"-?[0-9]+(/[0-9]+)?")

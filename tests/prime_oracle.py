@@ -1,4 +1,5 @@
-"""Primality by trial division up to the square root: the oracle for ``lattice.is_prime``."""
+"""Trial division up to the square root: the oracles for ``lattice.is_prime``
+and for ``symbols._squarefree``, which divides only up to the cube root."""
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -11,4 +12,14 @@ def is_prime_by_trial_division(n: int) -> bool:
         if n % d == 0:
             return False
         d += 2
+    return True
+
+
+def is_squarefree_by_trial_division(n: int) -> bool:
+    n = abs(n)
+    d = 2
+    while d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        d += 1
     return True

@@ -3,7 +3,9 @@
 No linter is installed, so this reads the syntax trees of all modules at
 once.  A private name (one leading underscore) bound by ``def`` or
 ``class`` must be read, as a name, an attribute or an imported name,
-somewhere in the package outside its own body.  A public, non-dunder one
+somewhere in the package outside its own body; a method counts as read only
+through an attribute, so a method named like a builtin (``pow``) is not
+read by a call of the builtin.  A public, non-dunder one
 must be read so in the package, ``__init__.py`` aside, or in
 ``tests/test_acceptance.py`` or a ``bench/*.py`` file.  A leftover helper
 that lost its last caller fails, and so does a public name that only the
@@ -21,29 +23,50 @@ CALLERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob(
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _read(node) -> list:
-    """Every name, attribute and imported name read in ``node``'s subtree."""
-    reads = []
+def _read(node) -> tuple:
+    """(names, attributes): every name and imported name, and every
+    attribute, read in ``node``'s subtree."""
+    names, attributes = [], []
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            reads.append(n.id)
+            names.append(n.id)
         elif isinstance(n, ast.Attribute):
-            reads.append(n.attr)
+            attributes.append(n.attr)
         elif isinstance(n, ast.ImportFrom):
-            reads += [alias.name for alias in n.names]
-    return reads
+            names += [alias.name for alias in n.names]
+    return names, attributes
+
+
+def _count(reads, name, method) -> int:
+    names, attributes = reads
+    return attributes.count(name) + (0 if method else names.count(name))
 
 
 def _unread(trees, private, callers=()) -> list:
-    reads = [name for tree in trees for name in _read(tree)]
-    outside = {name for tree in callers for name in _read(tree)}
+    reads, outside = ([], []), ([], [])
+    for tree in trees:
+        for kind, found in zip(reads, _read(tree)):
+            kind += found
+    for tree in callers:
+        for kind, found in zip(outside, _read(tree)):
+            kind += found
+    methods = {
+        id(item)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, DEFS)
+    }
     unused = set()
     for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, DEFS) or node.name.startswith("__") or node.name.startswith("_") != private:
                 continue
+            method = id(node) in methods
+            read_outside = node.name in outside[1] or not method and node.name in outside[0]
             # a name read only inside its own body, by recursion, is unused
-            if node.name not in outside and reads.count(node.name) == _read(node).count(node.name):
+            if not read_outside and _count(reads, node.name, method) == _count(_read(node), node.name, method):
                 unused.add(node.name)
     return sorted(unused)
 
@@ -79,6 +102,19 @@ def test_the_check_sees_an_unread_public_name():
     caller = "import module\nmodule.helper().area()\n"
     assert unread_public([module, importer], [caller]) == ["grow"]
     assert unread_public([module], []) == ["aliased", "area", "grow", "helper"]
+
+
+def test_a_method_is_read_only_through_an_attribute():
+    # the builtin pow, or a function named like the method, does not read it
+    module = (
+        "class Num:\n    def pow(self, k):\n        return self\n\n    def _step(self):\n        return self\n\n"
+        "def _step(n):\n    return n\n\n"
+        "def square(n):\n    return pow(n, 2) + _step(n)\n"
+    )
+    assert unread_public([module], ["square(Num())\n"]) == ["pow"]
+    assert unread_public([module], ["square(Num().pow(2))\n"]) == []
+    assert unreferenced_private([module]) == ["_step"]
+    assert unreferenced_private([module, "def f(n):\n    return n._step()\n"]) == []
 
 
 def _package_sources(skip=()) -> list:

@@ -3,16 +3,19 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hensel_oracle import solvable_by_double_loop
+from prime_oracle import is_squarefree_by_trial_division
+from wald_oracle import wald_by_pairs
 from slopecert.errors import Degenerate, SlopecertError, SplitExtension, ZeroArgument
 from slopecert import symbols
 from slopecert.cli import run_job
 from slopecert.lattice import is_prime
 from slopecert.symbols import (
     INFINITE_PLACE,
+    MAX_DISCRIMINANT,
     ORACLE_MAX_PRIME,
     Place,
     QuadExtElem,
@@ -28,7 +31,6 @@ from slopecert.symbols import (
 
 PLACES = [Place(2), Place(3), Place(5), Place(7), INFINITE_PLACE]
 ORACLE_PRIMES = [q for q in range(2, ORACLE_MAX_PRIME + 1) if is_prime(q)]
-RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 def local_rationals(p):
@@ -177,65 +179,56 @@ class TestSignChar:
 
 
 class TestQuadExt:
-    def test_arithmetic(self):
-        x = QuadExtElem(2, Fraction(1), Fraction(1))
-        assert x.norm() == -1
-        assert x.trace() == 2
-        assert x * x.conj() == QuadExtElem(2, -1, 0)
-        assert x.inverse() * x == QuadExtElem(2, 1, 0)
-        assert x.pow(3) * x.pow(-3) == QuadExtElem(2, 1, 0)
-
-    def test_conjugation(self):
-        x = QuadExtElem(5, Fraction(2), Fraction(-3))
-        assert x.conj().b == 3
-        assert x + x.conj() == QuadExtElem(5, Fraction(4), Fraction(0))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadExtElem(4, 1, 1)  # not squarefree
         with pytest.raises(ValueError):
             QuadExtElem(1, 1, 1)
 
-    def test_cross_field_mixing_rejected(self):
-        with pytest.raises(ValueError):
-            QuadExtElem(2, 1, 1) * QuadExtElem(3, 1, 1)
+    def test_squarefree_against_trial_division_to_the_square_root(self):
+        for d in range(-3000, 3000):
+            assert symbols._squarefree(d) == is_squarefree_by_trial_division(d), d
+        # near MAX_DISCRIMINANT: p q, p^2 q, q^2 and three primes near the cube root
+        squarefree = [9973 * 100000007, 9973 * 9967 * 10007, 999999999989, 2 * 3 * 5 * 7 * 11 * 13 * 999983]
+        not_squarefree = [9973**2 * 10007, 999983**2, 4 * 249999999997, 9967 * 9973 * 9973]
+        assert [symbols._squarefree(d) for d in squarefree] == [True] * 4
+        assert [symbols._squarefree(-d) for d in not_squarefree] == [False] * 4
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        d=st.sampled_from([-7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 13]),
-        x=st.tuples(RATIONALS, RATIONALS),
-        y=st.tuples(RATIONALS, RATIONALS),
-        k=st.integers(-5, 5),
-    )
-    def test_arithmetic_against_fraction_pairs(self, d, x, y, k):
-        def mul(u, v):
-            return u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+    @settings(max_examples=8, deadline=None)
+    @given(d=st.integers(MAX_DISCRIMINANT // 10, MAX_DISCRIMINANT), sign=st.sampled_from([1, -1]))
+    def test_squarefree_at_random_up_to_the_cap(self, d, sign):
+        assert symbols._squarefree(sign * d) == is_squarefree_by_trial_division(d)
 
-        def norm(u):
-            return u[0] * u[0] - d * u[1] * u[1]
 
-        def pair(elem):
-            assert elem.d == d and type(elem.a) is Fraction and type(elem.b) is Fraction
-            return elem.a, elem.b
+WALD_DISCRIMINANTS = [-7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 13]
+SMALL_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
-        xe, ye = QuadExtElem(d, *x), QuadExtElem(d, *y)
-        assert xe.norm() == norm(x)
-        assert pair(xe * ye) == mul(x, y)
-        assert pair(3 * xe) == pair(xe * 3) == (3 * x[0], 3 * x[1])
-        assert pair(xe + ye) == (x[0] + y[0], x[1] + y[1])
-        assert pair(1 - xe) == (1 - x[0], -x[1])
-        if norm(y):
-            inverse = (y[0] / norm(y), -y[1] / norm(y))
-            assert pair(ye.inverse()) == inverse
-            assert pair(xe / ye) == mul(x, inverse)
-            assert pair(2 / ye) == (2 * inverse[0], 2 * inverse[1])
-            power = (Fraction(1), Fraction(0))
-            for _ in range(abs(k)):
-                power = mul(power, y if k > 0 else inverse)
-            assert pair(ye.pow(k)) == power
-        else:
-            with pytest.raises(ZeroDivisionError):
-                ye.inverse()
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 11, 13]),
+    splits=st.lists(SMALL_RATIONALS.filter(bool), max_size=3),
+    fields=st.lists(
+        st.tuples(st.sampled_from(WALD_DISCRIMINANTS), SMALL_RATIONALS, SMALL_RATIONALS).filter(lambda f: f[1] or f[2]),
+        max_size=3,
+    ),
+)
+def test_wald_against_fraction_pairs(p, splits, fields):
+    # the sign product, each ratio, the structure report and the outcome
+    # agree with the same quantities formed literally on Fraction pairs
+    assume(splits or fields)
+    m = len(splits) + len(fields)
+    inst = WaldInstance(p, m, tuple(splits), tuple(QuadExtElem(d, a, b) for d, a, b in fields))
+    outcome, expected = wald_by_pairs(p, m, splits, fields)
+    if outcome != "ok":
+        error = {"Degenerate": Degenerate, "SplitExtension": SplitExtension}[outcome]
+        for fn in (waldspurger_sign_product, wald_structure_report):
+            with pytest.raises(error):
+                fn(inst)
+        return
+    sign, entries = expected
+    assert waldspurger_sign_product(inst) == sign
+    assert wald_structure_report(inst) == entries
 
 
 def random_instance(rng):
@@ -323,9 +316,9 @@ class TestWaldspurger:
         # evaluation builds two characteristic polynomials
         built = []
 
-        def counting(inst, with_splits):
-            built.append(with_splits)
-            return char_poly_factors(inst, with_splits)
+        def counting(ys, split_values):
+            built.append(len(split_values))
+            return char_poly_factors(ys, split_values)
 
         char_poly_factors = symbols._char_poly_factors
         monkeypatch.setattr(symbols, "_char_poly_factors", counting)
@@ -333,7 +326,7 @@ class TestWaldspurger:
         params = {"p": 5, "m": 2, "split_values": ["2"], "field_elements": [{"d": 2, "a": "1", "b": "1"}]}
         report, code = run_job({"command": "wald-sign", "params": params})
         assert code == 0 and report["result"]["sign"] == 1
-        assert built == [True, False]
+        assert built == [1, 0]
         # an error is not kept: each call raises it again, with its message
         degenerate = WaldInstance(5, 3, (Fraction(2), Fraction(1, 2)), (QuadExtElem(2, Fraction(1), Fraction(1)),))
         split = WaldInstance(5, 1, (), (QuadExtElem(-1, Fraction(1), Fraction(1)),))
