@@ -48,23 +48,22 @@ one keyed lookup, ``_matches``.  The listing reads one weight table's
 stack: it keeps s_1..s_m for the walk, and ``passing`` joins s_0, built on
 first use, with every subset's bound and no offset.
 
-``misaligned_flags`` answers ``find_candidate(kappa, row, 1, 1, 0)[0]``
-for a whole matrix of slope vectors without listing candidates: the scan's
-question, whose weight rows are all equal and which passes e = D.  A row is
-flagged when, for some subset c and image choice r of one size on row 0
-that moves a weight value, some vector s of s_1, the sums of the other
+``first_misaligned`` answers ``find_candidate(kappa, row, 1, 1, 0)`` for a
+whole matrix of slope vectors without listing candidates: the scan's
+question, whose weight rows are all equal and which passes e = D.  A pair
+of a subset c and an image choice r on row 0 of one size that moves a
+weight value fits a row when some s of s_1, the sums of the other
 embeddings' vectors, has hodge_0[r] + s under c's bound: a passing
-candidate already.  Its stack holds the weight tables of the rows' labels,
-and one join with offset hodge_0[r] decides every row at every size.  It
-keeps only s_1, the last suffix sum, builds no s_0 and keeps nothing.
+candidate already.  One join with offset hodge_0[r] decides every pair of
+every row, in listing order, so a row's first fitting pair is its witness.
+It keeps only s_1, the last suffix sum, builds no s_0 and keeps nothing.
 
 ``tables_for`` keeps the tables of the last weight table asked for, and
 every caller gets its tables there, so consecutive calls on one weight table
-(the tau of a datum, a replay and its verification, the witness pins of a
-scan) build its table once.  The tables keep the last slope vector's
-listing too, as far as it has been read: a later call on that vector reads
-what is listed and walks on only past it, so a call that finds its
-candidate early still stops there.
+(the tau of a datum, a replay and its verification) build its table once.
+The tables keep the last slope vector's listing too, once it has been read
+to its end: a later call on that vector reads it without walking, and a
+call that stops early keeps nothing and walks no further than it reads.
 The slot drops its tables before another weight table's are built, so the
 table of one weight table at most is alive, and it outlives its job.
 """
@@ -72,7 +71,7 @@ table of one weight table at most is alive, and it outlives its job.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, count, takewhile
+from itertools import combinations, takewhile
 
 import numpy as np
 
@@ -376,7 +375,7 @@ class _Table:
 
 class CandidateTables:
     """The reachable-set table of one weight table, built on first use, and
-    the last slope vector's listing.
+    the listing of the last slope vector read to its end.
 
     Callers get them from ``tables_for``, which keeps the last weight
     table's tables for the calls that follow on it.
@@ -387,11 +386,9 @@ class CandidateTables:
         _check_range(v for row in self.weights for v in row)
         self.kappa = np.array(self.weights, dtype=np.int64).reshape(len(self.weights), -1)
         self.total = int(self.kappa.sum())
-        # (slope key, candidates listed so far, the walk that lists the
-        # rest) of the last slope vector: every tau of a datum, and the
-        # verification after its replay, ask about the same one.  The walk
-        # holds the table, not these tables, so no reference cycle keeps
-        # them alive once the slot drops them
+        # (slope key, every candidate listed) of the last slope vector read
+        # to its end: every tau of a datum, and the verification after its
+        # replay, ask about the same one
         self._listing = None
 
     @cached_property
@@ -414,19 +411,15 @@ class CandidateTables:
         if e * int(S.sum()) != denom * self.total or n < 2:
             return
         key = (tuple(S.tolist()), e, denom)
-        if self._listing is None or self._listing[0] != key:
-            self._listing = (key, [], self.table.walk(S, e, denom))
-        _, listed, walk = self._listing
-        for i in count():
-            if i == len(listed):
-                try:
-                    listed.append(next(walk))
-                except StopIteration:
-                    break
-                except BaseException:  # a walk cut short lists nothing more
-                    self._listing = None
-                    raise
-            yield listed[i]
+        if self._listing is not None and self._listing[0] == key:
+            listed = self._listing[1]
+            yield from listed
+        else:
+            self._listing, listed = None, []
+            for item in self.table.walk(S, e, denom):
+                listed.append(item)
+                yield item
+            self._listing = key, listed  # kept once read to its end
         # size k > n // 2 is size n - k complemented, in reverse order: the
         # listing reversed, each size below n / 2 complemented
         full = (1 << n) - 1
@@ -449,29 +442,31 @@ def tables_for(kappa) -> CandidateTables:
     return _slot
 
 
-def misaligned_flags(kappas, slopes, labels) -> np.ndarray:
-    """Per row v of the V x N matrix ``slopes``, ``find_candidate(
-    kappas[labels[v]], row, 1, 1, 0)[0]``; ``kappas`` is a stack of G
-    weight tables of one shape.  Nothing is kept between calls."""
+def first_misaligned(kappas, slopes, labels) -> np.ndarray:
+    """Per row v of the V x N matrix ``slopes``, the (subset mask, row-0
+    image mask) of ``find_candidate(kappas[labels[v]], row, 1, 1, 0)``, or
+    (0, 0) where it finds none; ``kappas`` is a stack of G weight tables of
+    one shape.  Nothing is kept between calls."""
     g, m, n = np.shape(kappas)
     K = _slope_matrix(np.reshape(kappas, (g, m * n)), m * n, 1).reshape(g, m, n)
     S = _slope_matrix(slopes, n, 1)
     labels = np.asarray(labels, dtype=np.intp)
-    flags = np.zeros(S.shape[0], dtype=bool)
+    out = np.zeros((S.shape[0], 2), dtype=np.int64)
     live = np.flatnonzero(S.sum(axis=1) == K.sum(axis=(1, 2))[labels])
     if n < 2 or live.size == 0:
-        return flags
+        return out
     table = _Table(K)
     for s_1, owner in table.sums():  # only the last, s_1, is kept
         pass
     order, keys, totals = _keyed(owner, s_1[np.arange(len(owner)), owner % (n // 2)])
     s_1 = s_1[order]
     # (table, subset, image choice) of one size whose choice moves a value of
-    # the table's row 0, by table; ``first`` indexes each table's first
+    # row 0, by table, in listing order; ``first`` indexes each table's first
     subset, image = _same_size(n)
     vals = K[:, 0][:, table.pos]
     pt, pair = np.nonzero((vals[:, subset] != vals[:, image]).any(axis=2))
     pc, img = subset[pair], pt * len(table.size) + image[pair]  # the image as a row of the stack
+    witness = np.array(table.masks)[np.stack([pc, image[pair]], axis=1)]
     count = np.bincount(pt, minlength=g)
     first = np.cumsum(count) - count
     # every live row against every pair of its table, in slices whose rooms,
@@ -487,8 +482,10 @@ def misaligned_flags(kappas, slopes, labels) -> np.ndarray:
         # under its bound less hodge_0[r]
         room = _prefixes(S[rows], table.pos, table.size)[v, pc[p]]
         room -= table.hodge[0, img[p]]
-        flags[rows[v[_under((s_1, keys, totals), table.label[img[p]], room)]]] = True
-    return flags
+        hit = np.flatnonzero(_under((s_1, keys, totals), table.label[img[p]], room))
+        hit = hit[np.unique(v[hit], return_index=True)[1]]  # owners run by row, then pair
+        out[rows[v[hit]]] = witness[p[hit]]
+    return out
 
 
 def _moves(row, mask: int, img: int) -> bool:

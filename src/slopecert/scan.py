@@ -25,14 +25,13 @@ width W), scales the counts by that multiplicity, counts the cells in closed
 form, and translates a class's witnesses back to each of its cells: kappa
 and every scaled slope move, the subset and the images stay.
 
-The classes of one length n run together, per m: ``kernels.misaligned_flags``
+The classes of one length n run together, per m: ``kernels.first_misaligned``
 decides the slope vectors of a chunk of classes in one pass per block of
-vectors, each vector labelled with its class, and ``find_candidate`` runs
-only for the first flagged vectors of the length, classes in order and
-product order within a class, to pin them: as many as the report can
-still read after the shorter lengths' witnesses, ``max_witnesses`` at
-most, for the report's witnesses of one shape and length translate no
-others.  A chunk's weight tables hold about
+vectors, each vector labelled with its class, and returns each flagged
+vector's witness, so the scan builds no ``kernels.CandidateTables``.  The
+first ``max_witnesses`` flagged vectors of the length, classes in order and
+product order within a class, are kept: the report's witnesses of one shape
+and length translate no others.  A chunk's weight tables hold about
 ``kernels._JOIN_STATES`` vectors of s_1 and (subset, image) pairs at most,
 a larger class runs alone, so memory follows one class's tables where they
 are large.  The scan passes
@@ -40,7 +39,9 @@ denom = e, so e cancels from every bound and the band radius depends only
 on the band: a class result depends on m, not on (e, f), and shapes of
 equal m share it, with e, f and the slope denominators relabelled when the
 witnesses are translated.  Before any class runs, the slope vectors the
-grid lists are counted in closed form and refused above ``MAX_DATA``.
+grid lists are counted in closed form and refused above ``MAX_DATA``, and
+the s_1 rows of the largest flag-pass table of each m are counted and
+refused above ``MAX_S1_ROWS``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ DEFAULT_EF = ((1, 1), (1, 2), (2, 1), (2, 2))
 # A grid listing more slope vectors than this, over its distinct shapes, is
 # refused before any class runs.
 MAX_DATA = 2_000_000
+# A grid whose flag pass could hold more s_1 rows than this in one class's
+# table, at some distinct m = e*f, is refused before any class runs.  Peak
+# memory follows the rows, time the rows and m: at kappa in [-3, 3], band 1
+# (Python 3.11, one shared core), ef [[6, 6]] at n_max 4 (658,008 rows)
+# took 5.2 s and 73 MB, [[7, 7]] (2,869,685) 27 s and 154 MB, [[8, 8]]
+# (10,424,128) 84 s and 335 MB, and [[3, 3]] at n_max 6 (2,220,075) 2.2 s
+# and 109 MB.
+MAX_S1_ROWS = 1_000_000
 # A grid of more (e, f, kappa) cells than this is refused before its slope
 # vectors are counted.  Each class lists at least one vector and costs about
 # 7 us and 0.3 kB of results at band 0 (Python 3.11, one shared core), so
@@ -169,16 +178,16 @@ def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnes
             ordered = np.sort(scaled, axis=1)
             keep = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
             scaled, owner = scaled[keep], owner[keep]
-            flags = kernels.misaligned_flags(kappas, scaled, owner)
+            first = kernels.first_misaligned(kappas, scaled, owner)
+            flagged = np.flatnonzero(first[:, 0])
             checked += np.bincount(owner, minlength=len(chunk))
-            bad += np.bincount(owner[flags], minlength=len(chunk))
+            bad += np.bincount(owner[flagged], minlength=len(chunk))
             # the first flagged vectors of the length, in listing order
-            pin = np.flatnonzero(flags)[: max_witnesses - pinned]
+            pin = flagged[: max_witnesses - pinned]
             pinned += pin.size
-            for row, c in zip(scaled[pin].tolist(), owner[pin].tolist()):
-                _, mask, img = kernels.find_candidate((chunk[c],) * m, row, 1, 1, 0)
+            for row, c, (mask, img) in zip(scaled[pin].tolist(), owner[pin].tolist(), first[pin].tolist()):
                 subset = tuple(b + 1 for b in range(n) if mask >> b & 1)
-                images = tuple(b + 1 for b in range(n) if img[0] >> b & 1)
+                images = tuple(b + 1 for b in range(n) if img >> b & 1)
                 hits[c].append((tuple(row), subset, images))
         out += [(int(c), int(b), h) for c, b, h in zip(checked, bad, hits)]
     return out
@@ -270,10 +279,10 @@ def run_scan(
     length after another.
 
     Each gap class runs once per distinct m = e*f.  The grid is refused
-    above MAX_CELLS cells, and above MAX_DATA slope vectors over the
-    distinct shapes.  A length pins only the witnesses that the shorter
-    lengths of its m leave room for: a shape's report lists its lengths in
-    turn, and stops at ``max_witnesses``.
+    above MAX_CELLS cells, above MAX_DATA slope vectors over the distinct
+    shapes, and above MAX_S1_ROWS rows of one flag-pass table.  Each
+    (m, length) keeps at most ``max_witnesses`` witnesses; a shape's report
+    lists its lengths in turn, and stops at ``max_witnesses``.
     """
     scale = Fraction(band_scale)
     shapes = [(e, f) for (e, f) in ef_values]
@@ -288,15 +297,22 @@ def run_scan(
     # a negative band lists nothing in classes of length >= 2, so every
     # class that runs lists a vector and MAX_DATA bounds the classes too
     lengths = n_max if scale >= 0 else 1
+    # every embedding carries the same weight row, so s_1 of subset size k
+    # holds one row per multiset of m - 1 image choices at most,
+    # C(m - 2 + C(n, k), m - 1): most at the longest class, n <= W, and
+    # k = n // 2
+    top = min(lengths, width)
+    for m in dict.fromkeys(e * f for (e, f) in shapes) if top > 1 else ():
+        rows = comb(m - 2 + comb(top, top // 2), m - 1)
+        if rows > MAX_S1_ROWS:
+            raise SlopecertError(f"flag-pass table at m = {m} holds up to {rows} s_1 rows, above scan.MAX_S1_ROWS = {MAX_S1_ROWS}")
     results = {}
     for m in dict.fromkeys(e * f for (e, f) in shapes):
-        results[m], room = {}, max_witnesses
+        results[m] = {}
         for _, classes in groupby(_gap_classes(lengths, width), len):
             classes = list(classes)
-            runs = _scan_length(m, classes, scale.numerator, scale.denominator, room)
+            runs = _scan_length(m, classes, scale.numerator, scale.denominator, max_witnesses)
             results[m].update(zip(classes, runs))
-            # a shape of this m reports each hit of class g once per cell
-            room -= min(room, sum(len(hits) * (width - g[-1]) for g, (_, _, hits) in zip(classes, runs)))
     report = ScanReport(band_scale=scale, cells=cells)
     for (e, f) in shapes:
         for g, (checked, bad, _) in results[e * f].items():

@@ -176,30 +176,41 @@ def test_equal_rows_are_misaligned_alike(case):
     assert kernels.find_candidate(kappa, scaled, e, denom, twin)[0] == want
 
 
-def test_listing_is_walked_once_and_only_as_far_as_read(monkeypatch):
-    # a candidate at k = 1 is found without walking the size-2 subsets; a
-    # later call on the same slope vector reads the listing kept so far and
-    # walks on only past it, and one more reads it all without walking
-    walked, choices = [], kernels._Table.choices
+def test_listing_is_kept_only_once_read_to_its_end(monkeypatch):
+    # a candidate at k = 1 is found without walking the size-2 subsets, and
+    # that listing, stopped early, is not kept: a second call walks again
+    # to the same answer.  A listing read to its end is kept, and a later
+    # call on the same slope vector reads it without re-entering the walk
+    walks, walked, walk, choices = [], [], kernels._Table.walk, kernels._Table.choices
+
+    def recording_walk(self, S, e, denom):
+        walks.append(tuple(S.tolist()))
+        return walk(self, S, e, denom)
 
     def recording_choices(self, bound, t, j=0, acc=0, picked=()):
         if j == 0:
             walked.append(t)
         return choices(self, bound, t, j, acc, picked)
 
-    monkeypatch.setattr(kernels, "_slot", None)
+    monkeypatch.setattr(kernels._Table, "walk", recording_walk)
     monkeypatch.setattr(kernels._Table, "choices", recording_choices)
     kappa, slopes = [[0, 1, 3, 4], [0, 1, 3, 4]], [2, 0, 6, 8]
     want = list(candidates_python(kappa, slopes, 1, 1, 0, False))
-    assert kernels.find_candidate(kappa, slopes, 1, 1, 1) == search_python(kappa, slopes, 1, 1, 1)
-    assert walked == [0]
     tables = kernels.tables_for(kappa)
+    for _ in range(2):
+        assert kernels.find_candidate(kappa, slopes, 1, 1, 1) == search_python(kappa, slopes, 1, 1, 1)
+        assert tables._listing is None
+    assert walks == [(2, 0, 6, 8)] * 2 and walked == [0, 0]
     assert list(tables.candidates(slopes, 1, 1)) == want
-    assert walked[0] == 0 and 1 in walked and sorted(walked) == walked
+    assert len(walks) == 3 and 1 in walked and tables._listing is not None
     read = list(walked)
     assert list(tables.candidates(slopes, 1, 1)) == want
     assert kernels.find_candidate(kappa, slopes, 1, 1, 0) == search_python(kappa, slopes, 1, 1, 0)
-    assert walked == read
+    assert len(walks) == 3 and walked == read
+    # another slope vector, aligned, walks afresh to its end and replaces
+    # the finished listing
+    assert kernels.find_candidate(kappa, [0, 2, 6, 8], 1, 1, 0) == search_python(kappa, [0, 2, 6, 8], 1, 1, 0)
+    assert len(walks) == 4 and tables._listing[0] == ((0, 2, 6, 8), 1, 1)
 
 
 @st.composite
@@ -233,7 +244,7 @@ def test_no_table_above_half_the_rank(datum):
     assert tested and max(mask.bit_count() for mask in tested) <= n // 2
     # e times the slopes are the column sums, and e = D is the system at e = D = 1
     sums = [sum(row[i] for row in datum.weights) for i in range(n)]
-    assert kernels.misaligned_flags([datum.weights], [sums], [0]).tolist() == [False]
+    assert kernels.first_misaligned([datum.weights], [sums], [0]).tolist() == [[0, 0]]
     listed = admissible_candidates(datum)
     assert n < 3 or any(len(c.subset) > n // 2 for c in listed)
     # a stack of one table, labelled by every size up to n // 2 and no
@@ -252,13 +263,17 @@ def test_no_table_above_half_the_rank(datum):
 def test_tables_follow_the_slope_vector(case, other):
     # the tables keep the last slope vector's listing for the next tau; a
     # new vector, denominator or weight table must not reuse it.
-    # The calls on one weight table share the slot's tables.
+    # The calls on one weight table share the slot's tables.  The oracle
+    # answers each distinct question once
+    oracle = {}
     for kappa, rows, e, denom in (case, other, case):
         tables = kernels.tables_for(kappa)
         for scaled, d in [(s, denom) for s in rows + rows] + [(rows[0], denom + 1)]:
             for tau, require_misaligned in [(t, True) for t in range(len(kappa))] + [(0, False)]:
-                want = search_python(kappa, scaled, e, d, tau, require_misaligned)
-                assert _search(kappa, scaled, e, d, tau, require_misaligned) == want
+                key = (repr(kappa), tuple(scaled), e, d, tau, require_misaligned)
+                if key not in oracle:
+                    oracle[key] = search_python(kappa, scaled, e, d, tau, require_misaligned)
+                assert _search(kappa, scaled, e, d, tau, require_misaligned) == oracle[key]
         assert kernels.tables_for(kappa) is tables
 
 
@@ -271,15 +286,33 @@ def _rotations(kappa, rows):
     return kappas, [s for s in rows for _ in range(m)], [tau for _ in rows for tau in range(m)]
 
 
+def _witness(found):
+    """(subset mask, row-0 image mask) of a ``find_candidate`` answer, or
+    (0, 0) when it found nothing: what ``first_misaligned`` returns."""
+    ok, mask, img = found
+    return [mask, img[0]] if ok else [0, 0]
+
+
+def _check_first_misaligned(kappas, slopes, labels):
+    """``first_misaligned`` against ``find_candidate`` and the oracle, each
+    on the vector's own weight table at tau = 0; returns the oracle's.
+    ``find_candidate`` runs table by table, so the slot builds each once."""
+    want = [_witness(search_python(kappas[t], s, 1, 1, 0)) for s, t in zip(slopes, labels)]
+    for v in sorted(range(len(labels)), key=labels.__getitem__):
+        assert _witness(kernels.find_candidate(kappas[labels[v]], slopes[v], 1, 1, 0)) == want[v]
+    assert kernels.first_misaligned(kappas, slopes, labels).tolist() == want
+    return want
+
+
 @settings(max_examples=60, deadline=None)
 @given(kernel_inputs(max_rows=12, units=True))
 def test_misaligned_flags_match_oracle(case):
+    # the rotation labelled tau puts row tau at row 0
     kappa, rows, _, _ = case
     kappas, slopes, labels = _rotations(kappa, rows)
-    want = [search_python(kappa, s, 1, 1, tau, True)[0] for s, tau in zip(slopes, labels)]
-    assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
+    want = _check_first_misaligned(kappas, slopes, labels)
     K, S = np.array(kappas, dtype=np.int64), np.array(slopes, dtype=np.int64)
-    assert kernels.misaligned_flags(K, S, np.array(labels)).tolist() == want
+    assert kernels.first_misaligned(K, S, np.array(labels)).tolist() == want
 
 
 @st.composite
@@ -307,22 +340,22 @@ def test_misaligned_flags_on_a_stack_match_oracle(case):
     # several weight tables in one call; a table without vectors, one whose
     # row 0 moves no value, and vectors whose totals do not close
     kappas, slopes, labels = case
-    want = [search_python(kappas[t], s, 1, 1, 0, True)[0] for s, t in zip(slopes, labels)]
-    assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
+    want = _check_first_misaligned(kappas, slopes, labels)
     with mock.patch.object(kernels, "_JOIN_STATES", 3):
-        assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
+        assert kernels.first_misaligned(kappas, slopes, labels).tolist() == want
 
 
 def test_misaligned_flags_in_small_pieces(monkeypatch):
-    # three join states per piece: every split runs, and pieces cross from
-    # one table's vectors to the next's
+    # three join states per piece: every split runs, pieces cross from one
+    # table's vectors to the next's, and a row's pairs span several pieces
     kappa = [[0, 1, 3], [0, 1, 3], [-1, 1, 2]]
     rows = [[s0, s1, 10 - s0 - s1] for s0 in range(-3, 8) for s1 in range(-3, 8)]  # totals close
     kappas, slopes, labels = _rotations(kappa, rows)
-    want = [search_python(kappa, s, 1, 1, tau, True)[0] for s, tau in zip(slopes, labels)]
-    assert 0 < sum(want) < len(want)
+    want = [_witness(search_python(kappas[t], s, 1, 1, 0)) for s, t in zip(slopes, labels)]
+    assert 0 < sum(w != [0, 0] for w in want) < len(want)
+    assert len({tuple(w) for w in want}) > 2  # witnesses other than the first pair
     monkeypatch.setattr(kernels, "_JOIN_STATES", 3)
-    assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
+    assert kernels.first_misaligned(kappas, slopes, labels).tolist() == want
 
 
 def _rows_of(rows, labels, label):
@@ -361,7 +394,7 @@ def test_flag_pass_keeps_only_s_1(monkeypatch):
     kappa = [[0, 1, 3], [0, 1, 3], [-1, 1, 2]]
     rows = [[s0, s1, 10 - s0 - s1] for s0 in range(-3, 8) for s1 in range(-3, 8)]  # totals close
     kappas, slopes, labels = _rotations(kappa, rows)
-    want = [search_python(kappa, s, 1, 1, tau, True)[0] for s, tau in zip(slopes, labels)]
+    want = [_witness(search_python(kappas[t], s, 1, 1, 0)) for s, t in zip(slopes, labels)]
     sums, matches = kernels._Table.sums, kernels._matches
     yielded, alive = [], []
 
@@ -377,7 +410,7 @@ def test_flag_pass_keeps_only_s_1(monkeypatch):
 
     monkeypatch.setattr(kernels._Table, "sums", recording_sums)
     monkeypatch.setattr(kernels, "_matches", checking_matches)
-    assert kernels.misaligned_flags(kappas, slopes, labels).tolist() == want
+    assert kernels.first_misaligned(kappas, slopes, labels).tolist() == want
     assert len(yielded) == 3 and alive and not any(alive[0][:-1])
 
 
@@ -403,9 +436,9 @@ def test_matches_in_pieces(monkeypatch):
 
 def test_misaligned_flags_edge_rows():
     kappas = [[[0, 1, 2]], [[-1, 0, 4]]]
-    flags = kernels.misaligned_flags
-    assert flags(kappas, [], []).shape == (0,)
-    assert flags(kappas, np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.intp)).shape == (0,)
+    flags = kernels.first_misaligned
+    assert flags(kappas, [], []).shape == (0, 2)
+    assert flags(kappas, np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.intp)).shape == (0, 2)
     # one row beyond the int64 range refuses the matrix, as candidates refuses the row
     far = [2**62, 0, -(2**62) + 3]
     with pytest.raises(ValueError, match="int64") as want:
@@ -425,9 +458,9 @@ def test_misaligned_flags_edge_rows():
             assert str(got.value) == str(want.value)
     # N times the column-wide maximum is past the limit, but no row's sum is
     ok = [[2**61, 0, -(2**61) + 3], [0, 2**61, -(2**61) + 3], [0, 0, 3], [2, 0, 1]]
-    assert flags(kappas, ok, [0, 0, 0, 0]).tolist() == [search_python([[0, 1, 2]], s, 1, 1, 0)[0] for s in ok]
+    assert flags(kappas, ok, [0, 0, 0, 0]).tolist() == [_witness(search_python([[0, 1, 2]], s, 1, 1, 0)) for s in ok]
     wide = [[[0, 3, 2**61]], [[0, 1, 2]]]  # likewise for the weights
-    assert flags(wide, [[0, 1, 2], [1, 0, 2]], [1, 1]).tolist() == [False, True]
+    assert flags(wide, [[0, 1, 2], [1, 0, 2]], [1, 1]).tolist() == [[0, 0], [1, 2]]
     for short in ([[0, 3]], [[]]):  # one empty row is a row, not an empty matrix
         with pytest.raises(ValueError, match="need 3 slopes"):
             flags(kappas, short, [0])
@@ -449,8 +482,9 @@ def test_tables_belong_to_one_weight_table():
 def test_slot_drops_the_old_tables_first(monkeypatch):
     # the slot keeps the last weight table's tables between calls, and drops
     # them before another weight table's are built, listing memo and all:
-    # the table of one weight table at most is alive
-    kernels.find_candidate([[0, 1, 3]], [1, 0, 3], 1, 1, 0)
+    # the table of one weight table at most is alive.  Slopes equal to the
+    # weights are aligned, so the call reads the listing to its end
+    assert kernels.find_candidate([[0, 1, 3]], [0, 1, 3], 1, 1, 0) == (False, 0, ())
     old = weakref.ref(kernels.tables_for([[0, 1, 3]]))
     assert old() is not None and "table" in old().__dict__ and old()._listing
     alive, candidate_tables = [], kernels.CandidateTables

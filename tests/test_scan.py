@@ -50,12 +50,13 @@ def test_class_scan_matches_per_cell_oracle(kappa_min, width, n_max, ef_values, 
 
 def test_each_gap_class_is_scanned_once(monkeypatch):
     """One flag pass per chunk of each (m, length), each class of each
-    distinct m in exactly one, and kernel calls only to pin witnesses."""
+    distinct m in exactly one, and no other kernel call: the witnesses come
+    from the flag pass."""
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1), (1, 2)), band_scale=2)
-    width, max_witnesses = 6, 5
+    width = 6
     calls, passes, tables = [], [], []
     find_candidate, candidate_tables = kernels.find_candidate, kernels.CandidateTables
-    misaligned_flags = kernels.misaligned_flags
+    first_misaligned = kernels.first_misaligned
 
     def counting_find(*args, **kw):
         calls.append(args[0])
@@ -63,16 +64,16 @@ def test_each_gap_class_is_scanned_once(monkeypatch):
 
     def counting_flags(kappas, slopes, labels):
         passes.append(tuple(tuple(map(tuple, kappa)) for kappa in kappas.tolist()))
-        return misaligned_flags(kappas, slopes, labels)
+        return first_misaligned(kappas, slopes, labels)
 
     def counting_tables(kappa):
         tables.append(kappa)
         return candidate_tables(kappa)
 
     monkeypatch.setattr(kernels, "find_candidate", counting_find)
-    monkeypatch.setattr(kernels, "misaligned_flags", counting_flags)
+    monkeypatch.setattr(kernels, "first_misaligned", counting_flags)
     monkeypatch.setattr(kernels, "CandidateTables", counting_tables)
-    rep = run_scan(max_witnesses=max_witnesses, **kwargs)
+    rep = run_scan(max_witnesses=5, **kwargs)
     # (0,), then (0, a), (0, a, b) with b < 6; (2, 1) and (1, 2) share m = 2.
     # Every chunk fits the budget and lists fewer than _BLOCK vectors: one
     # pass per (m, length), its stack the length's classes in order
@@ -80,11 +81,8 @@ def test_each_gap_class_is_scanned_once(monkeypatch):
     assert len(classes) == 1 + 5 + 10
     want = [tuple((g,) * m for g in classes if len(g) == n) for m in (1, 2) for n in (1, 2, 3)]
     assert passes == want
-    # only the witness pins build tables, one per weight table pinned
-    assert rep.misaligned > 0 and 0 < len(calls) <= max_witnesses * 2 * 3
-    assert sorted(map(tuple, tables)) == sorted(set(calls))
-    for weights in set(calls):
-        assert calls.count(weights) <= max_witnesses
+    assert rep.misaligned > 0 and len(rep.witnesses) == 5
+    assert calls == [] and tables == []
 
 
 def test_every_class_alone_reads_the_same(monkeypatch):
@@ -92,14 +90,14 @@ def test_every_class_alone_reads_the_same(monkeypatch):
     chunk of its own, and the report does not change."""
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1)), band_scale=2, max_witnesses=7)
     want = run_scan(**kwargs).summary()
-    stacks, misaligned_flags = [], kernels.misaligned_flags
+    stacks, first_misaligned = [], kernels.first_misaligned
 
     def recording_flags(kappas, slopes, labels):
         stacks.append(len(kappas))
-        return misaligned_flags(kappas, slopes, labels)
+        return first_misaligned(kappas, slopes, labels)
 
     monkeypatch.setattr(kernels, "_JOIN_STATES", 1)
-    monkeypatch.setattr(kernels, "misaligned_flags", recording_flags)
+    monkeypatch.setattr(kernels, "first_misaligned", recording_flags)
     assert run_scan(**kwargs).summary() == want
     assert want["misaligned"] > 0 and set(stacks) == {1}
     assert len(stacks) == 2 * sum(1 for _ in scan_mod._gap_classes(3, 6))
@@ -124,37 +122,43 @@ def test_a_chunk_reads_as_its_classes_alone(monkeypatch):
 
 
 def test_pins_only_the_witnesses_a_report_reads(monkeypatch):
-    """At most ``max_witnesses`` kernel calls per m, though the flagged
+    """At most ``max_witnesses`` hits per (m, length), though the flagged
     vectors of a length span several classes and blocks of seven vectors
-    cross class ends; the report equals the per-cell oracle's,
-    witnesses from several classes of one length among it."""
+    cross class ends; each hit is the oracle's first misaligned candidate
+    of its vector, and the report equals the per-cell oracle's, witnesses
+    from several classes of one length among it."""
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=4, ef_values=((1, 1), (2, 1)), band_scale=3, max_witnesses=6)
     want = scan_per_cell(**kwargs).summary()
-    calls, find_candidate = [], kernels.find_candidate
+    kept, scan_length = [], scan_mod._scan_length
 
-    def counting_find(kappa, *args):
-        calls.append((len(kappa), len(kappa[0])))
-        return find_candidate(kappa, *args)
+    def recording_length(m, classes, *args):
+        runs = scan_length(m, classes, *args)
+        kept.append((m, len(classes[0]), [(g, hits) for g, (_, _, hits) in zip(classes, runs)]))
+        return runs
 
-    monkeypatch.setattr(kernels, "find_candidate", counting_find)
+    monkeypatch.setattr(scan_mod, "_scan_length", recording_length)
     monkeypatch.setattr(scan_mod, "_BLOCK", 7)
     assert run_scan(**kwargs).summary() == want
     assert len({tuple(w["kappa"]) for w in want["witnesses"]}) == 6
-    assert calls and all(calls.count(length) <= 6 for length in set(calls))
-    # and no more over the lengths of one m: each pin is reported at least
-    # once, so a shape's shorter lengths leave the longer ones less room
-    assert all(sum(m == mm for mm, _ in calls) <= 6 for m in (1, 2))
+    assert [(m, n) for m, n, _ in kept] == [(m, n) for m in (1, 2) for n in (1, 2, 3)]
+    for m, n, runs in kept:
+        assert sum(len(hits) for _, hits in runs) <= 6
+        for g, hits in runs:
+            for scaled, subset, images in hits:
+                _, mask, img = search_python((g,) * m, scaled, 1, 1, 0)
+                assert subset == tuple(b + 1 for b in range(n) if mask >> b & 1)
+                assert images == tuple(b + 1 for b in range(n) if img[0] >> b & 1)
     # at m = 1 and length 3, several classes hold flagged vectors, more than
-    # six in all: pinning six per class would call the kernel more often
+    # six in all: keeping six per class would keep more
+    assert sum(len(hits) for _, hits in kept[2][2]) == 6
     classes = [g for g in scan_mod._gap_classes(3, 7) if len(g) == 3]
     bad = [scan_cell_per_datum(1, 1, g, Fraction(3), 0)[1] for g in classes]
     assert sum(b > 0 for b in bad) > 1 and sum(min(b, 6) for b in bad) > 6
 
 
 def test_certified_class_builds_no_reachable_set(monkeypatch):
-    """The flag pass builds no candidate tables, and its stack builds no s_0,
-    the reachable set that pinning a witness reads: only the witness pins
-    build them."""
+    """At band 1 and at band 2 the scan builds no candidate tables, and its
+    flag-pass stacks build no s_0, the reachable set the listing reads."""
     made, candidate_tables = [], kernels.CandidateTables
     built, table = [], kernels._Table
 
@@ -169,15 +173,13 @@ def test_certified_class_builds_no_reachable_set(monkeypatch):
     monkeypatch.setattr(kernels, "CandidateTables", recording_tables)
     monkeypatch.setattr(kernels, "_Table", recording_table)
     for band, want in ((1, (81, 0, 0)), (2, (625, 1, 1))):
-        made.clear()
         built.clear()
-        kernels._slot = None  # both bands scan one weight table: build it afresh
         [(checked, bad, hits)] = scan_mod._scan_length(2, [(0, 4, 8, 12)], band, 1, 5)
         assert (checked, bad, len(hits)) == want
-        assert len(made) == len(hits)
-        assert all("reach" in tables.table.__dict__ for tables in made)
-        stacks = [t for t in built if all(t is not tables.table for tables in made)]
-        assert len(stacks) == 1 and "reach" not in stacks[0].__dict__
+        assert len(built) == 1 and "reach" not in built[0].__dict__
+    rep = run_scan(n_max=3, kappa_min=-2, kappa_max=2, ef_values=((1, 1), (2, 1)), band_scale=2)
+    assert rep.witnesses and built and not any("reach" in t.__dict__ for t in built)
+    assert made == []
 
 
 def test_class_scan_in_small_blocks(monkeypatch):
@@ -236,6 +238,42 @@ def test_many_slope_vectors_refused_before_scanning(monkeypatch):
     assert time.perf_counter() - start < 1
     monkeypatch.setattr(scan_mod, "MAX_DATA", 360)
     assert run_scan(n_max=4, kappa_min=0, kappa_max=6, ef_values=((1, 1), (1, 2))).data_checked > 0
+
+
+def test_wide_shapes_refused_by_their_s_1_rows(monkeypatch):
+    # ef [[10, 10]] at n_max 4 gave no answer within 150 s, and [[4, 4]] at
+    # n_max 6 ran out of memory after 70 s at 2.7 GB; both list only 180
+    # and 201 slope vectors, within MAX_DATA
+    start = time.perf_counter()
+    for ef, n_max, rows in (((10, 10), 4, 91_962_520), ((4, 4), 6, 1_855_967_520)):
+        with pytest.raises(SlopecertError) as refused:
+            run_scan(n_max=n_max, ef_values=(ef, (1, 1)))
+        assert str(refused.value) == f"flag-pass table at m = {ef[0] * ef[1]} holds up to {rows} s_1 rows, above scan.MAX_S1_ROWS = 1000000"
+    assert time.perf_counter() - start < 1
+    # the estimate takes the longest class that runs: a box of width 3 runs
+    # none longer than 3, and a negative band none longer than 1
+    monkeypatch.setattr(scan_mod, "_scan_length", lambda m, classes, *args: [(0, 0, [])] * len(classes))
+    assert run_scan(n_max=4, kappa_min=0, kappa_max=2, ef_values=((10, 10),)).cells == 34
+    assert run_scan(n_max=4, ef_values=((10, 10),), band_scale=-1).cells == 329
+
+
+def test_shapes_at_the_s_1_row_cap_run(monkeypatch):
+    # ef [[2, 2]] at n_max 4 holds up to C(8, 3) = 56 rows of s_1: run at a
+    # cap of 56, refused at 55.  ef [[6, 6]] (658,008 rows) stays under the
+    # cap, and so does every default shape up to n_max 6 (1,540 rows)
+    kwargs = dict(n_max=4, kappa_min=-1, kappa_max=3, ef_values=((2, 2), (1, 1)), band_scale=2)
+    want = scan_per_cell(**kwargs).summary()
+    monkeypatch.setattr(scan_mod, "MAX_S1_ROWS", 56)
+    assert want["misaligned"] > 0 and run_scan(**kwargs).summary() == want
+    monkeypatch.setattr(scan_mod, "MAX_S1_ROWS", 55)
+    with pytest.raises(SlopecertError, match="at m = 4 holds up to 56 s_1 rows, above scan.MAX_S1_ROWS = 55$"):
+        run_scan(**kwargs)
+    monkeypatch.undo()
+    ran = []
+    monkeypatch.setattr(scan_mod, "_scan_length", lambda m, classes, *args: ran.append(m) or [(0, 0, [])] * len(classes))
+    run_scan(n_max=4, ef_values=((6, 6),))
+    run_scan(n_max=6)
+    assert set(ran) == {36, 1, 2, 4}
 
 
 def test_data_count_stops_past_max_data_squared(monkeypatch):
@@ -341,27 +379,24 @@ def test_empty_grid_gives_empty_summary():
 
 def test_backend_summaries_agree(monkeypatch):
     """The scan reads the same with the plain-loop oracle in place of the
-    flag pass and of the witness search."""
+    flag pass."""
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=2, ef_values=((1, 1), (2, 1)), band_scale=2)
     fast = run_scan(**kwargs)
 
     def oracle_flags(kappas, slopes, labels):
-        rows = zip(slopes.tolist(), labels.tolist())
-        return np.array([search_python(kappas[t].tolist(), s, 1, 1, 0, True)[0] for s, t in rows], dtype=bool)
+        first = [search_python(kappas[t].tolist(), s, 1, 1, 0) for s, t in zip(slopes.tolist(), labels.tolist())]
+        return np.array([[mask, img[0]] if found else [0, 0] for found, mask, img in first], dtype=np.int64).reshape(-1, 2)
 
-    def oracle(kappa, scaled, e, denom, tau):
-        return search_python(kappa, scaled, e, denom, tau, True)
-
-    monkeypatch.setattr(kernels, "misaligned_flags", oracle_flags)
-    monkeypatch.setattr(kernels, "find_candidate", oracle)
+    monkeypatch.setattr(kernels, "first_misaligned", oracle_flags)
     slow = run_scan(**kwargs)
     assert fast.misaligned > 0
     assert slow.summary() == fast.summary()
 
 
 def test_a_longer_length_pins_what_the_shorter_leave():
-    """Length 2 reports fewer witnesses than asked for, so length 3 pins
-    the rest: each hit of a class counts once per cell of the class."""
+    """Length 2 reports fewer witnesses than asked for, so the report takes
+    the rest from length 3: each hit of a class counts once per cell of the
+    class."""
     kwargs = dict(n_max=3, kappa_min=0, kappa_max=2, ef_values=((1, 1), (1, 2)), band_scale=3, max_witnesses=4)
     want = scan_per_cell(**kwargs).summary()
     assert {len(w["kappa"]) for w in want["witnesses"]} == {2, 3}

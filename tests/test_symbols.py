@@ -301,6 +301,24 @@ class TestWaldspurger:
         with pytest.raises(Degenerate):
             waldspurger_sign_product(inst)
 
+    def test_y_of_one_or_minus_one_and_repeated_y_collide(self):
+        # y = -x / tau(x) is -1 where b = 0 and 1 where a = 0, and the
+        # split roots -x, -1/x are -1 or 1 where x is 1 or -1: each equals
+        # its own conjugate or partner.  x and 2x share y.  Each is refused
+        # by the distinctness test before any ratio is evaluated
+        one_plus_sqrt2 = QuadExtElem(2, Fraction(1), Fraction(1))
+        for split, field in [
+            ((), (QuadExtElem(2, Fraction(3), Fraction(0)),)),
+            ((Fraction(2),), (QuadExtElem(3, Fraction(0), Fraction(5)),)),
+            ((Fraction(1),), (one_plus_sqrt2,)),
+            ((Fraction(-1), Fraction(3)), ()),
+            ((), (one_plus_sqrt2, QuadExtElem(2, Fraction(2), Fraction(2)))),
+        ]:
+            inst = WaldInstance(5, len(split) + len(field), split, field)
+            for fn in (waldspurger_sign_product, wald_structure_report):
+                with pytest.raises(Degenerate, match="^y-values collide across embeddings$"):
+                    fn(inst)
+
     def test_split_extension_rejected(self):
         # -1 is a square over Q_5
         inst = WaldInstance(5, 1, (), (QuadExtElem(-1, Fraction(1), Fraction(1)),))
