@@ -40,13 +40,18 @@ completed, so no branch is a dead end.
 One builder, ``_Table``, makes the vectors and suffix sums of a stack of G
 weight tables of one shape, the rows of table t and size k <= N // 2
 labelled t * (N // 2) + k - 1: the vectors by one ``_prefixes`` call, each
-s_j from the one before by one labelled ``_sumset``.  One join, ``_under``,
-asks per owner whether some row of its label in a set that ``_keyed``
-ordered by (label, inside total) lies under the owner's bound less an
+s_j from the one before by one labelled ``_sumset``.  Every suffix sum has
+one keyed form: its rows ordered by (label, inside total) as ``_keyed``
+orders them, with their keys and the distinct totals; ``_sumset`` puts the
+pairs in that order before it builds a row.  One join, ``_under``, asks per
+owner whether some row of its label lies under the owner's bound less an
 offset; only rows of the inside total that the two leave qualify, so it is
-one keyed lookup, ``_matches``.  The listing reads one weight table's
-stack: it keeps s_1..s_m for the walk, and ``passing`` joins s_0, built on
-first use, with every subset's bound and no offset.
+one keyed lookup, ``_matches``.  It is the only comparison of reachable
+rows with a bound.  The listing reads one weight table's stack and keeps
+s_0..s_m: ``passing`` joins s_0 with every subset's bound and no offset,
+and the walk asks, per image choice on embedding j, whether s_{j+1} has a
+row under the bound less the choice's sum so far; s_m = {0} answers the
+last embedding.
 
 ``first_misaligned`` answers ``find_candidate(kappa, row, 1, 1, 0)`` for a
 whole matrix of slope vectors without listing candidates: the scan's
@@ -167,11 +172,18 @@ def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
     return S
 
 
-def _sumset(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndarray):
-    """The distinct pairs (t, a[i] + b[j]) with a_labels[i] = b_labels[j] =
-    t, as (rows, labels), by label: the rows of ``_pairs``."""
-    i, j = _pairs(a, a_labels, b, b_labels)
-    return _sum_rows(a, i, b, j), b_labels[j]
+def _sumset(a: np.ndarray, a_labels: np.ndarray, b):
+    """The distinct pairs (t, a[i] + s) with a_labels[i] = t and s a row of
+    label t in ``b``, keyed: (rows, keys, totals) in ``_keyed``'s order, as
+    ``b`` is.  The pairs are put in that order before any sum row is built,
+    so no set is copied to be sorted."""
+    rows, keys, totals = b
+    b_labels = keys // totals.size
+    i, j = _pairs(a, a_labels, rows, b_labels)
+    labels = b_labels[j]
+    inside = labels % (a.shape[1] // 2)  # label t * (N // 2) + k - 1: coordinate k - 1
+    order, keys, totals = _keyed(labels, a[i, inside] + rows[j, inside])
+    return _sum_rows(a, i[order], rows, j[order]), keys, totals
 
 
 def _sum_rows(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -275,18 +287,18 @@ def _keyed(labels: np.ndarray, inside: np.ndarray):
     return order, key[order], totals
 
 
-def _under(keyed, label: np.ndarray, room: np.ndarray) -> np.ndarray:
-    """Per owner o, whether some row of label label[o] in ``keyed``, (rows,
-    keys, totals) in ``_keyed``'s order, lies under room[o], a bound less an
-    offset.  Only rows of the room's inside total qualify: row plus offset
-    and bound have the same full total, so any other row lies above the
-    room at one of the two totals."""
+def _under(keyed, label, room: np.ndarray) -> np.ndarray:
+    """Per owner o, whether some row of label label[o] (or ``label``, one
+    for all) in ``keyed``, (rows, keys, totals) in ``_keyed``'s order, lies
+    under room[o], a bound less an offset.  Only rows of the room's inside
+    total qualify: row plus offset and bound have the same full total, so
+    any other row lies above the room at one of the two totals."""
     rows, keys, totals = keyed
     inside = label % (room.shape[1] // 2)  # label t * (N // 2) + k - 1: coordinate k - 1
-    want = room[np.arange(len(label)), inside]
-    at = np.minimum(np.searchsorted(totals, want), totals.size - 1)
+    want = room[np.arange(len(room)), inside]
+    at = np.searchsorted(totals[:-1], want)  # the first total >= want, or the last
     want = np.where(totals[at] == want, label * totals.size + at, -1)
-    out = np.zeros(len(label), dtype=bool)
+    out = np.zeros(len(room), dtype=bool)
     for owner, state in _matches(keys, want):
         out[owner[(rows[state] <= room[owner]).all(axis=1)]] = True
     return out
@@ -306,38 +318,27 @@ class _Table:
         self.label = (np.arange(g)[:, None] * (n // 2) + self.size - 1).ravel()
         self.groups = g * (n // 2)
 
-    def sums(self):
-        """s_m = {0} per label, s_{m-1}, ..., s_1 as (rows, labels), s_j the
-        distinct hodge[j] + s_{j+1} of one label: each is built from the one
-        before, so a caller that keeps only the last holds s_1 alone."""
-        rows, labels = np.zeros((self.groups, self.hodge.shape[2]), dtype=np.int64), np.arange(self.groups)
-        yield rows, labels
-        for j in range(len(self.hodge) - 1, 0, -1):
-            rows, labels = _sumset(self.hodge[j], self.label, rows, labels)
-            yield rows, labels
+    def sums(self, last: int = 1):
+        """s_m = {0} per label, s_{m-1}, ..., s_last, each keyed as (rows,
+        keys, totals) in ``_keyed``'s order, s_j the distinct hodge[j] +
+        s_{j+1} of one label: each is built from the one before, so a caller
+        that keeps only the last holds s_1 alone."""
+        keyed = np.zeros((self.groups, self.hodge.shape[2]), dtype=np.int64), np.arange(self.groups), np.zeros(1, dtype=np.int64)
+        yield keyed
+        for j in range(len(self.hodge) - 1, last - 1, -1):
+            keyed = _sumset(self.hodge[j], self.label, keyed)
+            yield keyed
 
     @cached_property
     def suffix(self):
-        """[None, s_1, ..., s_m] as (rows, labels, starts of the labels): the
-        walk reads suffix[j + 1] at embedding j, and s_0 is ``reach``."""
-        sums = [(rows, labels, np.searchsorted(labels, np.arange(self.groups + 1)).tolist()) for rows, labels in self.sums()]
-        return [None] + sums[::-1]
-
-    @cached_property
-    def reach(self):
-        """(s_0, its keys, inside totals): every reachable vector, as
-        ``_keyed`` orders them."""
-        s_1, labels, _ = self.suffix[1]
-        i, j = _pairs(self.hodge[0], self.label, s_1, labels)
-        labels = labels[j]
-        inside = labels % (s_1.shape[1] // 2)  # the coordinate of the inside total
-        order, keys, totals = _keyed(labels, self.hodge[0, i, inside] + s_1[j, inside])
-        return _sum_rows(self.hodge[0], i[order], s_1, j[order]), keys, totals  # s_0 built once
+        """[s_0, s_1, ..., s_m]: ``passing`` reads s_0, every reachable
+        vector, and the walk reads s_{j+1} at embedding j."""
+        return list(self.sums(0))[::-1]
 
     def passing(self, bound: np.ndarray) -> np.ndarray:
         """Which subsets have a reachable vector of their size under their
         bound row; ``bound`` holds floor(Newton / D) per subset."""
-        return _under(self.reach, self.label, bound)  # no offset
+        return _under(self.suffix[0], self.label, bound)  # no offset
 
     def choices(self, bound: np.ndarray, t: int, j: int = 0, acc=0, picked: tuple = ()):
         """Image bitmasks per embedding of every choice of label ``t``
@@ -345,23 +346,19 @@ class _Table:
         walk's state.
 
         The walk is depth first and keeps only choices that the suffix sums
-        can still complete, so every branch ends in a passing choice and the
-        first one yielded is, per embedding, the smallest choice that can
-        still be completed.
+        can still complete, each choice asking ``_under`` whether a row of
+        s_{j+1} lies under the bound less the choice's sum so far, so every
+        branch ends in a passing choice and the first one yielded is, per
+        embedding, the smallest choice that can still be completed.
         """
         # a method, not a recursive closure: a closure that names itself is a
         # reference cycle per call, left to the cyclic collector, which made
         # the benchmark's scan workload about 7 % slower
         lo = self.starts[t]
         vec = acc + self.hodge[j, lo : self.starts[t + 1]]
-        if j + 1 == len(self.hodge):  # the last embedding, whose suffix sum is {0}
-            for c in (vec <= bound).all(axis=1).nonzero()[0].tolist():
-                yield picked + (self.masks[lo + c],)
-            return
-        rows, _, at = self.suffix[j + 1]
-        ahead = rows[at[t] : at[t + 1]]
-        for c in (vec[:, None, :] + ahead <= bound).all(axis=2).any(axis=1).nonzero()[0].tolist():
-            yield from self.choices(bound, t, j + 1, vec[c], picked + (self.masks[lo + c],))
+        for c in np.flatnonzero(_under(self.suffix[j + 1], t, bound - vec)).tolist():
+            img = picked + (self.masks[lo + c],)
+            yield from self.choices(bound, t, j + 1, vec[c], img) if j + 1 < len(self.hodge) else (img,)
 
     def walk(self, S: np.ndarray, e: int, denom: int):
         """Every passing (subset_mask, image_masks) of size k <= N // 2 for
@@ -456,10 +453,8 @@ def first_misaligned(kappas, slopes, labels) -> np.ndarray:
     if n < 2 or live.size == 0:
         return out
     table = _Table(K)
-    for s_1, owner in table.sums():  # only the last, s_1, is kept
+    for s_1 in table.sums():  # only the last, s_1, is kept
         pass
-    order, keys, totals = _keyed(owner, s_1[np.arange(len(owner)), owner % (n // 2)])
-    s_1 = s_1[order]
     # (table, subset, image choice) of one size whose choice moves a value of
     # row 0, by table, in listing order; ``first`` indexes each table's first
     subset, image = _same_size(n)
@@ -482,7 +477,7 @@ def first_misaligned(kappas, slopes, labels) -> np.ndarray:
         # under its bound less hodge_0[r]
         room = _prefixes(S[rows], table.pos, table.size)[v, pc[p]]
         room -= table.hodge[0, img[p]]
-        hit = np.flatnonzero(_under((s_1, keys, totals), table.label[img[p]], room))
+        hit = np.flatnonzero(_under(s_1, table.label[img[p]], room))
         hit = hit[np.unique(v[hit], return_index=True)[1]]  # owners run by row, then pair
         out[rows[v[hit]]] = witness[p[hit]]
     return out

@@ -41,7 +41,7 @@ equal m share it, with e, f and the slope denominators relabelled when the
 witnesses are translated.  Before any class runs, the slope vectors the
 grid lists are counted in closed form and refused above ``MAX_DATA``, and
 the s_1 rows of the largest flag-pass table of each m are counted and
-refused above ``MAX_S1_ROWS``.
+their sum over the distinct m refused above ``MAX_S1_ROWS``.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ DEFAULT_EF = ((1, 1), (1, 2), (2, 1), (2, 2))
 # A grid listing more slope vectors than this, over its distinct shapes, is
 # refused before any class runs.
 MAX_DATA = 2_000_000
-# A grid whose flag pass could hold more s_1 rows than this in one class's
-# table, at some distinct m = e*f, is refused before any class runs.  Peak
-# memory follows the rows, time the rows and m: at kappa in [-3, 3], band 1
+# A grid whose flag pass could hold more s_1 rows than this, summed over
+# the largest class table of each distinct m = e*f, is refused before any
+# class runs: the m run one after another, so their times add up.  Peak
+# memory follows one table's rows, time the rows and m: at kappa in [-3, 3], band 1
 # (Python 3.11, one shared core), ef [[6, 6]] at n_max 4 (658,008 rows)
 # took 5.2 s and 73 MB, [[7, 7]] (2,869,685) 27 s and 154 MB, [[8, 8]]
 # (10,424,128) 84 s and 335 MB, and [[3, 3]] at n_max 6 (2,220,075) 2.2 s
@@ -280,7 +281,8 @@ def run_scan(
 
     Each gap class runs once per distinct m = e*f.  The grid is refused
     above MAX_CELLS cells, above MAX_DATA slope vectors over the distinct
-    shapes, and above MAX_S1_ROWS rows of one flag-pass table.  Each
+    shapes, and above MAX_S1_ROWS rows of the largest flag-pass table of
+    each distinct m, summed.  Each
     (m, length) keeps at most ``max_witnesses`` witnesses; a shape's report
     lists its lengths in turn, and stops at ``max_witnesses``.
     """
@@ -302,12 +304,12 @@ def run_scan(
     # C(m - 2 + C(n, k), m - 1): most at the longest class, n <= W, and
     # k = n // 2
     top = min(lengths, width)
-    for m in dict.fromkeys(e * f for (e, f) in shapes) if top > 1 else ():
-        rows = comb(m - 2 + comb(top, top // 2), m - 1)
-        if rows > MAX_S1_ROWS:
-            raise SlopecertError(f"flag-pass table at m = {m} holds up to {rows} s_1 rows, above scan.MAX_S1_ROWS = {MAX_S1_ROWS}")
+    ms = list(dict.fromkeys(e * f for (e, f) in shapes))
+    rows = sum(comb(m - 2 + comb(top, top // 2), m - 1) for m in ms) if top > 1 else 0
+    if rows > MAX_S1_ROWS:
+        raise SlopecertError(f"flag-pass tables hold up to {rows} s_1 rows over {len(ms)} distinct m = e*f, above scan.MAX_S1_ROWS = {MAX_S1_ROWS}")
     results = {}
-    for m in dict.fromkeys(e * f for (e, f) in shapes):
+    for m in ms:
         results[m] = {}
         for _, classes in groupby(_gap_classes(lengths, width), len):
             classes = list(classes)

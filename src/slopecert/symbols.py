@@ -61,11 +61,8 @@ INFINITE_PLACE = Place(None)
 
 
 def _as_place(place) -> Place:
-    if isinstance(place, Place):
-        return place
-    if place in (None, "inf", "oo", "infinity"):
-        return INFINITE_PLACE
-    return Place(int(place))
+    """``place`` itself, or the place of the int prime ``place``."""
+    return place if isinstance(place, Place) else Place(int(place))
 
 
 # ---------------------------------------------------------------------------

@@ -248,14 +248,13 @@ def test_no_table_above_half_the_rank(datum):
     listed = admissible_candidates(datum)
     assert n < 3 or any(len(c.subset) > n // 2 for c in listed)
     # a stack of one table, labelled by every size up to n // 2 and no
-    # other, and so are its suffix sums and s_0, whose keys lead with the label
+    # other, and so are s_0 and its suffix sums, whose keys lead with the label
     table = tables.table
     assert table.size.tolist() == [k for k in range(1, n // 2 + 1) for _ in range(comb(n, k))]
     assert table.label.tolist() == (table.size - 1).tolist() and table.hodge.shape[1] == len(table.size)
-    for _, labels, _ in table.suffix[1:]:
-        assert set(labels.tolist()) == set(range(n // 2))
-    _, keys, totals = table.reach
-    assert set((keys // totals.size).tolist()) == set(range(n // 2))
+    assert len(table.suffix) == datum.embeddings + 1
+    for _, keys, totals in table.suffix:
+        assert set((keys // totals.size).tolist()) == set(range(n // 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -362,6 +361,12 @@ def _rows_of(rows, labels, label):
     return set(map(tuple, rows[labels == label].tolist()))
 
 
+def _keyed_rows_of(keyed, label):
+    """The rows of ``label`` in a keyed set (rows, keys, totals)."""
+    rows, keys, totals = keyed
+    return _rows_of(rows, keys // totals.size, label)
+
+
 @settings(max_examples=60, deadline=None)
 @given(flag_stacks())
 def test_stack_reads_as_each_table_alone(case):
@@ -375,8 +380,9 @@ def test_stack_reads_as_each_table_alone(case):
             stack = kernels._Table(kappas)
             sums = list(stack.sums())
             assert len(sums) == m
-            for _, labels in sums:
-                assert labels.tolist() == sorted(labels.tolist()) and set(labels.tolist()) == set(range(g * half))
+            for _, keys, totals in sums:
+                labels = (keys // totals.size).tolist()
+                assert keys.tolist() == sorted(keys.tolist()) and set(labels) == set(range(g * half))
             for t in range(g):
                 alone = kernels._Table(kappas[t : t + 1])
                 for k in range(half):
@@ -384,8 +390,8 @@ def test_stack_reads_as_each_table_alone(case):
                     for j in range(m):
                         got = _rows_of(stack.hodge[j], stack.label, label)
                         assert got and got == _rows_of(alone.hodge[j], alone.label, k)
-                    for (rows, labels), (own, own_labels) in zip(sums, alone.sums(), strict=True):
-                        assert _rows_of(rows, labels, label) == _rows_of(own, own_labels, k)
+                    for keyed, own in zip(sums, alone.sums(), strict=True):
+                        assert _keyed_rows_of(keyed, label) == _keyed_rows_of(own, k)
 
 
 def test_flag_pass_keeps_only_s_1(monkeypatch):
@@ -398,10 +404,10 @@ def test_flag_pass_keeps_only_s_1(monkeypatch):
     sums, matches = kernels._Table.sums, kernels._matches
     yielded, alive = [], []
 
-    def recording_sums(self):
-        for rows, labels in sums(self):
+    def recording_sums(self, last=1):
+        for rows, keys, totals in sums(self, last):
             yielded.append(weakref.ref(rows))
-            yield rows, labels
+            yield rows, keys, totals
 
     def checking_matches(keys, target):
         if not alive:
@@ -527,8 +533,9 @@ def test_denominator_beyond_int64_range_raises():
 def labelled_rows(draw):
     """(a, a_labels, b, b_labels): rows of every label in each of ``a`` and
     ``b``, by label, and not alike in number; wide values overflow one
-    packed key, so ranked packing runs."""
-    n = draw(st.integers(1, 8))
+    packed key, so ranked packing runs.  Rows have N >= 2 coordinates, as
+    every table's vectors do."""
+    n = draw(st.integers(2, 8))
     g = draw(st.integers(1, 4))
     value = st.integers(-2, 2) | st.integers(-(1 << 29), 1 << 29)
     vec = st.lists(value, min_size=n, max_size=n)
@@ -556,21 +563,74 @@ WIDE = [0, 1, B60, B60 + 1, 2**59, 3 * 2**58, 2**62 - 1, -(2**62) + 1]
     [[WIDE[(i + 4) % 8], WIDE[(7 * i) % 8], WIDE[(i * i) % 8]] for i in range(6)], [0, 0, 1, 1, 1, 1],
 ))
 # in pieces of three pairs, label 0 pairs alone with its one row b
-@example(([[0], [0], [0], [0]], [0, 0, 0, 1], [[0], [0], [0]], [0, 1, 1]))
+@example(([[0, 0], [0, 0], [0, 0], [0, 0]], [0, 0, 0, 1], [[0, 0], [0, 0], [0, 0]], [0, 1, 1]))
 def test_sumset_is_the_set_of_sums(case):
     # per label, np.unique of the explicit pair sums: label groups of
     # unequal size, spans past _KEY_LIMIT; with three pairs a piece, the
-    # labels pair apart and the sum rows are built in pieces
+    # labels pair apart and the sum rows are built in pieces.  Both sets
+    # are keyed: by label, then by the inside total at coordinate
+    # label % (N // 2)
     a, a_labels, b, b_labels = case
     A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    g = b_labels[-1] + 1
+    g, half = b_labels[-1] + 1, A.shape[1] // 2
+    order, keys, totals = kernels._keyed(np.array(b_labels), B[np.arange(len(B)), np.array(b_labels) % half])
     for pieces in (kernels._JOIN_STATES, 3):
         with mock.patch.object(kernels, "_JOIN_STATES", pieces):
-            rows, got_labels = kernels._sumset(A, np.array(a_labels), B, np.array(b_labels))
-        assert got_labels.tolist() == sorted(got_labels.tolist())
+            rows, got_keys, got_totals = kernels._sumset(A, np.array(a_labels), (B[order], keys, totals))
+        got_labels = got_keys // got_totals.size
+        inside = rows[np.arange(len(rows)), got_labels % half]
+        assert got_keys.tolist() == sorted(got_keys.tolist()) and (got_totals[got_keys % got_totals.size] == inside).all()
         for t in range(g):
             pairs = (A[np.array(a_labels) == t][:, None] + B[np.array(b_labels) == t]).reshape(-1, A.shape[1])
             got, want = rows[got_labels == t], np.unique(pairs, axis=0)
             assert np.unique(got, axis=0).tolist() == want.tolist()
             # a label with one row b may be added, not deduplicated
             assert len(got) == len(want) or b_labels.count(t) == 1
+
+
+@st.composite
+def repeated_weight_inputs(draw):
+    """(kappa, scaled slopes, e, denom): m <= 4 rows of N <= 4 weights drawn
+    from three values, so weights repeat within and across rows."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 4))
+    e, denom = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2, 3]))
+    row = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(sorted)
+    kappa = draw(st.lists(row, min_size=m, max_size=m))
+    return kappa, _slopes(draw, kappa, e, denom), e, denom
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_weight_inputs())
+# N = 4 at m = 3: two labels, so the sumsets pair them apart in runs
+@example(([[-1, 0, 0, 1], [-1, -1, 1, 1], [0, 0, 0, 1]], [-2, -1, 1, 3], 1, 1))
+def test_keyed_suffix_sums_answer_the_walk(case):
+    # two states per piece: the lookups run in pieces and the sumsets pair
+    # the labels apart.  Each of s_0..s_m is in (label, inside total)
+    # order; every question the listing asks of one, through ``_under``,
+    # gets a plain existence loop's answer; and the listing is the oracle's
+    kappa, scaled, e, denom = case
+    n = len(scaled)
+    under, asked = kernels._under, []
+
+    def checked_under(keyed, label, room):
+        got = under(keyed, label, room)
+        rows, keys, totals = keyed
+        labels, owners = keys // totals.size, np.broadcast_to(label, len(room))
+        want = [any((row <= room[o]).all() for row in rows[labels == owners[o]]) for o in range(len(room))]
+        assert got.tolist() == want
+        asked.append(got.any())
+        return got
+
+    with mock.patch.object(kernels, "_JOIN_STATES", 2), mock.patch.object(kernels, "_under", checked_under):
+        tables = kernels.CandidateTables(kappa)
+        got = list(tables.candidates(scaled, e, denom))
+    assert got == list(candidates_python(kappa, scaled, e, denom, 0, False))
+    if "table" not in tables.__dict__:  # the totals do not close: nothing is built
+        return
+    suffix = tables.table.suffix
+    assert len(suffix) == len(kappa) + 1 and asked
+    for rows, keys, totals in suffix:
+        labels = keys // totals.size
+        assert keys.tolist() == sorted(keys.tolist()) and totals.tolist() == sorted(set(totals.tolist()))
+        assert (totals[keys % totals.size] == rows[np.arange(len(rows)), labels % (n // 2)]).all()

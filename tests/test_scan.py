@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scan_oracle import scan_cell_per_datum, scan_cells, scan_per_cell
 from slopecert import kernels
 from slopecert import scan as scan_mod
 from slopecert.admissibility import PhiModuleDatum, alignment_check, find_misaligned_candidate
+from slopecert.cli import run_job
 from slopecert.errors import SlopecertError
 from slopecert.scan import DEFAULT_EF, grid_cells, run_scan
 
@@ -176,9 +178,9 @@ def test_certified_class_builds_no_reachable_set(monkeypatch):
         built.clear()
         [(checked, bad, hits)] = scan_mod._scan_length(2, [(0, 4, 8, 12)], band, 1, 5)
         assert (checked, bad, len(hits)) == want
-        assert len(built) == 1 and "reach" not in built[0].__dict__
+        assert len(built) == 1 and "suffix" not in built[0].__dict__
     rep = run_scan(n_max=3, kappa_min=-2, kappa_max=2, ef_values=((1, 1), (2, 1)), band_scale=2)
-    assert rep.witnesses and built and not any("reach" in t.__dict__ for t in built)
+    assert rep.witnesses and built and not any("suffix" in t.__dict__ for t in built)
     assert made == []
 
 
@@ -243,12 +245,13 @@ def test_many_slope_vectors_refused_before_scanning(monkeypatch):
 def test_wide_shapes_refused_by_their_s_1_rows(monkeypatch):
     # ef [[10, 10]] at n_max 4 gave no answer within 150 s, and [[4, 4]] at
     # n_max 6 ran out of memory after 70 s at 2.7 GB; both list only 180
-    # and 201 slope vectors, within MAX_DATA
+    # and 201 slope vectors, within MAX_DATA.  The (1, 1) shape adds its
+    # one row of s_1 = {0} per label
     start = time.perf_counter()
-    for ef, n_max, rows in (((10, 10), 4, 91_962_520), ((4, 4), 6, 1_855_967_520)):
+    for ef, n_max, rows in (((10, 10), 4, 91_962_521), ((4, 4), 6, 1_855_967_521)):
         with pytest.raises(SlopecertError) as refused:
             run_scan(n_max=n_max, ef_values=(ef, (1, 1)))
-        assert str(refused.value) == f"flag-pass table at m = {ef[0] * ef[1]} holds up to {rows} s_1 rows, above scan.MAX_S1_ROWS = 1000000"
+        assert str(refused.value) == f"flag-pass tables hold up to {rows} s_1 rows over 2 distinct m = e*f, above scan.MAX_S1_ROWS = 1000000"
     assert time.perf_counter() - start < 1
     # the estimate takes the longest class that runs: a box of width 3 runs
     # none longer than 3, and a negative band none longer than 1
@@ -258,15 +261,16 @@ def test_wide_shapes_refused_by_their_s_1_rows(monkeypatch):
 
 
 def test_shapes_at_the_s_1_row_cap_run(monkeypatch):
-    # ef [[2, 2]] at n_max 4 holds up to C(8, 3) = 56 rows of s_1: run at a
-    # cap of 56, refused at 55.  ef [[6, 6]] (658,008 rows) stays under the
-    # cap, and so does every default shape up to n_max 6 (1,540 rows)
+    # ef [[2, 2]] at n_max 4 holds up to C(8, 3) = 56 rows of s_1 and
+    # [[1, 1]] one: run at a cap of 57, refused at 56.  ef [[6, 6]] (658,008
+    # rows) stays under the cap, and so do the default shapes at n_max 6
+    # (1 + 20 + 1,540 rows)
     kwargs = dict(n_max=4, kappa_min=-1, kappa_max=3, ef_values=((2, 2), (1, 1)), band_scale=2)
     want = scan_per_cell(**kwargs).summary()
-    monkeypatch.setattr(scan_mod, "MAX_S1_ROWS", 56)
+    monkeypatch.setattr(scan_mod, "MAX_S1_ROWS", 57)
     assert want["misaligned"] > 0 and run_scan(**kwargs).summary() == want
-    monkeypatch.setattr(scan_mod, "MAX_S1_ROWS", 55)
-    with pytest.raises(SlopecertError, match="at m = 4 holds up to 56 s_1 rows, above scan.MAX_S1_ROWS = 55$"):
+    monkeypatch.setattr(scan_mod, "MAX_S1_ROWS", 56)
+    with pytest.raises(SlopecertError, match="up to 57 s_1 rows over 2 distinct m = e\\*f, above scan.MAX_S1_ROWS = 56$"):
         run_scan(**kwargs)
     monkeypatch.undo()
     ran = []
@@ -401,3 +405,22 @@ def test_a_longer_length_pins_what_the_shorter_leave():
     want = scan_per_cell(**kwargs).summary()
     assert {len(w["kappa"]) for w in want["witnesses"]} == {2, 3}
     assert run_scan(**kwargs).summary() == want
+
+
+def test_shapes_under_the_cap_alone_refused_together(monkeypatch):
+    # m = 36, 35, 34 and 33 each stay under MAX_S1_ROWS, but the scan runs
+    # them one after another: this job took 17.3 s when the cap held per m.
+    # Their rows add up past the cap, so it is refused before any class runs
+    ran = []
+    monkeypatch.setattr(scan_mod, "_scan_length", lambda m, classes, *args: ran.append(m) or [(0, 0, [])] * len(classes))
+    ef = ((6, 6), (5, 7), (2, 17), (3, 11))
+    rows = [comb(m + 4, 5) for m in (36, 35, 34, 33)]
+    assert max(rows) < scan_mod.MAX_S1_ROWS < sum(rows) == 2_171_604
+    job = {"command": "keylemma-scan", "params": {"n_max": 4, "kappa_min": -3, "kappa_max": 3, "ef": [list(s) for s in ef]}}
+    with pytest.raises(SlopecertError) as refused:
+        run_job(job)
+    assert str(refused.value) == "flag-pass tables hold up to 2171604 s_1 rows over 4 distinct m = e*f, above scan.MAX_S1_ROWS = 1000000"
+    assert ran == []
+    # a repeated shape counts once
+    run_scan(n_max=4, ef_values=((6, 6), (6, 6), (4, 9)))
+    assert ran and set(ran) == {36}
