@@ -61,14 +61,14 @@ weight value fits a row when some s of s_1, the sums of the other
 embeddings' vectors, has hodge_0[r] + s under c's bound: a passing
 candidate already.  One join with offset hodge_0[r] decides every pair of
 every row, in listing order, so a row's first fitting pair is its witness.
-It keeps only s_1, the last suffix sum, builds no s_0 and keeps nothing.
+Set up once per stack, it builds s_{m-1}..s_1, keeps s_1 alone, builds no s_0.
 
-``tables_for`` keeps the tables of the last weight table asked for, and
-every caller gets its tables there, so consecutive calls on one weight table
-(the tau of a datum, a replay and its verification) build its table once.
-The tables keep the last slope vector's listing too, once it has been read
-to its end: a later call on that vector reads it without walking, and a
-call that stops early keeps nothing and walks no further than it reads.
+Each reader builds a table once for what it serves: the flag pass per
+stack, the listing per weight table in ``tables_for``, so consecutive calls
+on one weight table (the tau of a datum, a replay and its verification)
+build it once.  The tables keep the last slope vector's listing too, once
+read to its end: a later call on that vector reads it without walking, and
+a call that stops early keeps nothing and walks no further than it reads.
 The slot drops its tables before another weight table's are built, so the
 table of one weight table at most is alive, and it outlives its job.
 """
@@ -124,9 +124,11 @@ def _choices(n: int):
 
 @lru_cache(maxsize=None)
 def _same_size(n: int):
-    """(subsets, images): every pair of rows of ``_choices(n)`` of one size."""
-    starts = _choices(n)[2]
-    return np.hstack([np.array(np.divmod(np.arange((hi - lo) ** 2), hi - lo)) + lo for lo, hi in zip(starts, starts[1:])])
+    """(positions, sizes, subsets, images, masks): ``_choices(n)``'s rows,
+    every pair of them of one size and its (subset, image) bitmasks."""
+    pos, masks, _, sizes = _choices(n)
+    subset, image = np.nonzero(sizes[:, None] == sizes)
+    return pos, sizes, subset, image, np.array(masks, dtype=np.int64)[np.stack([subset, image], axis=1)]
 
 
 def _prefixes(values: np.ndarray, pos: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -439,48 +441,50 @@ def tables_for(kappa) -> CandidateTables:
     return _slot
 
 
-def first_misaligned(kappas, slopes, labels) -> np.ndarray:
-    """Per row v of the V x N matrix ``slopes``, the (subset mask, row-0
-    image mask) of ``find_candidate(kappas[labels[v]], row, 1, 1, 0)``, or
-    (0, 0) where it finds none; ``kappas`` is a stack of G weight tables of
-    one shape.  Nothing is kept between calls."""
+def first_misaligned(kappas):
+    """The flag pass of a stack ``kappas`` of G weight tables of one shape,
+    its table, s_1 and pairs built once: a function giving, per row v of a
+    V x N matrix ``slopes``, the (subset mask, row-0 image mask) of
+    ``find_candidate(kappas[labels[v]], row, 1, 1, 0)``, or (0, 0)."""
     g, m, n = np.shape(kappas)
     K = _slope_matrix(np.reshape(kappas, (g, m * n)), m * n, 1).reshape(g, m, n)
-    S = _slope_matrix(slopes, n, 1)
-    labels = np.asarray(labels, dtype=np.intp)
-    out = np.zeros((S.shape[0], 2), dtype=np.int64)
-    live = np.flatnonzero(S.sum(axis=1) == K.sum(axis=(1, 2))[labels])
-    if n < 2 or live.size == 0:
-        return out
-    table = _Table(K)
-    for s_1 in table.sums():  # only the last, s_1, is kept
-        pass
     # (table, subset, image choice) of one size whose choice moves a value of
     # row 0, by table, in listing order; ``first`` indexes each table's first
-    subset, image = _same_size(n)
-    vals = K[:, 0][:, table.pos]
+    pos, size, subset, image, masks = _same_size(n)
+    vals = K[:, 0][:, pos]
     pt, pair = np.nonzero((vals[:, subset] != vals[:, image]).any(axis=2))
-    pc, img = subset[pair], pt * len(table.size) + image[pair]  # the image as a row of the stack
-    witness = np.array(table.masks)[np.stack([pc, image[pair]], axis=1)]
+    pc, img = subset[pair], pt * len(size) + image[pair]  # the image as a row of the stack
     count = np.bincount(pt, minlength=g)
     first = np.cumsum(count) - count
     # every live row against every pair of its table, in slices whose rooms,
     # N entries per (row, pair) owner, hold about _JOIN_STATES entries, so
     # no array grows with the rows
     step = max(1, _JOIN_STATES // max(1, int(count.max()) * n))
-    for lo in range(0, live.size, step):
-        rows = live[lo : lo + step]
-        per_row = count[labels[rows]]
-        v = np.repeat(np.arange(rows.size), per_row)
-        p = np.arange(v.size) + np.repeat(first[labels[rows]] - (np.cumsum(per_row) - per_row), per_row)
-        # a pair passes when some s of s_1 of its label, the image's, lies
-        # under its bound less hodge_0[r]
-        room = _prefixes(S[rows], table.pos, table.size)[v, pc[p]]
-        room -= table.hodge[0, img[p]]
-        hit = np.flatnonzero(_under(s_1, table.label[img[p]], room))
-        hit = hit[np.unique(v[hit], return_index=True)[1]]  # owners run by row, then pair
-        out[rows[v[hit]]] = witness[p[hit]]
-    return out
+    if pt.size:  # N = 1 has no pair, and ``flags`` reads no table without one
+        table = _Table(K)
+        for s_1 in table.sums():  # only the last, s_1, is kept
+            pass
+
+    def flags(slopes, labels) -> np.ndarray:
+        S = _slope_matrix(slopes, n, 1)
+        labels = np.asarray(labels, dtype=np.intp)
+        out = np.zeros((S.shape[0], 2), dtype=np.int64)
+        live = np.flatnonzero((S.sum(axis=1) == K.sum(axis=(1, 2))[labels]) & (count[labels] > 0))
+        for lo in range(0, live.size, step):
+            rows = live[lo : lo + step]
+            per_row = count[labels[rows]]
+            v = np.repeat(np.arange(rows.size), per_row)
+            p = np.arange(v.size) + np.repeat(first[labels[rows]] - (np.cumsum(per_row) - per_row), per_row)
+            # a pair passes when some s of s_1 of its label, the image's, lies
+            # under its bound less hodge_0[r]
+            room = _prefixes(S[rows], pos, size)[v, pc[p]]
+            room -= table.hodge[0, img[p]]
+            hit = np.flatnonzero(_under(s_1, table.label[img[p]], room))
+            hit = hit[np.unique(v[hit], return_index=True)[1]]  # owners run by row, then pair
+            out[rows[v[hit]]] = masks[pair[p[hit]]]  # the pair's witness
+        return out
+
+    return flags
 
 
 def _moves(row, mask: int, img: int) -> bool:

@@ -10,7 +10,7 @@ Weights are stored as one integer matrix per place: row sigma (one row per
 embedding of the field into its algebraic closure, so e*f rows) and column i
 for the dominant coordinates k[sigma][1] >= ... >= k[sigma][n] >= 0.  The
 accessor extends indices to -n..n by k[sigma][-i] = -k[sigma][i] and
-k[sigma][0] = 0; the extension is never stored.
+k[sigma][0] = 0 (``sign_extended``); the extension is never stored.
 
 Every scalar is an exact rational, a Fraction, and no floating point enters
 the package.  Hot loops hold their values as int numerators over one common
@@ -59,6 +59,11 @@ def over_common_denominator(values) -> tuple:
     for v in values:
         denom = denom * v.denominator // math.gcd(denom, v.denominator)
     return tuple(v.numerator * (denom // v.denominator) for v in values), denom
+
+
+def sign_extended(values: Sequence, i: int):
+    """x[i] for i in -n..n, with x[1..n] = ``values``, x[-i] = -x[i] and x[0] = 0."""
+    return values[i - 1] if i > 0 else -values[-i - 1] if i else 0
 
 
 def vp(x, p: int) -> int:
@@ -167,12 +172,7 @@ class WeightTable:
 
     def entry(self, sigma: int, i: int) -> int:
         """k[sigma][i] for i in -rank..rank, with k[sigma][-i] = -k[sigma][i], k[sigma][0] = 0."""
-        row = self.rows[sigma - 1]
-        if i == 0:
-            return 0
-        if i > 0:
-            return row[i - 1]
-        return -row[-i - 1]
+        return sign_extended(self.rows[sigma - 1], i)
 
     def column_sum(self, i: int) -> int:
         """Sum over embeddings of k[sigma][i] (extended index allowed)."""

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .lattice import LocalDatum, WeightTable, over_common_denominator
+from .lattice import LocalDatum, WeightTable, over_common_denominator, sign_extended
 from .weyl import SignedPerm
 
 
@@ -56,11 +56,7 @@ class RefinedSlopes:
 
     def slope(self, i: int) -> Fraction:
         """phi[i] for i in -rank..rank with phi[-i] = -phi[i], phi[0] = 0."""
-        if i == 0:
-            return Fraction(0)
-        if i > 0:
-            return self.values[i - 1]
-        return -self.values[-i - 1]
+        return sign_extended(self.values, i)
 
     @cached_property
     def scaled(self) -> tuple:
@@ -149,9 +145,8 @@ def change_refinement(
     for i in range(1, r + 1):
         wi = w(i)
         s = 1 if wi > 0 else -1
-        # phi[s(r+1) - w(i)] = s * phi[r+1 - |w(i)|]
         term = (i - wi + c * q * (1 - s)) * local.f * e + weights.column_sum(wi) - weights.column_sum(i)
-        new[r - i] = Fraction(s * nums[r - abs(wi)] * e + term * d, e * d)
+        new[r - i] = Fraction(sign_extended(nums, s * (r + 1) - wi) * e + term * d, e * d)
     return RefinedSlopes(tuple(new))
 
 

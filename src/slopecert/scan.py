@@ -26,9 +26,10 @@ form, and translates a class's witnesses back to each of its cells: kappa
 and every scaled slope move, the subset and the images stay.
 
 The classes of one length n run together, per m: ``kernels.first_misaligned``
-decides the slope vectors of a chunk of classes in one pass per block of
-vectors, each vector labelled with its class, and returns each flagged
-vector's witness, so the scan builds no ``kernels.CandidateTables``.  The
+sets up a chunk of classes once, building its table's s_{m-1}, ..., s_1
+and keeping s_1, then flags the chunk's slope vectors a block at a time,
+each labelled with its class, and returns each flagged vector's witness,
+so the scan builds no ``kernels.CandidateTables``.  The
 first ``max_witnesses`` flagged vectors of the length, classes in order and
 product order within a class, are kept: the report's witnesses of one shape
 and length translate no others.  A chunk's weight tables hold about
@@ -40,8 +41,9 @@ on the band: a class result depends on m, not on (e, f), and shapes of
 equal m share it, with e, f and the slope denominators relabelled when the
 witnesses are translated.  Before any class runs, the slope vectors the
 grid lists are counted in closed form and refused above ``MAX_DATA``, and
-the s_1 rows of the largest flag-pass table of each m are counted and
-their sum over the distinct m refused above ``MAX_S1_ROWS``.
+the s_1 rows of the largest flag-pass table of each m, and the rows of
+all its levels, are counted and their sums over the distinct m refused
+above ``MAX_S1_ROWS`` and ``MAX_LEVEL_ROWS``.
 """
 
 from __future__ import annotations
@@ -70,6 +72,15 @@ MAX_DATA = 2_000_000
 # (10,424,128) 84 s and 335 MB, and [[3, 3]] at n_max 6 (2,220,075) 2.2 s
 # and 109 MB.
 MAX_S1_ROWS = 1_000_000
+# A grid whose flag pass could build more rows than this over all the
+# levels s_{m-1}, ..., s_1 of the largest class table of each distinct m,
+# summed, is refused after MAX_S1_ROWS: a setup's time follows those rows.
+# At kappa in [-3, 3], band 1, as a CLI child (Python 3.11, one shared
+# core), ef [[6, 6]] at n_max 4 (4,496,387 rows) took 5.5-6.7 s, [[56, 56]]
+# at n_max 2 (4,918,815) 6.3 s, [[17, 17]] at n_max 3 (4,064,784) 14.3 s,
+# [[60, 60]] at n_max 2 (6,481,799) 8.5 s and [[70, 70]] (12,007,449)
+# 17.6 s.
+MAX_LEVEL_ROWS = 5_000_000
 # A grid of more (e, f, kappa) cells than this is refused before its slope
 # vectors are counted.  Each class lists at least one vector and costs about
 # 7 us and 0.3 kB of results at band 0 (Python 3.11, one shared core), so
@@ -143,10 +154,10 @@ def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnes
     vectors.  The scan passes denom = e, so e cancels from every
     bound and the classes run with e = 1.  The classes go to the kernel in
     chunks whose s_1 tables and pairs hold about _JOIN_STATES rows at most,
-    a class above that alone.  A chunk's slope vectors are listed class by
-    class, in product order within a class, _BLOCK at a time, and each
-    block is flagged as it is listed: a block may hold vectors of several
-    classes.
+    a class above that alone, each set up once.  A chunk's slope vectors
+    are listed class by class, in product order within a class, _BLOCK at
+    a time, and each block is flagged as it is listed: a block may hold
+    vectors of several classes.
     """
     n = len(classes[0])
     # per class and subset size k, C(n, k) ** (m - 1) vectors of s_1 before
@@ -168,6 +179,8 @@ def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnes
         checked = np.zeros(len(chunk), dtype=np.int64)
         bad = np.zeros(len(chunk), dtype=np.int64)
         hits = [[] for _ in chunk]
+        flags = None  # the last chunk's tables go before this chunk's are built
+        flags = kernels.first_misaligned(kappas)
         for start in range(0, int(ends[-1]), _BLOCK):
             index = np.arange(start, min(start + _BLOCK, int(ends[-1])))
             owner = np.searchsorted(ends, index, side="right")
@@ -179,7 +192,7 @@ def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnes
             ordered = np.sort(scaled, axis=1)
             keep = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
             scaled, owner = scaled[keep], owner[keep]
-            first = kernels.first_misaligned(kappas, scaled, owner)
+            first = flags(scaled, owner)
             flagged = np.flatnonzero(first[:, 0])
             checked += np.bincount(owner, minlength=len(chunk))
             bad += np.bincount(owner[flagged], minlength=len(chunk))
@@ -281,8 +294,8 @@ def run_scan(
 
     Each gap class runs once per distinct m = e*f.  The grid is refused
     above MAX_CELLS cells, above MAX_DATA slope vectors over the distinct
-    shapes, and above MAX_S1_ROWS rows of the largest flag-pass table of
-    each distinct m, summed.  Each
+    shapes, and above MAX_S1_ROWS s_1 rows or MAX_LEVEL_ROWS rows over all
+    levels of the largest flag-pass table of each distinct m, summed.  Each
     (m, length) keeps at most ``max_witnesses`` witnesses; a shape's report
     lists its lengths in turn, and stops at ``max_witnesses``.
     """
@@ -308,6 +321,11 @@ def run_scan(
     rows = sum(comb(m - 2 + comb(top, top // 2), m - 1) for m in ms) if top > 1 else 0
     if rows > MAX_S1_ROWS:
         raise SlopecertError(f"flag-pass tables hold up to {rows} s_1 rows over {len(ms)} distinct m = e*f, above scan.MAX_S1_ROWS = {MAX_S1_ROWS}")
+    # s_1 is built through s_{m-1}, ..., s_2, and s_j holds C(m - j - 1 + C,
+    # m - j) rows at most: C(m - 1 + C, m - 1) - 1 over the m - 1 levels
+    rows = sum(comb(m - 1 + comb(top, top // 2), m - 1) - 1 for m in ms) if top > 1 else 0
+    if rows > MAX_LEVEL_ROWS:
+        raise SlopecertError(f"flag-pass tables build up to {rows} rows over their m - 1 levels for {len(ms)} distinct m = e*f, above scan.MAX_LEVEL_ROWS = {MAX_LEVEL_ROWS}")
     results = {}
     for m in ms:
         results[m] = {}

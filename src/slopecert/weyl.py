@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator, Optional
 
+from .lattice import sign_extended
+
 
 @dataclass(frozen=True)
 class SignedPerm:
@@ -40,11 +42,7 @@ class SignedPerm:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        if i == 0:
-            return 0
-        if i > 0:
-            return self.images[i - 1]
-        return -self.images[-i - 1]
+        return sign_extended(self.images, i)
 
     def inverse(self) -> "SignedPerm":
         inv = [0] * self.n

@@ -244,7 +244,7 @@ def test_no_table_above_half_the_rank(datum):
     assert tested and max(mask.bit_count() for mask in tested) <= n // 2
     # e times the slopes are the column sums, and e = D is the system at e = D = 1
     sums = [sum(row[i] for row in datum.weights) for i in range(n)]
-    assert kernels.first_misaligned([datum.weights], [sums], [0]).tolist() == [[0, 0]]
+    assert kernels.first_misaligned([datum.weights])([sums], [0]).tolist() == [[0, 0]]
     listed = admissible_candidates(datum)
     assert n < 3 or any(len(c.subset) > n // 2 for c in listed)
     # a stack of one table, labelled by every size up to n // 2 and no
@@ -299,7 +299,7 @@ def _check_first_misaligned(kappas, slopes, labels):
     want = [_witness(search_python(kappas[t], s, 1, 1, 0)) for s, t in zip(slopes, labels)]
     for v in sorted(range(len(labels)), key=labels.__getitem__):
         assert _witness(kernels.find_candidate(kappas[labels[v]], slopes[v], 1, 1, 0)) == want[v]
-    assert kernels.first_misaligned(kappas, slopes, labels).tolist() == want
+    assert kernels.first_misaligned(kappas)(slopes, labels).tolist() == want
     return want
 
 
@@ -311,7 +311,7 @@ def test_misaligned_flags_match_oracle(case):
     kappas, slopes, labels = _rotations(kappa, rows)
     want = _check_first_misaligned(kappas, slopes, labels)
     K, S = np.array(kappas, dtype=np.int64), np.array(slopes, dtype=np.int64)
-    assert kernels.first_misaligned(K, S, np.array(labels)).tolist() == want
+    assert kernels.first_misaligned(K)(S, np.array(labels)).tolist() == want
 
 
 @st.composite
@@ -341,7 +341,7 @@ def test_misaligned_flags_on_a_stack_match_oracle(case):
     kappas, slopes, labels = case
     want = _check_first_misaligned(kappas, slopes, labels)
     with mock.patch.object(kernels, "_JOIN_STATES", 3):
-        assert kernels.first_misaligned(kappas, slopes, labels).tolist() == want
+        assert kernels.first_misaligned(kappas)(slopes, labels).tolist() == want
 
 
 def test_misaligned_flags_in_small_pieces(monkeypatch):
@@ -354,7 +354,7 @@ def test_misaligned_flags_in_small_pieces(monkeypatch):
     assert 0 < sum(w != [0, 0] for w in want) < len(want)
     assert len({tuple(w) for w in want}) > 2  # witnesses other than the first pair
     monkeypatch.setattr(kernels, "_JOIN_STATES", 3)
-    assert kernels.first_misaligned(kappas, slopes, labels).tolist() == want
+    assert kernels.first_misaligned(kappas)(slopes, labels).tolist() == want
 
 
 def _rows_of(rows, labels, label):
@@ -416,7 +416,7 @@ def test_flag_pass_keeps_only_s_1(monkeypatch):
 
     monkeypatch.setattr(kernels._Table, "sums", recording_sums)
     monkeypatch.setattr(kernels, "_matches", checking_matches)
-    assert kernels.first_misaligned(kappas, slopes, labels).tolist() == want
+    assert kernels.first_misaligned(kappas)(slopes, labels).tolist() == want
     assert len(yielded) == 3 and alive and not any(alive[0][:-1])
 
 
@@ -443,8 +443,8 @@ def test_matches_in_pieces(monkeypatch):
 def test_misaligned_flags_edge_rows():
     kappas = [[[0, 1, 2]], [[-1, 0, 4]]]
     flags = kernels.first_misaligned
-    assert flags(kappas, [], []).shape == (0, 2)
-    assert flags(kappas, np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.intp)).shape == (0, 2)
+    assert flags(kappas)([], []).shape == (0, 2)
+    assert flags(kappas)(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.intp)).shape == (0, 2)
     # one row beyond the int64 range refuses the matrix, as candidates refuses the row
     far = [2**62, 0, -(2**62) + 3]
     with pytest.raises(ValueError, match="int64") as want:
@@ -452,7 +452,7 @@ def test_misaligned_flags_edge_rows():
     lowest = np.array([[2, 0, 1], [-(2**63), 0, 3]], dtype=np.int64)  # its absolute value wraps in int64
     for slopes in ([[2, 0, 1], far], np.array([[2, 0, 1], far], dtype=np.int64), [[0, 1, 2], [2**70, 0, 0]], lowest):
         with pytest.raises(ValueError, match="int64") as got:
-            flags(kappas, slopes, [0, 1])
+            flags(kappas)(slopes, [0, 1])
         assert str(got.value) == str(want.value)
     # so does one weight table beyond it, as the tables of that table refuse it
     for table in ([[2**61, 2**61, 3]], [[-(2**63), 0, 3]], [[0, 0, 2**70]]):
@@ -460,16 +460,16 @@ def test_misaligned_flags_edge_rows():
             kernels.CandidateTables(table)
         for stack in (kappas + [table], np.array(kappas + [table], dtype=object)):
             with pytest.raises(ValueError, match="int64") as got:
-                flags(stack, [[0, 1, 2]], [0])
+                flags(stack)([[0, 1, 2]], [0])
             assert str(got.value) == str(want.value)
     # N times the column-wide maximum is past the limit, but no row's sum is
     ok = [[2**61, 0, -(2**61) + 3], [0, 2**61, -(2**61) + 3], [0, 0, 3], [2, 0, 1]]
-    assert flags(kappas, ok, [0, 0, 0, 0]).tolist() == [_witness(search_python([[0, 1, 2]], s, 1, 1, 0)) for s in ok]
+    assert flags(kappas)(ok, [0, 0, 0, 0]).tolist() == [_witness(search_python([[0, 1, 2]], s, 1, 1, 0)) for s in ok]
     wide = [[[0, 3, 2**61]], [[0, 1, 2]]]  # likewise for the weights
-    assert flags(wide, [[0, 1, 2], [1, 0, 2]], [1, 1]).tolist() == [[0, 0], [1, 2]]
+    assert flags(wide)([[0, 1, 2], [1, 0, 2]], [1, 1]).tolist() == [[0, 0], [1, 2]]
     for short in ([[0, 3]], [[]]):  # one empty row is a row, not an empty matrix
         with pytest.raises(ValueError, match="need 3 slopes"):
-            flags(kappas, short, [0])
+            flags(kappas)(short, [0])
     with pytest.raises(ValueError, match="need 3 slopes"):
         list(kernels.CandidateTables([[0, 1, 2]]).candidates([0, 3], 1, 1))
 

@@ -1,4 +1,5 @@
 import time
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -64,9 +65,9 @@ def test_each_gap_class_is_scanned_once(monkeypatch):
         calls.append(args[0])
         return find_candidate(*args, **kw)
 
-    def counting_flags(kappas, slopes, labels):
+    def counting_flags(kappas):
         passes.append(tuple(tuple(map(tuple, kappa)) for kappa in kappas.tolist()))
-        return first_misaligned(kappas, slopes, labels)
+        return first_misaligned(kappas)
 
     def counting_tables(kappa):
         tables.append(kappa)
@@ -77,8 +78,8 @@ def test_each_gap_class_is_scanned_once(monkeypatch):
     monkeypatch.setattr(kernels, "CandidateTables", counting_tables)
     rep = run_scan(max_witnesses=5, **kwargs)
     # (0,), then (0, a), (0, a, b) with b < 6; (2, 1) and (1, 2) share m = 2.
-    # Every chunk fits the budget and lists fewer than _BLOCK vectors: one
-    # pass per (m, length), its stack the length's classes in order
+    # Every chunk fits the budget: one pass per (m, length), its stack the
+    # length's classes in order
     classes = list(scan_mod._gap_classes(3, width))
     assert len(classes) == 1 + 5 + 10
     want = [tuple((g,) * m for g in classes if len(g) == n) for m in (1, 2) for n in (1, 2, 3)]
@@ -94,9 +95,9 @@ def test_every_class_alone_reads_the_same(monkeypatch):
     want = run_scan(**kwargs).summary()
     stacks, first_misaligned = [], kernels.first_misaligned
 
-    def recording_flags(kappas, slopes, labels):
+    def recording_flags(kappas):
         stacks.append(len(kappas))
-        return first_misaligned(kappas, slopes, labels)
+        return first_misaligned(kappas)
 
     monkeypatch.setattr(kernels, "_JOIN_STATES", 1)
     monkeypatch.setattr(kernels, "first_misaligned", recording_flags)
@@ -198,6 +199,39 @@ def test_class_scan_in_small_blocks(monkeypatch):
     assert run_scan(**kwargs).summary() == want
 
 
+def test_one_table_per_chunk(monkeypatch):
+    """Blocks of seven slope vectors and chunks of two or three classes:
+    each chunk builds one table for all of its blocks, no chunk twice, and
+    the last chunk's table and suffix sums are gone before the next chunk's
+    table is built."""
+    kwargs = dict(n_max=3, kappa_min=-2, kappa_max=3, ef_values=((1, 1), (2, 1)), band_scale=2, max_witnesses=7)
+    want = run_scan(**kwargs).summary()
+    stacks, alive, table, sums = [], [], kernels._Table, kernels._Table.sums
+
+    def recording_table(stack):
+        assert all(ref() is None for ref in alive)
+        stacks.append(tuple(map(tuple, stack[:, 0].tolist())))
+        alive.append(weakref.ref(built := table(stack)))
+        return built
+
+    def recording_sums(self, last=1):
+        for keyed in sums(self, last):
+            alive.append(weakref.ref(keyed[0]))
+            yield keyed
+
+    monkeypatch.setattr(scan_mod, "_BLOCK", 7)
+    monkeypatch.setattr(kernels, "_JOIN_STATES", 30)
+    monkeypatch.setattr(table, "sums", recording_sums)
+    monkeypatch.setattr(kernels, "_Table", recording_table)
+    assert run_scan(**kwargs).summary() == want
+    # per m, the classes of length >= 2 in order, each in one stack, no
+    # stack twice: length 2 in one chunk, length 3 in chunks of 3 (m = 1)
+    # and 2 (m = 2)
+    classes = [g for g in scan_mod._gap_classes(3, 6) if len(g) > 1]
+    assert [len(stack) for stack in stacks] == [5, 3, 3, 3, 1] + [5, 2, 2, 2, 2, 2]
+    assert [g for stack in stacks for g in stack] == classes + classes
+
+
 def test_equal_m_shapes_share_one_class_result():
     """(1, 2) and (2, 1) read alike up to e, f and the slope denominators."""
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=2, band_scale=3)
@@ -278,6 +312,31 @@ def test_shapes_at_the_s_1_row_cap_run(monkeypatch):
     run_scan(n_max=4, ef_values=((6, 6),))
     run_scan(n_max=6)
     assert set(ran) == {36, 1, 2, 4}
+
+
+def test_many_levels_refused_by_their_rows(monkeypatch):
+    # ef [[70, 70]] and [[100, 100]] at n_max 2 hold 4,900 and 10,000 rows
+    # of s_1, far under MAX_S1_ROWS, and list 268 slope vectors each; but a
+    # table builds its m - 1 levels on the way to s_1, C(m + 1, 2) - 1 rows
+    # with C(2, 1) = 2 image choices: they took 13.8 and 58.5 s.  [[1000,
+    # 1000]] sits at the s_1 cap itself
+    start = time.perf_counter()
+    for ef, rows in (((70, 70), 12_007_449), ((100, 100), 50_004_999), ((1000, 1000), 500_000_499_999)):
+        job = {"command": "keylemma-scan", "params": {"n_max": 2, "ef": [list(ef)]}}
+        with pytest.raises(SlopecertError) as refused:
+            run_job(job)
+        want = f"flag-pass tables build up to {rows} rows over their m - 1 levels for 1 distinct m = e*f, above scan.MAX_LEVEL_ROWS = 5000000"
+        assert str(refused.value) == want
+    assert time.perf_counter() - start < 1
+    # ef [[2, 2]] at n_max 4 builds up to C(9, 3) - 1 = 83 rows and [[1, 1]]
+    # none: run at a cap of 83, refused at 82
+    kwargs = dict(n_max=4, kappa_min=-1, kappa_max=3, ef_values=((2, 2), (1, 1)), band_scale=2)
+    want = scan_per_cell(**kwargs).summary()
+    monkeypatch.setattr(scan_mod, "MAX_LEVEL_ROWS", 83)
+    assert want["misaligned"] > 0 and run_scan(**kwargs).summary() == want
+    monkeypatch.setattr(scan_mod, "MAX_LEVEL_ROWS", 82)
+    with pytest.raises(SlopecertError, match="up to 83 rows over their m - 1 levels for 2 distinct m = e\\*f, above scan.MAX_LEVEL_ROWS = 82$"):
+        run_scan(**kwargs)
 
 
 def test_data_count_stops_past_max_data_squared(monkeypatch):
@@ -387,9 +446,12 @@ def test_backend_summaries_agree(monkeypatch):
     kwargs = dict(n_max=3, kappa_min=-2, kappa_max=2, ef_values=((1, 1), (2, 1)), band_scale=2)
     fast = run_scan(**kwargs)
 
-    def oracle_flags(kappas, slopes, labels):
-        first = [search_python(kappas[t].tolist(), s, 1, 1, 0) for s, t in zip(slopes.tolist(), labels.tolist())]
-        return np.array([[mask, img[0]] if found else [0, 0] for found, mask, img in first], dtype=np.int64).reshape(-1, 2)
+    def oracle_flags(kappas):
+        def flags(slopes, labels):
+            first = [search_python(kappas[t].tolist(), s, 1, 1, 0) for s, t in zip(slopes.tolist(), labels.tolist())]
+            return np.array([[mask, img[0]] if found else [0, 0] for found, mask, img in first], dtype=np.int64).reshape(-1, 2)
+
+        return flags
 
     monkeypatch.setattr(kernels, "first_misaligned", oracle_flags)
     slow = run_scan(**kwargs)
