@@ -53,6 +53,23 @@ and the walk asks, per image choice on embedding j, whether s_{j+1} has a
 row under the bound less the choice's sum so far; s_m = {0} answers the
 last embedding.
 
+Most tables repeat one weight row: the replay's first point of step 3 is
+parallel, every embedding carrying the same row, and so is every scan
+table.  Where row j + 1 is row j in every table of the stack, a sum does
+not depend on the order of the two embeddings' choices, so ``sums`` builds
+each sum about once per multiset of choices, not once per ordering.  Each
+row w of s_{j+1} carries top(w), its choice at embedding j + 1: the i of
+the pair that made it.  Choice c pairs with w only when c <= top(w).  Every
+sum u of s_j is still made.  Write u with the least smallest choice c over
+embeddings j..b, the run of rows equal to row j, and let w = u - hodge_j[c],
+a row of s_{j+1}.  The pair that made w writes u = hodge[c] + hodge[top(w)]
++ a row of s_{j+2} too, whose smallest choice in the run is at most top(w),
+so c <= top(w) and (c, w) is paired.  So each s_j is the same set as with
+every pair; where the rows differ, every pair is kept.  Choices are global
+rows of ``hodge[j]``, laid out alike at every embedding, so they compare
+across levels.  The listing, its order and every witness read only the
+sets, so none of them changes.
+
 ``first_misaligned`` answers ``find_candidate(kappa, row, 1, 1, 0)`` for a
 whole matrix of slope vectors without listing candidates: the scan's
 question, whose weight rows are all equal and which passes e = D.  A pair
@@ -61,7 +78,8 @@ weight value fits a row when some s of s_1, the sums of the other
 embeddings' vectors, has hodge_0[r] + s under c's bound: a passing
 candidate already.  One join with offset hodge_0[r] decides every pair of
 every row, in listing order, so a row's first fitting pair is its witness.
-Set up once per stack, it builds s_{m-1}..s_1, keeps s_1 alone, builds no s_0.
+Set up once per stack, it builds s_{m-1}..s_1, keeps s_1 alone, builds no s_0;
+at N = 1 no pair exists, and it sets up nothing.
 
 Each reader builds a table once for what it serves: the flag pass per
 stack, the listing per weight table in ``tables_for``, so consecutive calls
@@ -174,18 +192,20 @@ def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
     return S
 
 
-def _sumset(a: np.ndarray, a_labels: np.ndarray, b):
-    """The distinct pairs (t, a[i] + s) with a_labels[i] = t and s a row of
-    label t in ``b``, keyed: (rows, keys, totals) in ``_keyed``'s order, as
-    ``b`` is.  The pairs are put in that order before any sum row is built,
-    so no set is copied to be sorted."""
+def _sumset(a: np.ndarray, a_labels: np.ndarray, b, top: np.ndarray):
+    """The distinct pairs (t, a[i] + s) with a_labels[i] = t, s a row of
+    label t in ``b`` and i <= top[s], keyed: (rows, keys, totals) in
+    ``_keyed``'s order, as ``b`` is, and per row its top, the i of the pair
+    that made it.  The pairs are put in that order before any sum row is
+    built, so no set is copied to be sorted."""
     rows, keys, totals = b
     b_labels = keys // totals.size
-    i, j = _pairs(a, a_labels, rows, b_labels)
+    i, j = _pairs(a, a_labels, rows, b_labels, top)
     labels = b_labels[j]
     inside = labels % (a.shape[1] // 2)  # label t * (N // 2) + k - 1: coordinate k - 1
     order, keys, totals = _keyed(labels, a[i, inside] + rows[j, inside])
-    return _sum_rows(a, i[order], rows, j[order]), keys, totals
+    i = i[order]
+    return (_sum_rows(a, i, rows, j[order]), keys, totals), i
 
 
 def _sum_rows(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -198,46 +218,49 @@ def _sum_rows(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.
     return out
 
 
-def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndarray):
+def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndarray, top: np.ndarray):
     """(i, j): one pair per distinct (t, a[i] + b[j]) with a_labels[i] =
-    b_labels[j] = t, ascending by key, so by label.
+    b_labels[j] = t and i <= top[j], ascending by key, so by label.
 
     The labels are 0..G-1, and each of a and b holds at least one row of
-    every label, by label, however many.  Pairs are told apart by an
-    integer key that leads with the label and is linear in the row, so it
-    is built from the keys of a[i] and b[j] and no sum row is built.
-    Coordinates are packed in mixed radix; where the next one would
-    overflow the key, the key so far is replaced by its rank among the
-    distinct keys, which is below the number of pairs.  A coordinate whose
-    span times the number of pairs reaches _KEY_LIMIT is packed as
-    base-2**w digits that each fit: their sums still tell distinct rows
-    apart, and equal rows they keep apart are repeats.  One row b per label
-    gives every pair, and so may a label with one row b when labels pair
-    apart: repeats cost a little time later but change no answer.
+    every label, by label, however many; top[j] is a row of a of b[j]'s
+    label.  Only the kept pairs are laid out: per row of b, the a rows of
+    its label up to its top.  Pairs are told apart by an integer key that
+    leads with the label and is linear in the row, so it is built from the
+    keys of a[i] and b[j] and no sum row is built.  Coordinates are packed
+    in mixed radix; where the next one would overflow the key, the key so
+    far is replaced by its rank among the distinct keys, which is below the
+    number of pairs.  A coordinate whose span times the number of pairs
+    reaches _KEY_LIMIT is packed as base-2**w digits that each fit: their
+    sums still tell distinct rows apart, and equal rows they keep apart are
+    repeats.  One row b per label gives every pair, whatever ``top`` (None
+    for s_m = {0}), and so may a label with one row b when labels pair
+    apart: pairs beyond the kept ones, and repeats, cost a little time later
+    but change no set.
     """
     g = int(b_labels[-1]) + 1
     if b.shape[0] == g:  # one row b per label: every pair
         return np.arange(len(a)), a_labels
-    b_count = np.bincount(b_labels, minlength=g)
-    per_a = b_count[a_labels]  # the pairs of each row of a
-    ends = np.cumsum(per_a)
+    lo = np.searchsorted(a_labels, b_labels)  # the first a row of each b row's label
+    per_b = top - lo + 1  # the kept pairs of each row of b
+    ends = np.cumsum(per_b)
     pairs = int(ends[-1])
     if pairs > _JOIN_STATES and g > 1:
-        # labels apart, in runs of about _JOIN_STATES pairs (a larger label
-        # alone), so no array grows with the pairs of every label
-        label_pairs = np.bincount(a_labels, minlength=g) * b_count
-        run = (np.cumsum(label_pairs) - label_pairs) // _JOIN_STATES
+        # labels apart, in runs of about _JOIN_STATES kept pairs (a larger
+        # label alone), so no array grows with the pairs of every label
+        run = (ends - per_b)[np.searchsorted(b_labels, np.arange(g))] // _JOIN_STATES
         if run[-1]:
             cut = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), g]
             at_a, at_b = np.searchsorted(a_labels, cut), np.searchsorted(b_labels, cut)
             parts = [
-                _pairs(a[i:i1], a_labels[i:i1] - lo, b[j:j1], b_labels[j:j1] - lo)
-                for lo, i, i1, j, j1 in zip(cut, at_a, at_a[1:], at_b, at_b[1:])
+                _pairs(a[i:i1], a_labels[i:i1] - t, b[j:j1], b_labels[j:j1] - t, top[j:j1] - i)
+                for t, i, i1, j, j1 in zip(cut, at_a, at_a[1:], at_b, at_b[1:])
             ]
             i = np.concatenate([part[0] + at for part, at in zip(parts, at_a)])
             return i, np.concatenate([part[1] + at for part, at in zip(parts, at_b)])
-    # pair (i, j) at ends[i] - per_a[i] + (j - the first b row of i's label)
-    j = np.arange(pairs) - np.repeat(ends - per_a - (np.cumsum(b_count) - b_count)[a_labels], per_a)
+    # pair (i, j) at ends[j] - per_b[j] + i - lo[j]
+    j = np.repeat(np.arange(len(b)), per_b)
+    i = np.arange(pairs) - np.repeat(ends - per_b - lo, per_b)
     a_off = a - a.min(axis=0)
     b_off = b - b.min(axis=0)
 
@@ -263,12 +286,12 @@ def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndar
             bounds.append(x)
         size *= s
     bounds.append(len(span))
-    key = np.repeat(a_labels, per_a)
-    for group, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+    key = np.repeat(b_labels, per_b)
+    for group, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         if group:
             key = np.unique(key, return_inverse=True)[1]
-        radix = np.cumprod([1] + span[lo:hi], dtype=np.int64)
-        key = key * radix[-1] + np.repeat(a_off[:, lo:hi] @ radix[:-1], per_a) + (b_off[:, lo:hi] @ radix[:-1])[j]
+        radix = np.cumprod([1] + span[start:stop], dtype=np.int64)
+        key = key * radix[-1] + (a_off[:, start:stop] @ radix[:-1])[i] + np.repeat(b_off[:, start:stop] @ radix[:-1], per_b)
     # one pair of each distinct key, in key order: np.unique's return_index
     # without the unique values and the call's overhead.  Pairs of one key
     # sum to one row, so the unstable sort, several times faster than the
@@ -276,7 +299,7 @@ def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndar
     order = key.argsort()
     ordered = key[order]
     first = order[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    return np.repeat(np.arange(len(a)), per_a)[first], j[first]
+    return i[first], j[first]
 
 
 def _keyed(labels: np.ndarray, inside: np.ndarray):
@@ -319,16 +342,22 @@ class _Table:
         self.hodge = _prefixes(K.transpose(1, 0, 2), self.pos, self.size).reshape(m, -1, n)
         self.label = (np.arange(g)[:, None] * (n // 2) + self.size - 1).ravel()
         self.groups = g * (n // 2)
+        self.kappas = K
 
     def sums(self, last: int = 1):
         """s_m = {0} per label, s_{m-1}, ..., s_last, each keyed as (rows,
         keys, totals) in ``_keyed``'s order, s_j the distinct hodge[j] +
         s_{j+1} of one label: each is built from the one before, so a caller
-        that keeps only the last holds s_1 alone."""
+        that keeps only the last holds s_1 alone.  Where row j is row j + 1,
+        choice i pairs with a row w of s_{j+1} only when i <= top(w)."""
         keyed = np.zeros((self.groups, self.hodge.shape[2]), dtype=np.int64), np.arange(self.groups), np.zeros(1, dtype=np.int64)
         yield keyed
+        top = None  # s_m holds one row per label, which pairs every choice
         for j in range(len(self.hodge) - 1, last - 1, -1):
-            keyed = _sumset(self.hodge[j], self.label, keyed)
+            if top is not None and (self.kappas[:, j] != self.kappas[:, j + 1]).any():
+                # rows j and j + 1 differ: every pair, up to each label's last row
+                top = np.searchsorted(self.label, keyed[1] // keyed[2].size, side="right") - 1
+            keyed, top = _sumset(self.hodge[j], self.label, keyed, top)
             yield keyed
 
     @cached_property
@@ -448,6 +477,8 @@ def first_misaligned(kappas):
     ``find_candidate(kappas[labels[v]], row, 1, 1, 0)``, or (0, 0)."""
     g, m, n = np.shape(kappas)
     K = _slope_matrix(np.reshape(kappas, (g, m * n)), m * n, 1).reshape(g, m, n)
+    if n < 2:  # no subset of size <= N // 2, so no pair: nothing to set up
+        return lambda slopes, labels: np.zeros((len(_slope_matrix(slopes, n, 1)), 2), dtype=np.int64)
     # (table, subset, image choice) of one size whose choice moves a value of
     # row 0, by table, in listing order; ``first`` indexes each table's first
     pos, size, subset, image, masks = _same_size(n)
@@ -460,7 +491,7 @@ def first_misaligned(kappas):
     # N entries per (row, pair) owner, hold about _JOIN_STATES entries, so
     # no array grows with the rows
     step = max(1, _JOIN_STATES // max(1, int(count.max()) * n))
-    if pt.size:  # N = 1 has no pair, and ``flags`` reads no table without one
+    if pt.size:  # ``flags`` reads no table without a pair
         table = _Table(K)
         for s_1 in table.sums():  # only the last, s_1, is kept
             pass

@@ -1,6 +1,8 @@
 import weakref
 from fractions import Fraction
+from itertools import accumulate, combinations
 from math import comb
+from operator import add
 from unittest import mock
 
 import numpy as np
@@ -420,6 +422,94 @@ def test_flag_pass_keeps_only_s_1(monkeypatch):
     assert len(yielded) == 3 and alive and not any(alive[0][:-1])
 
 
+def _plain_vectors(row, k):
+    """Per k-subset of positions, lexicographic: the inside prefix sums of
+    ``row`` at the subset, then the outside prefix sums at the rest."""
+    out = []
+    for inside in combinations(range(len(row)), k):
+        outside = [b for b in range(len(row)) if b not in inside]
+        out.append(tuple(accumulate(row[b] for b in inside)) + tuple(accumulate(row[b] for b in outside)))
+    return out
+
+
+def _plain_suffix_sums(kappas):
+    """Per level j = m..0, {(label, inside total): rows} of every sum over
+    embeddings j..m-1 of one vector per embedding, by plain loops."""
+    g, m, n = len(kappas), len(kappas[0]), len(kappas[0][0])
+    levels = []
+    for j in range(m, -1, -1):
+        level = {}
+        for t in range(g):
+            for k in range(1, n // 2 + 1):
+                sums = {(0,) * n}
+                for row in kappas[t][j:]:
+                    sums = {tuple(map(add, v, w)) for v in _plain_vectors(row, k) for w in sums}
+                for w in sums:
+                    level.setdefault((t * (n // 2) + k - 1, w[k - 1]), set()).add(w)
+        levels.append(level)
+    return levels
+
+
+@st.composite
+def run_stacks(draw):
+    """1..3 weight tables of m <= 4 rows of N <= 5 weights in which row
+    j + 1 repeats row j at the same j in every table, or in all but one."""
+    g, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    repeats = draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1))
+    kappas = []
+    for _ in range(g):
+        rows = [draw(row)]
+        for repeat in repeats:
+            rows.append(rows[-1] if repeat else draw(row))
+        kappas.append(rows)
+    if draw(st.booleans()):  # one table's row breaks a run of the others
+        kappas[draw(st.integers(0, g - 1))][draw(st.integers(0, m - 1))] = draw(row)
+    return kappas
+
+
+@settings(max_examples=80, deadline=None)
+@given(run_stacks())
+# three alike rows, then a row that differs in one table only
+@example([[[0, 1, 1, 2], [0, 1, 1, 2], [0, 1, 1, 2], [-1, 0, 0, 3]], [[0, 0, 1, 1]] * 4])
+def test_suffix_sums_are_the_plain_sumsets(kappas):
+    # where rows repeat, s_j pairs only non-decreasing choices; every level
+    # is still the set a plain loop over every choice makes, per (label,
+    # inside total), also with three pairs per piece
+    want = _plain_suffix_sums(kappas)
+    for pieces in (kernels._JOIN_STATES, 3):
+        with mock.patch.object(kernels, "_JOIN_STATES", pieces):
+            levels = list(kernels._Table(np.array(kappas, dtype=np.int64)).sums(0))
+        assert len(levels) == len(want)
+        for (rows, keys, totals), level in zip(levels, want):
+            got = {}
+            for row, key in zip(map(tuple, rows.tolist()), keys.tolist()):
+                got.setdefault((key // totals.size, int(totals[key % totals.size])), set()).add(row)
+            assert got == level
+
+
+def test_alike_rows_pair_only_non_decreasing_choices(monkeypatch):
+    # four alike rows of three weights whose multiset sums are all distinct:
+    # per label, s_j keeps one pair per non-decreasing choice sequence, each
+    # i <= top(w), and so as many pairs as multisets of size m - j
+    kappas = np.array([[[1, 5, 25]] * 4, [[-25, -5, -1]] * 4], dtype=np.int64)
+    pairs, kept = kernels._pairs, []
+
+    def recording_pairs(a, a_labels, b, b_labels, top):
+        i, j = pairs(a, a_labels, b, b_labels, top)
+        if top is None:  # s_m: every pair
+            top = np.searchsorted(a_labels, b_labels, side="right") - 1
+        count = int((top - np.searchsorted(a_labels, b_labels) + 1).sum())
+        assert (i <= top[j]).all() and len(i) == count
+        kept.append(count)
+        return i, j
+
+    monkeypatch.setattr(kernels, "_pairs", recording_pairs)
+    levels = list(kernels._Table(kappas).sums(0))
+    assert [len(rows) for rows, _, _ in levels] == [2, 6, 12, 20, 30]
+    assert kept == [2 * comb(3 + r - 1, r) for r in range(1, 5)]  # not 6, 18, 36, 60, every ordering
+
+
 @settings(max_examples=60, deadline=None)
 @given(kernel_inputs())
 def test_passing_in_small_pieces(case):
@@ -472,6 +562,13 @@ def test_misaligned_flags_edge_rows():
             flags(kappas)(short, [0])
     with pytest.raises(ValueError, match="need 3 slopes"):
         list(kernels.CandidateTables([[0, 1, 2]]).candidates([0, 3], 1, 1))
+    # N = 1 has no pair, so nothing is flagged; its rows are still checked
+    single = flags([[[0]], [[3]]])
+    assert single([[0], [3], [5]], [0, 1, 0]).tolist() == [[0, 0]] * 3 and single([], []).shape == (0, 2)
+    with pytest.raises(ValueError, match="int64"):
+        single([[0], [2**70]], [0, 1])
+    with pytest.raises(ValueError, match="need 1 slopes"):
+        single([[0, 3]], [0])
 
 
 def test_tables_belong_to_one_weight_table():
@@ -574,9 +671,10 @@ def test_sumset_is_the_set_of_sums(case):
     A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     g, half = b_labels[-1] + 1, A.shape[1] // 2
     order, keys, totals = kernels._keyed(np.array(b_labels), B[np.arange(len(B)), np.array(b_labels) % half])
+    top = np.searchsorted(a_labels, keys // totals.size, side="right") - 1  # every pair
     for pieces in (kernels._JOIN_STATES, 3):
         with mock.patch.object(kernels, "_JOIN_STATES", pieces):
-            rows, got_keys, got_totals = kernels._sumset(A, np.array(a_labels), (B[order], keys, totals))
+            (rows, got_keys, got_totals), _ = kernels._sumset(A, np.array(a_labels), (B[order], keys, totals), top)
         got_labels = got_keys // got_totals.size
         inside = rows[np.arange(len(rows)), got_labels % half]
         assert got_keys.tolist() == sorted(got_keys.tolist()) and (got_totals[got_keys % got_totals.size] == inside).all()

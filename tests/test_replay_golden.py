@@ -26,6 +26,18 @@ REPLAYS = [
 
 DIGEST = "de52b8bc11cccabfea66b026f6b3e885f2ae0546742f8b839fe100e9cb9dd0bf"
 
+# Zero-seed replays at wide shapes, each verified once.  Their step-3 point is
+# parallel, so every kernel table of the replay and of its verification sums
+# m copies of one weight row: m = 4 and N = 8, m = 2 and N = 12, m = 3 and
+# N = 7.
+WIDE_REPLAYS = [
+    ("replay-so", {"n": 2, "locals": [{"p": 3, "e": 2, "f": 2}], "seeds": "zero"}),
+    ("replay-so", {"n": 3, "locals": [{"p": 5, "f": 2}], "seeds": "zero"}),
+    ("replay-sp", {"n": 3, "locals": [{"p": 7, "f": 3}], "seeds": "zero"}),
+]
+
+WIDE_DIGEST = "6d709dc781f86072e1976175971f867348c1de436dbc8a3080d3f53a90e04fb5"
+
 
 def tampered(cert):
     """Forgeries of a certificate's first place: a slope, a step bound and,
@@ -43,25 +55,30 @@ def tampered(cert):
     return out
 
 
-def reports():
-    """(job, report, exit code) for every replay, its verification and its forgeries."""
-    for command, params in REPLAYS:
+def reports(replays=REPLAYS, forge=True):
+    """(job, report, exit code) for every replay, its verification and, with
+    ``forge``, its forgeries."""
+    for command, params in replays:
         job = {"command": command, "params": params}
         report, code = run_job(job)
         yield job, report, code
         cert = report["result"].get("certificate", report["result"])
-        for doc in [cert, *tampered(cert)]:
+        for doc in [cert, *(tampered(cert) if forge else [])]:
             job = {"command": "verify-cert", "params": {"certificate": doc}}
             report, code = run_job(job)
             yield job, report, code
 
 
-def golden_digest():
+def golden_digest(replays=REPLAYS, forge=True):
     h = hashlib.sha256()
-    for _, report, code in reports():
+    for _, report, code in reports(replays, forge):
         h.update(canonical_json({"code": code, "report": report}).encode())
     return h.hexdigest()
 
 
 def test_reports_match_the_golden_digest():
     assert golden_digest() == DIGEST
+
+
+def test_wide_parallel_shapes_match_their_digest():
+    assert golden_digest(WIDE_REPLAYS, forge=False) == WIDE_DIGEST
