@@ -41,17 +41,17 @@ One builder, ``_Table``, makes the vectors and suffix sums of a stack of G
 weight tables of one shape, the rows of table t and size k <= N // 2
 labelled t * (N // 2) + k - 1: the vectors by one ``_prefixes`` call, each
 s_j from the one before by one labelled ``_sumset``.  Every suffix sum has
-one keyed form: its rows ordered by (label, inside total) as ``_keyed``
-orders them, with their keys and the distinct totals; ``_sumset`` puts the
-pairs in that order before it builds a row.  One join, ``_under``, asks per
-owner whether some row of its label lies under the owner's bound less an
-offset; only rows of the inside total that the two leave qualify, so it is
-one keyed lookup, ``_matches``.  It is the only comparison of reachable
-rows with a bound.  The listing reads one weight table's stack and keeps
-s_0..s_m: ``passing`` joins s_0 with every subset's bound and no offset,
-and the walk asks, per image choice on embedding j, whether s_{j+1} has a
-row under the bound less the choice's sum so far; s_m = {0} answers the
-last embedding.
+one keyed form: its rows ordered by (label, outside total), the last
+coordinate, with their keys and the distinct totals, as the sort by which
+``_pairs`` drops repeated pairs leaves them.  One join, ``_under``, asks
+per owner whether some row of its label lies under the owner's bound less
+an offset; only rows of the outside total that the two leave qualify, so
+it is one keyed lookup, ``_matches``.  It is the only comparison of
+reachable rows with a bound.  The listing reads one weight table's stack
+and keeps s_0..s_m: ``passing`` joins s_0 with every subset's bound and no
+offset, and the walk asks, per image choice on embedding j, whether
+s_{j+1} has a row under the bound less the choice's sum so far; s_m = {0}
+answers the last embedding.
 
 Most tables repeat one weight row: the replay's first point of step 3 is
 parallel, every embedding carrying the same row, and so is every scan
@@ -194,18 +194,16 @@ def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
 
 def _sumset(a: np.ndarray, a_labels: np.ndarray, b, top: np.ndarray):
     """The distinct pairs (t, a[i] + s) with a_labels[i] = t, s a row of
-    label t in ``b`` and i <= top[s], keyed: (rows, keys, totals) in
-    ``_keyed``'s order, as ``b`` is, and per row its top, the i of the pair
-    that made it.  The pairs are put in that order before any sum row is
-    built, so no set is copied to be sorted."""
+    label t in ``b`` and i <= top[s], keyed as ``b`` is: (rows, keys,
+    totals) by (label, outside total), and per row its top, the i of the
+    pair that made it.  ``_pairs`` leaves the pairs in that order, so the
+    keys only rank the totals."""
     rows, keys, totals = b
     b_labels = keys // totals.size
     i, j = _pairs(a, a_labels, rows, b_labels, top)
-    labels = b_labels[j]
-    inside = labels % (a.shape[1] // 2)  # label t * (N // 2) + k - 1: coordinate k - 1
-    order, keys, totals = _keyed(labels, a[i, inside] + rows[j, inside])
-    i = i[order]
-    return (_sum_rows(a, i, rows, j[order]), keys, totals), i
+    out = _sum_rows(a, i, rows, j)
+    totals, rank = np.unique(out[:, -1], return_inverse=True)
+    return (out, b_labels[j] * totals.size + rank, totals), i
 
 
 def _sum_rows(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -220,7 +218,7 @@ def _sum_rows(a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray) -> np.
 
 def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndarray, top: np.ndarray):
     """(i, j): one pair per distinct (t, a[i] + b[j]) with a_labels[i] =
-    b_labels[j] = t and i <= top[j], ascending by key, so by label.
+    b_labels[j] = t and i <= top[j], ascending by label, then last coordinate.
 
     The labels are 0..G-1, and each of a and b holds at least one row of
     every label, by label, however many; top[j] is a row of a of b[j]'s
@@ -228,19 +226,21 @@ def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndar
     its label up to its top.  Pairs are told apart by an integer key that
     leads with the label and is linear in the row, so it is built from the
     keys of a[i] and b[j] and no sum row is built.  Coordinates are packed
-    in mixed radix; where the next one would overflow the key, the key so
-    far is replaced by its rank among the distinct keys, which is below the
-    number of pairs.  A coordinate whose span times the number of pairs
-    reaches _KEY_LIMIT is packed as base-2**w digits that each fit: their
-    sums still tell distinct rows apart, and equal rows they keep apart are
-    repeats.  One row b per label gives every pair, whatever ``top`` (None
-    for s_m = {0}), and so may a label with one row b when labels pair
-    apart: pairs beyond the kept ones, and repeats, cost a little time later
-    but change no set.
+    in mixed radix, the last first; where the next one would overflow the
+    key, the key so far is replaced by its rank among the distinct keys,
+    below the number of pairs.  A coordinate whose span times the number of
+    pairs reaches _KEY_LIMIT is packed as base-2**w digits that each fit:
+    their sums still tell distinct rows apart, and equal rows they keep
+    apart are repeats.  Such a last coordinate is ranked instead, as digit
+    sums do not keep order.  One row b per label gives every pair, whatever
+    ``top`` (None for s_m = {0}), and so may a label with one row b when
+    labels pair apart: pairs beyond the kept ones, and repeats, cost a
+    little time later but change no set.
     """
     g = int(b_labels[-1]) + 1
-    if b.shape[0] == g:  # one row b per label: every pair
-        return np.arange(len(a)), a_labels
+    if b.shape[0] == g:  # one row b per label: every pair, sorted
+        i = np.lexsort((a[:, -1], a_labels))
+        return i, a_labels[i]
     lo = np.searchsorted(a_labels, b_labels)  # the first a row of each b row's label
     per_b = top - lo + 1  # the kept pairs of each row of b
     ends = np.cumsum(per_b)
@@ -268,6 +268,11 @@ def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndar
         return [u + v + 1 for u, v in zip(a_off.max(axis=0).tolist(), b_off.max(axis=0).tolist())]
 
     span, limit = spans(), _KEY_LIMIT // pairs
+    key, size = np.repeat(b_labels, per_b), g
+    if span[-1] >= limit:  # digit sums would not keep its order: rank it
+        last, rank = np.unique(a[i, -1] + b[j, -1], return_inverse=True)
+        key, size = key * last.size + rank, g * last.size
+        a_off, b_off, span = a_off[:, :-1], b_off[:, :-1], span[:-1]
     if max(span) >= limit:
         w = limit.bit_length() - 2  # a digit sum is below 2**(w + 1) <= limit
         shifts = np.arange(0, 63, w)
@@ -277,17 +282,16 @@ def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndar
 
         a_off, b_off = digits(a_off), digits(b_off)
         span = spans()
-    # coordinates [bounds[t], bounds[t + 1]) make the t-th packed key; the
-    # first starts as the label
-    bounds, size = [0], g
-    for x, s in enumerate(span):
-        if size * s >= _KEY_LIMIT:
+    # coordinates [bounds[t + 1], bounds[t]) make the t-th packed key, the
+    # last coordinate first and the most significant after the label
+    bounds = [len(span)]
+    for x in range(len(span) - 1, -1, -1):
+        if size * span[x] >= _KEY_LIMIT:
             size = pairs
-            bounds.append(x)
-        size *= s
-    bounds.append(len(span))
-    key = np.repeat(b_labels, per_b)
-    for group, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            bounds.append(x + 1)
+        size *= span[x]
+    bounds.append(0)
+    for group, (stop, start) in enumerate(zip(bounds, bounds[1:])):
         if group:
             key = np.unique(key, return_inverse=True)[1]
         radix = np.cumprod([1] + span[start:stop], dtype=np.int64)
@@ -302,25 +306,14 @@ def _pairs(a: np.ndarray, a_labels: np.ndarray, b: np.ndarray, b_labels: np.ndar
     return i[first], j[first]
 
 
-def _keyed(labels: np.ndarray, inside: np.ndarray):
-    """(order, keys, totals): the order that sorts labelled rows by (label,
-    inside total), their keys in that order and the distinct totals; a key
-    is the label times the number of totals plus the total's rank."""
-    totals, rank = np.unique(inside, return_inverse=True)
-    key = labels * totals.size + rank
-    order = key.argsort()
-    return order, key[order], totals
-
-
 def _under(keyed, label, room: np.ndarray) -> np.ndarray:
     """Per owner o, whether some row of label label[o] (or ``label``, one
-    for all) in ``keyed``, (rows, keys, totals) in ``_keyed``'s order, lies
-    under room[o], a bound less an offset.  Only rows of the room's inside
-    total qualify: row plus offset and bound have the same full total, so
-    any other row lies above the room at one of the two totals."""
+    for all) in ``keyed``, by (label, outside total), lies under room[o], a
+    bound less an offset.  Only rows of the room's outside total qualify:
+    the bound's two totals are floors summing to at most the full total of
+    every row plus offset, so a row under the room meets both."""
     rows, keys, totals = keyed
-    inside = label % (room.shape[1] // 2)  # label t * (N // 2) + k - 1: coordinate k - 1
-    want = room[np.arange(len(room)), inside]
+    want = room[:, -1]
     at = np.searchsorted(totals[:-1], want)  # the first total >= want, or the last
     want = np.where(totals[at] == want, label * totals.size + at, -1)
     out = np.zeros(len(room), dtype=bool)
@@ -346,7 +339,7 @@ class _Table:
 
     def sums(self, last: int = 1):
         """s_m = {0} per label, s_{m-1}, ..., s_last, each keyed as (rows,
-        keys, totals) in ``_keyed``'s order, s_j the distinct hodge[j] +
+        keys, totals) by (label, outside total), s_j the distinct hodge[j] +
         s_{j+1} of one label: each is built from the one before, so a caller
         that keeps only the last holds s_1 alone.  Where row j is row j + 1,
         choice i pairs with a row w of s_{j+1} only when i <= top(w)."""
@@ -362,8 +355,8 @@ class _Table:
 
     @cached_property
     def suffix(self):
-        """[s_0, s_1, ..., s_m]: ``passing`` reads s_0, every reachable
-        vector, and the walk reads s_{j+1} at embedding j."""
+        """[s_0, ..., s_m] by (label, outside total): ``passing`` reads s_0,
+        every reachable vector, and the walk reads s_{j+1} at embedding j."""
         return list(self.sums(0))[::-1]
 
     def passing(self, bound: np.ndarray) -> np.ndarray:

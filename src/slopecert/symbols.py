@@ -349,7 +349,7 @@ class WaldInstance:
         )
         object.__setattr__(self, "field_elements", tuple(self.field_elements))
         if not is_prime(self.p) or self.p == 2:
-            raise ValueError("base prime must be odd")
+            raise ValueError(f"base p = {self.p} must be an odd prime")
         if len(self.split_values) + len(self.field_elements) != self.m:
             raise ValueError("index degrees must sum to 2m")
         if any(x == 0 for x in self.split_values):

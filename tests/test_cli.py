@@ -646,6 +646,12 @@ def test_wald_discriminant_below_its_cap_answered():
     assert run_job(wald_job(5, 10_000_000_033)) == ({"command": "wald-sign", "result": {"sign": 1, "structure": [ratio]}}, 0)
 
 
+def test_wald_composite_base_refused(tmp_path, capsys):
+    # an odd composite p passes the schema's minimum; the refusal names p
+    err = rejected_in_one_line(tmp_path, capsys, wald_job(9, 2))
+    assert err == "error: base p = 9 must be an odd prime\n"
+
+
 def test_wald_indices_beyond_their_cap_refused(tmp_path, capsys):
     # nothing capped m: 64 field elements took 1.6 s, and the cost grows
     # faster than m^2

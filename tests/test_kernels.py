@@ -433,7 +433,7 @@ def _plain_vectors(row, k):
 
 
 def _plain_suffix_sums(kappas):
-    """Per level j = m..0, {(label, inside total): rows} of every sum over
+    """Per level j = m..0, {(label, outside total): rows} of every sum over
     embeddings j..m-1 of one vector per embedding, by plain loops."""
     g, m, n = len(kappas), len(kappas[0]), len(kappas[0][0])
     levels = []
@@ -445,7 +445,7 @@ def _plain_suffix_sums(kappas):
                 for row in kappas[t][j:]:
                     sums = {tuple(map(add, v, w)) for v in _plain_vectors(row, k) for w in sums}
                 for w in sums:
-                    level.setdefault((t * (n // 2) + k - 1, w[k - 1]), set()).add(w)
+                    level.setdefault((t * (n // 2) + k - 1, w[-1]), set()).add(w)
         levels.append(level)
     return levels
 
@@ -475,7 +475,7 @@ def run_stacks(draw):
 def test_suffix_sums_are_the_plain_sumsets(kappas):
     # where rows repeat, s_j pairs only non-decreasing choices; every level
     # is still the set a plain loop over every choice makes, per (label,
-    # inside total), also with three pairs per piece
+    # outside total), also with three pairs per piece
     want = _plain_suffix_sums(kappas)
     for pieces in (kernels._JOIN_STATES, 3):
         with mock.patch.object(kernels, "_JOIN_STATES", pieces):
@@ -661,23 +661,44 @@ WIDE = [0, 1, B60, B60 + 1, 2**59, 3 * 2**58, 2**62 - 1, -(2**62) + 1]
 ))
 # in pieces of three pairs, label 0 pairs alone with its one row b
 @example(([[0, 0], [0, 0], [0, 0], [0, 0]], [0, 0, 0, 1], [[0, 0], [0, 0], [0, 0]], [0, 1, 1]))
+# the last coordinate alone spans past _KEY_LIMIT // pairs, so it is ranked:
+# as base-2**57 digits, 2**57 - 1 + 2**57 - 1 would pack above 2**57 + 0
+@example(([[0, 0], [1, 2**57 - 1], [0, 2**57], [1, 2**58]], [0] * 4, [[0, 2**57 - 1], [1, 0], [0, 2**58]], [0] * 3))
 def test_sumset_is_the_set_of_sums(case):
     # per label, np.unique of the explicit pair sums: label groups of
     # unequal size, spans past _KEY_LIMIT; with three pairs a piece, the
     # labels pair apart and the sum rows are built in pieces.  Both sets
-    # are keyed: by label, then by the inside total at coordinate
-    # label % (N // 2)
+    # are keyed: by label, then by the outside total, the last coordinate
     a, a_labels, b, b_labels = case
     A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    g, half = b_labels[-1] + 1, A.shape[1] // 2
-    order, keys, totals = kernels._keyed(np.array(b_labels), B[np.arange(len(B)), np.array(b_labels) % half])
+    g = b_labels[-1] + 1
+    totals, rank = np.unique(B[:, -1], return_inverse=True)
+    keys = np.array(b_labels) * totals.size + rank
+    order = keys.argsort()
+    keys = keys[order]
     top = np.searchsorted(a_labels, keys // totals.size, side="right") - 1  # every pair
+    # the last coordinates of every pair, and whether their span reaches
+    # _KEY_LIMIT // pairs where the labels pair together and one row b per
+    # label does not give every pair: then _pairs ranks them
+    sums = sorted(x + y for x, s in zip(A[:, -1].tolist(), a_labels) for y, t in zip(B[:, -1].tolist(), b_labels) if s == t)
+    span = int(A[:, -1].max()) - int(A[:, -1].min()) + int(B[:, -1].max()) - int(B[:, -1].min()) + 1
+    wide = len(B) > g and span >= kernels._KEY_LIMIT // len(sums)
+    real_pairs, ranked = kernels._pairs, []
+
+    def spying_pairs(*args):
+        with mock.patch.object(kernels.np, "unique", wraps=np.unique) as unique:
+            out = real_pairs(*args)
+        ranked.extend(sorted(call.args[0].tolist()) == sums for call in unique.call_args_list)
+        return out
+
     for pieces in (kernels._JOIN_STATES, 3):
-        with mock.patch.object(kernels, "_JOIN_STATES", pieces):
+        ranked.clear()
+        with mock.patch.object(kernels, "_JOIN_STATES", pieces), mock.patch.object(kernels, "_pairs", spying_pairs):
             (rows, got_keys, got_totals), _ = kernels._sumset(A, np.array(a_labels), (B[order], keys, totals), top)
+        if wide and pieces > 3:  # the labels pair together
+            assert any(ranked)
         got_labels = got_keys // got_totals.size
-        inside = rows[np.arange(len(rows)), got_labels % half]
-        assert got_keys.tolist() == sorted(got_keys.tolist()) and (got_totals[got_keys % got_totals.size] == inside).all()
+        assert got_keys.tolist() == sorted(got_keys.tolist()) and (got_totals[got_keys % got_totals.size] == rows[:, -1]).all()
         for t in range(g):
             pairs = (A[np.array(a_labels) == t][:, None] + B[np.array(b_labels) == t]).reshape(-1, A.shape[1])
             got, want = rows[got_labels == t], np.unique(pairs, axis=0)
@@ -704,11 +725,10 @@ def repeated_weight_inputs(draw):
 @example(([[-1, 0, 0, 1], [-1, -1, 1, 1], [0, 0, 0, 1]], [-2, -1, 1, 3], 1, 1))
 def test_keyed_suffix_sums_answer_the_walk(case):
     # two states per piece: the lookups run in pieces and the sumsets pair
-    # the labels apart.  Each of s_0..s_m is in (label, inside total)
+    # the labels apart.  Each of s_0..s_m is in (label, outside total)
     # order; every question the listing asks of one, through ``_under``,
     # gets a plain existence loop's answer; and the listing is the oracle's
     kappa, scaled, e, denom = case
-    n = len(scaled)
     under, asked = kernels._under, []
 
     def checked_under(keyed, label, room):
@@ -729,6 +749,5 @@ def test_keyed_suffix_sums_answer_the_walk(case):
     suffix = tables.table.suffix
     assert len(suffix) == len(kappa) + 1 and asked
     for rows, keys, totals in suffix:
-        labels = keys // totals.size
         assert keys.tolist() == sorted(keys.tolist()) and totals.tolist() == sorted(set(totals.tolist()))
-        assert (totals[keys % totals.size] == rows[np.arange(len(rows)), labels % (n // 2)]).all()
+        assert (totals[keys % totals.size] == rows[:, -1]).all()
