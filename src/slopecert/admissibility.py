@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from . import kernels
 from .errors import NotDistinct
 from .lattice import over_common_denominator
 
@@ -214,6 +213,8 @@ def admissible_candidates(datum: PhiModuleDatum) -> list:
     """
     if not datum.distinct_flag:
         raise NotDistinct("candidate enumeration needs pairwise distinct slopes")
+    from . import kernels  # loads numpy: only a job that runs the kernel pays for it
+
     scaled, denom = datum.scaled_slopes
     found = kernels.tables_for(datum.weights).candidates(scaled, datum.e, denom)
     return [_witness_from_masks(datum, mask, img) for mask, img in found]
@@ -225,6 +226,8 @@ def find_misaligned_candidate(datum: PhiModuleDatum, tau: int) -> Optional[Submo
     A candidate with theta_tau permuting equal weights is aligned: the lemma
     constrains the induced weight multiset, not index bookkeeping.
     """
+    from . import kernels
+
     scaled, denom = datum.scaled_slopes
     found, mask, img = kernels.find_candidate(datum.weights, scaled, datum.e, denom, tau - 1)
     if not found:

@@ -131,13 +131,18 @@ def _choices(n: int):
     its complement's; the subsets of size k are the rows [starts[k - 1],
     starts[k]), and ``sizes`` holds each row's k.
     """
-    ins = [t for k in range(1, n // 2 + 1) for t in combinations(range(n), k)]
-    pos = np.array([list(t) + [b for b in range(n) if b not in t] for t in ins], dtype=np.int64).reshape(len(ins), n)
-    sizes = np.array([len(t) for t in ins], dtype=np.int64)
+    blocks = [np.zeros((0, n), dtype=bool)]
+    for k in range(1, n // 2 + 1):
+        subsets = np.fromiter(combinations(range(n), k), dtype=(np.int64, k))
+        blocks.append(np.zeros((len(subsets), n), dtype=bool))
+        np.put_along_axis(blocks[-1], subsets, True, axis=1)
+    inside = np.concatenate(blocks)
+    pos = np.argsort(~inside, axis=1, kind="stable")  # inside first, each part ascending
+    sizes = inside.sum(axis=1, dtype=np.int64)
     pos.setflags(write=False)
     sizes.setflags(write=False)
     starts = np.searchsorted(sizes, np.arange(1, n // 2 + 2)).tolist()
-    return pos, tuple(sum(1 << b for b in t) for t in ins), starts, sizes
+    return pos, tuple((inside @ (1 << np.arange(n))).tolist()), starts, sizes
 
 
 @lru_cache(maxsize=None)

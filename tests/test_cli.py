@@ -390,6 +390,41 @@ def test_importing_the_cli_loads_no_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+def test_importing_the_cli_loads_no_numpy():
+    check = ("-c", "import sys, slopecert.cli; "
+                   "print([m for m in ('numpy', 'slopecert.kernels', 'slopecert.scan') if m in sys.modules])")
+    proc = cli_process(entry=check)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("job", [
+    {"command": "hilbert", "params": {"a": "3", "b": "5", "place": 7, "oracle": True}},
+    {"command": "ps-irreducible", "params": {"q": 3, "values": ["2", "5/7", "-1"], "group": "C"}},
+    {"command": "wald-sign", "params": {"p": 5, "m": 2, "split_values": ["2"],
+                                        "field_elements": [{"d": 2, "a": "1", "b": "1"}]}},
+    {"command": "classicality", "params": {"local": {"p": 11, "e": 1, "f": 1}, "n": 1, "weights": [[5]], "mu": ["11"]}},
+], ids=lambda job: job["command"])
+def test_local_jobs_run_without_numpy(tmp_path, job):
+    # the kernel and the scan load numpy; these jobs run neither
+    blocked = ("-c", "import sys; sys.modules['numpy'] = None; "
+                     "from slopecert.cli import main; sys.exit(main(sys.argv[1:]))")
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    proc = cli_process("--job", str(path), entry=blocked)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == canonical_json(run_job(job)[0])
+
+
+def test_package_imports_kernels_and_scan_on_first_access():
+    # bench/run.py prints slopecert.kernels.active_backend() after a bare
+    # ``import slopecert``, and bench/layers.py wraps slopecert.scan.run_scan
+    check = ("-c", "import sys, slopecert; "
+                   "print(slopecert.kernels.active_backend(), slopecert.scan.run_scan.__name__, "
+                   "hasattr(slopecert, 'nope'))")
+    proc = cli_process(entry=check)
+    assert (proc.returncode, proc.stdout) == (0, "reachable-set run_scan False\n"), proc.stderr
+
+
 def test_certificate_weight_beyond_int64_rejected(tmp_path, capsys):
     cert, _ = run_job({"command": "replay-sp", "params": {"n": 1, "locals": [{"p": 3}], "seeds": "zero"}})
     cert["result"]["places"][0]["k3"][0][0] = 10**30

@@ -259,6 +259,26 @@ def test_no_table_above_half_the_rank(datum):
         assert set((keys // totals.size).tolist()) == set(range(n // 2))
 
 
+def _plain_choices(n):
+    """``kernels._choices`` by Python loops over the subsets."""
+    ins = [t for k in range(1, n // 2 + 1) for t in combinations(range(n), k)]
+    pos = np.array([list(t) + [b for b in range(n) if b not in t] for t in ins], dtype=np.int64).reshape(len(ins), n)
+    sizes = np.array([len(t) for t in ins], dtype=np.int64)
+    starts = np.searchsorted(sizes, np.arange(1, n // 2 + 2)).tolist()
+    return pos, tuple(sum(1 << b for b in t) for t in ins), starts, sizes
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_choices_are_the_plain_subsets(n):
+    pos, masks, starts, sizes = kernels._choices(n)
+    want_pos, want_masks, want_starts, want_sizes = _plain_choices(n)
+    assert pos.dtype == sizes.dtype == np.int64 and pos.shape == want_pos.shape
+    assert (pos == want_pos).all() and (sizes == want_sizes).all()
+    assert masks == want_masks and all(type(mask) is int for mask in masks)
+    assert starts == want_starts
+    assert not pos.flags.writeable and not sizes.flags.writeable
+
+
 @settings(max_examples=30, deadline=None)
 @given(kernel_inputs(max_rows=2), kernel_inputs(max_rows=2))
 def test_tables_follow_the_slope_vector(case, other):
