@@ -189,7 +189,6 @@ COUNTEREXAMPLE = "counterexample"
 class AlignmentResult:
     status: str
     margin: Optional[Fraction] = None
-    witness: Optional[SubmoduleCandidate] = None
 
     def __bool__(self):
         return self.status == CERTIFIED
@@ -248,7 +247,5 @@ def alignment_check(datum: PhiModuleDatum, tau: int) -> AlignmentResult:
         return AlignmentResult(HYPOTHESIS_FAILED, margin=margin)
     if not datum.distinct_flag:
         raise NotDistinct("alignment check needs pairwise distinct slopes")
-    witness = find_misaligned_candidate(datum, tau)
-    if witness is not None:
-        return AlignmentResult(COUNTEREXAMPLE, margin=margin, witness=witness)
-    return AlignmentResult(CERTIFIED, margin=margin)
+    misaligned = find_misaligned_candidate(datum, tau) is not None
+    return AlignmentResult(COUNTEREXAMPLE if misaligned else CERTIFIED, margin=margin)

@@ -29,7 +29,7 @@ reproducible.  The first point has a closed form:
 The cone has no ceiling: however deep the bounds push the first point,
 finding it takes O(rank^2) integer operations.  The only bound on the size
 of the weights is the exact int64 range of the candidate kernel that later
-reads them (``kernels._check_range``).
+reads them (``kernels._exact_rows``).
 """
 
 from __future__ import annotations

@@ -106,17 +106,6 @@ _KEY_LIMIT = 1 << 62
 _JOIN_STATES = 1 << 15
 
 
-def _check_range(values, scale: int = 1) -> None:
-    """Refuse input on which the int64 search could lose exactness.
-
-    Every vector the search builds is ``scale`` times a sum of distinct
-    entries of ``values``, and it compares and packs differences of two such
-    sums; ``scale * sum(|v|)`` below _KEY_LIMIT keeps all of them in int64.
-    """
-    if scale * sum(abs(int(v)) for v in values) >= _KEY_LIMIT:
-        raise ValueError("weights or scaled slopes beyond the exact int64 range of the candidate kernel")
-
-
 def active_backend() -> str:
     """Name of the candidate kernel."""
     return "reachable-set"
@@ -178,22 +167,29 @@ def _matches(totals: np.ndarray, target: np.ndarray):
         yield owner, flat + shift[owner]
 
 
-def _slope_matrix(slopes, n: int, e: int) -> np.ndarray:
-    """``slopes`` as a V x n int64 matrix, or ``_check_range``'s refusal of
-    a row, with e the slopes' factor.  The largest |v| of the whole matrix
-    only decides whether rows must be checked one by one."""
+def _exact_rows(rows, n: int, scale: int = 1) -> np.ndarray:
+    """``rows`` as a V x n int64 matrix, refused where the int64 search
+    could lose exactness.
+
+    Every vector the search builds is ``scale`` times a sum of distinct
+    entries of one row, and it compares and packs differences of two such
+    sums; ``scale * sum(|v|)`` below _KEY_LIMIT per row keeps all of them in
+    int64.  The largest |v| of the whole matrix only decides whether rows
+    must be summed one by one.
+    """
+    beyond = ValueError("weights or scaled slopes beyond the exact int64 range of the candidate kernel")
     try:
-        S = np.asarray(slopes, dtype=np.int64)
-    except OverflowError:
-        S = None
-    # |v| as uint64 is exact for every int64 v, -2**63 included
-    if S is None or (S.size and e * n * int(np.abs(S).view(np.uint64).max()) >= _KEY_LIMIT):
-        for row in slopes:
-            _check_range(row, e)
+        S = np.asarray(rows, dtype=np.int64)
+    except OverflowError:  # an entry past int64
+        raise beyond from None
     if S.ndim == 1 and S.size == 0:
-        return S.reshape(0, n)
+        S = S.reshape(0, n)
     if S.ndim != 2 or S.shape[1] != n:
         raise ValueError(f"need {n} slopes per row, got shape {S.shape}")
+    # |v| as uint64 is exact for every int64 v, -2**63 included
+    if S.size and scale * n * int(np.abs(S).view(np.uint64).max()) >= _KEY_LIMIT:
+        if any(scale * sum(map(abs, row)) >= _KEY_LIMIT for row in S.tolist()):
+            raise beyond
     return S
 
 
@@ -409,8 +405,8 @@ class CandidateTables:
 
     def __init__(self, kappa):
         self.weights = tuple(tuple(int(v) for v in row) for row in kappa)
-        _check_range(v for row in self.weights for v in row)
-        self.kappa = np.array(self.weights, dtype=np.int64).reshape(len(self.weights), -1)
+        m, n = np.shape(self.weights)
+        self.kappa = _exact_rows([[v for row in self.weights for v in row]], m * n).reshape(m, n)
         self.total = int(self.kappa.sum())
         # (slope key, every candidate listed) of the last slope vector read
         # to its end: every tau of a datum, and the verification after its
@@ -426,7 +422,7 @@ class CandidateTables:
         the input is checked at the first item.  Sizes above n // 2 are their
         complement sizes' lists, reversed and complemented."""
         n = self.kappa.shape[1]
-        S = _slope_matrix([slopes_scaled], n, e)[0]
+        S = _exact_rows([slopes_scaled], n, e)[0]
         if denom >= _KEY_LIMIT:  # the bound's floor division runs in int64
             raise ValueError("slope denominator beyond the exact int64 range of the candidate kernel")
         # The inside and outside totals add up to the full ones, so both
@@ -474,9 +470,10 @@ def first_misaligned(kappas):
     V x N matrix ``slopes``, the (subset mask, row-0 image mask) of
     ``find_candidate(kappas[labels[v]], row, 1, 1, 0)``, or (0, 0)."""
     g, m, n = np.shape(kappas)
-    K = _slope_matrix(np.reshape(kappas, (g, m * n)), m * n, 1).reshape(g, m, n)
+    # each table one row, of exact Python ints, so no entry is rounded or wrapped
+    K = _exact_rows(np.asarray(kappas, dtype=object).reshape(g, m * n), m * n).reshape(g, m, n)
     if n < 2:  # no subset of size <= N // 2, so no pair: nothing to set up
-        return lambda slopes, labels: np.zeros((len(_slope_matrix(slopes, n, 1)), 2), dtype=np.int64)
+        return lambda slopes, labels: np.zeros((len(_exact_rows(slopes, n)), 2), dtype=np.int64)
     # (table, subset, image choice) of one size whose choice moves a value of
     # row 0, by table, in listing order; ``first`` indexes each table's first
     pos, size, subset, image, masks = _same_size(n)
@@ -495,7 +492,7 @@ def first_misaligned(kappas):
             pass
 
     def flags(slopes, labels) -> np.ndarray:
-        S = _slope_matrix(slopes, n, 1)
+        S = _exact_rows(slopes, n)
         labels = np.asarray(labels, dtype=np.intp)
         out = np.zeros((S.shape[0], 2), dtype=np.int64)
         live = np.flatnonzero((S.sum(axis=1) == K.sum(axis=(1, 2))[labels]) & (count[labels] > 0))

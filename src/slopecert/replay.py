@@ -56,16 +56,15 @@ IRREDUCIBLE = "Irreducible"
 FAILED = "Failed"
 
 
-def certify_splittings(schema: str, nu: RefinedSlopes) -> Tuple[list, str]:
-    """Enumerate surviving proper subsets (up to complement) and the verdict.
+def certify_splittings(schema: str, nu: RefinedSlopes) -> list:
+    """Enumerate surviving proper subsets, up to complement.
 
     ``nu`` holds nu(1..rank) = v_p(phi_i) at one place, extended by
     nu(-i) = -nu(i) over the index range -rank..rank, which holds 0 with
     nu(0) = 0 for schema C and not for schema D.  A subset survives when,
     walking it and its complement in ascending index order, every prefix
-    sum of nu is >= 0 and both totals vanish.  Verdict:
-    ArtinPlusIrreducible when the zero singleton is the only survivor
-    (schema C), Irreducible when nothing survives, Failed otherwise.
+    sum of nu is >= 0 and both totals vanish.  ``_verdict`` reads them
+    against the schema's expected survivors.
 
     One depth-first walk puts each index, in ascending order, inside or
     outside while that side's prefix sum stays >= 0; the first goes inside,
@@ -91,11 +90,7 @@ def certify_splittings(schema: str, nu: RefinedSlopes) -> Tuple[list, str]:
         if s_in + v >= 0:
             stack.append((p + 1, s_in + v, s_out, inside + (idx[p],), outside))
     survivors.sort(key=lambda t: (len(t), t))
-    if z and survivors == [(0,)]:
-        return survivors, ARTIN_PLUS_IRREDUCIBLE
-    if not survivors:
-        return survivors, IRREDUCIBLE
-    return survivors, FAILED
+    return survivors
 
 
 @dataclass
@@ -258,7 +253,7 @@ def _derive_place(
             rec.hypothesis_margins.append(result.margin)
 
     # -- splitting certification on the extended index range
-    rec.survivors, _ = certify_splittings(schema, nu)
+    rec.survivors = certify_splittings(schema, nu)
 
     # -- structural facts the argument extracts at x2'
     positives_ok = all(v > 0 for v in nums[:-1])
@@ -387,6 +382,8 @@ def verify_certificate(doc: dict) -> Tuple[bool, list]:
     if early:
         return False, early
     rank = int(doc["rank"])
+    if minus_identity(schema, rank) is None:  # step 1's -Id flip
+        raise ValueError(f"schema {schema} has no -Id at odd rank {rank}")
     paper_sign = doc.get("paper_sign") is True
     mismatches, records = [], []
     for pi, pdoc in enumerate(places):

@@ -142,6 +142,11 @@ def _radius(n: int, gap: int, band_num: int, band_den: int) -> int:
     return 0 if n == 1 else (band_num * gap) // (band_den * n)
 
 
+def _multisets(c: int, r: int) -> int:
+    """The multisets of r of c choices, C(c + r - 1, r)."""
+    return comb(c + r - 1, r)
+
+
 def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnesses: int) -> list:
     """Scan the gap classes ``classes``, all of one length n, for m = e*f
     embeddings.
@@ -160,12 +165,11 @@ def _scan_length(m: int, classes: list, band_num: int, band_den: int, max_witnes
     vectors of several classes.
     """
     n = len(classes[0])
-    # per class and subset size k, C(n, k) ** (m - 1) vectors of s_1 before
-    # deduplication and C(n, k) ** 2 (subset, image) pairs at most; C(n, k)
-    # >= 2, so the exponent is capped where a term passes the budget
-    budget = kernels._JOIN_STATES
-    rows = sum(comb(n, k) ** min(m - 1, budget.bit_length()) + comb(n, k) ** 2 for k in range(1, n // 2 + 1))
-    size = max(1, budget // rows) if rows else len(classes)
+    # per class and subset size k, one vector of s_1 per multiset of m - 1
+    # image choices at most, as the caps count them, and C(n, k) ** 2
+    # (subset, image) pairs
+    rows = sum(_multisets(comb(n, k), m - 1) + comb(n, k) ** 2 for k in range(1, n // 2 + 1))
+    size = max(1, kernels._JOIN_STATES // rows) if rows else len(classes)
     out, pinned = [], 0
     for chunk in (classes[i : i + size] for i in range(0, len(classes), size)):
         kappas = np.array([[g] * m for g in chunk], dtype=np.int64)
@@ -313,17 +317,17 @@ def run_scan(
     # class that runs lists a vector and MAX_DATA bounds the classes too
     lengths = n_max if scale >= 0 else 1
     # every embedding carries the same weight row, so s_1 of subset size k
-    # holds one row per multiset of m - 1 image choices at most,
-    # C(m - 2 + C(n, k), m - 1): most at the longest class, n <= W, and
-    # k = n // 2
+    # holds one row per multiset of m - 1 of the C(n, k) image choices at
+    # most: most at the longest class, n <= W, and k = n // 2
     top = min(lengths, width)
     ms = list(dict.fromkeys(e * f for (e, f) in shapes))
-    rows = sum(comb(m - 2 + comb(top, top // 2), m - 1) for m in ms) if top > 1 else 0
+    rows = sum(_multisets(comb(top, top // 2), m - 1) for m in ms) if top > 1 else 0
     if rows > MAX_S1_ROWS:
         raise SlopecertError(f"flag-pass tables hold up to {rows} s_1 rows over {len(ms)} distinct m = e*f, above scan.MAX_S1_ROWS = {MAX_S1_ROWS}")
-    # s_1 is built through s_{m-1}, ..., s_2, and s_j holds C(m - j - 1 + C,
-    # m - j) rows at most: C(m - 1 + C, m - 1) - 1 over the m - 1 levels
-    rows = sum(comb(m - 1 + comb(top, top // 2), m - 1) - 1 for m in ms) if top > 1 else 0
+    # s_1 is built through s_{m-1}, ..., s_2, s_j a row per multiset of m - j
+    # choices at most: with a choice "none" added, those of m - 1 of C + 1
+    # choices, the all-"none" one aside
+    rows = sum(_multisets(comb(top, top // 2) + 1, m - 1) - 1 for m in ms) if top > 1 else 0
     if rows > MAX_LEVEL_ROWS:
         raise SlopecertError(f"flag-pass tables build up to {rows} rows over their m - 1 levels for {len(ms)} distinct m = e*f, above scan.MAX_LEVEL_ROWS = {MAX_LEVEL_ROWS}")
     results = {}

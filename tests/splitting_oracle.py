@@ -2,12 +2,10 @@
 
 It visits every subset mask of the extended index range, skips a mask whose
 complement was already visited, and walks both sides' prefix sums in full.
-It shares no code with the pruned walk; the verdict rule is the same.
+It shares no code with the pruned walk.
 """
 
 from fractions import Fraction
-
-from slopecert.replay import ARTIN_PLUS_IRREDUCIBLE, FAILED, IRREDUCIBLE
 
 
 def extended_indices(schema, rank):
@@ -16,7 +14,7 @@ def extended_indices(schema, rank):
 
 
 def certify_splittings_by_masks(schema, nu):
-    """(survivors, verdict) from all 2^N masks; N is the size of the index range."""
+    """The survivors from all 2^N masks; N is the size of the index range."""
     idx = extended_indices(schema, nu.rank)
     n = len(idx)
     vals = [nu.slope(i) for i in idx]
@@ -43,8 +41,4 @@ def certify_splittings_by_masks(schema, nu):
             b = tuple(idx[p] for p in outside)
             survivors.append(min((a, b), key=lambda t: (len(t), t)))
     survivors.sort(key=lambda t: (len(t), t))
-    if schema == "C" and survivors == [(0,)]:
-        return survivors, ARTIN_PLUS_IRREDUCIBLE
-    if not survivors:
-        return survivors, IRREDUCIBLE
-    return survivors, FAILED
+    return survivors

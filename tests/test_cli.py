@@ -192,6 +192,20 @@ def test_certificate_table_shape_rejected(tmp_path, capsys):
     assert "k1 is not 2 x 1" in rejected_in_one_line(tmp_path, capsys, job)
 
 
+def test_odd_rank_schema_d_certificate_rejected(tmp_path, capsys):
+    # schema D has no -Id at odd rank, so step 1 cannot be re-derived; the
+    # verifier names the schema and the rank instead of failing inside it
+    cert, _ = run_job({"command": "replay-so", "params": {"n": 1, "locals": [{"p": 3}], "seeds": "zero"}})
+    doc = cert["result"]
+    doc["rank"] = 1
+    place = doc["places"][0]
+    place["seed"] = place["seed"][:1]
+    for name in ("k1", "k2", "k3"):
+        place[name] = [row[:1] for row in place[name]]
+    job = {"command": "verify-cert", "params": {"certificate": doc}}
+    assert rejected_in_one_line(tmp_path, capsys, job) == "error: certificate: schema D has no -Id at odd rank 1\n"
+
+
 def deep_replay_job(scale):
     """replay-sp n=3 at (e, f) = (2, 1), seed (5, -2, -53) times ``scale``."""
     seed = [str(5 * scale), str(-2 * scale), str(-53 * scale)]

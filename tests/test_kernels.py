@@ -646,6 +646,39 @@ def test_denominator_beyond_int64_range_raises():
         want = search_python(kappa, slopes, 1, denom, 0, require_misaligned)
         assert _search(kappa, slopes, 1, denom, 0, require_misaligned) == want
 
+
+def test_admission_boundary_at_every_entry():
+    # at each of the four kernel entries a row whose scaled sum of |v| is
+    # 2**62 - 1 is admitted and one of 2**62 refused, with one message; an
+    # entry of 2**63, just past int64, is refused alike, not overflowed
+    with pytest.raises(ValueError, match="int64") as want:
+        kernels.CandidateTables([[2**61, 0, 2**61]])
+
+    def refused(call):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+    # a weight table is one row over its embeddings, and a stack one per table
+    below, at = [[0, 2**61], [-(2**61) + 1, 0]], [[0, 2**61], [-(2**61), 0]]
+    assert kernels.CandidateTables(below).kappa.tolist() == below
+    refused(lambda: kernels.CandidateTables(at))
+    refused(lambda: kernels.CandidateTables([[0, 1, 2**63]]))
+    assert kernels.first_misaligned([[[0, 1]] * 2, below])([[1, 0]], [0]).tolist() == [[0, 0]]
+    refused(lambda: kernels.first_misaligned([[[0, 1]] * 2, at]))
+    refused(lambda: kernels.first_misaligned([[[0, 1, 2**63]]]))
+    # the slopes of ``candidates`` scaled by e
+    tables = kernels.CandidateTables([[0, 1, 2]])
+    assert list(tables.candidates([(2**62 - 1) // 3, 0, 0], 3, 1)) == []
+    refused(lambda: list(tables.candidates([2**60, 0, 0], 4, 1)))
+    refused(lambda: list(tables.candidates([0, 1, 2**63], 1, 1)))
+    # each row of the flag pass's slopes alone
+    flags = kernels.first_misaligned([[[0, 1, 2]]])
+    assert flags([[2**61, 0, -(2**61) + 1], [2, 0, 1]], [0, 0]).tolist() == [[0, 0], [1, 4]]
+    refused(lambda: flags([[2, 0, 1], [2**61, 0, -(2**61)]], [0, 0]))
+    refused(lambda: flags([[0, 1, 2**63]], [0]))
+
+
 @st.composite
 def labelled_rows(draw):
     """(a, a_labels, b, b_labels): rows of every label in each of ``a`` and

@@ -73,14 +73,18 @@ def brute_survivors(schema, nu):
 
 class TestCertifySplittings:
     def test_examples(self):
-        s, v = certify_splittings("C", RefinedSlopes([-3]))
-        assert (s, v) == ([(0,)], ARTIN_PLUS_IRREDUCIBLE)
-        s, v = certify_splittings("D", RefinedSlopes([1, -3]))
-        assert (s, v) == ([], IRREDUCIBLE)
-        s, v = certify_splittings("D", RefinedSlopes([1, -1]))
-        assert (s, v) == ([(-2, -1)], FAILED)
+        assert certify_splittings("C", RefinedSlopes([-3])) == [(0,)]
+        assert certify_splittings("D", RefinedSlopes([1, -3])) == []
+        assert certify_splittings("D", RefinedSlopes([1, -1])) == [(-2, -1)]
         with pytest.raises(ValueError, match="schema must be 'C' or 'D'"):
             certify_splittings("B", RefinedSlopes([1, -1]))
+
+    def test_schema_c_place_without_survivors_fails(self):
+        # schema C expects the zero singleton alone, so no survivor is a
+        # failure there, not Irreducible as it is for schema D
+        place = replay_mod.PlaceRecord(local=Q11, seed=RefinedSlopes([-3]), survivors=[])
+        assert replay_mod._verdict("C", [place]) == (FAILED, "place 0: survivors []")
+        assert replay_mod._verdict("D", [place]) == (IRREDUCIBLE, None)
 
     def test_matches_bruteforce_and_complement_closure(self):
         rng = random.Random(8)
@@ -88,7 +92,7 @@ class TestCertifySplittings:
             schema = rng.choice(["C", "D"])
             rank = rng.choice([1, 2, 3]) if schema == "C" else rng.choice([2, 4])
             nu = RefinedSlopes([Fraction(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(rank)])
-            got, _ = certify_splittings(schema, nu)
+            got = certify_splittings(schema, nu)
             assert got == brute_survivors(schema, nu)
             # closure under complement of the underlying surviving family
             idx = extended_indices(schema, rank)
@@ -120,8 +124,8 @@ RANK_12 = """
 from slopecert.replay import certify_splittings
 from slopecert.satake import RefinedSlopes
 nu = RefinedSlopes(list(range(1, 12)) + [-67])  # the replay regime: nu(i) > 0 for i < 12, nu(12) < 0
-assert certify_splittings("C", nu) == ([(0,)], "ArtinPlusIrreducible")
-assert certify_splittings("D", nu) == ([], "Irreducible")
+assert certify_splittings("C", nu) == [(0,)]
+assert certify_splittings("D", nu) == []
 """
 
 

@@ -106,6 +106,28 @@ def test_every_class_alone_reads_the_same(monkeypatch):
     assert len(stacks) == 2 * sum(1 for _ in scan_mod._gap_classes(3, 6))
 
 
+def test_chunks_count_s_1_rows_per_multiset(monkeypatch):
+    """At m = 9 a chunk is sized by the s_1 rows the flag pass builds, one
+    per multiset of the m - 1 other image choices, as the caps count them:
+    each length runs in one chunk, and the report is that of every class
+    alone."""
+    kwargs = dict(n_max=4, kappa_min=-3, kappa_max=3, ef_values=((3, 3),), band_scale=1)
+    stacks, first_misaligned = [], kernels.first_misaligned
+
+    def recording_flags(kappas):
+        stacks.append(len(kappas))
+        return first_misaligned(kappas)
+
+    monkeypatch.setattr(kernels, "first_misaligned", recording_flags)
+    want = run_scan(**kwargs).summary()
+    classes = list(scan_mod._gap_classes(4, 7))
+    assert stacks == [sum(len(g) == n for g in classes) for n in (1, 2, 3, 4)]
+    stacks.clear()
+    monkeypatch.setattr(kernels, "_JOIN_STATES", 1)
+    assert run_scan(**kwargs).summary() == want
+    assert want["data_checked"] > 0 and stacks == [1] * len(classes)
+
+
 def test_a_chunk_reads_as_its_classes_alone(monkeypatch):
     """Counts per class do not depend on the classes flagged beside it, and
     the pinned witnesses are the first three of the classes in order, each
