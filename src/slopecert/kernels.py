@@ -182,6 +182,9 @@ def _exact_rows(rows, n: int, scale: int = 1) -> np.ndarray:
         S = np.asarray(rows, dtype=np.int64)
     except OverflowError:  # an entry past int64
         raise beyond from None
+    # an unsigned array is cast by wrapping: its entries past int64 turn negative
+    if S.size and np.asarray(rows).dtype.kind == "u" and S.min() < 0:
+        raise beyond
     if S.ndim == 1 and S.size == 0:
         S = S.reshape(0, n)
     if S.ndim != 2 or S.shape[1] != n:

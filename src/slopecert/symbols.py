@@ -153,19 +153,25 @@ def hilbert_solvable(a, b, place) -> bool:
     decides unsolvability.  Only f mod p^k is ever evaluated: no Legendre
     symbol, so the search shares nothing with ``hilbert``.
 
-    A point's p^2 children are found in O(p), not by testing each: the
-    residues cj yj^2 mod p^(k+1) of the p lifts yj of xj are tabulated once,
-    and each of the p lifts yi of xi looks up -(fixed + ci yi^2).  Children
-    are still visited with the digit of xi ascending, then that of xj.  At
-    odd p an uncertified point has its gradient = 0 mod p, so all or none of
-    its children pass: a search expands at most p + 1 top points and, only
-    when both valuations are odd, up to 2 p^2 second-level points, about
-    4 p^3 table steps.  Primes above ``ORACLE_MAX_PRIME`` = 101 are refused
-    with a ``SlopecertError`` before any search.  Over 120 sampled pairs per
-    prime at p <= 101 the slowest took 0.05 s (p = 101), and so did the
-    slowest of all 9,216 pairs (97 u, 97 w) with 0 < u, w < 97 (Python 3.11,
-    one core).  Beyond the cap one pair took 0.05 s at p = 131 and 0.13 s
-    at p = 251.
+    Past the top level one residue test decides all p^2 children of a
+    point (Hensel's lemma).  A child of (xi, xj) at level k >= 1 is
+    (xi + p^k a, xj + p^k b), and f there is f(xi, xj)
+    + p^k (2 ci xi a + 2 cj xj b) + p^(2k) (ci a^2 + cj b^2).  The square
+    terms carry p^(2k), which vanishes mod p^(k+1).  At odd p every nonzero
+    gradient component of an uncertified point has valuation >= k/2 > 0, so
+    the linear term vanishes mod p^(k+1) too; at p = 2 it carries 2^(k+1)
+    anyway.  So an uncertified point passes to all of its children when
+    f = 0 mod p^(k+1), and to none otherwise.  Only the top points are
+    looked up: the residues cj xj^2 mod p of the p digits of xj are
+    tabulated once, and each digit of xi looks up -(fixed + ci xi^2).
+    Children are visited with the digit of xi ascending, then that of xj.
+    Primes above ``ORACLE_MAX_PRIME`` = 101 are refused with a
+    ``SlopecertError`` before any search.  All 9,216 pairs (97 u, 97 w) with
+    0 < u, w < 97 took 1.0 s together and the slowest 4.4 ms; all 10,000
+    pairs at p = 101 took 1.1 s (Python 3.11, one core).  At p = 89 and 97,
+    over all four parities of the two valuations, no search visited more
+    than 675 points.  Beyond the cap, over every seventh u and w, the
+    slowest pair took 1.4 ms at p = 131 and 3.2 ms at p = 251.
     """
     a = Fraction(a)
     b = Fraction(b)
@@ -187,15 +193,6 @@ def hilbert_solvable(a, b, place) -> bool:
         # the gradient is (2 fixed, 2 ci xi, 2 cj xj); fixed, ci, cj are nonzero
         v_fixed, v_i, v_j = vp(2 * fixed, p), vp(2 * ci, p), vp(2 * cj, p)
 
-        def roots(lifts_i, lifts_j, modulus):
-            """The pairs of lifts with f = 0 mod modulus, in lift order."""
-            by_residue = {}
-            for yj in lifts_j:
-                by_residue.setdefault(cj * yj * yj % modulus, []).append(yj)
-            for yi in lifts_i:
-                for yj in by_residue.get(-(fixed + ci * yi * yi) % modulus, ()):
-                    yield yi, yj
-
         def expand(xi, xj, level) -> bool:
             # invariant: f = fixed + ci xi^2 + cj xj^2 = 0 mod p^level
             if (
@@ -204,18 +201,27 @@ def hilbert_solvable(a, b, place) -> bool:
                 or xj and level > 2 * (v_j + vp(xj, p))
             ):
                 return True
-            if level >= depth_cap:
-                return False
             step = p**level
             target = step * p
-            lifts_i = range(xi, xi + target, step)
-            lifts_j = range(xj, xj + target, step)
-            return any(expand(yi, yj, level + 1) for yi, yj in roots(lifts_i, lifts_j, target))
+            # an uncertified point's children agree with it mod p^(level + 1)
+            if level >= depth_cap or (fixed + ci * xi * xi + cj * xj * xj) % target:
+                return False
+            return any(
+                expand(yi, yj, level + 1)
+                for yi in range(xi, xi + target, step)
+                for yj in range(xj, xj + target, step)
+            )
 
-        # a lifted coordinate before the chart's 1 is = 0 mod p
-        lifts_i = range(1 if i < c else p)
-        lifts_j = range(1 if j < c else p)
-        return any(expand(xi, xj, 1) for xi, xj in roots(lifts_i, lifts_j, p))
+        # a lifted coordinate before the chart's 1 is = 0 mod p; the p
+        # residues cj xj^2 mod p are tabulated once
+        by_residue = {}
+        for xj in range(1 if j < c else p):
+            by_residue.setdefault(cj * xj * xj % p, []).append(xj)
+        return any(
+            expand(xi, xj, 1)
+            for xi in range(1 if i < c else p)
+            for xj in by_residue.get(-(fixed + ci * xi * xi) % p, ())
+        )
 
     return any(chart_solvable(c) for c in range(3))
 

@@ -677,6 +677,13 @@ def test_admission_boundary_at_every_entry():
     assert flags([[2**61, 0, -(2**61) + 1], [2, 0, 1]], [0, 0]).tolist() == [[0, 0], [1, 4]]
     refused(lambda: flags([[2, 0, 1], [2**61, 0, -(2**61)]], [0, 0]))
     refused(lambda: flags([[0, 1, 2**63]], [0]))
+    # a uint64 array past int64 is refused too, not wrapped to (-1, 0, 4)
+    wrapped = np.array([[2**64 - 1, 0, 4]], dtype=np.uint64)
+    refused(lambda: kernels.CandidateTables(wrapped))
+    refused(lambda: kernels.first_misaligned(wrapped[None]))
+    refused(lambda: list(tables.candidates(wrapped[0], 1, 1)))
+    refused(lambda: flags(wrapped, [0]))
+    assert flags(np.array([[2**62 - 1, 0, 0]], dtype=np.uint64), [0]).tolist() == [[0, 0]]
 
 
 @st.composite

@@ -109,6 +109,17 @@ class TestHilbert:
             met.add(symbol)
         assert met == {1, -1}
 
+    def test_oracle_on_every_pair_with_both_valuations_odd_at_97(self):
+        # every unit, not one per square class: the search visits each
+        # point's p^2 children by one residue test, so 9,216 pairs are cheap
+        p = 97
+        met = set()
+        for u, w in product(range(1, p), repeat=2):
+            symbol = hilbert(u * p, w * p, p)
+            assert (symbol == 1) == hilbert_solvable(u * p, w * p, p), (u, w)
+            met.add(symbol)
+        assert met == {1, -1}
+
     def test_oracle_refuses_primes_beyond_its_limit(self):
         top = max(q for q in range(2, ORACLE_MAX_PRIME + 1) if is_prime(q))
         assert hilbert_solvable(3 * top, 5 * top, top) == (hilbert(3 * top, 5 * top, top) == 1)
