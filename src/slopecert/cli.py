@@ -9,9 +9,9 @@ verdict failures (unexpected survivor, tampered schema-valid certificate,
 misaligned candidate inside the hypothesis band).
 
 A job and its params are held to the JSON schemas below (``--print-schemas``
-publishes them) by ``_schema_error``, an interpreter of just the keywords
-they use; the first error by path is the one-line exit 1
-``where.path: message``.
+publishes them).  ``_compile`` turns each schema, on its first use, into a
+tree of closures that knows just the keywords they use; the first error by
+path is the one-line exit 1 ``where.path: message``.
 
 Start-up: numpy loads with the first job that runs the kernel or the scan,
 not with this module, so a ``hilbert`` job runs in a child process in about
@@ -22,6 +22,7 @@ not with this module, so a ``hilbert`` job runs in a child process in about
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -59,7 +60,7 @@ NULL_OR_STRING = {"type": ["string", "null"]}
 # re-derivation.  A certificate is held to this schema only when it fails to
 # verify (its verification raises or finds a mismatch), so that a malformed
 # field is named as an input error: checking every certificate up front
-# would add about 0.2 ms to each verify-cert job, 8-10 % of the benchmark's
+# would add about 0.03 ms to each verify-cert job, 1.6 % of the benchmark's
 # replay round (seed 1; 2 shared cores, Python 3.11).
 CERTIFICATE = {
     "type": "object",
@@ -226,101 +227,177 @@ class InputError(Exception):
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int, "boolean": bool, "null": type(None)}
 
 
+def _keyword_check(keyword, arg, schema):
+    """The check ``keyword`` makes at its own node: value -> message or None,
+    worded as a Draft 2020-12 validator words it.
+
+    As in Draft 2020-12, a keyword about numbers, strings, arrays or objects
+    passes values of other types.  The schemas above list only strings under
+    "enum" and "const" and set additionalProperties only to false.
+    """
+    if keyword == "type":
+        names = [arg] if isinstance(arg, str) else arg
+        classes = tuple(_TYPES[name] for name in names)
+        bools = "boolean" in names  # "integer" is an int that is neither a bool nor an integral float such as 1.0
+        shown = ", ".join(map(repr, names))
+        return lambda value: (
+            None if isinstance(value, classes) and (bools or value.__class__ is not bool)
+            else f"{value!r} is not of type {shown}")
+    if keyword == "enum":
+        return lambda value: None if value in arg else f"{value!r} is not one of {arg!r}"
+    if keyword == "const":
+        expected = f"{arg!r} was expected"
+        return lambda value: None if value == arg else expected
+    if keyword == "oneOf":
+        branches = [_compiled(branch) for branch in arg]
+
+        def one_of(value):
+            passed = 0
+            for check in branches:
+                if check(value) is None:
+                    passed += 1
+            if passed == 1:
+                return None
+            valid = [branch for branch, check in zip(arg, branches) if check(value) is None]
+            if not valid:
+                return f"{value!r} is not valid under any of the given schemas"
+            return f"{value!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
+        return one_of
+    if keyword == "required":
+        def required(value):
+            if isinstance(value, dict):
+                for name in arg:
+                    if name not in value:
+                        return f"{name!r} is a required property"
+        return required
+    if keyword == "additionalProperties":
+        if arg is not False:
+            raise NotImplementedError(f"additionalProperties: {arg!r}; only false is compiled")
+        allowed = frozenset(schema.get("properties", ()))
+
+        def closed(value):
+            if isinstance(value, dict) and not value.keys() <= allowed:
+                extras = sorted(key for key in value if key not in allowed)
+                listed = ", ".join(map(repr, extras))
+                return f"Additional properties are not allowed ({listed} {'was' if len(extras) == 1 else 'were'} unexpected)"
+        return closed
+    if keyword == "minimum":
+        return lambda value: (
+            f"{value!r} is less than the minimum of {arg!r}" if _is_number(value) and value < arg else None)
+    if keyword == "maximum":
+        return lambda value: (
+            f"{value!r} is greater than the maximum of {arg!r}" if _is_number(value) and value > arg else None)
+    if keyword == "minItems":
+        return lambda value: (
+            f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+            if isinstance(value, list) and len(value) < arg else None)
+    if keyword == "maxItems":
+        return lambda value: (
+            f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+            if isinstance(value, list) and len(value) > arg else None)
+    if keyword == "pattern":
+        # the schemas' one pattern is anchored at both ends, so a full match
+        # reads its "$" as ECMA-262 does, at the end of the string; re.search
+        # would also match it before a final "\n"
+        fullmatch = re.compile(arg).fullmatch
+        return lambda value: (
+            f"{value!r} does not match {arg!r}" if isinstance(value, str) and not fullmatch(value) else None)
+    raise NotImplementedError(f"the schema keyword {keyword!r} is not compiled")
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _type_error(names, value, schema):
-    names = [names] if isinstance(names, str) else names
-    for name in names:
-        # "integer" is a Python int: neither a bool nor an integral float such as 1.0
-        if isinstance(value, _TYPES[name]) and (name == "boolean" or not isinstance(value, bool)):
-            return None
-    return f"{value!r} is not of type {', '.join(map(repr, names))}"
-
-
-def _one_of_error(schemas, value, schema):
-    valid = [s for s in schemas if _schema_error(value, s) is None]
-    if not valid:
-        return f"{value!r} is not valid under any of the given schemas"
-    if len(valid) > 1:
-        return f"{value!r} is valid under each of {', '.join(map(repr, valid[1:] + valid[:1]))}"
-
-
-def _required_error(names, value, schema):
-    if isinstance(value, dict):
-        for name in names:
-            if name not in value:
-                return f"{name!r} is a required property"
-
-
-def _additional_error(allowed, value, schema):
-    if not allowed and isinstance(value, dict):
-        extras = sorted(key for key in value if key not in schema.get("properties", {}))
-        if extras:
-            listed = ", ".join(map(repr, extras))
-            return f"Additional properties are not allowed ({listed} {'was' if len(extras) == 1 else 'were'} unexpected)"
-
-
-# Per keyword, the check it makes at its own node: (argument, value, schema)
-# -> message or None, worded as a Draft 2020-12 validator words it.  As in
-# Draft 2020-12, a keyword about numbers, strings, arrays or objects passes
-# values of other types.  "properties" and "items" descend (see
-# _schema_error), and "description" is an annotation.  The schemas above use
-# no other keyword, list only strings under "enum" and "const", and set
-# additionalProperties only to false.
-_CHECKS = {
-    "type": _type_error,
-    "enum": lambda options, value, schema: None if value in options else f"{value!r} is not one of {options!r}",
-    "const": lambda const, value, schema: None if value == const else f"{const!r} was expected",
-    "oneOf": _one_of_error,
-    "required": _required_error,
-    "additionalProperties": _additional_error,
-    "minimum": lambda low, value, schema: (
-        f"{value!r} is less than the minimum of {low!r}" if _is_number(value) and value < low else None),
-    "maximum": lambda high, value, schema: (
-        f"{value!r} is greater than the maximum of {high!r}" if _is_number(value) and value > high else None),
-    "minItems": lambda low, value, schema: (
-        f"{value!r} {'should be non-empty' if low == 1 else 'is too short'}"
-        if isinstance(value, list) and len(value) < low else None),
-    "maxItems": lambda high, value, schema: (
-        f"{value!r} {'is expected to be empty' if high == 0 else 'is too long'}"
-        if isinstance(value, list) and len(value) > high else None),
-    # the schemas' one pattern is anchored at both ends, so a full match
-    # reads its "$" as ECMA-262 does, at the end of the string; re.search
-    # would also match it before a final "\n"
-    "pattern": lambda pattern, value, schema: (
-        f"{value!r} does not match {pattern!r}" if isinstance(value, str) and not re.fullmatch(pattern, value) else None),
-    "properties": lambda properties, value, schema: None,
-    "items": lambda items, value, schema: None,
-    "description": lambda text, value, schema: None,
-}
-
-
-def _schema_error(value, schema, path=()):
-    """The first error of ``value`` under ``schema``, as (path, message), or None.
-
-    A node's own keywords are checked in schema order before its members,
-    an object's members in key order, so the error returned is the one that
-    sorts first by path among a Draft 2020-12 validator's errors.
-    """
-    for keyword, arg in schema.items():
-        message = _CHECKS[keyword](arg, value, schema)
+def _first_error(checks, value):
+    """((), message) for the first of a node's keyword ``checks`` that ``value`` fails, or None."""
+    for check in checks:
+        message = check(value)
         if message:
-            return path, message
-    if isinstance(value, dict) and "properties" in schema:
-        properties = schema["properties"]
-        for key in sorted(value):
-            if key in properties:
-                error = _schema_error(value[key], properties[key], path + (key,))
-                if error:
-                    return error
-    elif isinstance(value, list) and "items" in schema:
-        for index, item in enumerate(value):
-            error = _schema_error(item, schema["items"], path + (index,))
-            if error:
-                return error
+            return (), message
     return None
+
+
+# keywords with no check at their own node: two descend, one annotates
+_WALKED = {"properties", "items", "description"}
+
+
+def _compile(schema):
+    """Compile ``schema`` into its check: value -> None, or (path, message) for its first error.
+
+    The check is a tree of closures, one per node, and every keyword is
+    resolved here, once: an unknown one raises NotImplementedError, and so
+    do members ("properties", "items") outside a node of type object or
+    array with only the keywords of that type.  A node's own keywords are
+    checked in schema order before its members, an object's members in key
+    order, so the error returned is the one that sorts first by path among a
+    Draft 2020-12 validator's errors.  An object, array, integer or patterned
+    string node makes one test for all its keywords; their own checks run
+    only when it fails, to word the error, and a path is built only on the
+    way out of a failed check.
+    """
+    checks = tuple(_keyword_check(keyword, arg, schema) for keyword, arg in schema.items() if keyword not in _WALKED)
+    properties = tuple(sorted((key, _compiled(sub)) for key, sub in schema.get("properties", {}).items()))
+    items = _compiled(schema["items"]) if "items" in schema else None
+    kind = schema.get("type")
+    fused = set(schema) - _WALKED - {"type"}
+
+    if kind == "object" and fused <= {"required", "additionalProperties"} and items is None:
+        required = frozenset(schema.get("required", ()))
+        allowed = frozenset(schema.get("properties", ())) if "additionalProperties" in schema else None
+
+        def check(value):
+            if isinstance(value, dict) and value.keys() >= required and (allowed is None or value.keys() <= allowed):
+                for key, member in properties:
+                    if key in value:
+                        error = member(value[key])
+                        if error:
+                            return (key, *error[0]), error[1]
+                return None
+            return _first_error(checks, value)
+    elif kind == "array" and fused <= {"minItems", "maxItems"} and not properties:
+        low, high = schema.get("minItems", 0), schema.get("maxItems", sys.maxsize)
+
+        def check(value):
+            if isinstance(value, list) and low <= len(value) <= high:
+                if items is not None:
+                    for index, item in enumerate(value):
+                        error = items(item)
+                        if error:
+                            return (index, *error[0]), error[1]
+                return None
+            return _first_error(checks, value)
+    elif properties or items:
+        raise NotImplementedError(f"members are compiled only under a plain object or array node, not {schema!r}")
+    elif kind == "integer" and fused <= {"minimum", "maximum"}:
+        low, high = schema.get("minimum"), schema.get("maximum")
+
+        def check(value):
+            if (isinstance(value, int) and value.__class__ is not bool
+                    and (low is None or value >= low) and (high is None or value <= high)):
+                return None
+            return _first_error(checks, value)
+    elif kind == "string" and fused == {"pattern"}:
+        fullmatch = re.compile(schema["pattern"]).fullmatch
+
+        def check(value):
+            if isinstance(value, str) and fullmatch(value):
+                return None
+            return _first_error(checks, value)
+    else:
+        check = functools.partial(_first_error, checks)
+    return check
+
+
+_COMPILED = {}  # id(schema) -> (schema, its check); holding the schema keeps its id from being reused
+
+
+def _compiled(schema):
+    """The check of ``schema``, compiled on first use; a subschema shared by several schemas is compiled once."""
+    entry = _COMPILED.get(id(schema))
+    if entry is None:
+        entry = _COMPILED[id(schema)] = (schema, _compile(schema))
+    return entry[1]
 
 
 #: Characters of the offending value's repr that an input error quotes; a
@@ -329,7 +406,7 @@ _SHOWN = 200
 
 
 def _validate(instance, schema, where):
-    error = _schema_error(instance, schema)
+    error = _compiled(schema)(instance)
     if error:
         path, message = error
         value = instance
@@ -494,7 +571,7 @@ def _run_verify(params):
         try:
             with open(params["path"]) as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested past the decoder's depth
             raise InputError(f"params.path: cannot read certificate: {exc}")
         # a saved replay report holds the certificate under "result"
         doc = doc.get("result", doc) if isinstance(doc, dict) else doc
@@ -567,7 +644,9 @@ def main(argv=None) -> int:
     try:
         with open(args.job) as fh:
             job = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, malformed JSON, or an integer of over 4,300 digits
+    # ValueError: not UTF-8, malformed JSON, or an integer of over 4,300
+    # digits; RecursionError: arrays or objects nested past the decoder's depth
+    except (OSError, ValueError, RecursionError) as exc:
         sys.stderr.write(f"error: cannot read job: {exc}\n")
         return 1
 

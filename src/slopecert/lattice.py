@@ -86,6 +86,19 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+#: Digits of a refused n that is_prime's message quotes; a longer n is named by its digit count.
+_QUOTED_DIGITS = 40
+
+
+def _digit_count(n: int) -> int:
+    """The number of decimal digits of n > 0, counted without str(n), which
+    Python refuses past 4,300 digits."""
+    k = (n.bit_length() - 1) * 30102 // 100000  # 0.30102 < log10(2), so 10**k <= n
+    while 10 ** (k + 1) <= n:
+        k += 1
+    return k + 1
+
+
 def is_prime(n: int) -> bool:
     """Whether n is prime, by deterministic Miller-Rabin on the primes up to 41.
 
@@ -93,7 +106,8 @@ def is_prime(n: int) -> bool:
     trial division by the bases decides alone.
     """
     if n >= PRIME_LIMIT:
-        raise ValueError(f"primality is decided only below {PRIME_LIMIT}, got {n}")
+        shown = n if n < 10**_QUOTED_DIGITS else f"an integer of {_digit_count(n):,} digits"
+        raise ValueError(f"primality is decided only below {PRIME_LIMIT}, got {shown}")
     if n < 2:
         return False
     for a in _BASES:

@@ -300,6 +300,13 @@ def test_hilbert_oracle_beyond_its_prime_limit_refused(tmp_path, capsys):
     assert run_job(job) == ({"command": "hilbert", "result": {"symbol": 1}}, 0)
 
 
+def test_place_of_thousands_of_digits_refused_in_a_short_line(tmp_path, capsys):
+    # the refusal quoted all 4,201 digits of the place
+    job = {"command": "hilbert", "params": {"a": "3", "b": "5", "place": 10**4200 + 1}}
+    assert rejected_in_one_line(tmp_path, capsys, job) == (
+        f"error: primality is decided only below {PRIME_LIMIT}, got an integer of 4,201 digits\n")
+
+
 def test_hilbert_at_a_large_place_answered_quickly():
     # trial division to the square root took 8.6 s at this place
     job = {"command": "hilbert", "params": {"a": "3", "b": "5", "place": 10**16 + 61}}
@@ -375,6 +382,25 @@ def test_job_file_read_as_a_value_error_rejected(tmp_path, capsys, text):
     assert main(["--job", str(tmp_path / "job.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: cannot read job: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"command": "hilbert", "params": {"a": ' + "[" * 5000 + "]" * 5000 + ', "b": "1", "place": 3}}'],
+    ids=["bare-arrays", "hilbert-a"],
+)
+def test_job_nested_past_the_decoder_depth_rejected(tmp_path, capsys, text):
+    # json.load raises RecursionError, which ended in a traceback
+    (tmp_path / "job.json").write_text(text)
+    assert main(["--job", str(tmp_path / "job.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot read job: ") and captured.err.count("\n") == 1
+
+
+def test_certificate_nested_past_the_decoder_depth_rejected(tmp_path, capsys):
+    (tmp_path / "cert.json").write_text('{"places": ' + "[" * 5000 + "]" * 5000 + "}")
+    job = {"command": "verify-cert", "params": {"path": str(tmp_path / "cert.json")}}
+    assert rejected_in_one_line(tmp_path, capsys, job).startswith("error: params.path: cannot read certificate: ")
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])

@@ -117,6 +117,16 @@ class TestIsPrime:
         with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
             is_prime(PRIME_LIMIT)
 
+    @pytest.mark.parametrize("n, shown", [(10**40 - 1, "got " + "9" * 40), (10**40, "got an integer of 41 digits"),
+                                          (10**4200 + 1, "got an integer of 4,201 digits"),
+                                          (7**20000, "got an integer of 16,902 digits")],
+                             ids=["40-digits", "41-digits", "4201-digits", "16902-digits"])
+    def test_refusal_names_a_long_n_by_its_digit_count(self, n, shown):
+        # the 16,902-digit n is past the 4,300 digits that str() converts
+        with pytest.raises(ValueError) as refused:
+            is_prime(n)
+        assert str(refused.value) == f"primality is decided only below {PRIME_LIMIT}, {shown}"
+
 
 class TestWeightTable:
     def test_extension_accessor(self):

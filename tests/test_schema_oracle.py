@@ -1,15 +1,15 @@
-"""The CLI's schema interpreter against jsonschema's Draft 2020-12 validator.
+"""The CLI's compiled schema checks against jsonschema's Draft 2020-12 validator.
 
 jsonschema is the oracle here and a dependency of the tests only.  Its type
 checker is extended so that "integer" means an int that is not a bool, as in
-the interpreter (plain Draft 2020-12 also admits integral floats such as
-1.0), and "pattern" reads "$" as ECMA-262 does, as the end of the string,
-where Python's re.search also matches it before a final newline.  The
-documents are the job documents written out in ``test_cli.py``,
-those the fuzz strategies of ``test_fuzz_main.py`` draw, and mutations of
-both: a field dropped, added, retyped or set to an integral float.  On each
-document, its params and its certificate, the interpreter and the oracle
-must both accept or both reject, and the interpreter's error must be the
+the CLI (plain Draft 2020-12 also admits integral floats such as 1.0), and
+"pattern" reads "$" as ECMA-262 does, as the end of the string, where
+Python's re.search also matches it before a final newline.  The documents
+are the job documents written out in ``test_cli.py``, those the fuzz
+strategies of ``test_fuzz_main.py`` draw, and mutations of both: a field
+dropped, added, retyped or set to an integral float.  On each document, its
+params and its certificate, the check that ``cli._validate`` runs and the
+oracle must both accept or both reject, and the check's error must be the
 oracle's first error sorted by path, the one the CLI reported when it ran
 jsonschema: the same path and the same message.
 """
@@ -19,6 +19,7 @@ import copy
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator, ValidationError, validators
@@ -64,23 +65,34 @@ def schema_keywords(schema):
 def test_the_keyword_walk_sees_a_nested_keyword():
     schema = {"properties": {"x": {"items": {"oneOf": [{"format": "date"}]}}}}
     assert [keyword for keyword, _ in schema_keywords(schema)] == ["properties", "items", "oneOf", "format"]
-    assert "format" not in cli._CHECKS
 
 
-def test_every_schema_keyword_is_interpreted():
+def test_every_schema_keyword_is_compiled():
+    for schema in SCHEMAS:
+        assert callable(cli._compiled(schema))
+    with pytest.raises(NotImplementedError, match="'format'"):
+        cli._compile({"format": "date"})  # when compiled, not at the first job that reaches it
     used = [pair for schema in SCHEMAS for pair in schema_keywords(schema)]
-    assert {keyword for keyword, _ in used} <= set(cli._CHECKS)
-    # the interpreter compares enum and const values with ==, which tells a
-    # string from any other JSON value, and knows additionalProperties only
-    # as a boolean
+    # the checks compare enum and const values with ==, which tells a string
+    # from any other JSON value, and know additionalProperties only as false
     assert all(isinstance(v, str) for keyword, arg in used if keyword == "enum" for v in arg)
     assert all(isinstance(arg, str) for keyword, arg in used if keyword == "const")
-    assert all(isinstance(arg, bool) for keyword, arg in used if keyword == "additionalProperties")
+    assert all(arg is False for keyword, arg in used if keyword == "additionalProperties")
     # every pattern is anchored at both ends and has no other "$", so the
-    # interpreter's full match and the oracle's "\\Z" both read it as ECMA-262 does
+    # checks' full match and the oracle's "\\Z" both read it as ECMA-262 does
     assert all(arg[0] == "^" and arg.index("$") == len(arg) - 1 for keyword, arg in used if keyword == "pattern")
     types = {name for keyword, arg in used if keyword == "type" for name in ([arg] if isinstance(arg, str) else arg)}
     assert types <= set(cli._TYPES)
+
+
+@pytest.mark.parametrize("schema, named", [
+    ({"type": "object", "properties": {"x": {"type": "array", "items": {"oneOf": [{"format": "date"}]}}}}, "'format'"),
+    ({"type": "object", "additionalProperties": {"type": "string"}}, "additionalProperties"),
+    ({"properties": {"x": {"type": "string"}}}, "members"),
+])
+def test_a_schema_the_compiler_does_not_know_is_refused_when_compiled(schema, named):
+    with pytest.raises(NotImplementedError, match=named):
+        cli._compile(schema)
 
 
 def literal_jobs(source):
@@ -143,7 +155,7 @@ def mutants(draw):
 def assert_agrees(instance, schema):
     errors = sorted(ORACLE(schema).iter_errors(instance), key=lambda e: list(e.absolute_path))
     first = (tuple(errors[0].absolute_path), errors[0].message) if errors else None
-    assert cli._schema_error(instance, schema) == first
+    assert cli._compiled(schema)(instance) == first
 
 
 def assert_document_agrees(doc):
