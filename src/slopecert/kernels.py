@@ -82,19 +82,35 @@ Set up once per stack, it builds s_{m-1}..s_1, keeps s_1 alone, builds no s_0;
 at N = 1 no pair exists, and it sets up nothing.
 
 Each reader builds a table once for what it serves: the flag pass per
-stack, the listing per weight table in ``tables_for``, so consecutive calls
-on one weight table (the tau of a datum, a replay and its verification)
-build it once.  The tables keep the last slope vector's listing too, once
-read to its end: a later call on that vector reads it without walking, and
-a call that stops early keeps nothing and walks no further than it reads.
-The slot drops its tables before another weight table's are built, so the
-table of one weight table at most is alive, and it outlives its job.
+stack, the listing per weight table up to content in ``tables_for``.  The
+content g of a weight table is the gcd of its entries; an all-zero table
+stays as it is.  Every vector reachable on the table is g times one on the
+table divided by g, so it lies under a bound b iff that one lies under
+floor(b / g), and floor(floor(e * P / D) / g) = floor(e * P / (D * g)): the
+listing of the reduced table, its bound floored once more by g and its
+totals compared with D * g * T_0, is the table's listing.  So the slot is
+keyed by the reduced table, and consecutive calls on tables that differ
+only by content build one: the tau of a datum, a replay and its
+verification, and replays whose step-3 point, the first point of a gap
+cone, is g * (rank, ..., 1) on every row for a g that moves with the seed.
+A seed-1 round of the benchmark's ``replay`` workload builds 44 tables
+instead of 83.  Refusals are still decided on the caller's table.  The
+floor by g lets a subset's outside total equal some rows' where the
+unreduced floor kept them apart, though its two floored totals sum to less
+than the table total, which no row can meet: ``passing`` drops such subsets
+before its join.  The tables keep the last slope vector's listing too,
+keyed by (S, e, D, g), once read to its end: a later call on that question
+reads it without walking, and a call that stops early keeps nothing and
+walks no further than it reads.  The slot drops its tables before another
+reduced table's are built, so the table of one weight table at most is
+alive, and it outlives its job.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, takewhile
+from itertools import chain, combinations, takewhile
+from math import gcd
 
 import numpy as np
 
@@ -104,6 +120,7 @@ _KEY_LIMIT = 1 << 62
 # pairs about this many rows at a time where labels allow, so no lookup's
 # or sumset's arrays grow with all of its matches or pairs.
 _JOIN_STATES = 1 << 15
+_BEYOND = "weights or scaled slopes beyond the exact int64 range of the candidate kernel"
 
 
 def active_backend() -> str:
@@ -177,7 +194,7 @@ def _exact_rows(rows, n: int, scale: int = 1) -> np.ndarray:
     int64.  The largest |v| of the whole matrix only decides whether rows
     must be summed one by one.
     """
-    beyond = ValueError("weights or scaled slopes beyond the exact int64 range of the candidate kernel")
+    beyond = ValueError(_BEYOND)
     try:
         S = np.asarray(rows, dtype=np.int64)
     except OverflowError:  # an entry past int64
@@ -364,9 +381,16 @@ class _Table:
         return list(self.sums(0))[::-1]
 
     def passing(self, bound: np.ndarray) -> np.ndarray:
-        """Which subsets have a reachable vector of their size under their
-        bound row; ``bound`` holds floor(Newton / D) per subset."""
-        return _under(self.suffix[0], self.label, bound)  # no offset
+        """The subsets, ascending, that have a reachable vector of their size
+        under their bound row; ``bound`` holds floor(Newton / D) per subset.
+
+        A reachable row's inside and outside totals sum to the table's
+        total, and the bound's two floors to at most that, so a subset whose
+        floors sum to less is dropped before the join: no row meets it.
+        """
+        k = self.size
+        full = np.flatnonzero(bound[np.arange(len(k)), k - 1] + bound[:, -1] == self.kappas.sum())
+        return full[_under(self.suffix[0], self.label[full], bound[full])]  # no offset
 
     def choices(self, bound: np.ndarray, t: int, j: int = 0, acc=0, picked: tuple = ()):
         """Image bitmasks per embedding of every choice of label ``t``
@@ -388,28 +412,37 @@ class _Table:
             img = picked + (self.masks[lo + c],)
             yield from self.choices(bound, t, j + 1, vec[c], img) if j + 1 < len(self.hodge) else (img,)
 
-    def walk(self, S: np.ndarray, e: int, denom: int):
+    def walk(self, S: np.ndarray, e: int, denom: int, content: int):
         """Every passing (subset_mask, image_masks) of size k <= N // 2 for
-        the scaled slopes ``S``, in order; the bounds and the passing
-        subsets of every size are found at the first item."""
-        bound = (e * _prefixes(S, self.pos, self.size)) // denom
-        for c in np.flatnonzero(self.passing(bound)).tolist():
+        the scaled slopes ``S`` against ``content`` times this table, in
+        order; the bounds and the passing subsets of every size are found at
+        the first item."""
+        bound = (e * _prefixes(S, self.pos, self.size)) // denom // content
+        for c in self.passing(bound).tolist():
             for img in self.choices(bound[c], int(self.label[c])):
                 yield self.masks[c], img
 
 
 class CandidateTables:
-    """The reachable-set table of one weight table, built on first use, and
-    the listing of the last slope vector read to its end.
+    """The reachable-set table of one weight table over its content, built
+    on first use, and the listing of the last slope vector read to its end.
 
-    Callers get them from ``tables_for``, which keeps the last weight
-    table's tables for the calls that follow on it.
+    The table is the weight table divided by its content g, the gcd of its
+    entries (an all-zero table is kept as it is), and ``content`` is g:
+    ``candidates`` answers for ``content`` times ``weights``.  Callers get
+    them from ``tables_for``, which keeps the last reduced table's tables
+    for the calls that follow on it and sets ``content`` to that of the
+    weight table asked for.
     """
 
     def __init__(self, kappa):
-        self.weights = tuple(tuple(int(v) for v in row) for row in kappa)
-        m, n = np.shape(self.weights)
-        self.kappa = _exact_rows([[v for row in self.weights for v in row]], m * n).reshape(m, n)
+        weights = tuple(tuple(map(int, row)) for row in kappa)
+        m, n = np.shape(weights)
+        # admitted before it is reduced, so a refusal is the caller's table's
+        K = _exact_rows([list(chain.from_iterable(weights))], m * n).reshape(m, n)
+        self.content = _content(weights)
+        self.kappa = K // self.content
+        self.weights = tuple(map(tuple, self.kappa.tolist()))
         self.total = int(self.kappa.sum())
         # (slope key, every candidate listed) of the last slope vector read
         # to its end: every tau of a datum, and the verification after its
@@ -421,9 +454,13 @@ class CandidateTables:
         return _Table(self.kappa[None])
 
     def candidates(self, slopes_scaled, e: int, denom: int):
-        """Every passing (subset_mask, image_masks) in order; a generator, so
-        the input is checked at the first item.  Sizes above n // 2 are their
+        """Every passing (subset_mask, image_masks) of ``content`` times the
+        table, ``content`` read at this call, in order; a generator, so the
+        input is checked at the first item.  Sizes above n // 2 are their
         complement sizes' lists, reversed and complemented."""
+        return self._listed(slopes_scaled, e, denom, self.content)
+
+    def _listed(self, slopes_scaled, e: int, denom: int, g: int):
         n = self.kappa.shape[1]
         S = _exact_rows([slopes_scaled], n, e)[0]
         if denom >= _KEY_LIMIT:  # the bound's floor division runs in int64
@@ -432,16 +469,18 @@ class CandidateTables:
         # equalities need the full totals to agree.  Then a reachable vector,
         # whose two totals add up to the Hodge total too, lies under the
         # bound floor(Newton / D) at both totals only when it meets both:
-        # lying under the bound is passing.
-        if e * int(S.sum()) != denom * self.total or n < 2:
+        # lying under the bound is passing.  Every reachable vector of g
+        # times the table is g times one of the table, and g * x <= b iff
+        # x <= floor(b / g), so the walk floors the bound once more by g
+        if e * int(S.sum()) != denom * g * self.total or n < 2:
             return
-        key = (tuple(S.tolist()), e, denom)
+        key = (tuple(S.tolist()), e, denom, g)
         if self._listing is not None and self._listing[0] == key:
             listed = self._listing[1]
             yield from listed
         else:
             self._listing, listed = None, []
-            for item in self.table.walk(S, e, denom):
+            for item in self.table.walk(S, e, denom, g):
                 listed.append(item)
                 yield item
             self._listing = key, listed  # kept once read to its end
@@ -453,18 +492,36 @@ class CandidateTables:
                 yield mask ^ full, tuple(i ^ full for i in img)
 
 
-_slot = None  # the tables of the last weight table asked for
+def _content(weights) -> int:
+    """The gcd of a weight table's entries, or 1 for an all-zero table."""
+    return gcd(*chain.from_iterable(weights)) or 1
+
+
+_slot = None  # (the last weight table asked for, the tables of its reduced table)
 
 
 def tables_for(kappa) -> CandidateTables:
-    """The tables of ``kappa``: the slot's when built for it, else new ones,
-    which replace them."""
+    """The tables of ``kappa``: the slot's when built for kappa over its
+    content, else new ones, which replace them; either way set to answer
+    for kappa."""
     global _slot
-    # rows compared as tuples, so a numpy table compares by value too
-    if _slot is None or _slot.weights != tuple(map(tuple, kappa)):
+    asked = tuple(map(tuple, kappa))  # a numpy table compares by value too
+    if _slot is not None and _slot[0] == asked:
+        return _slot[1]  # set to answer for it when it was put there
+    weights = tuple(tuple(map(int, row)) for row in asked)
+    g = _content(weights)
+    reduced = weights if g == 1 else tuple(tuple([v // g for v in row]) for row in weights)
+    if _slot is None or _slot[1].weights != reduced:
         _slot = None  # the old table goes before the new one is built
-        _slot = CandidateTables(kappa)
-    return _slot
+        tables = CandidateTables(weights)
+    elif sum(map(abs, chain.from_iterable(weights))) >= _KEY_LIMIT:
+        # g times an admitted table, admitted as ``_exact_rows`` counts
+        raise ValueError(_BEYOND)
+    else:
+        tables = _slot[1]
+    tables.content = g
+    _slot = asked, tables
+    return tables
 
 
 def first_misaligned(kappas):

@@ -160,7 +160,7 @@ class WeightTable:
     Indices are 1-based to match the usual k_{v,sigma,i} bookkeeping.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "columns")
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         rows = tuple(tuple(int(k) for k in row) for row in rows)
@@ -175,6 +175,7 @@ class WeightTable:
             if n and row[-1] < 0:
                 raise ValueError(f"row {row} has a negative entry")
         self.rows = rows
+        self.columns = tuple(map(sum, zip(*rows)))  # column_sum(1..rank)
 
     @property
     def rank(self) -> int:
@@ -190,7 +191,7 @@ class WeightTable:
 
     def column_sum(self, i: int) -> int:
         """Sum over embeddings of k[sigma][i] (extended index allowed)."""
-        return sum(self.entry(s, i) for s in range(1, self.embeddings + 1))
+        return sign_extended(self.columns, i)
 
     def total(self) -> int:
         return sum(sum(row) for row in self.rows)

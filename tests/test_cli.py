@@ -513,6 +513,35 @@ def test_replay_and_its_verification_build_the_tables_once(monkeypatch):
     assert len(made) == 1 and built == []
 
 
+def test_replays_whose_k3_differ_by_a_factor_share_one_table(monkeypatch):
+    # step 3's k3 is the first point of its gap cone, g * (2, 1) here, and g
+    # moves with the seed; the data's weight tables differ only by their
+    # content, so two replays and their verifications build one table
+    made, built = [], []
+    candidate_tables, table = kernels.CandidateTables, kernels._Table
+
+    def recording_tables(kappa):
+        made.append(kappa)
+        return candidate_tables(kappa)
+
+    def recording_table(stack):
+        built.append(table(stack))
+        return built[-1]
+
+    monkeypatch.setattr(kernels, "_slot", None)
+    monkeypatch.setattr(kernels, "CandidateTables", recording_tables)
+    monkeypatch.setattr(kernels, "_Table", recording_table)
+    k3 = []
+    for seeds in ("zero", [["1", "0"]]):
+        cert, code = run_job({"command": "replay-sp", "params": {"n": 2, "locals": [{"p": 3}], "seeds": seeds}})
+        assert code == 0
+        k3.append(cert["result"]["places"][0]["k3"])
+        report, code = run_job({"command": "verify-cert", "params": {"certificate": cert["result"]}})
+        assert code == 0 and report["result"] == {"ok": True, "mismatches": []}
+    assert k3 == [[[272, 136]], [[262, 131]]]
+    assert len(made) == 1 and len(built) == 1
+
+
 def test_certificate_covers_every_prime(tmp_path, capsys):
     cert = replay_symplectic(2, [LocalDatum(11, 1, 1)], [RefinedSlopes([0, 0])]).to_dict()
     for p in (2, 13, 101):

@@ -185,9 +185,9 @@ def test_listing_is_kept_only_once_read_to_its_end(monkeypatch):
     # call on the same slope vector reads it without re-entering the walk
     walks, walked, walk, choices = [], [], kernels._Table.walk, kernels._Table.choices
 
-    def recording_walk(self, S, e, denom):
+    def recording_walk(self, S, e, denom, content):
         walks.append(tuple(S.tolist()))
-        return walk(self, S, e, denom)
+        return walk(self, S, e, denom, content)
 
     def recording_choices(self, bound, t, j=0, acc=0, picked=()):
         if j == 0:
@@ -212,7 +212,7 @@ def test_listing_is_kept_only_once_read_to_its_end(monkeypatch):
     # another slope vector, aligned, walks afresh to its end and replaces
     # the finished listing
     assert kernels.find_candidate(kappa, [0, 2, 6, 8], 1, 1, 0) == search_python(kappa, [0, 2, 6, 8], 1, 1, 0)
-    assert len(walks) == 4 and tables._listing[0] == ((0, 2, 6, 8), 1, 1)
+    assert len(walks) == 4 and tables._listing[0] == ((0, 2, 6, 8), 1, 1, 1)
 
 
 @st.composite
@@ -296,6 +296,57 @@ def test_tables_follow_the_slope_vector(case, other):
                     oracle[key] = search_python(kappa, scaled, e, d, tau, require_misaligned)
                 assert _search(kappa, scaled, e, d, tau, require_misaligned) == oracle[key]
         assert kernels.tables_for(kappa) is tables
+
+
+@st.composite
+def content_inputs(draw):
+    """(kappa, c, scaled slopes, e, denom): the slopes near the weight means
+    of c * kappa, c in 2..7, over m = 1..3 embeddings and N = 2..6 (m <= 2
+    at N = 6, where the oracle takes seconds).  Half the tables have every
+    row symmetric, of total 0, as every replay datum's has."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 3 if n < 6 else 2))
+    c = draw(st.integers(2, 7))
+    e, denom = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2, 3]))
+    if draw(st.booleans()):
+        half = st.lists(st.integers(0, 3), min_size=n // 2, max_size=n // 2)
+        kappa = [sorted(h + [-v for v in h] + [0] * (n % 2)) for h in draw(st.lists(half, min_size=m, max_size=m))]
+    else:
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(sorted)
+        kappa = draw(st.lists(row, min_size=m, max_size=m))
+    return kappa, c, _slopes(draw, [[c * v for v in row] for row in kappa], e, denom), e, denom
+
+
+@settings(max_examples=40, deadline=None)
+@given(content_inputs())
+@example(([[-2, -1, 1, 2]], 3, [3, -6, 6, -3], 1, 1))
+def test_weight_tables_share_a_table_up_to_content(case):
+    # kappa and c * kappa share one slot object and one table, and each is
+    # answered for itself: the same (S, e, D) is asked of both, which at
+    # total 0 passes both totals tests, so a kept listing keyed without the
+    # content would answer c * kappa with kappa's.  The subsets that the
+    # floored-totals filter drops hold no candidate of the oracle's
+    kappa, c, scaled, e, denom = case
+    dropped, passing = set(), kernels._Table.passing
+
+    def recording_passing(self, bound):
+        k = self.size
+        low = bound[np.arange(len(k)), k - 1] + bound[:, -1] < self.kappas.sum()
+        dropped.update(self.masks[r] for r in np.flatnonzero(low))
+        return passing(self, bound)
+
+    tables = kernels.tables_for(kappa)
+    with mock.patch.object(kernels._Table, "passing", recording_passing):
+        for K in (kappa, [[c * v for v in row] for row in kappa]):
+            assert kernels.tables_for(K) is tables
+            want = list(candidates_python(K, scaled, e, denom, 0, False))
+            assert list(tables.candidates(scaled, e, denom)) == want
+            for tau, row in enumerate(K):
+                misaligned = [cand for cand in want if _moved(row, cand[0], cand[1][tau])]
+                first = (True, *misaligned[0]) if misaligned else (False, 0, ())
+                assert kernels.find_candidate(K, scaled, e, denom, tau) == first
+            assert not dropped & {mask for mask, _ in want}
+            dropped.clear()
 
 
 def _rotations(kappa, rows):
@@ -684,6 +735,25 @@ def test_admission_boundary_at_every_entry():
     refused(lambda: list(tables.candidates(wrapped[0], 1, 1)))
     refused(lambda: flags(wrapped, [0]))
     assert flags(np.array([[2**62 - 1, 0, 0]], dtype=np.uint64), [0]).tolist() == [[0, 0]]
+
+
+def test_weight_table_is_admitted_before_it_is_reduced(monkeypatch):
+    # 2**60 * [[0, 2, 2]] is refused, though its reduced table [[0, 1, 1]]
+    # is inside the range, whether the slot holds that table or not; a
+    # multiple just inside the range shares the slot and is answered exactly
+    with pytest.raises(ValueError, match="int64") as want:
+        kernels.CandidateTables([[0, 2**61, 2**61]])
+    monkeypatch.setattr(kernels, "_slot", None)
+    for held in (None, [[0, 1, 1]]):
+        if held:
+            kernels.tables_for(held)
+        with pytest.raises(ValueError) as got:
+            kernels.tables_for([[0, 2**61, 2**61]])
+        assert str(got.value) == str(want.value)
+    tables, big = kernels.tables_for([[0, 1, 1]]), [[0, 2**61 - 1, 2**61 - 1]]
+    assert kernels.tables_for(big) is tables and tables.content == 2**61 - 1
+    slopes = [2**61 - 1, 0, 2**61 - 1]
+    assert list(tables.candidates(slopes, 1, 1)) == list(candidates_python(big, slopes, 1, 1, 0, False)) != []
 
 
 @st.composite
